@@ -27,11 +27,12 @@ from .links import BraidWord
 
 SCENARIO_SCHEMA = 1
 
-# Documented resource limits for suite bounds; violations are reported
-# before any scenario runs.
+# Documented resource limits, reported before any scenario runs.  Cover
+# degree and word length bound every command; strands and scenario count
+# bound the suite.
+MAX_DEGREE = 12
+MAX_LENGTH = 8
 MAX_SUITE_STRANDS = 4
-MAX_SUITE_LENGTH = 8
-MAX_SUITE_DEGREE = 12
 MAX_SUITE_SCENARIOS = 200_000
 
 
@@ -44,7 +45,6 @@ class Scenario:
     braid: BraidWord
     cover_degree: int
     checks: list[str] | None
-    options: dict
 
 
 def _expect(mapping: dict, key: str, types, where: str):
@@ -56,10 +56,20 @@ def _expect(mapping: dict, key: str, types, where: str):
     return value
 
 
+def _resolve_checks(names: list[str], where: str) -> list[str]:
+    """Known check names, at least one: a run that checks nothing cannot pass."""
+    if not names:
+        raise ScenarioError(f"{where}: names no check")
+    try:
+        return resolve_checks(names)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def parse_scenario(data: object, where: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"{where}: top level must be a JSON object")
-    known = {"schema", "braid", "cover_degree", "checks", "options"}
+    known = {"schema", "braid", "cover_degree", "checks"}
     unknown = set(data) - known
     if unknown:
         raise ScenarioError(f"{where}: unknown fields {sorted(unknown)}")
@@ -76,23 +86,19 @@ def parse_scenario(data: object, where: str = "scenario") -> Scenario:
         braid = BraidWord(strands, tuple(word))
     except ValueError as exc:
         raise ScenarioError(f"{where}.braid: {exc}") from exc
+    if len(word) > MAX_LENGTH:
+        raise ScenarioError(f"{where}.braid.word: at most {MAX_LENGTH} letters")
     degree = _expect(data, "cover_degree", int, where)
-    if degree < 1:
-        raise ScenarioError(f"{where}.cover_degree: must be >= 1")
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ScenarioError(f"{where}.cover_degree: must be in 1..{MAX_DEGREE}")
     checks = None
     if "checks" in data:
         raw = _expect(data, "checks", list, where)
         for i, name in enumerate(raw):
             if not isinstance(name, str):
                 raise ScenarioError(f"{where}.checks[{i}]: names must be strings")
-        try:
-            checks = resolve_checks(raw)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}.checks: {exc}") from exc
-    options = {}
-    if "options" in data:
-        options = _expect(data, "options", dict, where)
-    return Scenario(braid=braid, cover_degree=degree, checks=checks, options=options)
+        checks = _resolve_checks(raw, f"{where}.checks")
+    return Scenario(braid=braid, cover_degree=degree, checks=checks)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -173,19 +179,25 @@ def _format_lift(cover: CoverData, ascii_flag: bool) -> str:
     return "\n".join(lines)
 
 
-def cmd_lift(args) -> int:
+def _load(args) -> tuple[Scenario, int]:
+    """The ``--input`` scenario and its cover degree, ``--degree`` applied, within limits."""
     scenario = load_scenario(args.input)
-    degree = args.degree if args.degree is not None else scenario.cover_degree
-    if degree < 1:
-        raise ScenarioError("--degree must be >= 1")
+    if args.degree is None:
+        return scenario, scenario.cover_degree
+    if not 1 <= args.degree <= MAX_DEGREE:
+        raise ScenarioError(f"--degree must be in 1..{MAX_DEGREE}")
+    return scenario, args.degree
+
+
+def cmd_lift(args) -> int:
+    scenario, degree = _load(args)
     cover = lift_braid(scenario.braid, degree)
     _emit(_format_lift(cover, args.ascii), args.out)
     return 0
 
 
 def cmd_delta(args) -> int:
-    scenario = load_scenario(args.input)
-    degree = args.degree if args.degree is not None else scenario.cover_degree
+    scenario, degree = _load(args)
     cover = lift_braid(scenario.braid, degree)
     u = cover.spec.base
     coeffs = args.coefficients
@@ -210,15 +222,11 @@ def cmd_delta(args) -> int:
 
 
 def _resolve_cli_checks(raw: str) -> list[str]:
-    try:
-        return resolve_checks([c.strip() for c in raw.split(",") if c.strip()])
-    except ValueError as exc:
-        raise ScenarioError(f"--checks: {exc}") from exc
+    return _resolve_checks([c.strip() for c in raw.split(",") if c.strip()], "--checks")
 
 
 def cmd_verify(args) -> int:
-    scenario = load_scenario(args.input)
-    degree = args.degree if args.degree is not None else scenario.cover_degree
+    scenario, degree = _load(args)
     checks = scenario.checks
     if args.checks is not None:
         checks = _resolve_cli_checks(args.checks)
@@ -246,7 +254,7 @@ def _parse_degrees(raw: str) -> tuple[int, ...]:
     except ValueError as exc:
         raise ScenarioError(f"--degrees: {exc}") from exc
     if not degrees:
-        return ()
+        raise ScenarioError("--degrees: names no degree")
     return degrees
 
 
@@ -254,11 +262,11 @@ def cmd_suite(args) -> int:
     degrees = _parse_degrees(args.degrees)
     if args.max_strands < 1 or args.max_strands > MAX_SUITE_STRANDS:
         raise ScenarioError(f"--max-strands must be in 1..{MAX_SUITE_STRANDS}")
-    if args.max_length < 0 or args.max_length > MAX_SUITE_LENGTH:
-        raise ScenarioError(f"--max-length must be in 0..{MAX_SUITE_LENGTH}")
+    if args.max_length < 0 or args.max_length > MAX_LENGTH:
+        raise ScenarioError(f"--max-length must be in 0..{MAX_LENGTH}")
     for n in degrees:
-        if n < 1 or n > MAX_SUITE_DEGREE:
-            raise ScenarioError(f"--degrees entries must be in 1..{MAX_SUITE_DEGREE}")
+        if n < 1 or n > MAX_DEGREE:
+            raise ScenarioError(f"--degrees entries must be in 1..{MAX_DEGREE}")
     planned = count_scenarios(args.max_strands, args.max_length, degrees)
     if planned > MAX_SUITE_SCENARIOS:
         raise ScenarioError(

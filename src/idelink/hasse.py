@@ -111,10 +111,10 @@ def equality_witness(a: SubLattice, b: SubLattice) -> tuple[int, ...] | None:
     other side whenever the lattices differ, so scanning generators is
     complete.
     """
-    for col in a.canonical_form.columns():
+    for col in a.columns:
         if not lattice_member(col, b):
             return col
-    for col in b.canonical_form.columns():
+    for col in b.columns:
         if not lattice_member(col, a):
             return col
     return None
@@ -205,10 +205,8 @@ def verify_class_quotient_free(c: CoverData) -> CheckRecord:
 
     def run():
         for tag, u in (("base", c.spec.base), ("cover", c.total)):
-            principal = principal_lattice(u)
             for sub in _sublinks(u.size):
-                relations = lattice_sum(principal, meridian_subgroup(u, sub).lattice)
-                inv = quotient_invariants(2 * u.size, relations)
+                inv = class_quotient(u, sub)
                 if inv.free_rank != len(sub) or inv.torsion:
                     return False, {
                         "universe": tag,

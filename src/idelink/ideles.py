@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .links import LinkUniverse
-from .zlattice import (
-    AbelianInvariants,
-    SubLattice,
-    lattice_sum,
-    quotient_invariants,
-)
+from .zlattice import AbelianInvariants, SubLattice, quotient_invariants
 
 
 @dataclass(frozen=True)
@@ -92,9 +87,6 @@ class IdeleVector:
 
     def __neg__(self) -> "IdeleVector":
         return IdeleVector(self.components, tuple(-a for a in self.coeffs))
-
-    def scaled(self, n: int) -> "IdeleVector":
-        return IdeleVector(self.components, tuple(n * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -242,12 +234,17 @@ def meridian_subgroup(u: LinkUniverse, excluded: Iterable[int]) -> MeridianSubgr
 def class_quotient(u: LinkUniverse, sublink: Iterable[int]) -> AbelianInvariants:
     """Invariants of the idele group modulo principal plus off-sublink meridians.
 
-    For a braid universe in S^3 this is free of rank |sublink|: the
-    relations express every longitude over the surviving meridians.
+    Dividing Z^(2m) by the unit meridians mu_K, K outside the sublink,
+    deletes those coordinates, so the quotient is Z^(m+|sublink|) modulo
+    the m principal generators with the same coordinates deleted.  For a
+    braid universe in S^3 it is free of rank |sublink|: the relations
+    express every longitude over the surviving meridians.
     """
     sub = _check_sublink(u, sublink)
-    relations = lattice_sum(principal_lattice(u), meridian_subgroup(u, sub).lattice)
-    return quotient_invariants(2 * u.size, relations)
+    keep = sorted([2 * k for k in sub] + [2 * k + 1 for k in range(u.size)])
+    gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(u.size)]
+    relations = SubLattice.from_columns(len(keep), [[g[i] for i in keep] for g in gens])
+    return quotient_invariants(len(keep), relations)
 
 
 def include_class(s: SurfaceClass, larger: Iterable[int]) -> SurfaceClass:

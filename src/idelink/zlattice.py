@@ -7,9 +7,12 @@ integer matrices, sublattices with a canonical Hermite form, and the
 handful of subgroup operations the verifiers need.  No floating point
 enters anywhere.
 
-Sublattices are generated by matrix *columns*.  Two sublattices of the
-same ambient group are equal exactly when their canonical forms are
-equal, which makes ``lattice_equal`` a syntactic comparison.
+Sublattices are generated by matrix *columns* and held as their
+canonical column Hermite form, in the kernel's tuple-of-columns layout.
+Two sublattices of the same ambient group are equal exactly when their
+canonical forms are equal, which makes ``lattice_equal`` a syntactic
+comparison.  Caller input is validated once, at the constructors; the
+operations hand canonical columns straight to the kernel.
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ class IntMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_columns(list(self.entries), rows=self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -179,29 +179,32 @@ class AbelianInvariants:
 
 @dataclass(frozen=True)
 class SubLattice:
-    """Subgroup of Z^ambient_rank generated by the columns of ``generators``.
+    """Subgroup of Z^ambient_rank, held as its canonical column Hermite form.
 
-    ``canonical_form`` is the column Hermite normal form, unique for the
-    generated subgroup; construct through ``from_matrix``/``from_columns``
-    so it is always consistent.
+    ``columns`` holds the canonical columns ``kernel.col_hnf`` returns,
+    each as a tuple of ints.  The form is unique for the subgroup, so the
+    generated ``__eq__``/``__hash__`` compare lattices.  Construct through
+    ``from_columns``/``from_matrix``/``zero``/``full`` so the form is
+    always canonical.
     """
 
     ambient_rank: int
-    generators: IntMatrix
-    canonical_form: IntMatrix
+    columns: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_matrix(cls, generators: IntMatrix) -> "SubLattice":
-        canon = hnf(generators)
-        return cls(generators.rows, generators, canon)
+        return _span(generators.rows, generators.columns())
 
     @classmethod
     def from_columns(cls, ambient_rank: int, columns: Sequence[Sequence[int]]) -> "SubLattice":
-        return cls.from_matrix(IntMatrix.from_columns(columns, rows=ambient_rank))
+        cols = [tuple(_check_int(x) for x in c) for c in columns]
+        if any(len(c) != ambient_rank for c in cols):
+            raise ValueError("column length does not match ambient rank")
+        return _span(ambient_rank, cols)
 
     @classmethod
     def zero(cls, ambient_rank: int) -> "SubLattice":
-        return cls.from_matrix(IntMatrix.zero(ambient_rank, 0))
+        return cls.from_columns(ambient_rank, ())
 
     @classmethod
     def full(cls, ambient_rank: int) -> "SubLattice":
@@ -209,23 +212,28 @@ class SubLattice:
 
     @property
     def rank(self) -> int:
-        return self.canonical_form.cols
+        return len(self.columns)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubLattice)
-            and self.ambient_rank == other.ambient_rank
-            and self.canonical_form == other.canonical_form
-        )
+    @property
+    def canonical_form(self) -> IntMatrix:
+        """The canonical columns as an ambient_rank x rank matrix."""
+        return IntMatrix.from_columns(self.columns, rows=self.ambient_rank)
 
-    def __hash__(self):
-        return hash((self.ambient_rank, self.canonical_form))
+
+def _span(ambient_rank: int, cols) -> SubLattice:
+    """Sublattice spanned by trusted integer columns of length ambient_rank."""
+    return SubLattice(ambient_rank, tuple(map(tuple, kernel.col_hnf(ambient_rank, cols))))
+
+
+def _kernel_span(nrows: int, cols) -> SubLattice:
+    """Integer kernel of the column map ``cols``, a sublattice of Z^len(cols)."""
+    _, ker = kernel.col_hnf_with_kernel(nrows, cols)
+    return _span(len(cols), ker)
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
     """Canonical column Hermite normal form spanning the same column lattice."""
-    cols = kernel.col_hnf(m.rows, [list(c) for c in m.columns()])
-    return IntMatrix.from_columns(cols, rows=m.rows)
+    return SubLattice.from_matrix(m).canonical_form
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -252,72 +260,61 @@ def _require_same_ambient(a: SubLattice, b: SubLattice):
 def lattice_sum(a: SubLattice, b: SubLattice) -> SubLattice:
     """Sublattice generated by both generator sets."""
     _require_same_ambient(a, b)
-    return SubLattice.from_columns(
-        a.ambient_rank, a.canonical_form.columns() + b.canonical_form.columns()
-    )
+    return _span(a.ambient_rank, a.columns + b.columns)
 
 
 def kernel_lattice(m: IntMatrix) -> SubLattice:
     """Integer kernel {x in Z^cols : m @ x == 0} as a sublattice of Z^cols."""
-    _, ker = kernel.col_hnf_with_kernel(m.rows, [list(c) for c in m.columns()])
-    return SubLattice.from_columns(m.cols, ker)
+    return _kernel_span(m.rows, m.columns())
 
 
 def lattice_intersect(a: SubLattice, b: SubLattice) -> SubLattice:
     """Intersection, via the kernel of the juxtaposed generator block."""
     _require_same_ambient(a, b)
-    ca = a.canonical_form
-    cb = b.canonical_form
-    stacked = IntMatrix.from_columns(
-        ca.columns() + cb.columns(), rows=a.ambient_rank
-    )
-    ker = kernel_lattice(stacked)
-    na = ca.cols
-    vectors = [ca.apply(col[:na]) for col in ker.canonical_form.columns()]
-    return SubLattice.from_columns(a.ambient_rank, vectors)
+    n = a.ambient_rank
+    ker = _kernel_span(n, a.columns + b.columns)
+    # A kernel vector's leading a.rank coordinates combine a's columns
+    # (zip stops there) into a vector of the intersection.
+    vectors = [
+        [sum(x * col[i] for x, col in zip(coeffs, a.columns)) for i in range(n)]
+        for coeffs in ker.columns
+    ]
+    return _span(n, vectors)
 
 
 def preimage_lattice(m: IntMatrix, target: SubLattice) -> SubLattice:
     """{x in Z^cols : m @ x lies in target}, a sublattice of Z^cols."""
     if m.rows != target.ambient_rank:
         raise ValueError("matrix rows must match target ambient rank")
-    ct = target.canonical_form
-    stacked = IntMatrix.from_columns(m.columns() + ct.columns(), rows=m.rows)
-    ker = kernel_lattice(stacked)
-    vectors = [col[: m.cols] for col in ker.canonical_form.columns()]
-    return SubLattice.from_columns(m.cols, vectors)
+    ker = _kernel_span(m.rows, m.columns() + list(target.columns))
+    return _span(m.cols, [col[: m.cols] for col in ker.columns])
 
 
-def _pivot_rows(canon: IntMatrix) -> list[int]:
-    pivots = []
-    for j in range(canon.cols):
-        for i in range(canon.rows):
-            if canon.entries[i][j]:
-                pivots.append(i)
-                break
-    return pivots
+def _solve_in_hnf(cols, v: Sequence[int]) -> list[int] | None:
+    """Coefficients expressing v over canonical columns, or None.
 
-
-def _solve_in_hnf(canon: IntMatrix, v: Sequence[int]) -> list[int] | None:
-    """Coefficients expressing v over the canonical columns, or None."""
-    pivots = _pivot_rows(canon)
+    Canonical columns are zero above their pivots, whose rows increase, so
+    v reduces column by column; residue in a row with no pivot means v is
+    outside the lattice.
+    """
     residue = list(v)
-    coeffs = [0] * canon.cols
-    j = 0
-    for i in range(canon.rows):
-        if j < len(pivots) and pivots[j] == i:
-            p = canon.entries[i][j]
-            q, rem = divmod(residue[i], p)
-            if rem:
-                return None
-            if q:
-                for t in range(i, canon.rows):
-                    residue[t] -= q * canon.entries[t][j]
-            coeffs[j] = q
-            j += 1
-        elif residue[i]:
+    coeffs = []
+    row = 0
+    for col in cols:
+        pivot = row
+        while not col[pivot]:
+            pivot += 1
+        if any(residue[row:pivot]):
             return None
-    return coeffs
+        q, rem = divmod(residue[pivot], col[pivot])
+        if rem:
+            return None
+        if q:
+            for t in range(pivot, len(residue)):
+                residue[t] -= q * col[t]
+        coeffs.append(q)
+        row = pivot + 1
+    return None if any(residue[row:]) else coeffs
 
 
 def lattice_member(v: Sequence[int], a: SubLattice) -> bool:
@@ -326,24 +323,22 @@ def lattice_member(v: Sequence[int], a: SubLattice) -> bool:
         raise ValueError(f"vector length {len(v)} != ambient rank {a.ambient_rank}")
     for x in v:
         _check_int(x)
-    return _solve_in_hnf(a.canonical_form, v) is not None
+    return _solve_in_hnf(a.columns, v) is not None
 
 
 def lattice_equal(a: SubLattice, b: SubLattice) -> bool:
     """True iff both generate the same subgroup (canonical forms coincide)."""
     _require_same_ambient(a, b)
-    return a.canonical_form == b.canonical_form
+    return a.columns == b.columns
 
 
 def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInvariants:
     """Invariant factors of Z^ambient_rank modulo the relation lattice."""
     if relations.ambient_rank != ambient_rank:
         raise ValueError("relations do not lie in the ambient group")
-    canon = relations.canonical_form
-    _, d, _ = kernel.smith(
-        canon.rows, canon.cols, [list(r) for r in canon.entries]
-    )
-    diag = [d[i][i] for i in range(min(canon.rows, canon.cols))]
+    rank = relations.rank
+    _, d, _ = kernel.smith(ambient_rank, rank, list(zip(*relations.columns)))
+    diag = [d[i][i] for i in range(min(ambient_rank, rank))]
     nonzero = [x for x in diag if x]
     return AbelianInvariants(
         free_rank=ambient_rank - len(nonzero),
@@ -355,10 +350,10 @@ def relative_quotient_invariants(outer: SubLattice, inner: SubLattice) -> Abelia
     """Invariant factors of outer/inner for nested sublattices."""
     _require_same_ambient(outer, inner)
     coords = []
-    for col in inner.canonical_form.columns():
-        sol = _solve_in_hnf(outer.canonical_form, col)
+    for col in inner.columns:
+        sol = _solve_in_hnf(outer.columns, col)
         if sol is None:
             raise ValueError("inner lattice is not contained in outer lattice")
         coords.append(sol)
     rank = outer.rank
-    return quotient_invariants(rank, SubLattice.from_columns(rank, coords))
+    return quotient_invariants(rank, _span(rank, coords))

@@ -187,29 +187,63 @@ def box_points(cols, rank, bound, visit_cap=200_000):
     a slack box of radius bound + (rank+1)*max|entry|; a rearrangement
     bound keeps every representation of an in-box point inside the slack
     box, so the enumeration is complete.  Returns None past the cap.
+
+    A point x is packed into one integer: bit field i holds the digit
+    x_i + w + g (w the slack radius, g the largest generator entry).
+    Inside the slack box every digit lies in [g, 2w+g], and one step
+    moves it by at most g, into [0, 2w+2g], which the field's low bits
+    hold; so a step is one integer addition that never carries between
+    fields.  Each field's top bit is a guard that lets ``_digits_within``
+    test all digits of a point against a range at once.
     """
     cols = [tuple(c) for c in cols if any(c)]
-    origin = (0,) * rank
     if not cols:
-        return {origin}
+        return {(0,) * rank}
     g = max(max(abs(x) for x in c) for c in cols)
     w = bound + (rank + 1) * g
+    top = 1 << (2 * w + 2 * g).bit_length()  # guard bit; digits stay below it
+    shift = top.bit_length()
+
+    def pack(digits):
+        return sum(d << (shift * i) for i, d in enumerate(digits))
+
+    guard = pack([top] * rank)
+    slack_lo, slack_hi = pack([g] * rank), pack([top - 1 - (2 * w + g)] * rank)
+    steps = [pack([sgn * x for x in c]) for c in cols for sgn in (1, -1)]
+    origin = pack([w + g] * rank)
     seen = {origin}
     frontier = [origin]
     while frontier:
         nxt = []
         for p in frontier:
-            for c in cols:
-                for sgn in (1, -1):
-                    q = tuple(a + sgn * b for a, b in zip(p, c))
-                    if q in seen or any(abs(x) > w for x in q):
-                        continue
-                    seen.add(q)
-                    if len(seen) > visit_cap:
-                        return None
-                    nxt.append(q)
+            for step in steps:
+                q = p + step
+                if q in seen or not _digits_within(q, guard, slack_lo, slack_hi):
+                    continue
+                seen.add(q)
+                if len(seen) > visit_cap:
+                    return None
+                nxt.append(q)
         frontier = nxt
-    return {p for p in seen if all(abs(x) <= bound for x in p)}
+    inner_lo = pack([w + g - bound] * rank)
+    inner_hi = pack([top - 1 - (w + g + bound)] * rank)
+    mask = top - 1
+    return {
+        tuple(((q >> (shift * i)) & mask) - w - g for i in range(rank))
+        for q in seen
+        if _digits_within(q, guard, inner_lo, inner_hi)
+    }
+
+
+def _digits_within(q, guard, lo, hi):
+    """True iff every packed digit d of q lies in [low, high].
+
+    ``guard`` packs the guard bit ``top`` into every field, ``lo`` packs
+    low and ``hi`` packs top-1-high.  Within one field (d | top) - low
+    keeps the guard bit iff d >= low, and d + top-1-high sets it iff
+    d > high; neither borrows from nor carries into the next field.
+    """
+    return ((q | guard) - lo) & guard == guard and not (q + hi) & guard
 
 
 def det_expansion(rows):

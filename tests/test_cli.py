@@ -20,6 +20,22 @@ def scenario_file(tmp_path):
     return str(path)
 
 
+def write_scenario(tmp_path, **fields):
+    doc = {"schema": 1, "braid": {"strands": 2, "word": [1]}, "cover_degree": 2}
+    doc.update(fields)
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_usage_error(argv, capsys):
+    """Exit 2 with a one-line ``idelink:`` message and nothing on stdout."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("idelink: ") and "Traceback" not in err
+
+
 @pytest.fixture()
 def hopf_scenario(tmp_path):
     path = tmp_path / "hopf.json"
@@ -123,6 +139,11 @@ class TestVerify:
     def test_unknown_check_rejected(self, scenario_file):
         assert main(["verify", "--input", scenario_file, "--checks", "bogus"]) == 2
 
+    def test_empty_check_list_rejected(self, scenario_file, tmp_path, capsys):
+        for raw in (",", "", " , "):
+            assert_usage_error(["verify", "--input", scenario_file, "--checks", raw], capsys)
+        assert_usage_error(["verify", "--input", write_scenario(tmp_path, checks=[])], capsys)
+
     def test_scenario_checks_field(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(
@@ -178,6 +199,7 @@ class TestVerify:
             )
         )
         assert main(["verify", "--input", str(path)]) == 2
+        assert main(["verify", "--input", write_scenario(tmp_path, options={})]) == 2
 
     def test_bad_schema_version(self, tmp_path):
         path = tmp_path / "v9.json"
@@ -242,9 +264,9 @@ class TestSuite:
                      ",".join(str(d) for d in range(2, 13))]) == 2
 
     def test_empty_degthan_list_runs_nothing(self, capsys):
-        rc = main(["suite", "--max-strands", "2", "--max-length", "1", "--degrees", ","])
-        assert rc == 0
-        assert "scenarios: 0" in capsys.readouterr().out
+        bounds = ["suite", "--max-strands", "2", "--max-length", "1"]
+        assert_usage_error(bounds + ["--degrees", ","], capsys)
+        assert_usage_error(bounds + ["--degrees", "2", "--checks", ","], capsys)
 
     def test_unwritable_out_is_io_error(self, capsys):
         rc = main(
@@ -261,6 +283,27 @@ class TestSuite:
             ]
         )
         assert rc == 3
+
+
+class TestLimits:
+    # delta needs one coefficient per non-axis component: both scenarios
+    # that pass below close up to a single knot.
+    @pytest.mark.parametrize("command", [["lift"], ["delta", "1"], ["verify"]], ids=lambda c: c[0])
+    def test_degree_limits_on_every_command(self, command, scenario_file, tmp_path, capsys):
+        for degree in ("0", "-3", "13", "400"):
+            assert_usage_error(command + ["--input", scenario_file, "--degree", degree], capsys)
+        for degree in (0, 13, 400):
+            path = write_scenario(tmp_path, cover_degree=degree)
+            assert_usage_error(command + ["--input", path], capsys)
+        out = str(tmp_path / "ok.txt")
+        assert main(command + ["--input", scenario_file, "--degree", "12", "--out", out]) == 0
+
+    @pytest.mark.parametrize("command", [["lift"], ["delta", "1"], ["verify"]], ids=lambda c: c[0])
+    def test_length_limit_on_every_command(self, command, tmp_path, capsys):
+        path = write_scenario(tmp_path, braid={"strands": 2, "word": [1] * 9})
+        assert_usage_error(command + ["--input", path], capsys)
+        path = write_scenario(tmp_path, braid={"strands": 3, "word": [1, 2] * 4})
+        assert main(command + ["--input", path, "--out", str(tmp_path / "ok.txt")]) == 0
 
 
 def test_usage_error_exit_code():

@@ -23,7 +23,11 @@ from idelink.zlattice import (
     SubLattice,
     kernel_lattice,
     lattice_equal,
+    lattice_sum,
+    quotient_invariants,
 )
+
+from oracles import invariants_oracle
 
 
 def hopf():
@@ -55,7 +59,6 @@ class TestIdeleVector:
         assert (a + b).coeffs == (1, 1, 0, 2)
         assert (a - b).coeffs == (1, -1, 0, 2)
         assert (-a).coeffs == (-1, 0, 0, -2)
-        assert a.scaled(3).coeffs == (3, 0, 0, 6)
         assert a.mu(0) == 1 and a.lam(1) == 2
 
     def test_mismatched_slots_rejected(self):
@@ -159,12 +162,8 @@ class TestPrincipalLattice:
 
     def test_hopf_generators(self):
         u = hopf()
-        p = principal_lattice(u)
-        assert p.generators.cols == 3
-        for k in range(3):
-            col = p.generators.column(k)
-            v = diagonal_map(u, SurfaceClass.single(k))
-            assert col == v.coeffs
+        gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(3)]
+        assert principal_lattice(u) == SubLattice.from_columns(6, gens)
 
 
 class TestMeridianSubgroup:
@@ -202,10 +201,26 @@ class TestClassQuotient:
         assert class_quotient(hopf(), (0, 1, 2)) == AbelianInvariants(3, ())
 
     def test_free_of_sublink_rank_everywhere(self):
+        # Also against the Z^(2m) formulation, principal plus off-sublink
+        # meridians, and against gcds of minors while those stay cheap.
         for u in small_universes(3):
-            for r in range(u.size + 1):
-                for sub in itertools.combinations(range(u.size), r):
-                    assert class_quotient(u, sub) == AbelianInvariants(len(sub), ())
+            m = u.size
+            principal = principal_lattice(u)
+            gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(m)]
+            for r in range(m + 1):
+                for sub in itertools.combinations(range(m), r):
+                    inv = class_quotient(u, sub)
+                    assert inv == AbelianInvariants(len(sub), ())
+                    relations = lattice_sum(principal, meridian_subgroup(u, sub).lattice)
+                    assert quotient_invariants(2 * m, relations) == inv
+                    if m <= 3:
+                        meridians = [
+                            tuple(int(i == 2 * k) for i in range(2 * m))
+                            for k in range(m)
+                            if k not in sub
+                        ]
+                        oracle = invariants_oracle(2 * m, gens + meridians)
+                        assert oracle == (inv.free_rank, inv.torsion)
 
 
 class TestIncludeProject:
