@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .ideles import IdeleVector, SurfaceClass, diagonal_map
+from .ideles import IdeleVector, SurfaceClass, principal_generators
 from .links import (
     BraidWord,
     LinkUniverse,
@@ -38,7 +38,7 @@ from .links import (
     relabeled_universe,
     universe_from_braid,
 )
-from .zlattice import IntMatrix, SubLattice
+from .zlattice import IntMatrix, SubLattice, _span
 
 
 @dataclass(frozen=True)
@@ -245,16 +245,20 @@ def pushforward_idele(c: CoverData, v: IdeleVector) -> IdeleVector:
     """Accumulate each upstairs slot into its base slot through f."""
     if v.components != tuple(range(c.total.size)):
         raise ValueError("vector is not indexed by the upstairs components")
-    m = c.spec.base.size
-    out = [0] * (2 * m)
+    return IdeleVector(tuple(range(c.spec.base.size)), _pushforward_coeffs(c, v.coeffs))
+
+
+def _pushforward_coeffs(c: CoverData, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """``pushforward_idele`` on raw upstairs coefficients, unchecked."""
+    out = [0] * (2 * c.spec.base.size)
     for j in range(c.total.size):
         k = c.fiber_map[j]
         mat = c.pushforward[j].entries
-        mu_j = v.coeffs[2 * j]
-        lam_j = v.coeffs[2 * j + 1]
+        mu_j = coeffs[2 * j]
+        lam_j = coeffs[2 * j + 1]
         out[2 * k] += mat[0][0] * mu_j + mat[0][1] * lam_j
         out[2 * k + 1] += mat[1][0] * mu_j + mat[1][1] * lam_j
-    return IdeleVector(tuple(range(m)), tuple(out))
+    return tuple(out)
 
 
 def pushforward_image(c: CoverData) -> SubLattice:
@@ -301,11 +305,8 @@ def deck_matrix(c: CoverData) -> IntMatrix:
 
 def principal_pushforward(c: CoverData) -> SubLattice:
     """Pushforward of the upstairs principal lattice, generator by generator."""
-    cols = []
-    for j in range(c.total.size):
-        up = diagonal_map(c.total, SurfaceClass.single(j))
-        cols.append(pushforward_idele(c, up).coeffs)
-    return SubLattice.from_columns(2 * c.spec.base.size, cols)
+    cols = [_pushforward_coeffs(c, g) for g in principal_generators(c.total)]
+    return _span(2 * c.spec.base.size, cols)
 
 
 def relabeled_cover(

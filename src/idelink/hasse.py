@@ -33,12 +33,12 @@ from .covers import (
 from .ideles import (
     IdeleVector,
     SurfaceClass,
-    boundary_punctured_surface,
-    class_quotient,
+    _boundary_coeffs,
+    _class_quotient,
     diagonal_map,
     meridian_subgroup,
+    principal_generators,
     principal_lattice,
-    project_idele,
 )
 from .links import BraidWord, LinkUniverse
 from .zlattice import (
@@ -200,13 +200,15 @@ def _sublinks(size: int) -> Iterator[tuple[int, ...]]:
 def verify_class_quotient_free(c: CoverData) -> CheckRecord:
     """Idele group mod (principal + off-sublink meridians) is free on the sublink.
 
-    Checked for every sublink of the base and of the upstairs universe.
+    Checked for every sublink of the base and of the upstairs universe,
+    with the principal generators built once per universe.
     """
 
     def run():
         for tag, u in (("base", c.spec.base), ("cover", c.total)):
+            gens = principal_generators(u)
             for sub in _sublinks(u.size):
-                inv = class_quotient(u, sub)
+                inv = _class_quotient(gens, sub)
                 if inv.free_rank != len(sub) or inv.torsion:
                     return False, {
                         "universe": tag,
@@ -220,33 +222,39 @@ def verify_class_quotient_free(c: CoverData) -> CheckRecord:
     return _timed(run, "class_quotient_free")
 
 
+def _project_coeffs(coeffs: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int, ...]:
+    """Full-universe idele coefficients restricted to the slots of ``sub``."""
+    return tuple(x for k in sub for x in coeffs[2 * k : 2 * k + 2])
+
+
 def verify_projection_compatibility(c: CoverData) -> CheckRecord:
     """Boundary data restricts coherently along nested sublinks.
 
     For every pair L inside L' and every generator on L, the boundary
     taken on L' and projected down to L equals the boundary taken on L.
+    Each (generator, sublink) boundary is built once per universe; the
+    two sides of every comparison still come from different sublinks.
     """
 
     def run():
         for tag, u in (("base", c.spec.base), ("cover", c.total)):
-            for big in _sublinks(u.size):
+            subs = list(_sublinks(u.size))
+            boundary = {(k, sub): _boundary_coeffs(u, k, sub) for sub in subs for k in sub}
+            own = {(k, sub): _project_coeffs(b, sub) for (k, sub), b in boundary.items()}
+            for big in subs:
                 for small in _sublinks(len(big)):
                     sub = tuple(big[i] for i in small)
                     for k in sub:
-                        via_big = project_idele(
-                            boundary_punctured_surface(u, k, big), sub
-                        )
-                        direct = project_idele(
-                            boundary_punctured_surface(u, k, sub), sub
-                        )
+                        via_big = _project_coeffs(boundary[k, big], sub)
+                        direct = own[k, sub]
                         if via_big != direct:
                             return False, {
                                 "universe": tag,
                                 "sublink": [u.labels[t] for t in sub],
                                 "larger": [u.labels[t] for t in big],
                                 "generator": u.labels[k],
-                                "projected": list(via_big.coeffs),
-                                "direct": list(direct.coeffs),
+                                "projected": list(via_big),
+                                "direct": list(direct),
                             }
         return True, None
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .links import LinkUniverse
-from .zlattice import AbelianInvariants, SubLattice, quotient_invariants
+from .zlattice import AbelianInvariants, SubLattice, _span, quotient_invariants
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,18 @@ def boundary_punctured_surface(u: LinkUniverse, k: int, sublink: Iterable[int]) 
     sub = _check_sublink(u, sublink)
     if k not in sub:
         raise ValueError(f"component {k} does not belong to the sublink")
-    entries: dict[int, tuple[int, int]] = {k: (0, 1)}
+    return IdeleVector(tuple(range(u.size)), _boundary_coeffs(u, k, sub))
+
+
+def _boundary_coeffs(u: LinkUniverse, k: int, sub: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of ``boundary_punctured_surface`` over every slot, unchecked."""
+    lk = u.linking.entries[k]
+    coeffs = [0] * (2 * u.size)
+    coeffs[2 * k + 1] = 1
     for k2 in sub:
         if k2 != k:
-            c = -u.lk(k, k2)
-            if c:
-                entries[k2] = (c, 0)
-    return IdeleVector.build(range(u.size), entries)
+            coeffs[2 * k2] = -lk[k2]
+    return tuple(coeffs)
 
 
 def diagonal_map(u: LinkUniverse, s: SurfaceClass) -> IdeleVector:
@@ -209,14 +214,29 @@ def diagonal_map(u: LinkUniverse, s: SurfaceClass) -> IdeleVector:
     return IdeleVector(tuple(range(u.size)), tuple(coeffs))
 
 
+def principal_generators(u: LinkUniverse) -> list[tuple[int, ...]]:
+    """Boundary coefficients of the m single-surface generators.
+
+    Entry k equals ``diagonal_map(u, SurfaceClass.single(k)).coeffs``:
+    lambda_K on its own slot and -lk(K', K) mu_K' on every other slot.
+    """
+    lk = u.linking.entries
+    gens = []
+    for k in range(u.size):
+        coeffs = []
+        for k2 in range(u.size):
+            coeffs.extend((0, 1) if k2 == k else (-lk[k2][k], 0))
+        gens.append(tuple(coeffs))
+    return gens
+
+
 def principal_lattice(u: LinkUniverse) -> SubLattice:
     """Image of the diagonal map inside the full idele group Z^(2m).
 
     The boundaries of the single-surface generators span the image of
     every sublink's boundary map, so they generate the whole lattice.
     """
-    cols = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(u.size)]
-    return SubLattice.from_columns(2 * u.size, cols)
+    return _span(2 * u.size, principal_generators(u))
 
 
 def meridian_subgroup(u: LinkUniverse, excluded: Iterable[int]) -> MeridianSubgroup:
@@ -240,11 +260,19 @@ def class_quotient(u: LinkUniverse, sublink: Iterable[int]) -> AbelianInvariants
     braid universe in S^3 it is free of rank |sublink|: the relations
     express every longitude over the surviving meridians.
     """
-    sub = _check_sublink(u, sublink)
-    keep = sorted([2 * k for k in sub] + [2 * k + 1 for k in range(u.size)])
-    gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(u.size)]
-    relations = SubLattice.from_columns(len(keep), [[g[i] for i in keep] for g in gens])
-    return quotient_invariants(len(keep), relations)
+    return _class_quotient(principal_generators(u), _check_sublink(u, sublink))
+
+
+def _class_quotient(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> AbelianInvariants:
+    """``class_quotient`` from the universe's ``principal_generators``.
+
+    The kept coordinates are ordered all longitudes first, then the
+    sublink's meridians, so each generator's own unit longitude is its
+    pivot and a free quotient is recognised without a Smith form.
+    """
+    keep = [2 * k + 1 for k in range(len(gens))] + [2 * k for k in sub]
+    n = len(keep)
+    return quotient_invariants(n, _span(n, [[g[i] for i in keep] for g in gens]))
 
 
 def include_class(s: SurfaceClass, larger: Iterable[int]) -> SurfaceClass:

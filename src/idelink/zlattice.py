@@ -197,6 +197,8 @@ class SubLattice:
 
     @classmethod
     def from_columns(cls, ambient_rank: int, columns: Sequence[Sequence[int]]) -> "SubLattice":
+        if ambient_rank < 0:
+            raise ValueError("negative ambient rank")
         cols = [tuple(_check_int(x) for x in c) for c in columns]
         if any(len(c) != ambient_rank for c in cols):
             raise ValueError("column length does not match ambient rank")
@@ -333,10 +335,20 @@ def lattice_equal(a: SubLattice, b: SubLattice) -> bool:
 
 
 def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInvariants:
-    """Invariant factors of Z^ambient_rank modulo the relation lattice."""
+    """Invariant factors of Z^ambient_rank modulo the relation lattice.
+
+    When every canonical column's pivot (its first nonzero entry) is 1,
+    those columns plus the unit vectors on the non-pivot rows form a
+    unimodular basis, so the quotient is free of rank ambient_rank - rank
+    and no Smith form is needed.  Unit pivots are sufficient for a free
+    quotient, not necessary: <(2, 1)> in Z^2 has quotient Z and pivot 2,
+    and goes through Smith like every other input.
+    """
     if relations.ambient_rank != ambient_rank:
         raise ValueError("relations do not lie in the ambient group")
     rank = relations.rank
+    if all(next(filter(None, col)) == 1 for col in relations.columns):
+        return AbelianInvariants(ambient_rank - rank, ())
     _, d, _ = kernel.smith(ambient_rank, rank, list(zip(*relations.columns)))
     diag = [d[i][i] for i in range(min(ambient_rank, rank))]
     nonzero = [x for x in diag if x]

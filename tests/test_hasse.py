@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from idelink import hasse, kernel
 from idelink.covers import (
     lift_braid,
     principal_pushforward,
@@ -20,9 +21,11 @@ from idelink.hasse import (
     run_scenario,
     run_suite,
     scenario_report_json,
+    verify_class_quotient_free,
     verify_diagonal_commutes,
     verify_meridian_pushforward,
     verify_norm_principle,
+    verify_projection_compatibility,
 )
 from idelink.ideles import principal_lattice
 from idelink.links import BraidWord
@@ -101,6 +104,62 @@ def test_diagonal_commutes_witness_on_tampered_cover():
     rec = verify_diagonal_commutes(tampered)
     assert not rec.passed
     assert rec.witness["pushed_boundary"] != rec.witness["boundary_of_image"]
+
+
+def test_class_quotient_witness_through_smith(monkeypatch):
+    # Doubling the axis generator's own longitude leaves Z/2 in the quotient
+    # by the empty sublink; the unit-pivot accept must not apply, so the
+    # invariants come from Smith.
+    real = hasse.principal_generators
+
+    def doubled(u):
+        gens = real(u)
+        gens[0] = gens[0][:1] + (2,) + gens[0][2:]
+        return gens
+
+    smith_calls = []
+    real_smith = kernel.smith
+
+    def counted(*args):
+        smith_calls.append(args)
+        return real_smith(*args)
+
+    monkeypatch.setattr(hasse, "principal_generators", doubled)
+    monkeypatch.setattr(kernel, "smith", counted)
+    rec = verify_class_quotient_free(lift_braid(BraidWord(2, (1,)), 2))
+    assert not rec.passed
+    assert rec.witness == {
+        "universe": "base",
+        "sublink": [],
+        "free_rank": 0,
+        "torsion": [2],
+        "expected_free_rank": 0,
+    }
+    assert smith_calls
+
+
+def test_projection_witness_on_dropped_linking_term(monkeypatch):
+    # On sublinks of three or more components, drop the linking term of the
+    # last other component: projecting from such a sublink then disagrees
+    # with the boundary taken on the smaller one.
+    real = hasse._boundary_coeffs
+
+    def dropped(u, k, sub):
+        coeffs = list(real(u, k, sub))
+        if len(sub) >= 3:
+            last = [k2 for k2 in sub if k2 != k][-1]
+            coeffs[2 * last] = 0
+        return tuple(coeffs)
+
+    monkeypatch.setattr(hasse, "_boundary_coeffs", dropped)
+    rec = verify_projection_compatibility(lift_braid(BraidWord(2, ()), 2))
+    assert not rec.passed
+    assert set(rec.witness) == {
+        "universe", "sublink", "larger", "generator", "projected", "direct",
+    }
+    assert rec.witness["projected"] != rec.witness["direct"]
+    assert rec.witness["universe"] == "base"
+    assert rec.witness["larger"] == ["A", "K1", "K2"]
 
 
 def test_monotone_truncation_extra_split_strand():

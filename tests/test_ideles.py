@@ -13,9 +13,12 @@ from idelink.ideles import (
     diagonal_map,
     include_class,
     meridian_subgroup,
+    principal_generators,
     principal_lattice,
     project_idele,
 )
+from idelink.covers import lift_braid
+from idelink.hasse import iter_braid_words
 from idelink.links import BraidWord, universe_from_braid
 from idelink.zlattice import (
     AbelianInvariants,
@@ -25,6 +28,7 @@ from idelink.zlattice import (
     lattice_equal,
     lattice_sum,
     quotient_invariants,
+    snf,
 )
 
 from oracles import invariants_oracle
@@ -165,6 +169,11 @@ class TestPrincipalLattice:
         gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(3)]
         assert principal_lattice(u) == SubLattice.from_columns(6, gens)
 
+    def test_generators_are_single_surface_boundaries(self):
+        for u in small_universes(3):
+            gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(u.size)]
+            assert principal_generators(u) == gens
+
 
 class TestMeridianSubgroup:
     def test_whole_universe_excluded(self):
@@ -221,6 +230,32 @@ class TestClassQuotient:
                         ]
                         oracle = invariants_oracle(2 * m, gens + meridians)
                         assert oracle == (inv.free_rank, inv.torsion)
+
+
+    def test_agrees_with_smith_on_interleaved_coordinates(self):
+        # Reference: the former route, Smith invariants of the generators
+        # restricted to the kept coordinates in slot order (mu_K, lambda_K
+        # interleaved), on every distinct universe of the acceptance sweep.
+        universes = set()
+        for b in iter_braid_words(3, 4):
+            for n in (2, 3, 4, 5):
+                c = lift_braid(b, n)
+                universes.update((c.spec.base, c.total))
+        assert len(universes) > 100
+        for u in universes:
+            m = u.size
+            gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(m)]
+            for r in range(m + 1):
+                for sub in itertools.combinations(range(m), r):
+                    keep = sorted([2 * k for k in sub] + [2 * k + 1 for k in range(m)])
+                    cols = [[g[i] for i in keep] for g in gens]
+                    _, d, _ = snf(IntMatrix.from_columns(cols, rows=len(keep)))
+                    diag = [d.entries[i][i] for i in range(min(len(keep), m))]
+                    nonzero = [x for x in diag if x]
+                    smith = AbelianInvariants(
+                        len(keep) - len(nonzero), tuple(x for x in nonzero if x > 1)
+                    )
+                    assert class_quotient(u, sub) == smith
 
 
 class TestIncludeProject:

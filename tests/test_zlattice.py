@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idelink import kernel
 from idelink.zlattice import (
     AbelianInvariants,
     IntMatrix,
@@ -220,6 +221,12 @@ class TestLatticeOps:
         assert not lattice_equal(SubLattice.full(2), lat(2, (2, 0), (0, 1)))
         assert lattice_equal(SubLattice.zero(2), SubLattice.zero(2))
 
+    def test_negative_ambient_rank_rejected(self):
+        with pytest.raises(ValueError):
+            SubLattice.zero(-1)
+        with pytest.raises(ValueError):
+            SubLattice.from_columns(-2, ())
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             lattice_sum(lat(2, (1, 0)), lat(3, (1, 0, 0)))
@@ -250,6 +257,45 @@ class TestQuotients:
         assert quotient_invariants(2, lat(2, (2, 0))) == AbelianInvariants(1, (2,))
         assert quotient_invariants(3, SubLattice.zero(3)) == AbelianInvariants(3, ())
         assert quotient_invariants(2, SubLattice.full(2)) == AbelianInvariants(0, ())
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = []
+        real = kernel.smith
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "smith", counted)
+        return calls
+
+    def test_saturated_non_unit_pivot_goes_through_smith(self, smith_calls):
+        # <(2, 1)> is saturated, so Z^2 modulo it is Z, but its pivot is 2:
+        # unit pivots are sufficient for a free quotient, not necessary.
+        a = lat(2, (2, 1))
+        assert a.columns == ((2, 1),)
+        assert quotient_invariants(2, a) == AbelianInvariants(1, ())
+        assert len(smith_calls) == 1
+
+    @pytest.mark.parametrize("rank,cols", [
+        (3, [(1, 5, -7), (0, 1, 3)]),
+        (4, [(1, 2, 3, 4), (0, 0, 1, 9)]),
+        (4, [(0, 1, -6, 2), (0, 0, 0, 1), (1, 0, 0, 0)]),
+    ])
+    def test_unit_pivots_with_entries_below(self, smith_calls, rank, cols):
+        a = lat(rank, *cols)
+        assert all(next(filter(None, col)) == 1 for col in a.columns)
+        assert any(col[i] for col in a.columns for i in range(col.index(1) + 1, rank))
+        inv = quotient_invariants(rank, a)
+        assert inv == AbelianInvariants(rank - len(cols), ())
+        assert (inv.free_rank, inv.torsion) == invariants_oracle(rank, cols)
+        assert smith_calls == []
+
+    def test_zero_lattice(self, smith_calls):
+        assert quotient_invariants(3, SubLattice.zero(3)) == AbelianInvariants(3, ())
+        assert quotient_invariants(0, SubLattice.zero(0)) == AbelianInvariants(0, ())
+        assert smith_calls == []
 
     def test_relative(self):
         outer = lat(2, (1, 0), (0, 1))
