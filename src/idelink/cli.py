@@ -28,11 +28,11 @@ from .links import BraidWord
 SCENARIO_SCHEMA = 1
 
 # Documented resource limits, reported before any scenario runs.  Cover
-# degree and word length bound every command; strands and scenario count
-# bound the suite.
+# degree, word length and strands bound every command; scenario count
+# bounds the suite.
 MAX_DEGREE = 12
 MAX_LENGTH = 8
-MAX_SUITE_STRANDS = 4
+MAX_STRANDS = 4
 MAX_SUITE_SCENARIOS = 200_000
 
 
@@ -78,6 +78,8 @@ def parse_scenario(data: object, where: str = "scenario") -> Scenario:
         raise ScenarioError(f"{where}: unsupported schema {schema}")
     braid_obj = _expect(data, "braid", dict, where)
     strands = _expect(braid_obj, "strands", int, f"{where}.braid")
+    if strands > MAX_STRANDS:
+        raise ScenarioError(f"{where}.braid.strands: at most {MAX_STRANDS} strands")
     word = _expect(braid_obj, "word", list, f"{where}.braid")
     for i, g in enumerate(word):
         if not isinstance(g, int) or isinstance(g, bool):
@@ -103,11 +105,17 @@ def parse_scenario(data: object, where: str = "scenario") -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Nesting past the recursion limit, or an integer past Python's digit limit.
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario(data, where=path)
 
 
@@ -260,8 +268,8 @@ def _parse_degrees(raw: str) -> tuple[int, ...]:
 
 def cmd_suite(args) -> int:
     degrees = _parse_degrees(args.degrees)
-    if args.max_strands < 1 or args.max_strands > MAX_SUITE_STRANDS:
-        raise ScenarioError(f"--max-strands must be in 1..{MAX_SUITE_STRANDS}")
+    if args.max_strands < 1 or args.max_strands > MAX_STRANDS:
+        raise ScenarioError(f"--max-strands must be in 1..{MAX_STRANDS}")
     if args.max_length < 0 or args.max_length > MAX_LENGTH:
         raise ScenarioError(f"--max-length must be in 0..{MAX_LENGTH}")
     for n in degrees:

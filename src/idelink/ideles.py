@@ -152,9 +152,6 @@ class SurfaceClass:
             self.support, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def scaled(self, n: int) -> "SurfaceClass":
-        return SurfaceClass(self.support, tuple(n * a for a in self.coeffs))
-
 
 @dataclass(frozen=True)
 class MeridianSubgroup:

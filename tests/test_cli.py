@@ -186,6 +186,22 @@ class TestVerify:
         path.write_text("{oops")
         assert main(["verify", "--input", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"schema": 1, "braid": {"strands": 2, "word": [1]}, "cover_degree": '
+            + b"1" * 5000
+            + b"}",
+        ],
+        ids=["not-utf8", "nested-too-deep", "integer-past-digit-limit"],
+    )
+    def test_undecodable_file_is_parse_error(self, content, tmp_path, capsys):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        assert_usage_error(["verify", "--input", str(path)], capsys)
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "extra.json"
         path.write_text(
@@ -286,8 +302,8 @@ class TestSuite:
 
 
 class TestLimits:
-    # delta needs one coefficient per non-axis component: both scenarios
-    # that pass below close up to a single knot.
+    # delta needs one coefficient per non-axis component: every braid
+    # below closes up to a single knot.
     @pytest.mark.parametrize("command", [["lift"], ["delta", "1"], ["verify"]], ids=lambda c: c[0])
     def test_degree_limits_on_every_command(self, command, scenario_file, tmp_path, capsys):
         for degree in ("0", "-3", "13", "400"):
@@ -303,6 +319,13 @@ class TestLimits:
         path = write_scenario(tmp_path, braid={"strands": 2, "word": [1] * 9})
         assert_usage_error(command + ["--input", path], capsys)
         path = write_scenario(tmp_path, braid={"strands": 3, "word": [1, 2] * 4})
+        assert main(command + ["--input", path, "--out", str(tmp_path / "ok.txt")]) == 0
+
+    @pytest.mark.parametrize("command", [["lift"], ["delta", "1"], ["verify"]], ids=lambda c: c[0])
+    def test_strand_limit_on_every_command(self, command, tmp_path, capsys):
+        path = write_scenario(tmp_path, braid={"strands": 5, "word": [1, 2, 3, 4]})
+        assert_usage_error(command + ["--input", path], capsys)
+        path = write_scenario(tmp_path, braid={"strands": 4, "word": [1, 2, 3]})
         assert main(command + ["--input", path, "--out", str(tmp_path / "ok.txt")]) == 0
 
 
