@@ -37,7 +37,6 @@ from .zlattice import (
 )
 from .ideles import (
     IdeleVector,
-    MeridianSubgroup,
     SurfaceClass,
     boundary_punctured_surface,
     class_quotient,
@@ -57,7 +56,6 @@ from .covers import (
     deck_action,
     deck_matrix,
     lift_braid,
-    lift_universe,
     principal_pushforward,
     pushforward_idele,
     pushforward_image,
@@ -102,7 +100,6 @@ __all__ = [
     "universe_from_braid",
     # ideles
     "IdeleVector",
-    "MeridianSubgroup",
     "SurfaceClass",
     "boundary_punctured_surface",
     "class_quotient",
@@ -121,7 +118,6 @@ __all__ = [
     "deck_action",
     "deck_matrix",
     "lift_braid",
-    "lift_universe",
     "principal_pushforward",
     "pushforward_idele",
     "pushforward_image",

@@ -22,8 +22,8 @@ from .hasse import (
     run_suite,
     scenario_report_json,
 )
-from .ideles import SurfaceClass, diagonal_map
-from .links import BraidWord
+from .ideles import SurfaceClass, _label_prefixes, diagonal_map
+from .links import BraidWord, universe_from_braid
 
 SCENARIO_SCHEMA = 1
 
@@ -60,6 +60,8 @@ def _resolve_checks(names: list[str], where: str) -> list[str]:
     """Known check names, at least one: a run that checks nothing cannot pass."""
     if not names:
         raise ScenarioError(f"{where}: names no check")
+    if len(set(names)) != len(names):
+        raise ScenarioError(f"{where}: names a check more than once")
     try:
         return resolve_checks(names)
     except ValueError as exc:
@@ -131,14 +133,10 @@ def _emit(text: str, out_path: str | None):
                 fh.write("\n")
 
 
-def _labels(ascii_flag: bool) -> tuple[str, str]:
-    return ("mu_", "lam_") if ascii_flag else ("μ_", "λ_")
-
-
 def _format_lift(cover: CoverData, ascii_flag: bool) -> str:
     base = cover.spec.base
     total = cover.total
-    mu, lam = _labels(ascii_flag)
+    mu, lam = _label_prefixes(ascii_flag)
     lines = [f"cover degree: {cover.spec.degree}"]
 
     def universe_block(title, u):
@@ -205,9 +203,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_delta(args) -> int:
-    scenario, degree = _load(args)
-    cover = lift_braid(scenario.braid, degree)
-    u = cover.spec.base
+    u = universe_from_braid(load_scenario(args.input).braid)
     coeffs = args.coefficients
     if args.full:
         if len(coeffs) != u.size:
@@ -263,6 +259,8 @@ def _parse_degrees(raw: str) -> tuple[int, ...]:
         raise ScenarioError(f"--degrees: {exc}") from exc
     if not degrees:
         raise ScenarioError("--degrees: names no degree")
+    if len(set(degrees)) != len(degrees):
+        raise ScenarioError("--degrees: names a degree more than once")
     return degrees
 
 
@@ -286,11 +284,10 @@ def cmd_suite(args) -> int:
     result = run_suite(args.max_strands, args.max_length, degrees, checks)
     doc = result.to_json_dict()
     summary = doc["summary"]
-    status = "complete" if result.complete else "INCOMPLETE"
     sys.stdout.write(
         f"scenarios: {summary['scenarios']}  checks: {summary['checks']}  "
         f"passes: {summary['passes']}  failures: {summary['failures']}  "
-        f"time: {summary['total_millis']} ms  [{status}]\n"
+        f"time: {summary['total_millis']} ms  [complete]\n"
     )
     if args.out is not None:
         _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
@@ -307,22 +304,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"idelink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", required=True, metavar="FILE", help="scenario JSON file")
-            p.add_argument("--degree", type=int, default=None, metavar="N",
-                           help="override the scenario's cover degree")
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--out", default=None, metavar="FILE", help="write output to FILE")
-        p.add_argument("--ascii", action="store_true",
-                       help="plain-text mu/lam labels instead of unicode")
+    # Each command declares only the flags it reads.
+    flags = {
+        "--input": dict(required=True, metavar="FILE", help="scenario JSON file"),
+        "--degree": dict(type=int, default=None, metavar="N",
+                         help="override the scenario's cover degree"),
+        "--format": dict(choices=("json", "text"), default="text"),
+        "--out": dict(default=None, metavar="FILE", help="write output to FILE"),
+        "--ascii": dict(action="store_true", help="plain-text mu/lam labels instead of unicode"),
+        "--checks": dict(default=None, metavar="LIST",
+                         help=f"comma-separated check names (default all: {','.join(CHECKS)})"),
+    }
+
+    def add_flags(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_lift = sub.add_parser("lift", help="print the lifted universe and covering data")
-    add_common(p_lift)
+    add_flags(p_lift, "--input", "--degree", "--out", "--ascii")
     p_lift.set_defaults(func=cmd_lift)
 
     p_delta = sub.add_parser("delta", help="print the boundary of a surface class")
-    add_common(p_delta)
+    add_flags(p_delta, "--input", "--out", "--ascii")
     p_delta.add_argument("coefficients", type=int, nargs="*", metavar="C",
                          help="surface coefficients, one per non-axis component")
     p_delta.add_argument("--full", action="store_true",
@@ -330,18 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_delta.set_defaults(func=cmd_delta)
 
     p_verify = sub.add_parser("verify", help="run checks on one scenario")
-    add_common(p_verify)
-    p_verify.add_argument("--checks", default=None, metavar="LIST",
-                          help=f"comma-separated check names (default all: {','.join(CHECKS)})")
+    add_flags(p_verify, "--input", "--degree", "--format", "--out", "--checks")
     p_verify.set_defaults(func=cmd_verify)
 
     p_suite = sub.add_parser("suite", help="run checks over all braid words within bounds")
-    add_common(p_suite, with_input=False)
+    add_flags(p_suite, "--format", "--out")
     p_suite.add_argument("--max-strands", type=int, required=True)
     p_suite.add_argument("--max-length", type=int, required=True)
     p_suite.add_argument("--degrees", required=True, metavar="LIST",
                          help="comma-separated cover degrees")
-    p_suite.add_argument("--checks", default=None, metavar="LIST")
+    add_flags(p_suite, "--checks")
     p_suite.set_defaults(func=cmd_suite)
     return parser
 

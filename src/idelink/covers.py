@@ -52,15 +52,12 @@ class CoverSpec:
 
     degree: int
     base: LinkUniverse
-    character: int = 1
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("cover degree must be >= 1")
         if self.base.axis_index is None:
             raise ValueError("base universe has no branch axis")
-        if self.character != 1:
-            raise ValueError("the axis character is fixed to 1")
 
 
 @dataclass(frozen=True)
@@ -129,19 +126,15 @@ def component_splitting(spec: CoverSpec) -> ComponentSplitting:
     return ComponentSplitting(degree=n, records=tuple(records))
 
 
-def lift_universe(spec: CoverSpec, b: BraidWord) -> CoverData:
-    """Lift a braid universe through the branched cover of its axis.
+def lift_braid(b: BraidWord, degree: int) -> CoverData:
+    """Lift the universe of ``b`` through the degree-n cover branched over its axis.
 
-    ``spec.base`` must be the universe of ``b``.  The upstairs universe
-    is the closure of the n-th power of the word together with the
-    lifted axis; fibers, splitting data, pushforward matrices, and the
-    deck rotation all come along.
+    The upstairs universe is the closure of the n-th power of the word
+    together with the lifted axis; fibers, splitting data, pushforward
+    matrices, and the deck rotation all come along.
     """
-    base = universe_from_braid(b)
-    if base != spec.base:
-        raise ValueError("spec.base is not the universe of the given braid")
-    n = spec.degree
-    bw = braid_power(b, n)
+    spec = CoverSpec(degree=degree, base=universe_from_braid(b))
+    bw = braid_power(b, degree)
     total = universe_from_braid(bw, axis_label="A~", component_prefix="J")
 
     sigma = braid_permutation(b)
@@ -189,11 +182,6 @@ def lift_universe(spec: CoverSpec, b: BraidWord) -> CoverData:
     )
     _validate_cover(cover)
     return cover
-
-
-def lift_braid(b: BraidWord, degree: int) -> CoverData:
-    """Convenience wrapper building the CoverSpec from the braid itself."""
-    return lift_universe(CoverSpec(degree=degree, base=universe_from_braid(b)), b)
 
 
 def _validate_cover(c: CoverData):

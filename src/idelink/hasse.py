@@ -35,6 +35,7 @@ from .ideles import (
     SurfaceClass,
     _boundary_coeffs,
     _class_quotient,
+    _label_prefixes,
     diagonal_map,
     meridian_subgroup,
     principal_generators,
@@ -43,6 +44,7 @@ from .ideles import (
 from .links import BraidWord, LinkUniverse
 from .zlattice import (
     SubLattice,
+    _span,
     lattice_equal,
     lattice_intersect,
     lattice_member,
@@ -96,8 +98,8 @@ class VerificationReport:
         }
 
 
-def _coordinate_labels(u: LinkUniverse, ascii_labels: bool = True) -> list[str]:
-    mu, lam = ("mu_", "lam_") if ascii_labels else ("μ_", "λ_")
+def _coordinate_labels(u: LinkUniverse) -> list[str]:
+    mu, lam = _label_prefixes(True)
     out = []
     for name in u.labels:
         out.extend((mu + name, lam + name))
@@ -275,14 +277,8 @@ def verify_cover_exact_sequence(c: CoverData) -> CheckRecord:
         base = c.spec.base
         total = c.total
         f = pushforward_matrix(c)
-        r_m = lattice_sum(
-            principal_lattice(base),
-            meridian_subgroup(base, (base.axis_index,)).lattice,
-        )
-        r_n = lattice_sum(
-            principal_lattice(total),
-            meridian_subgroup(total, (total.axis_index,)).lattice,
-        )
+        r_m = lattice_sum(principal_lattice(base), meridian_subgroup(base, (base.axis_index,)))
+        r_n = lattice_sum(principal_lattice(total), meridian_subgroup(total, (total.axis_index,)))
         kernel_side = preimage_lattice(f, r_m)
         tau = deck_matrix(c)
         shifted = [
@@ -292,7 +288,7 @@ def verify_cover_exact_sequence(c: CoverData) -> CheckRecord:
             )
             for j in range(2 * total.size)
         ]
-        deck_image = SubLattice.from_columns(2 * total.size, shifted)
+        deck_image = _span(2 * total.size, shifted)
         exact_side = lattice_sum(deck_image, r_n)
         if not lattice_equal(kernel_side, exact_side):
             vec = equality_witness(kernel_side, exact_side)
@@ -423,13 +419,8 @@ def run_suite(
     max_length: int,
     degrees: Iterable[int],
     checks: Sequence[str] | None = None,
-    scenario_cap: int | None = None,
 ) -> SuiteResult:
-    """Run every (word, degree) scenario within bounds, in deterministic order.
-
-    When ``scenario_cap`` is hit the result is truncated and flagged
-    incomplete instead of raising.
-    """
+    """Run every (word, degree) scenario within bounds, in deterministic order."""
     degrees = tuple(degrees)
     if max_strands < 1 or max_length < 0:
         raise ValueError("bounds must cover at least one scenario")
@@ -437,24 +428,17 @@ def run_suite(
         if n < 1:
             raise ValueError("cover degrees must be >= 1")
     names = resolve_checks(checks)
-    reports: list[VerificationReport] = []
-    complete = True
-    done = 0
-    for b in iter_braid_words(max_strands, max_length):
-        for n in degrees:
-            if scenario_cap is not None and done >= scenario_cap:
-                complete = False
-                break
-            reports.append(run_scenario(b, n, names))
-            done += 1
-        if not complete:
-            break
+    reports = tuple(
+        run_scenario(b, n, names)
+        for b in iter_braid_words(max_strands, max_length)
+        for n in degrees
+    )
     return SuiteResult(
         max_strands=max_strands,
         max_length=max_length,
         degrees=degrees,
-        reports=tuple(reports),
-        complete=complete,
+        reports=reports,
+        complete=True,
     )
 
 

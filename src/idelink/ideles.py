@@ -22,6 +22,11 @@ from .links import LinkUniverse
 from .zlattice import AbelianInvariants, SubLattice, _span, quotient_invariants
 
 
+def _label_prefixes(ascii_labels: bool) -> tuple[str, str]:
+    """Meridian and longitude label prefixes: ``mu_``/``lam_`` or ``μ_``/``λ_``."""
+    return ("mu_", "lam_") if ascii_labels else ("μ_", "λ_")
+
+
 @dataclass(frozen=True)
 class IdeleVector:
     """Integer (mu, lambda) data over an ordered tuple of component slots."""
@@ -93,7 +98,8 @@ class IdeleVector:
 
     def format(self, u: LinkUniverse, ascii_labels: bool = False) -> str:
         """Human-readable combination of mu/lambda basis elements."""
-        mu_sym, lam_sym, dot = ("mu_", "lam_", "*") if ascii_labels else ("μ_", "λ_", "·")
+        mu_sym, lam_sym = _label_prefixes(ascii_labels)
+        dot = "*" if ascii_labels else "·"
         terms = []
         for slot, k in enumerate(self.components):
             for off, sym in ((0, mu_sym), (1, lam_sym)):
@@ -131,8 +137,8 @@ class SurfaceClass:
                 raise TypeError("surface coefficients must be plain ints")
 
     @classmethod
-    def single(cls, k: int, c: int = 1) -> "SurfaceClass":
-        return cls((k,), (c,))
+    def single(cls, k: int) -> "SurfaceClass":
+        return cls((k,), (1,))
 
     @classmethod
     def zero(cls, support: Iterable[int] = ()) -> "SurfaceClass":
@@ -151,14 +157,6 @@ class SurfaceClass:
         return SurfaceClass(
             self.support, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-
-@dataclass(frozen=True)
-class MeridianSubgroup:
-    """Lattice spanned by the meridian unit vectors outside a sublink."""
-
-    excluded: tuple[int, ...]
-    lattice: SubLattice
 
 
 def _check_sublink(u: LinkUniverse, sublink: Iterable[int]) -> tuple[int, ...]:
@@ -236,7 +234,7 @@ def principal_lattice(u: LinkUniverse) -> SubLattice:
     return _span(2 * u.size, principal_generators(u))
 
 
-def meridian_subgroup(u: LinkUniverse, excluded: Iterable[int]) -> MeridianSubgroup:
+def meridian_subgroup(u: LinkUniverse, excluded: Iterable[int]) -> SubLattice:
     """Subgroup generated by mu_K for every component K outside ``excluded``."""
     sub = _check_sublink(u, excluded)
     cols = []
@@ -245,7 +243,7 @@ def meridian_subgroup(u: LinkUniverse, excluded: Iterable[int]) -> MeridianSubgr
             col = [0] * (2 * u.size)
             col[2 * k] = 1
             cols.append(tuple(col))
-    return MeridianSubgroup(sub, SubLattice.from_columns(2 * u.size, cols))
+    return _span(2 * u.size, cols)
 
 
 def class_quotient(u: LinkUniverse, sublink: Iterable[int]) -> AbelianInvariants:

@@ -139,6 +139,14 @@ class TestVerify:
     def test_unknown_check_rejected(self, scenario_file):
         assert main(["verify", "--input", scenario_file, "--checks", "bogus"]) == 2
 
+    def test_repeated_check_rejected(self, scenario_file, capsys):
+        checks = "norm_principle,norm_principle"
+        assert_usage_error(["verify", "--input", scenario_file, "--checks", checks], capsys)
+
+    def test_repeated_scenario_check_rejected(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, checks=["norm_principle", "norm_principle"])
+        assert_usage_error(["verify", "--input", path], capsys)
+
     def test_empty_check_list_rejected(self, scenario_file, tmp_path, capsys):
         for raw in (",", "", " , "):
             assert_usage_error(["verify", "--input", scenario_file, "--checks", raw], capsys)
@@ -284,6 +292,15 @@ class TestSuite:
         assert_usage_error(bounds + ["--degrees", ","], capsys)
         assert_usage_error(bounds + ["--degrees", "2", "--checks", ","], capsys)
 
+    def test_repeated_degree_rejected(self, capsys):
+        bounds = ["suite", "--max-strands", "1", "--max-length", "0"]
+        assert_usage_error(bounds + ["--degrees", "2,2"], capsys)
+        assert_usage_error(bounds + ["--degrees", "2,3,2"], capsys)
+
+    def test_repeated_check_rejected(self, capsys):
+        bounds = ["suite", "--max-strands", "1", "--max-length", "0", "--degrees", "2"]
+        assert_usage_error(bounds + ["--checks", "norm_principle,norm_principle"], capsys)
+
     def test_unwritable_out_is_io_error(self, capsys):
         rc = main(
             [
@@ -306,12 +323,16 @@ class TestLimits:
     # below closes up to a single knot.
     @pytest.mark.parametrize("command", [["lift"], ["delta", "1"], ["verify"]], ids=lambda c: c[0])
     def test_degree_limits_on_every_command(self, command, scenario_file, tmp_path, capsys):
-        for degree in ("0", "-3", "13", "400"):
-            assert_usage_error(command + ["--input", scenario_file, "--degree", degree], capsys)
         for degree in (0, 13, 400):
             path = write_scenario(tmp_path, cover_degree=degree)
             assert_usage_error(command + ["--input", path], capsys)
         out = str(tmp_path / "ok.txt")
+        path = write_scenario(tmp_path, cover_degree=12)
+        assert main(command + ["--input", path, "--out", out]) == 0
+        if command[0] == "delta":
+            return  # delta has no --degree: it prints in the base universe
+        for degree in ("0", "-3", "13", "400"):
+            assert_usage_error(command + ["--input", scenario_file, "--degree", degree], capsys)
         assert main(command + ["--input", scenario_file, "--degree", "12", "--out", out]) == 0
 
     @pytest.mark.parametrize("command", [["lift"], ["delta", "1"], ["verify"]], ids=lambda c: c[0])
@@ -327,6 +348,23 @@ class TestLimits:
         assert_usage_error(command + ["--input", path], capsys)
         path = write_scenario(tmp_path, braid={"strands": 4, "word": [1, 2, 3]})
         assert main(command + ["--input", path, "--out", str(tmp_path / "ok.txt")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--input", None, "--format", "json"],
+        ["delta", "--input", None, "--format", "json", "1"],
+        ["delta", "--input", None, "--degree", "3", "1"],
+        ["verify", "--input", None, "--ascii"],
+        ["suite", "--max-strands", "1", "--max-length", "0", "--degrees", "2", "--ascii"],
+    ],
+    ids=["lift-format", "delta-format", "delta-degree", "verify-ascii", "suite-ascii"],
+)
+def test_flag_the_command_does_not_read_is_usage_error(argv, scenario_file):
+    with pytest.raises(SystemExit) as exc:
+        main([scenario_file if a is None else a for a in argv])
+    assert exc.value.code == 2
 
 
 def test_usage_error_exit_code():

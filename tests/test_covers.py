@@ -13,7 +13,6 @@ from idelink.covers import (
     deck_action,
     deck_matrix,
     lift_braid,
-    lift_universe,
     principal_pushforward,
     pushforward_idele,
     pushforward_image,
@@ -70,18 +69,11 @@ class TestLift:
         u = universe_from_braid(BraidWord(2, (1,)))
         with pytest.raises(ValueError):
             CoverSpec(degree=0, base=u)
-        with pytest.raises(ValueError):
-            CoverSpec(degree=2, base=u, character=3)
         from idelink.links import LinkUniverse
 
         no_axis = LinkUniverse(("K1", "K2"), IntMatrix([[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
             CoverSpec(degree=2, base=no_axis)
-
-    def test_base_mismatch_rejected(self):
-        spec = CoverSpec(degree=2, base=universe_from_braid(BraidWord(2, (1,))))
-        with pytest.raises(ValueError):
-            lift_universe(spec, BraidWord(2, (1, 1)))
 
     def test_splitting_formulas(self):
         # non-axis component of winding w: e = 1, w-degree = order of w

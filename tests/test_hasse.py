@@ -224,11 +224,6 @@ class TestRunSuite:
         assert len(res.reports) == 1
         assert res.reports[0].word == ()
 
-    def test_scenario_cap_flags_incomplete(self):
-        res = run_suite(2, 3, (2, 3), scenario_cap=5)
-        assert not res.complete
-        assert len(res.reports) == 5
-
     def test_json_round_trip_and_determinism(self):
         res1 = run_suite(2, 2, (2,), checks=["norm_principle", "meridian_pushforward"])
         res2 = run_suite(2, 2, (2,), checks=["norm_principle", "meridian_pushforward"])

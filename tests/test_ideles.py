@@ -178,19 +178,19 @@ class TestPrincipalLattice:
 class TestMeridianSubgroup:
     def test_whole_universe_excluded(self):
         u = hopf()
-        assert meridian_subgroup(u, (0, 1, 2)).lattice.rank == 0
+        assert meridian_subgroup(u, (0, 1, 2)).rank == 0
 
     def test_nothing_excluded(self):
         u = hopf()
         m = meridian_subgroup(u, ())
-        assert m.lattice.rank == 3
-        for col in m.lattice.canonical_form.columns():
+        assert m.rank == 3
+        for col in m.canonical_form.columns():
             assert col[1::2] == (0, 0, 0)
 
     def test_axis_excluded(self):
         u = universe_from_braid(BraidWord(1, ()))
         m = meridian_subgroup(u, (0,))
-        assert m.lattice.canonical_form.columns() == [(0, 0, 1, 0)]
+        assert m.canonical_form.columns() == [(0, 0, 1, 0)]
 
     def test_rejects_foreign_components(self):
         with pytest.raises(ValueError):
@@ -220,7 +220,7 @@ class TestClassQuotient:
                 for sub in itertools.combinations(range(m), r):
                     inv = class_quotient(u, sub)
                     assert inv == AbelianInvariants(len(sub), ())
-                    relations = lattice_sum(principal, meridian_subgroup(u, sub).lattice)
+                    relations = lattice_sum(principal, meridian_subgroup(u, sub))
                     assert quotient_invariants(2 * m, relations) == inv
                     if m <= 3:
                         meridians = [
