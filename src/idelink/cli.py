@@ -60,8 +60,6 @@ def _resolve_checks(names: list[str], where: str) -> list[str]:
     """Known check names, at least one: a run that checks nothing cannot pass."""
     if not names:
         raise ScenarioError(f"{where}: names no check")
-    if len(set(names)) != len(names):
-        raise ScenarioError(f"{where}: names a check more than once")
     try:
         return resolve_checks(names)
     except ValueError as exc:

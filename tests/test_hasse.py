@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idelink import hasse, kernel
 from idelink.covers import (
@@ -36,6 +39,8 @@ from idelink.zlattice import (
     lattice_intersect,
     lattice_member,
 )
+
+from oracles import class_quotient_all_sublinks, projection_all_nested_pairs, unfree_sublink
 
 
 def test_worked_double_cover_lattices():
@@ -126,7 +131,8 @@ def test_class_quotient_witness_through_smith(monkeypatch):
 
     monkeypatch.setattr(hasse, "principal_generators", doubled)
     monkeypatch.setattr(kernel, "smith", counted)
-    rec = verify_class_quotient_free(lift_braid(BraidWord(2, (1,)), 2))
+    c = lift_braid(BraidWord(2, (1,)), 2)
+    rec = verify_class_quotient_free(c)
     assert not rec.passed
     assert rec.witness == {
         "universe": "base",
@@ -136,6 +142,7 @@ def test_class_quotient_witness_through_smith(monkeypatch):
         "expected_free_rank": 0,
     }
     assert smith_calls
+    assert (rec.passed, rec.witness) == class_quotient_all_sublinks(c)
 
 
 def test_projection_witness_on_dropped_linking_term(monkeypatch):
@@ -152,7 +159,8 @@ def test_projection_witness_on_dropped_linking_term(monkeypatch):
         return tuple(coeffs)
 
     monkeypatch.setattr(hasse, "_boundary_coeffs", dropped)
-    rec = verify_projection_compatibility(lift_braid(BraidWord(2, ()), 2))
+    c = lift_braid(BraidWord(2, ()), 2)
+    rec = verify_projection_compatibility(c)
     assert not rec.passed
     assert set(rec.witness) == {
         "universe", "sublink", "larger", "generator", "projected", "direct",
@@ -160,6 +168,93 @@ def test_projection_witness_on_dropped_linking_term(monkeypatch):
     assert rec.witness["projected"] != rec.witness["direct"]
     assert rec.witness["universe"] == "base"
     assert rec.witness["larger"] == ["A", "K1", "K2"]
+    assert (rec.passed, rec.witness) == projection_all_nested_pairs(c)
+
+
+def _agrees_with_full_loops(c):
+    cq = verify_class_quotient_free(c)
+    pc = verify_projection_compatibility(c)
+    return (
+        (cq.passed, cq.witness) == class_quotient_all_sublinks(c)
+        and (pc.passed, pc.witness) == projection_all_nested_pairs(c)
+    )
+
+
+def test_reduced_checks_agree_with_full_loops_on_acceptance_sweep():
+    # Every cover of the acceptance sweep: <=3 strands, length <=5, degrees 2-5.
+    covers = [
+        lift_braid(b, n) for b in iter_braid_words(3, 5) for n in (2, 3, 4, 5)
+    ]
+    assert len(covers) == 5716
+    assert [c for c in covers if not _agrees_with_full_loops(c)] == []
+
+
+def _wide4_words():
+    # Eight 4-strand words for each (length 3-8, degree in {2,3,4,6,12}).
+    rng = random.Random(4)
+    alphabet = [-3, -2, -1, 1, 2, 3]
+    return [
+        (BraidWord(4, tuple(rng.choice(alphabet) for _ in range(length))), degree)
+        for length in range(3, 9)
+        for degree in (2, 3, 4, 6, 12)
+        for _ in range(8)
+    ]
+
+
+def test_reduced_checks_agree_with_full_loops_on_wide4_words():
+    covers = [lift_braid(b, n) for b, n in _wide4_words()]
+    assert sum(c.total.size == 5 for c in covers) > 100
+    assert [c for c in covers if not _agrees_with_full_loops(c)] == []
+
+
+def test_projection_witness_on_middle_layer_only(monkeypatch):
+    # A 4-strand knot lifts to 4 components plus the axis at degree 4; break
+    # the boundary on 3-component sublinks of that 5-component cover only.
+    real = hasse._boundary_coeffs
+
+    def shifted(u, k, sub):
+        coeffs = list(real(u, k, sub))
+        if u.size == 5 and len(sub) == 3:
+            last = [k2 for k2 in sub if k2 != k][-1]
+            coeffs[2 * last] += 1
+        return tuple(coeffs)
+
+    c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
+    assert (c.spec.base.size, c.total.size) == (2, 5)
+    monkeypatch.setattr(hasse, "_boundary_coeffs", shifted)
+    rec = verify_projection_compatibility(c)
+    assert not rec.passed
+    assert rec.witness["universe"] == "cover"
+    assert (rec.passed, rec.witness) == projection_all_nested_pairs(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * (2 * m)), min_size=m, max_size=m
+        )
+    )
+)
+def test_free_on_empty_sublink_iff_free_on_every_sublink(gens):
+    # Any [L; B] block, not only braid universes: the empty sublink decides.
+    inv = hasse._class_quotient(gens, ())
+    assert (not inv.free_rank and not inv.torsion) == (unfree_sublink(gens) is None)
+
+
+def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
+    c = lift_braid(BraidWord(4, ()), 2)
+    assert (c.spec.base.size, c.total.size) == (5, 5)
+    calls = []
+    real = kernel.col_hnf
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "col_hnf", counted)
+    assert verify_class_quotient_free(c).passed
+    assert len(calls) == 2
 
 
 def test_monotone_truncation_extra_split_strand():
@@ -188,6 +283,13 @@ def test_resolve_checks():
     assert resolve_checks(["norm_principle"]) == ["norm_principle"]
     with pytest.raises(ValueError):
         resolve_checks(["norm_principle", "made_up"])
+
+
+def test_repeated_check_rejected():
+    with pytest.raises(ValueError, match="names a check more than once"):
+        resolve_checks(["norm_principle", "norm_principle"])
+    with pytest.raises(ValueError, match="names a check more than once"):
+        run_scenario(BraidWord(1, ()), 2, ["norm_principle"] * 2)
 
 
 def test_iter_braid_words_deterministic_and_complete():
@@ -242,6 +344,10 @@ class TestRunSuite:
         )
         assert checks == reparsed["summary"]["checks"]
         assert passes == reparsed["summary"]["passes"]
+
+    def test_repeated_degree_rejected(self):
+        with pytest.raises(ValueError, match="names a degree more than once"):
+            run_suite(1, 0, (2, 2))
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
