@@ -41,10 +41,8 @@ from .ideles import (
     boundary_punctured_surface,
     class_quotient,
     diagonal_map,
-    include_class,
     meridian_subgroup,
     principal_lattice,
-    project_idele,
 )
 from .covers import (
     ComponentSplitting,
@@ -53,7 +51,6 @@ from .covers import (
     SplitRecord,
     branched_cover_order,
     component_splitting,
-    deck_action,
     deck_matrix,
     lift_braid,
     principal_pushforward,
@@ -104,10 +101,8 @@ __all__ = [
     "boundary_punctured_surface",
     "class_quotient",
     "diagonal_map",
-    "include_class",
     "meridian_subgroup",
     "principal_lattice",
-    "project_idele",
     # covers
     "ComponentSplitting",
     "CoverData",
@@ -115,7 +110,6 @@ __all__ = [
     "SplitRecord",
     "branched_cover_order",
     "component_splitting",
-    "deck_action",
     "deck_matrix",
     "lift_braid",
     "principal_pushforward",

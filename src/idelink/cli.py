@@ -57,9 +57,7 @@ def _expect(mapping: dict, key: str, types, where: str):
 
 
 def _resolve_checks(names: list[str], where: str) -> list[str]:
-    """Known check names, at least one: a run that checks nothing cannot pass."""
-    if not names:
-        raise ScenarioError(f"{where}: names no check")
+    """``resolve_checks`` with its error wrapped as a scenario error."""
     try:
         return resolve_checks(names)
     except ValueError as exc:
@@ -156,7 +154,7 @@ def _format_lift(cover: CoverData, ascii_flag: bool) -> str:
     lines.append("pushforward (per cover component)")
     for j in range(total.size):
         k = cover.fiber_map[j]
-        m = cover.pushforward[j].entries
+        m = cover.pushforward[j]
         jn, kn = total.labels[j], base.labels[k]
         mu_img = f"{m[0][0]}{mu}{kn}" if m[0][0] != 1 else f"{mu}{kn}"
         lam_terms = []

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from .ideles import IdeleVector, SurfaceClass, principal_generators
 from .links import (
@@ -54,6 +55,8 @@ class CoverSpec:
     base: LinkUniverse
 
     def __post_init__(self):
+        if type(self.degree) is not int:
+            raise ValueError(f"cover degree {self.degree!r} is not a plain int")
         if self.degree < 1:
             raise ValueError("cover degree must be >= 1")
         if self.base.axis_index is None:
@@ -89,16 +92,17 @@ class CoverData:
     """A lifted braid universe with its covering bookkeeping.
 
     ``fiber_map[j]`` is the base component under upstairs component j;
-    ``pushforward[j]`` is the 2x2 matrix [[e, c], [0, w]] sending
-    (mu_J, lambda_J) coefficient pairs to base (mu, lambda) pairs; and
-    ``deck[j]`` is the deck rotation on upstairs components.
+    ``pushforward[j]`` is the 2x2 matrix ((e, c), (0, w)) of plain ints,
+    rows first, sending (mu_J, lambda_J) coefficient pairs to base
+    (mu, lambda) pairs; and ``deck[j]`` is the deck rotation on upstairs
+    components.
     """
 
     spec: CoverSpec
     total: LinkUniverse
     fiber_map: tuple[int, ...]
     splitting: ComponentSplitting
-    pushforward: tuple[IntMatrix, ...]
+    pushforward: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     deck: tuple[int, ...]
 
     def fiber(self, k: int) -> tuple[int, ...]:
@@ -161,7 +165,7 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
 
     splitting = component_splitting(spec)
 
-    mats = []
+    pushforward = []
     for j in range(total.size):
         k = fiber_map[j]
         rec = splitting.records[k]
@@ -170,45 +174,16 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
             for j2 in range(total.size)
             if j2 != j and fiber_map[j2] == k
         )
-        mats.append(IntMatrix([[rec.e, c], [0, rec.w]]))
+        pushforward.append(((rec.e, c), (0, rec.w)))
 
-    cover = CoverData(
+    return CoverData(
         spec=spec,
         total=total,
         fiber_map=tuple(fiber_map),
         splitting=splitting,
-        pushforward=tuple(mats),
+        pushforward=tuple(pushforward),
         deck=tuple(deck),
     )
-    _validate_cover(cover)
-    return cover
-
-
-def _validate_cover(c: CoverData):
-    n = c.spec.degree
-    base = c.spec.base
-    for k in range(base.size):
-        rec = c.splitting.records[k]
-        if rec.e * rec.w != rec.d or rec.r * rec.d != n:
-            raise AssertionError("splitting arithmetic is inconsistent")
-        fiber = c.fiber(k)
-        if len(fiber) != rec.r:
-            raise AssertionError("fiber size does not match splitting data")
-        # Deck rotation restricted to a fiber is one r-cycle.
-        seen = {fiber[0]}
-        j = fiber[0]
-        for _ in range(rec.r - 1):
-            j = c.deck[j]
-            if c.fiber_map[j] != k or j in seen:
-                raise AssertionError("deck rotation does not cycle the fiber")
-            seen.add(j)
-        if c.deck[j] != fiber[0]:
-            raise AssertionError("deck rotation has wrong order on a fiber")
-        if k != base.axis_index:
-            lifted_w = base.windings[k] // gcd(base.windings[k], n)
-            for j in fiber:
-                if c.total.windings[j] != lifted_w:
-                    raise AssertionError("lifted winding numbers are wrong")
 
 
 def pushforward_matrix(c: CoverData) -> IntMatrix:
@@ -218,11 +193,8 @@ def pushforward_matrix(c: CoverData) -> IntMatrix:
     rows = [[0] * (2 * mp) for _ in range(2 * m)]
     for j in range(mp):
         k = c.fiber_map[j]
-        mat = c.pushforward[j].entries
-        rows[2 * k][2 * j] = mat[0][0]
-        rows[2 * k][2 * j + 1] = mat[0][1]
-        rows[2 * k + 1][2 * j] = mat[1][0]
-        rows[2 * k + 1][2 * j + 1] = mat[1][1]
+        rows[2 * k][2 * j : 2 * j + 2] = c.pushforward[j][0]
+        rows[2 * k + 1][2 * j : 2 * j + 2] = c.pushforward[j][1]
     return IntMatrix(rows, cols=2 * mp)
 
 
@@ -233,16 +205,16 @@ def pushforward_idele(c: CoverData, v: IdeleVector) -> IdeleVector:
     return IdeleVector(tuple(range(c.spec.base.size)), _pushforward_coeffs(c, v.coeffs))
 
 
-def _pushforward_coeffs(c: CoverData, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+def _pushforward_coeffs(c: CoverData, coeffs: Sequence[int]) -> tuple[int, ...]:
     """``pushforward_idele`` on raw upstairs coefficients, unchecked."""
     out = [0] * (2 * c.spec.base.size)
     for j in range(c.total.size):
         k = c.fiber_map[j]
-        mat = c.pushforward[j].entries
+        to_mu, to_lam = c.pushforward[j]
         mu_j = coeffs[2 * j]
         lam_j = coeffs[2 * j + 1]
-        out[2 * k] += mat[0][0] * mu_j + mat[0][1] * lam_j
-        out[2 * k + 1] += mat[1][0] * mu_j + mat[1][1] * lam_j
+        out[2 * k] += to_mu[0] * mu_j + to_mu[1] * lam_j
+        out[2 * k + 1] += to_lam[0] * mu_j + to_lam[1] * lam_j
     return tuple(out)
 
 
@@ -263,18 +235,6 @@ def pushforward_surface(c: CoverData, s: SurfaceClass) -> SurfaceClass:
         totals[k] = totals.get(k, 0) + w * s.coeffs[i]
     support = tuple(sorted(totals))
     return SurfaceClass(support, tuple(totals[k] for k in support))
-
-
-def deck_action(c: CoverData, v: IdeleVector) -> IdeleVector:
-    """Permute slots by the deck rotation; mu/lambda classes are preserved."""
-    if v.components != tuple(range(c.total.size)):
-        raise ValueError("vector is not indexed by the upstairs components")
-    out = [0] * len(v.coeffs)
-    for j in range(c.total.size):
-        t = c.deck[j]
-        out[2 * t] = v.coeffs[2 * j]
-        out[2 * t + 1] = v.coeffs[2 * j + 1]
-    return IdeleVector(v.components, tuple(out))
 
 
 def deck_matrix(c: CoverData) -> IntMatrix:

@@ -22,21 +22,17 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import __version__
 from .covers import (
     CoverData,
+    _pushforward_coeffs,
     deck_matrix,
     lift_braid,
     principal_pushforward,
-    pushforward_idele,
     pushforward_image,
     pushforward_matrix,
-    pushforward_surface,
 )
 from .ideles import (
-    IdeleVector,
-    SurfaceClass,
     _boundary_coeffs,
     _class_quotient,
     _label_prefixes,
-    diagonal_map,
     meridian_subgroup,
     principal_generators,
     principal_lattice,
@@ -152,23 +148,24 @@ def verify_norm_principle(c: CoverData) -> CheckRecord:
 def verify_diagonal_commutes(c: CoverData) -> CheckRecord:
     """Pushing a lifted surface's boundary equals the image surface's boundary.
 
-    Checked exactly on every upstairs generator and on their sum.
+    Checked exactly on every upstairs generator: the surface of J maps
+    to w_K copies of the surface of K = fiber_map[J].  Both sides are
+    linear in the surface class, so every other class follows.
     """
 
     def run():
-        classes = [SurfaceClass.single(j) for j in range(c.total.size)]
-        classes.append(
-            SurfaceClass(tuple(range(c.total.size)), (1,) * c.total.size)
-        )
-        for s in classes:
-            lhs = pushforward_idele(c, diagonal_map(c.total, s))
-            rhs = diagonal_map(c.spec.base, pushforward_surface(c, s))
+        down = principal_generators(c.spec.base)
+        for j, gen in enumerate(principal_generators(c.total)):
+            k = c.fiber_map[j]
+            w = c.splitting.records[k].w
+            lhs = _pushforward_coeffs(c, gen)
+            rhs = tuple(w * x for x in down[k])
             if lhs != rhs:
                 return False, {
-                    "surface_support": list(s.support),
-                    "surface_coeffs": list(s.coeffs),
-                    "pushed_boundary": list(lhs.coeffs),
-                    "boundary_of_image": list(rhs.coeffs),
+                    "surface_support": [j],
+                    "surface_coeffs": [1],
+                    "pushed_boundary": list(lhs),
+                    "boundary_of_image": list(rhs),
                     "coordinates": _coordinate_labels(c.spec.base),
                 }
         return True, None
@@ -180,13 +177,15 @@ def verify_meridian_pushforward(c: CoverData) -> CheckRecord:
     """Pushed-forward meridians carry no longitude coordinates."""
 
     def run():
-        for j in range(c.total.size):
-            unit = IdeleVector.build(range(c.total.size), {j: (1, 0)})
-            image = pushforward_idele(c, unit)
-            if any(image.coeffs[1::2]):
+        size = c.total.size
+        for j in range(size):
+            unit = [0] * (2 * size)
+            unit[2 * j] = 1
+            image = _pushforward_coeffs(c, unit)
+            if any(image[1::2]):
                 return False, {
                     "upstairs_component": c.total.labels[j],
-                    "image": list(image.coeffs),
+                    "image": list(image),
                     "coordinates": _coordinate_labels(c.spec.base),
                 }
         return True, None
@@ -350,8 +349,14 @@ CHECKS: dict[str, Callable[[CoverData], CheckRecord]] = {
 
 
 def resolve_checks(names: Sequence[str] | None) -> list[str]:
+    """Known, distinct check names, at least one; None names all of them.
+
+    A run that checks nothing cannot pass.
+    """
     if names is None:
         return list(CHECKS)
+    if not names:
+        raise ValueError("names no check")
     if len(set(names)) != len(names):
         raise ValueError("names a check more than once")
     unknown = [n for n in names if n not in CHECKS]
@@ -366,8 +371,8 @@ def run_scenario(
     b: BraidWord, degree: int, checks: Sequence[str] | None = None
 ) -> VerificationReport:
     """Lift one braid scenario and run the requested checks."""
-    cover = lift_braid(b, degree)
     names = resolve_checks(checks)
+    cover = lift_braid(b, degree)
     records = tuple(CHECKS[name](cover) for name in names)
     return VerificationReport(
         strands=b.strands, word=b.letters, degree=degree, checks=records
@@ -443,9 +448,15 @@ def run_suite(
 ) -> SuiteResult:
     """Run every (word, degree) scenario within bounds, in deterministic order."""
     degrees = tuple(degrees)
+    if type(max_strands) is not int or type(max_length) is not int:
+        raise ValueError("bounds must be plain ints")
     if max_strands < 1 or max_length < 0:
         raise ValueError("bounds must cover at least one scenario")
+    if not degrees:
+        raise ValueError("names no degree")
     for n in degrees:
+        if type(n) is not int:
+            raise ValueError(f"cover degree {n!r} is not a plain int")
         if n < 1:
             raise ValueError("cover degrees must be >= 1")
     if len(set(degrees)) != len(degrees):

@@ -196,33 +196,27 @@ def _boundary_coeffs(u: LinkUniverse, k: int, sub: tuple[int, ...]) -> tuple[int
 def diagonal_map(u: LinkUniverse, s: SurfaceClass) -> IdeleVector:
     """Boundary data of a surface class on every slot of the universe.
 
-    Components inside the support get (-sum lk(K, K') c_K', c_K); all
-    others receive the same linking-weighted meridian coefficient with
-    zero longitude part.
+    The sum of c_K times the boundary of K's surface punctured by every
+    other component: components inside the support get
+    (-sum lk(K, K') c_K', c_K), all others the same linking-weighted
+    meridian coefficient with zero longitude part.
     """
-    sub = _check_sublink(u, s.support)
-    coeffs = []
-    for k in range(u.size):
-        mu_c = -sum(u.lk(k, k2) * s.coeffs[i] for i, k2 in enumerate(sub) if k2 != k)
-        lam_c = s.coefficient(k) if k in s.support else 0
-        coeffs.extend((mu_c, lam_c))
-    return IdeleVector(tuple(range(u.size)), tuple(coeffs))
+    full = tuple(range(u.size))
+    coeffs = [0] * (2 * u.size)
+    for k, c in zip(_check_sublink(u, s.support), s.coeffs):
+        for i, x in enumerate(_boundary_coeffs(u, k, full)):
+            coeffs[i] += c * x
+    return IdeleVector(full, tuple(coeffs))
 
 
 def principal_generators(u: LinkUniverse) -> list[tuple[int, ...]]:
     """Boundary coefficients of the m single-surface generators.
 
     Entry k equals ``diagonal_map(u, SurfaceClass.single(k)).coeffs``:
-    lambda_K on its own slot and -lk(K', K) mu_K' on every other slot.
+    lambda_K on its own slot and -lk(K, K') mu_K' on every other slot.
     """
-    lk = u.linking.entries
-    gens = []
-    for k in range(u.size):
-        coeffs = []
-        for k2 in range(u.size):
-            coeffs.extend((0, 1) if k2 == k else (-lk[k2][k], 0))
-        gens.append(tuple(coeffs))
-    return gens
+    full = tuple(range(u.size))
+    return [_boundary_coeffs(u, k, full) for k in full]
 
 
 def principal_lattice(u: LinkUniverse) -> SubLattice:
@@ -268,24 +262,3 @@ def _class_quotient(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> Ab
     keep = [2 * k + 1 for k in range(len(gens))] + [2 * k for k in sub]
     n = len(keep)
     return quotient_invariants(n, _span(n, [[g[i] for i in keep] for g in gens]))
-
-
-def include_class(s: SurfaceClass, larger: Iterable[int]) -> SurfaceClass:
-    """The same class viewed on a larger sublink (zeros on new components)."""
-    big = tuple(sorted(larger))
-    if not set(s.support) <= set(big):
-        raise ValueError("support is not contained in the larger sublink")
-    return SurfaceClass(big, tuple(s.coefficient(k) for k in big))
-
-
-def project_idele(v: IdeleVector, sublink: Sequence[int]) -> IdeleVector:
-    """Forget the slots outside ``sublink``."""
-    sub = tuple(sorted(sublink))
-    missing = set(sub) - set(v.components)
-    if missing:
-        raise ValueError(f"vector has no slots for components {sorted(missing)}")
-    coeffs = []
-    for k in sub:
-        i = v.components.index(k)
-        coeffs.extend(v.coeffs[2 * i : 2 * i + 2])
-    return IdeleVector(sub, tuple(coeffs))

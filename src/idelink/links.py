@@ -28,6 +28,8 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.strands) is not int:
+            raise ValueError(f"strand count {self.strands!r} is not a plain int")
         if self.strands < 1:
             raise ValueError("a braid needs at least one strand")
         object.__setattr__(self, "letters", tuple(self.letters))
@@ -81,7 +83,8 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
 
     Entry (C, C') is half the signed count of crossings between a strand
     of C and a strand of C'; crossings within one component do not
-    contribute.  The diagonal is zero.
+    contribute.  The diagonal is zero.  Two closed components cross an
+    even number of times, so the halving is exact.
     """
     cycles = braid_components(b)
     comp_of = [0] * b.strands
@@ -100,12 +103,7 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
             counts[c1][c2] += sign
             counts[c2][c1] += sign
         at[i], at[i + 1] = at[i + 1], at[i]
-    for i in range(n):
-        for j in range(n):
-            if counts[i][j] % 2:
-                raise AssertionError("odd inter-component crossing count")
-            counts[i][j] //= 2
-    return IntMatrix(counts, cols=n)
+    return IntMatrix([[x // 2 for x in row] for row in counts], cols=n)
 
 
 def braid_power(b: BraidWord, n: int) -> BraidWord:

@@ -6,21 +6,30 @@ by breadth-first closure with a provable slack margin, quotient
 invariants by gcds of minors, and resultants by the Euclidean remainder
 sequence over the rationals.
 
-The two exhaustive check loops at the end are the exception: they are
-the per-sublink and per-nested-pair loops that ``idelink.hasse`` reduced
-to one class quotient per universe and one comparison per sublink, kept
+The check routes at the end are the exception.  Two are the
+per-sublink and per-nested-pair loops that ``idelink.hasse`` reduced to
+one class quotient per universe and one comparison per sublink, kept
 here unchanged to test that reduction.  They reach the package's
 building blocks through ``idelink.hasse``'s module attributes at call
 time, so a test that patches one of those patches both routes alike.
+The other two are the typed ``diagonal_commutes`` and
+``meridian_pushforward`` checks, which go through ``SurfaceClass``,
+``IdeleVector`` and ``diagonal_map`` where ``idelink.hasse`` works on
+raw coefficient tuples; the diagonal one also compares the sum of all
+generators.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 from idelink import hasse
+from idelink.covers import pushforward_idele, pushforward_surface
+from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
+from idelink.links import BraidWord
 
 
 def rational_solve(cols, v):
@@ -403,3 +412,47 @@ def projection_all_nested_pairs(c):
                             "direct": list(direct),
                         }
     return True, None
+
+
+def diagonal_commutes_typed(c):
+    """``verify_diagonal_commutes`` through surface classes: (passed, witness)."""
+    classes = [SurfaceClass.single(j) for j in range(c.total.size)]
+    classes.append(SurfaceClass(tuple(range(c.total.size)), (1,) * c.total.size))
+    for s in classes:
+        lhs = pushforward_idele(c, diagonal_map(c.total, s))
+        rhs = diagonal_map(c.spec.base, pushforward_surface(c, s))
+        if lhs != rhs:
+            return False, {
+                "surface_support": list(s.support),
+                "surface_coeffs": list(s.coeffs),
+                "pushed_boundary": list(lhs.coeffs),
+                "boundary_of_image": list(rhs.coeffs),
+                "coordinates": hasse._coordinate_labels(c.spec.base),
+            }
+    return True, None
+
+
+def meridian_pushforward_typed(c):
+    """``verify_meridian_pushforward`` through idele vectors: (passed, witness)."""
+    for j in range(c.total.size):
+        unit = IdeleVector.build(range(c.total.size), {j: (1, 0)})
+        image = pushforward_idele(c, unit)
+        if any(image.coeffs[1::2]):
+            return False, {
+                "upstairs_component": c.total.labels[j],
+                "image": list(image.coeffs),
+                "coordinates": hasse._coordinate_labels(c.spec.base),
+            }
+    return True, None
+
+
+def wide4_words():
+    """Eight 4-strand words for each (length 3-8, degree in {2,3,4,6,12})."""
+    rng = random.Random(4)
+    alphabet = [-3, -2, -1, 1, 2, 3]
+    return [
+        (BraidWord(4, tuple(rng.choice(alphabet) for _ in range(length))), degree)
+        for length in range(3, 9)
+        for degree in (2, 3, 4, 6, 12)
+        for _ in range(8)
+    ]

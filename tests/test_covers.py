@@ -1,5 +1,6 @@
 """Lifting braid universes through branched covers of the axis."""
 
+import dataclasses
 import itertools
 import random
 from math import gcd
@@ -10,7 +11,6 @@ from idelink.covers import (
     CoverSpec,
     branched_cover_order,
     component_splitting,
-    deck_action,
     deck_matrix,
     lift_braid,
     principal_pushforward,
@@ -21,10 +21,11 @@ from idelink.covers import (
     relabeled_cover,
 )
 from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
-from idelink.links import BraidWord, universe_from_braid
+from idelink.hasse import iter_braid_words
+from idelink.links import BraidWord, braid_power, universe_from_braid
 from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 
-from oracles import poly_eval, resultant_oracle
+from oracles import poly_eval, resultant_oracle, wide4_words
 
 
 def suite_covers(max_strands=3, max_len=3, degrees=(2, 3)):
@@ -57,7 +58,7 @@ class TestLift:
             c = lift_braid(BraidWord(2, (1, -1)), n)
             axis = c.splitting.records[0]
             assert (axis.a, axis.e, axis.w, axis.r) == (1 % n, n, 1, 1)
-            assert c.pushforward[0].entries == ((n, 0), (0, 1))
+            assert c.pushforward[0] == ((n, 0), (0, 1))
 
     def test_identity_cover(self):
         c = lift_braid(BraidWord(2, (1, 1)), 1)
@@ -86,6 +87,95 @@ class TestLift:
             assert rec.r == gcd(winding, n)
             assert rec.w == n // gcd(winding, n)
             assert rec.e * rec.w == rec.d and rec.r * rec.d == n
+
+
+def _closure_crossings(b):
+    """Signed crossing counts between the closure components of ``b``.
+
+    Components are found by following each strand's end position to the
+    strand that starts there, and ordered by their smallest strand.
+    """
+    at = list(range(b.strands))
+    events = []
+    for g in b.letters:
+        i = abs(g) - 1
+        events.append((at[i], at[i + 1], 1 if g > 0 else -1))
+        at[i], at[i + 1] = at[i + 1], at[i]
+    continues_as = {s: p for p, s in enumerate(at)}
+    smallest = {}
+    for s in range(b.strands):
+        orbit = [s]
+        while continues_as[orbit[-1]] != s:
+            orbit.append(continues_as[orbit[-1]])
+        smallest[s] = min(orbit)
+    index = {r: i for i, r in enumerate(sorted(set(smallest.values())))}
+    counts = [[0] * len(index) for _ in index]
+    for s1, s2, sign in events:
+        c1, c2 = index[smallest[s1]], index[smallest[s2]]
+        if c1 != c2:
+            counts[c1][c2] += sign
+            counts[c2][c1] += sign
+    return counts
+
+
+def lift_invariant_failures(b, c):
+    """Every lift invariant that ``c``, a cover of the closure of ``b``, breaks."""
+    n = c.spec.degree
+    base = c.spec.base
+    bad = []
+    for k, rec in enumerate(c.splitting.records):
+        if rec.e * rec.w != rec.d or rec.r * rec.d != n:
+            bad.append(("splitting arithmetic", k))
+        fiber = c.fiber(k)
+        if len(fiber) != rec.r:
+            bad.append(("fiber size", k))
+        # The deck rotation restricted to a fiber is one r-cycle.
+        orbit = [fiber[0]]
+        for _ in range(rec.r - 1):
+            orbit.append(c.deck[orbit[-1]])
+        if sorted(orbit) != list(fiber) or c.deck[orbit[-1]] != fiber[0]:
+            bad.append(("deck cycle", k))
+        if k != base.axis_index:
+            lifted = base.windings[k] // gcd(base.windings[k], n)
+            if any(c.total.windings[j] != lifted for j in fiber):
+                bad.append(("lifted winding", k))
+    for u, word in ((base, b), (c.total, braid_power(b, n))):
+        counts = _closure_crossings(word)
+        if any(x % 2 for row in counts for x in row):
+            bad.append(("odd crossing count", u.labels))
+        halves = [[x // 2 for x in row] for row in counts]
+        if halves != [list(row[1:]) for row in u.linking.entries[1:]]:
+            bad.append(("linking", u.labels))
+    return bad
+
+
+class TestLiftInvariants:
+    def test_acceptance_sweep(self):
+        # Every cover with <=3 strands, length <=5, degree 2-5.
+        failures = [
+            (b, n, f)
+            for b in iter_braid_words(3, 5)
+            for n in (2, 3, 4, 5)
+            for f in lift_invariant_failures(b, lift_braid(b, n))
+        ]
+        assert failures == []
+
+    def test_wide4_words(self):
+        failures = [
+            (b, n, f)
+            for b, n in wide4_words()
+            for f in lift_invariant_failures(b, lift_braid(b, n))
+        ]
+        assert failures == []
+
+    def test_broken_lifts_are_caught(self):
+        b = BraidWord(2, (1,))
+        c = lift_braid(b, 2)
+        # A deck rotation that fixes every component breaks the fiber cycle.
+        frozen = dataclasses.replace(c, deck=tuple(range(c.total.size)))
+        assert lift_invariant_failures(b, frozen) == [("deck cycle", 1)]
+        # The mirror word crosses its lifts negatively.
+        assert lift_invariant_failures(BraidWord(2, (-1,)), c) == [("linking", c.total.labels)]
 
 
 class TestPushforward:
@@ -147,13 +237,6 @@ class TestDeck:
     def test_sigma1_swap(self):
         c = lift_braid(BraidWord(2, (1,)), 2)
         assert c.deck == (0, 2, 1)
-        v = IdeleVector.build(range(3), {1: (0, 1)})
-        assert deck_action(c, v) == IdeleVector.build(range(3), {2: (0, 1)})
-
-    def test_axis_vector_fixed(self):
-        c = lift_braid(BraidWord(2, (1,)), 3)
-        v = IdeleVector.build(range(c.total.size), {0: (2, -1)})
-        assert deck_action(c, v) == v
 
     def test_order_on_fibers(self):
         for c in suite_covers(3, 2, (2, 3, 4)):
@@ -173,12 +256,8 @@ class TestDeck:
                 for j2 in range(c.total.size):
                     assert lk[c.deck[j1]][c.deck[j2]] == lk[j1][j2]
             # pushforward absorbs the deck rotation
-            rng = random.Random(7)
-            v = IdeleVector(
-                tuple(range(c.total.size)),
-                tuple(rng.randint(-3, 3) for _ in range(2 * c.total.size)),
-            )
-            assert pushforward_idele(c, deck_action(c, v)) == pushforward_idele(c, v)
+            f = pushforward_matrix(c)
+            assert f @ deck_matrix(c) == f
 
 
 class TestCoverIdentities:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idelink import hasse, kernel
+from idelink import covers, hasse, ideles, kernel, zlattice
 from idelink.covers import (
     lift_braid,
     principal_pushforward,
@@ -33,14 +33,20 @@ from idelink.hasse import (
 from idelink.ideles import principal_lattice
 from idelink.links import BraidWord
 from idelink.zlattice import (
-    IntMatrix,
     SubLattice,
     lattice_equal,
     lattice_intersect,
     lattice_member,
 )
 
-from oracles import class_quotient_all_sublinks, projection_all_nested_pairs, unfree_sublink
+from oracles import (
+    class_quotient_all_sublinks,
+    diagonal_commutes_typed,
+    meridian_pushforward_typed,
+    projection_all_nested_pairs,
+    unfree_sublink,
+    wide4_words,
+)
 
 
 def test_worked_double_cover_lattices():
@@ -79,7 +85,7 @@ def test_norm_principle_witness_on_tampered_cover():
     # break one pushforward matrix; the check must fail with a witness
     # lying in exactly one side
     c = lift_braid(BraidWord(2, (1,)), 2)
-    bad = c.pushforward[:1] + (IntMatrix([[1, 5], [0, 1]]),) + c.pushforward[2:]
+    bad = c.pushforward[:1] + (((1, 5), (0, 1)),) + c.pushforward[2:]
     tampered = dataclasses.replace(c, pushforward=bad)
     rec = verify_norm_principle(tampered)
     assert not rec.passed
@@ -95,7 +101,7 @@ def test_norm_principle_witness_on_tampered_cover():
 
 def test_meridian_witness_on_tampered_cover():
     c = lift_braid(BraidWord(2, (1,)), 2)
-    bad = (IntMatrix([[2, 0], [1, 1]]),) + c.pushforward[1:]
+    bad = (((2, 0), (1, 1)),) + c.pushforward[1:]
     tampered = dataclasses.replace(c, pushforward=bad)
     rec = verify_meridian_pushforward(tampered)
     assert not rec.passed
@@ -104,7 +110,7 @@ def test_meridian_witness_on_tampered_cover():
 
 def test_diagonal_commutes_witness_on_tampered_cover():
     c = lift_braid(BraidWord(2, (1,)), 2)
-    bad = c.pushforward[:1] + (IntMatrix([[1, 3], [0, 1]]),) + c.pushforward[2:]
+    bad = c.pushforward[:1] + (((1, 3), (0, 1)),) + c.pushforward[2:]
     tampered = dataclasses.replace(c, pushforward=bad)
     rec = verify_diagonal_commutes(tampered)
     assert not rec.passed
@@ -189,22 +195,97 @@ def test_reduced_checks_agree_with_full_loops_on_acceptance_sweep():
     assert [c for c in covers if not _agrees_with_full_loops(c)] == []
 
 
-def _wide4_words():
-    # Eight 4-strand words for each (length 3-8, degree in {2,3,4,6,12}).
-    rng = random.Random(4)
-    alphabet = [-3, -2, -1, 1, 2, 3]
-    return [
-        (BraidWord(4, tuple(rng.choice(alphabet) for _ in range(length))), degree)
-        for length in range(3, 9)
-        for degree in (2, 3, 4, 6, 12)
-        for _ in range(8)
-    ]
-
-
 def test_reduced_checks_agree_with_full_loops_on_wide4_words():
-    covers = [lift_braid(b, n) for b, n in _wide4_words()]
+    covers = [lift_braid(b, n) for b, n in wide4_words()]
     assert sum(c.total.size == 5 for c in covers) > 100
     assert [c for c in covers if not _agrees_with_full_loops(c)] == []
+
+
+def _outcomes(c):
+    """(passed, witness) of the tuple checks and of their typed oracles."""
+    dc = verify_diagonal_commutes(c)
+    mp = verify_meridian_pushforward(c)
+    return (
+        ((dc.passed, dc.witness), (mp.passed, mp.witness)),
+        (diagonal_commutes_typed(c), meridian_pushforward_typed(c)),
+    )
+
+
+def _disagree(c):
+    new, typed = _outcomes(c)
+    return new != typed
+
+
+def test_tuple_checks_agree_with_typed_routes_on_acceptance_sweep():
+    words = [(b, n) for b in iter_braid_words(3, 5) for n in (2, 3, 4, 5)]
+    assert len(words) == 5716
+    assert [(b, n) for b, n in words if _disagree(lift_braid(b, n))] == []
+
+
+def test_tuple_checks_agree_with_typed_routes_on_wide4_words():
+    assert [(b, n) for b, n in wide4_words() if _disagree(lift_braid(b, n))] == []
+
+
+def _tampered_covers(seed):
+    # One entry of one pushforward matrix moved by +-1 or +-2, once per
+    # cover with <=3 strands, length <=3, degree 2-5.
+    rng = random.Random(seed)
+    for b in iter_braid_words(3, 3):
+        for n in (2, 3, 4, 5):
+            c = lift_braid(b, n)
+            j = rng.randrange(c.total.size)
+            rows = [list(row) for row in c.pushforward[j]]
+            rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
+            bad = tuple(tuple(row) for row in rows)
+            pushforward = c.pushforward[:j] + (bad,) + c.pushforward[j + 1 :]
+            yield dataclasses.replace(c, pushforward=pushforward)
+
+
+def test_tuple_checks_agree_with_typed_routes_on_tampered_covers():
+    tampered = list(_tampered_covers(17))
+    assert len(tampered) >= 300
+    outcomes = [_outcomes(c) for c in tampered]
+    assert [o for o in outcomes if o[0] != o[1]] == []
+    # Both checks must see some of the damage, or the agreement is vacuous.
+    assert any(not new[0][0] for new, _ in outcomes)
+    assert any(not new[1][0] for new, _ in outcomes)
+
+
+def test_product_path_builds_no_typed_wrappers(monkeypatch):
+    # The typed idele layer and IntMatrix-wrapped pushforwards stay out of
+    # the checks and the lift; universes are built before counting because
+    # their linking matrices are IntMatrix by design.
+    b = BraidWord(4, ())
+    universes = {}
+    real_universe = covers.universe_from_braid
+
+    def cached(word, **labels):
+        key = (word, tuple(sorted(labels.items())))
+        if key not in universes:
+            universes[key] = real_universe(word, **labels)
+        return universes[key]
+
+    monkeypatch.setattr(covers, "universe_from_braid", cached)
+    lift_braid(b, 2)
+    counts = {"IntMatrix": 0, "IdeleVector": 0}
+
+    def counting(cls, key):
+        real = cls.__init__
+
+        def init(self, *args, **kwargs):
+            counts[key] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    counting(zlattice.IntMatrix, "IntMatrix")
+    counting(ideles.IdeleVector, "IdeleVector")
+    c = lift_braid(b, 2)
+    assert (c.spec.base.size, c.total.size) == (5, 5)
+    assert counts["IntMatrix"] == 0
+    for fn in CHECKS.values():
+        assert fn(c).passed
+    assert counts["IdeleVector"] == 0
 
 
 def test_projection_witness_on_middle_layer_only(monkeypatch):
@@ -285,6 +366,24 @@ def test_resolve_checks():
         resolve_checks(["norm_principle", "made_up"])
 
 
+def test_empty_check_list_rejected():
+    with pytest.raises(ValueError, match="names no check"):
+        resolve_checks([])
+    with pytest.raises(ValueError, match="names no check"):
+        run_scenario(BraidWord(1, ()), 2, [])
+    with pytest.raises(ValueError, match="names no check"):
+        run_suite(1, 0, (2,), checks=())
+
+
+def test_plain_int_degree_at_the_library_boundary():
+    b = BraidWord(2, (1,))
+    for degree in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="not a plain int"):
+            run_scenario(b, degree)
+        with pytest.raises(ValueError, match="not a plain int"):
+            lift_braid(b, degree)
+
+
 def test_repeated_check_rejected():
     with pytest.raises(ValueError, match="names a check more than once"):
         resolve_checks(["norm_principle", "norm_principle"])
@@ -317,9 +416,19 @@ class TestRunSuite:
         assert res.check_count == 32 * len(CHECKS)
 
     def test_empty_degrees(self):
-        res = run_suite(2, 2, ())
-        assert res.reports == ()
-        assert res.complete
+        # No degree means no scenario, and a run that checks nothing cannot pass.
+        with pytest.raises(ValueError, match="names no degree"):
+            run_suite(2, 2, ())
+
+    def test_non_int_degrees_rejected_before_running(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(hasse, "run_scenario", lambda *args: ran.append(args))
+        for degrees in ((True,), (2, 2.0), (2, "3")):
+            with pytest.raises(ValueError, match="not a plain int"):
+                run_suite(1, 0, degrees)
+        with pytest.raises(ValueError, match="plain ints"):
+            run_suite(True, 0, (2,))
+        assert ran == []
 
     def test_single_trivial_scenario(self):
         res = run_suite(1, 3, (2,))

@@ -11,11 +11,9 @@ from idelink.ideles import (
     boundary_punctured_surface,
     class_quotient,
     diagonal_map,
-    include_class,
     meridian_subgroup,
     principal_generators,
     principal_lattice,
-    project_idele,
 )
 from idelink.covers import lift_braid
 from idelink.hasse import iter_braid_words
@@ -256,45 +254,6 @@ class TestClassQuotient:
                         len(keep) - len(nonzero), tuple(x for x in nonzero if x > 1)
                     )
                     assert class_quotient(u, sub) == smith
-
-
-class TestIncludeProject:
-    def test_include_examples(self):
-        s = SurfaceClass.single(1)
-        assert include_class(s, (1, 2)).coeffs == (1, 0)
-        assert include_class(SurfaceClass.zero((1,)), (0, 1, 2)).coeffs == (0, 0, 0)
-        s2 = SurfaceClass((1, 2), (2, -1))
-        assert include_class(s2, (1, 2, 3)).coeffs == (2, -1, 0)
-        with pytest.raises(ValueError):
-            include_class(s2, (1, 3))
-
-    def test_project_examples(self):
-        u = universe_from_braid(BraidWord(1, ()))
-        v = diagonal_map(u, SurfaceClass.single(0))  # lam_A - mu_K
-        p = project_idele(v, (0,))
-        assert p.components == (0,) and p.coeffs == (0, 1)
-        assert project_idele(v, (0, 1)) == v
-        empty = project_idele(v, ())
-        assert empty.components == () and empty.coeffs == ()
-        with pytest.raises(ValueError):
-            project_idele(p, (0, 1))
-
-    def test_projection_inclusion_compatibility(self):
-        for u in small_universes(2):
-            comps = range(u.size)
-            for big_r in range(u.size + 1):
-                for big in itertools.combinations(comps, big_r):
-                    for small_r in range(len(big) + 1):
-                        for small_idx in itertools.combinations(range(len(big)), small_r):
-                            small = tuple(big[i] for i in small_idx)
-                            for k in small:
-                                via_big = project_idele(
-                                    boundary_punctured_surface(u, k, big), small
-                                )
-                                direct = project_idele(
-                                    boundary_punctured_surface(u, k, small), small
-                                )
-                                assert via_big == direct
 
 
 def test_slotwise_exactness():

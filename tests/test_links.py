@@ -38,6 +38,11 @@ class TestBraidWord:
             BraidWord(1, (1,))
         assert len(BraidWord(3, (1, -2, 1))) == 3
 
+    def test_strands_must_be_plain_int(self):
+        for strands in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match="not a plain int"):
+                BraidWord(strands, ())
+
 
 class TestPermutation:
     def test_single_generator_is_transposition(self):
