@@ -107,7 +107,9 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
 
 
 def braid_power(b: BraidWord, n: int) -> BraidWord:
-    """The word repeated n times on the same strands (n >= 1)."""
+    """The word repeated n times on the same strands (n a plain int >= 1)."""
+    if type(n) is not int:
+        raise ValueError(f"braid power {n!r} is not a plain int")
     if n < 1:
         raise ValueError("braid power requires n >= 1")
     return BraidWord(b.strands, b.letters * n)

@@ -18,7 +18,7 @@ from idelink.covers import (
     pushforward_image,
     relabeled_cover,
 )
-from idelink.hasse import iter_braid_words, run_suite
+from idelink.hasse import run_suite
 from idelink.ideles import SurfaceClass, diagonal_map, principal_lattice
 from idelink.links import BraidWord
 from idelink.zlattice import (
@@ -221,36 +221,35 @@ def _map_back(lattice, order, size):
     return SubLattice.from_columns(2 * size, cols)
 
 
-def test_criterion_10_enumeration_determinism():
+def test_criterion_10_enumeration_determinism(sweep_covers):
+    # sweep_covers (tests/conftest.py) lifts the same sweep as full_suite.
     mismatched = 0
     scenarios = 0
-    for b in iter_braid_words(MAX_STRANDS, MAX_LENGTH):
-        for n in DEGREES:
-            scenarios += 1
-            c = lift_braid(b, n)
-            base_order = tuple(reversed(range(c.spec.base.size)))
-            top_order = tuple(reversed(range(c.total.size)))
-            r = relabeled_cover(c, base_order, top_order)
-            left = lattice_intersect(
-                principal_lattice(c.spec.base), pushforward_image(c)
-            )
-            right = principal_pushforward(c)
-            left_p = lattice_intersect(
-                principal_lattice(r.spec.base), pushforward_image(r)
-            )
-            right_p = principal_pushforward(r)
-            verdict = lattice_equal(left, right)
-            verdict_p = lattice_equal(left_p, right_p)
-            same_forms = lattice_equal(
-                _map_back(left_p, base_order, c.spec.base.size), left
-            ) and lattice_equal(
-                _map_back(right_p, base_order, c.spec.base.size), right
-            )
-            if not (verdict and verdict_p and same_forms):
-                mismatched += 1
+    for _, _, c in sweep_covers:
+        scenarios += 1
+        base_order = tuple(reversed(range(c.spec.base.size)))
+        top_order = tuple(reversed(range(c.total.size)))
+        r = relabeled_cover(c, base_order, top_order)
+        left = lattice_intersect(
+            principal_lattice(c.spec.base), pushforward_image(c)
+        )
+        right = principal_pushforward(c)
+        left_p = lattice_intersect(
+            principal_lattice(r.spec.base), pushforward_image(r)
+        )
+        right_p = principal_pushforward(r)
+        verdict = lattice_equal(left, right)
+        verdict_p = lattice_equal(left_p, right_p)
+        same_forms = lattice_equal(
+            _map_back(left_p, base_order, c.spec.base.size), left
+        ) and lattice_equal(
+            _map_back(right_p, base_order, c.spec.base.size), right
+        )
+        if not (verdict and verdict_p and same_forms):
+            mismatched += 1
     _announce(
         10,
-        mismatched == 0,
+        mismatched == 0 and scenarios == (1 + 63 + 1365) * len(DEGREES),
         f"{scenarios} scenarios re-run under reversed enumeration, "
         f"{mismatched} verdict or canonical-form mismatches",
     )

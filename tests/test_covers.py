@@ -21,11 +21,10 @@ from idelink.covers import (
     relabeled_cover,
 )
 from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
-from idelink.hasse import iter_braid_words
 from idelink.links import BraidWord, braid_power, universe_from_braid
 from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 
-from oracles import poly_eval, resultant_oracle, wide4_words
+from oracles import poly_eval, resultant_oracle
 
 
 def suite_covers(max_strands=3, max_len=3, degrees=(2, 3)):
@@ -150,21 +149,21 @@ def lift_invariant_failures(b, c):
 
 
 class TestLiftInvariants:
-    def test_acceptance_sweep(self):
+    def test_acceptance_sweep(self, sweep_covers):
         # Every cover with <=3 strands, length <=5, degree 2-5.
+        assert len(sweep_covers) == 5716
         failures = [
             (b, n, f)
-            for b in iter_braid_words(3, 5)
-            for n in (2, 3, 4, 5)
-            for f in lift_invariant_failures(b, lift_braid(b, n))
+            for b, n, c in sweep_covers
+            for f in lift_invariant_failures(b, c)
         ]
         assert failures == []
 
-    def test_wide4_words(self):
+    def test_wide4_words(self, wide4_covers):
         failures = [
             (b, n, f)
-            for b, n in wide4_words()
-            for f in lift_invariant_failures(b, lift_braid(b, n))
+            for b, n, c in wide4_covers
+            for f in lift_invariant_failures(b, c)
         ]
         assert failures == []
 

@@ -25,6 +25,7 @@ from idelink.hasse import (
     run_suite,
     scenario_report_json,
     verify_class_quotient_free,
+    verify_cover_exact_sequence,
     verify_diagonal_commutes,
     verify_meridian_pushforward,
     verify_norm_principle,
@@ -45,7 +46,6 @@ from oracles import (
     meridian_pushforward_typed,
     projection_all_nested_pairs,
     unfree_sublink,
-    wide4_words,
 )
 
 
@@ -186,17 +186,14 @@ def _agrees_with_full_loops(c):
     )
 
 
-def test_reduced_checks_agree_with_full_loops_on_acceptance_sweep():
+def test_reduced_checks_agree_with_full_loops_on_acceptance_sweep(sweep_covers):
     # Every cover of the acceptance sweep: <=3 strands, length <=5, degrees 2-5.
-    covers = [
-        lift_braid(b, n) for b in iter_braid_words(3, 5) for n in (2, 3, 4, 5)
-    ]
-    assert len(covers) == 5716
-    assert [c for c in covers if not _agrees_with_full_loops(c)] == []
+    assert len(sweep_covers) == 5716
+    assert [c for _, _, c in sweep_covers if not _agrees_with_full_loops(c)] == []
 
 
-def test_reduced_checks_agree_with_full_loops_on_wide4_words():
-    covers = [lift_braid(b, n) for b, n in wide4_words()]
+def test_reduced_checks_agree_with_full_loops_on_wide4_words(wide4_covers):
+    covers = [c for _, _, c in wide4_covers]
     assert sum(c.total.size == 5 for c in covers) > 100
     assert [c for c in covers if not _agrees_with_full_loops(c)] == []
 
@@ -216,14 +213,13 @@ def _disagree(c):
     return new != typed
 
 
-def test_tuple_checks_agree_with_typed_routes_on_acceptance_sweep():
-    words = [(b, n) for b in iter_braid_words(3, 5) for n in (2, 3, 4, 5)]
-    assert len(words) == 5716
-    assert [(b, n) for b, n in words if _disagree(lift_braid(b, n))] == []
+def test_tuple_checks_agree_with_typed_routes_on_acceptance_sweep(sweep_covers):
+    assert len(sweep_covers) == 5716
+    assert [(b, n) for b, n, c in sweep_covers if _disagree(c)] == []
 
 
-def test_tuple_checks_agree_with_typed_routes_on_wide4_words():
-    assert [(b, n) for b, n in wide4_words() if _disagree(lift_braid(b, n))] == []
+def test_tuple_checks_agree_with_typed_routes_on_wide4_words(wide4_covers):
+    assert [(b, n) for b, n, c in wide4_covers if _disagree(c)] == []
 
 
 def _tampered_covers(seed):
@@ -286,6 +282,214 @@ def test_product_path_builds_no_typed_wrappers(monkeypatch):
     for fn in CHECKS.values():
         assert fn(c).passed
     assert counts["IdeleVector"] == 0
+
+
+# The two checks with a closed-form accept, each with its lattice route as
+# the oracle.  The accept may only ever return True where that route passes.
+CLOSED_FORM = {
+    "norm_principle": (verify_norm_principle, "_norm_principle_lattice"),
+    "cover_exact_sequence": (verify_cover_exact_sequence, "_cover_exact_sequence_lattice"),
+}
+
+
+def _closed_form_outcomes(monkeypatch, covers, names=tuple(CLOSED_FORM)):
+    """Disagreements with the lattice route, failures, and missed accepts.
+
+    Returns the (cover index, check) pairs whose (passed, witness)
+    differs from the lattice route's, and per check the number of covers
+    that fail and the number of passing covers the closed form left to
+    the lattice route.  The route runs once per cover and check: where
+    the closed form declines, the check runs it and that run is recorded
+    as the oracle's answer; where it accepts, the route runs here.
+    """
+    routes = {}
+    ran = {}
+    for name, (_, attr) in CLOSED_FORM.items():
+        route = routes[name] = getattr(hasse, attr)
+
+        def recording(c, name=name, route=route):
+            ran[name] = route(c)
+            return ran[name]
+
+        monkeypatch.setattr(hasse, attr, recording)
+    bad = []
+    failed = dict.fromkeys(names, 0)
+    missed = dict.fromkeys(names, 0)
+    for i, c in enumerate(covers):
+        for name in names:
+            ran.pop(name, None)
+            rec = CLOSED_FORM[name][0](c)
+            expected = ran[name] if name in ran else routes[name](c)
+            if (rec.passed, rec.witness) != expected:
+                bad.append((i, name))
+            failed[name] += not rec.passed
+            missed[name] += rec.passed and name in ran
+    return bad, failed, missed
+
+
+def test_closed_forms_agree_with_lattice_routes_on_acceptance_sweep(monkeypatch, sweep_covers):
+    covers = [c for _, _, c in sweep_covers]
+    none = dict.fromkeys(CLOSED_FORM, 0)
+    assert _closed_form_outcomes(monkeypatch, covers) == ([], none, none)
+
+
+def test_closed_forms_agree_with_lattice_routes_on_wide4_words(monkeypatch, wide4_covers):
+    covers = [c for _, _, c in wide4_covers]
+    none = dict.fromkeys(CLOSED_FORM, 0)
+    assert _closed_form_outcomes(monkeypatch, covers) == ([], none, none)
+
+
+def test_closed_forms_agree_with_lattice_routes_on_relabeled_covers(monkeypatch, sweep_covers):
+    # Every hundredth sweep cover, both universes enumerated in a seeded order.
+    rng = random.Random(29)
+    relabeled = []
+    for _, _, c in sweep_covers[::100]:
+        base_order = list(range(c.spec.base.size))
+        top_order = list(range(c.total.size))
+        rng.shuffle(base_order)
+        rng.shuffle(top_order)
+        relabeled.append(relabeled_cover(c, tuple(base_order), tuple(top_order)))
+    assert len(relabeled) == 58
+    assert any(r.spec.base.axis_index or r.total.axis_index for r in relabeled)
+    none = dict.fromkeys(CLOSED_FORM, 0)
+    assert _closed_form_outcomes(monkeypatch, relabeled) == ([], none, none)
+
+
+def test_closed_forms_agree_with_lattice_routes_on_tampered_pushforwards(monkeypatch, sweep_covers):
+    # One entry of one pushforward pair moved by +-1 or +-2, once per sweep cover.
+    rng = random.Random(31)
+    tampered = []
+    for _, _, c in sweep_covers:
+        j = rng.randrange(c.total.size)
+        rows = [list(row) for row in c.pushforward[j]]
+        rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
+        pushforward = c.pushforward[:j] + (tuple(map(tuple, rows)),) + c.pushforward[j + 1 :]
+        tampered.append(dataclasses.replace(c, pushforward=pushforward))
+    bad, failed, missed = _closed_form_outcomes(monkeypatch, tampered)
+    assert bad == []
+    # The damage must reach both checks, or the agreement says little.
+    assert all(failed.values()), failed
+    assert missed == dict.fromkeys(CLOSED_FORM, 0)
+
+
+def test_exact_sequence_agrees_with_lattice_route_on_swapped_deck_targets(monkeypatch, sweep_covers):
+    # Two deck targets swapped on every sweep cover with three or more upstairs
+    # components; norm_principle does not read the deck rotation.
+    rng = random.Random(37)
+    swapped = []
+    for _, _, c in sweep_covers:
+        if c.total.size < 3:
+            continue
+        i, j = rng.sample(range(c.total.size), 2)
+        deck = list(c.deck)
+        deck[i], deck[j] = deck[j], deck[i]
+        swapped.append(dataclasses.replace(c, deck=tuple(deck)))
+    assert len(swapped) == 5124
+    bad, failed, missed = _closed_form_outcomes(monkeypatch, swapped, ("cover_exact_sequence",))
+    assert bad == []
+    assert failed["cover_exact_sequence"]
+    assert missed == {"cover_exact_sequence": 0}
+
+
+def test_closed_forms_agree_under_patched_generators(monkeypatch, sweep_covers):
+    # Both routes read principal_generators through hasse, and the patched
+    # generators keep unit longitudes, so the accepts apply to them.  Adding
+    # n·mu_A to every off-axis base generator and w_K·mu_A~ to every off-axis
+    # lift of K keeps both identities, because the axis lift pushes mu_A~ to
+    # n·mu_A; adding mu_A to the base generators alone breaks both.
+    covers = [c for _, _, c in sweep_covers[::20]]
+    real = hasse.principal_generators
+    patched = {}
+    monkeypatch.setattr(hasse, "principal_generators", lambda u: patched[id(u)])
+
+    def shifted(u, by):
+        a = 2 * u.axis_index
+        return [g[:a] + (g[a] + by(k),) + g[a + 1 :] for k, g in enumerate(real(u))]
+
+    for c in covers:
+        base, total = c.spec.base, c.total
+        w = [c.splitting.records[k].w for k in c.fiber_map]
+        patched[id(base)] = shifted(base, lambda k: 0 if k == base.axis_index else c.spec.degree)
+        patched[id(total)] = shifted(total, lambda j: 0 if j == total.axis_index else w[j])
+    none = dict.fromkeys(CLOSED_FORM, 0)
+    assert _closed_form_outcomes(monkeypatch, covers) == ([], none, none)
+
+    for c in covers:
+        patched[id(c.spec.base)] = shifted(c.spec.base, lambda k: 1)
+        patched[id(c.total)] = real(c.total)
+    bad, failed, _ = _closed_form_outcomes(monkeypatch, covers)
+    assert bad == []
+    assert failed == dict.fromkeys(CLOSED_FORM, len(covers))
+
+    # Doubled longitudes in both universes are no units: the closed forms
+    # do not apply, and the lattice routes pass some covers and fail others.
+    for c in covers:
+        for u in (c.spec.base, c.total):
+            patched[id(u)] = [tuple(x << (i % 2) for i, x in enumerate(g)) for g in real(u)]
+    bad, failed, _ = _closed_form_outcomes(monkeypatch, covers)
+    assert bad == []
+    assert all(0 < n < len(covers) for n in failed.values()), failed
+
+
+def test_closed_forms_agree_with_lattice_routes_on_zero_pushforwards(monkeypatch, sweep_covers):
+    # f = 0: both sides of norm_principle are 0, while the exact sequence
+    # fails, since the preimage of R_M is everything.
+    covers = [
+        dataclasses.replace(c, pushforward=(((0, 0), (0, 0)),) * c.total.size)
+        for _, _, c in sweep_covers[::20]
+    ]
+    bad, failed, missed = _closed_form_outcomes(monkeypatch, covers)
+    assert bad == []
+    assert failed == {"norm_principle": 0, "cover_exact_sequence": len(covers)}
+    assert missed == dict.fromkeys(CLOSED_FORM, 0)
+
+
+@st.composite
+def _grafted_covers(draw, covers):
+    """A real cover with some pushforward pairs and possibly the deck replaced."""
+    c = draw(st.sampled_from(covers))
+    small = st.integers(-3, 3)
+    pair = st.tuples(st.tuples(small, small), st.tuples(small, small))
+    pushforward = tuple(
+        draw(st.one_of(st.just(real), pair)) for real in c.pushforward
+    )
+    deck = draw(st.one_of(st.just(c.deck), st.permutations(range(c.total.size))))
+    return dataclasses.replace(c, pushforward=pushforward, deck=tuple(deck))
+
+
+def test_accept_implies_lattice_pass_on_grafted_covers(sweep_covers):
+    covers = [c for _, _, c in sweep_covers[:400]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_grafted_covers(covers))
+    def accept_is_sound(c):
+        if hasse._norm_principle_accept(c):
+            assert hasse._norm_principle_lattice(c) == (True, None)
+        if hasse._cover_exact_sequence_accept(c):
+            assert hasse._cover_exact_sequence_lattice(c) == (True, None)
+
+    accept_is_sound()
+
+
+def test_closed_form_checks_make_no_kernel_calls(monkeypatch):
+    c = lift_braid(BraidWord(4, ()), 2)
+    assert (c.spec.base.size, c.total.size) == (5, 5)
+    calls = []
+
+    def counting(name):
+        real = getattr(kernel, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+
+    for name in ("col_hnf", "col_hnf_with_kernel", "smith"):
+        counting(name)
+    assert verify_norm_principle(c).passed
+    assert verify_cover_exact_sequence(c).passed
+    assert calls == []
 
 
 def test_projection_witness_on_middle_layer_only(monkeypatch):

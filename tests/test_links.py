@@ -202,6 +202,15 @@ class TestBraidPower:
         with pytest.raises(ValueError):
             braid_power(BraidWord(2, (1,)), 0)
 
+    def test_bool_exponent_rejected(self):
+        # True is an int subclass equal to 1; it must not pass as the first power.
+        with pytest.raises(ValueError, match="not a plain int"):
+            braid_power(BraidWord(2, (1,)), True)
+
+    def test_float_exponent_rejected(self):
+        with pytest.raises(ValueError, match="not a plain int"):
+            braid_power(BraidWord(2, (1,)), 2.0)
+
     def test_winding_of_powers(self):
         # cycle lengths of the n-th power split each cycle of length d
         # into gcd(d, n) cycles of length d/gcd(d, n)
