@@ -75,6 +75,9 @@ def parse_scenario(data: object, where: str = "scenario") -> Scenario:
     if schema != SCENARIO_SCHEMA:
         raise ScenarioError(f"{where}: unsupported schema {schema}")
     braid_obj = _expect(data, "braid", dict, where)
+    unknown = set(braid_obj) - {"strands", "word"}
+    if unknown:
+        raise ScenarioError(f"{where}.braid: unknown fields {sorted(unknown)}")
     strands = _expect(braid_obj, "strands", int, f"{where}.braid")
     if strands > MAX_STRANDS:
         raise ScenarioError(f"{where}.braid.strands: at most {MAX_STRANDS} strands")

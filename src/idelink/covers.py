@@ -33,9 +33,9 @@ from .ideles import IdeleVector, SurfaceClass, principal_generators
 from .links import (
     BraidWord,
     LinkUniverse,
-    braid_components,
     braid_permutation,
     braid_power,
+    permutation_cycles,
     relabeled_universe,
     universe_from_braid,
 )
@@ -138,12 +138,19 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     matrices, and the deck rotation all come along.
     """
     spec = CoverSpec(degree=degree, base=universe_from_braid(b))
-    bw = braid_power(b, degree)
-    total = universe_from_braid(bw, axis_label="A~", component_prefix="J")
+    total = universe_from_braid(
+        braid_power(b, degree), axis_label="A~", component_prefix="J"
+    )
 
+    # The permutation of the n-th power is sigma^n: each strand advances
+    # n steps along its base cycle.
     sigma = braid_permutation(b)
-    base_cycles = braid_components(b)
-    top_cycles = braid_components(bw)
+    base_cycles = permutation_cycles(sigma)
+    sigma_n = [0] * b.strands
+    for cycle in base_cycles:
+        for i, s in enumerate(cycle):
+            sigma_n[s] = cycle[(i + degree) % len(cycle)]
+    top_cycles = permutation_cycles(tuple(sigma_n))
     base_comp_of = [0] * b.strands
     for c, cycle in enumerate(base_cycles):
         for s in cycle:

@@ -14,7 +14,9 @@ JSON-serializable reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -282,6 +284,21 @@ def _project_coeffs(coeffs: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int,
     return tuple(x for k in sub for x in coeffs[2 * k : 2 * k + 2])
 
 
+@functools.lru_cache(maxsize=16)
+def _projection_table(size: int) -> tuple[tuple[tuple[int, ...], Callable], ...]:
+    """Every nonempty sublink, in ``_sublinks`` order, with a getter for its slots.
+
+    The getter reads slots 2k, 2k+1 for each k of the sublink, which is
+    ``_project_coeffs``; a nonempty sublink has two or more slots, so it
+    returns a tuple.  Index data only, shared by every universe of ``size``.
+    """
+    return tuple(
+        (sub, operator.itemgetter(*(i for k in sub for i in (2 * k, 2 * k + 1))))
+        for sub in _sublinks(size)
+        if sub
+    )
+
+
 def verify_projection_compatibility(c: CoverData) -> CheckRecord:
     """Boundary data restricts coherently along nested sublinks.
 
@@ -290,19 +307,18 @@ def verify_projection_compatibility(c: CoverData) -> CheckRecord:
     Projections compose, so it is enough to compare, for every L, the
     boundary on the full universe projected to L with the boundary on L:
     then proj_L(b_L') = proj_L(b_full) = proj_L(b_L).  The two sides of
-    every comparison are still built separately.  A failure reruns the
-    nested loop for its witness.
+    every comparison are still built separately, and projected through
+    a per-size slot-index table.  A failure reruns the nested loop for
+    its witness.
     """
 
     def run():
         for tag, u in (("base", c.spec.base), ("cover", c.total)):
             full = tuple(range(u.size))
             on_full = [_boundary_coeffs(u, k, full) for k in full]
-            for sub in _sublinks(u.size):
+            for sub, proj in _projection_table(u.size):
                 for k in sub:
-                    if _project_coeffs(on_full[k], sub) != _project_coeffs(
-                        _boundary_coeffs(u, k, sub), sub
-                    ):
+                    if proj(on_full[k]) != proj(_boundary_coeffs(u, k, sub)):
                         return False, _nested_projection_witness(tag, u)
         return True, None
 

@@ -87,6 +87,11 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
     even number of times, so the halving is exact.
     """
     cycles = braid_components(b)
+    return IntMatrix(_linking_rows(b, cycles), cols=len(cycles))
+
+
+def _linking_rows(b: BraidWord, cycles: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """``braid_linking_matrix`` as rows of ints, given the closure's cycles."""
     comp_of = [0] * b.strands
     for c, cycle in enumerate(cycles):
         for s in cycle:
@@ -103,7 +108,7 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
             counts[c1][c2] += sign
             counts[c2][c1] += sign
         at[i], at[i + 1] = at[i + 1], at[i]
-    return IntMatrix([[x // 2 for x in row] for row in counts], cols=n)
+    return [[x // 2 for x in row] for row in counts]
 
 
 def braid_power(b: BraidWord, n: int) -> BraidWord:
@@ -175,7 +180,7 @@ def universe_from_braid(
     components link each other via the braid's crossing signs.
     """
     cycles = braid_components(b)
-    closure_lk = braid_linking_matrix(b)
+    closure_lk = _linking_rows(b, cycles)
     m = len(cycles) + 1
     rows = [[0] * m for _ in range(m)]
     windings = [0] * m
@@ -184,8 +189,7 @@ def universe_from_braid(
         windings[c + 1] = w
         rows[0][c + 1] = w
         rows[c + 1][0] = w
-        for c2 in range(len(cycles)):
-            rows[c + 1][c2 + 1] = closure_lk.entries[c][c2]
+        rows[c + 1][1:] = closure_lk[c]
     labels = (axis_label,) + tuple(
         f"{component_prefix}{c + 1}" for c in range(len(cycles))
     )

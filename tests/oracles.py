@@ -29,7 +29,7 @@ from math import gcd, lcm
 from idelink import hasse
 from idelink.covers import pushforward_idele, pushforward_surface
 from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
-from idelink.links import BraidWord
+from idelink.links import BraidWord, braid_components, braid_permutation, braid_power
 
 
 def rational_solve(cols, v):
@@ -444,6 +444,22 @@ def meridian_pushforward_typed(c):
                 "coordinates": hasse._coordinate_labels(c.spec.base),
             }
     return True, None
+
+
+def lift_maps_by_walking_both_words(b, n):
+    """``lift_braid``'s (fiber_map, deck), reading the cycles of b and of b^n off each word.
+
+    Axis first in both universes; closure components follow in
+    ``braid_components`` order.  A lift over the strand s moves to the
+    lift over sigma(s).
+    """
+    sigma = braid_permutation(b)
+    base_of = {s: c + 1 for c, cycle in enumerate(braid_components(b)) for s in cycle}
+    top = braid_components(braid_power(b, n))
+    top_of = {s: c + 1 for c, cycle in enumerate(top) for s in cycle}
+    fiber_map = (0,) + tuple(base_of[cycle[0]] for cycle in top)
+    deck = (0,) + tuple(top_of[sigma[cycle[0]]] for cycle in top)
+    return fiber_map, deck
 
 
 def wide4_words():

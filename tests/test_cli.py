@@ -225,6 +225,15 @@ class TestVerify:
         assert main(["verify", "--input", str(path)]) == 2
         assert main(["verify", "--input", write_scenario(tmp_path, options={})]) == 2
 
+    def test_unknown_braid_field_rejected(self, tmp_path, capsys):
+        braid = {"strands": 2, "word": [1], "wrod": [1, 1, 1]}
+        path = write_scenario(tmp_path, braid=braid)
+        assert main(["verify", "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("idelink: ")
+        assert f"{path}.braid: unknown fields ['wrod']" in err
+
     def test_bad_schema_version(self, tmp_path):
         path = tmp_path / "v9.json"
         path.write_text(

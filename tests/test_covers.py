@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from idelink import covers, links
 from idelink.covers import (
     CoverSpec,
     branched_cover_order,
@@ -21,10 +22,15 @@ from idelink.covers import (
     relabeled_cover,
 )
 from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
-from idelink.links import BraidWord, braid_power, universe_from_braid
+from idelink.links import (
+    BraidWord,
+    braid_linking_matrix,
+    braid_power,
+    universe_from_braid,
+)
 from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 
-from oracles import poly_eval, resultant_oracle
+from oracles import lift_maps_by_walking_both_words, poly_eval, resultant_oracle
 
 
 def suite_covers(max_strands=3, max_len=3, degrees=(2, 3)):
@@ -175,6 +181,44 @@ class TestLiftInvariants:
         assert lift_invariant_failures(b, frozen) == [("deck cycle", 1)]
         # The mirror word crosses its lifts negatively.
         assert lift_invariant_failures(BraidWord(2, (-1,)), c) == [("linking", c.total.labels)]
+
+
+class TestLiftDerivation:
+    """The lift reads both universes' cycles off one permutation of the base word."""
+
+    def test_maps_agree_with_walking_both_words(self, sweep_covers, wide4_covers):
+        lifted = sweep_covers + wide4_covers
+        assert len(lifted) == 5716 + 240
+        bad = [
+            (b, n)
+            for b, n, c in lifted
+            if (c.fiber_map, c.deck) != lift_maps_by_walking_both_words(b, n)
+        ]
+        assert bad == []
+
+    def test_universe_closure_block_is_linking_matrix(self, sweep_covers, wide4_covers):
+        bad = []
+        for b, n, c in sweep_covers + wide4_covers:
+            for u, word in ((c.spec.base, b), (c.total, braid_power(b, n))):
+                block = tuple(row[1:] for row in u.linking.entries[1:])
+                if block != braid_linking_matrix(word).entries:
+                    bad.append((b, n, u.labels))
+        assert bad == []
+
+    def test_one_lift_walks_the_permutation_at_most_three_times(self, monkeypatch):
+        # One walk per universe, plus sigma of the base word for the deck.
+        calls = []
+        real = links.braid_permutation
+
+        def counted(b):
+            calls.append(b)
+            return real(b)
+
+        monkeypatch.setattr(links, "braid_permutation", counted)
+        monkeypatch.setattr(covers, "braid_permutation", counted)
+        c = lift_braid(BraidWord(4, (1, 2, -3, 1)), 6)
+        assert c.total.size > c.spec.base.size
+        assert 0 < len(calls) <= 3
 
 
 class TestPushforward:

@@ -542,6 +542,33 @@ def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("size", range(7))
+def test_projection_table_matches_project_coeffs(size):
+    table = hasse._projection_table(size)
+    assert [sub for sub, _ in table] == [sub for sub in hasse._sublinks(size) if sub]
+    rng = random.Random(size)
+    for _ in range(20):
+        v = tuple(rng.randint(-9, 9) for _ in range(2 * size))
+        assert [proj(v) for _, proj in table] == [
+            hasse._project_coeffs(v, sub) for sub, _ in table
+        ]
+
+
+def test_projection_pass_makes_no_project_coeffs_call(monkeypatch):
+    c = lift_braid(BraidWord(4, ()), 2)
+    assert (c.spec.base.size, c.total.size) == (5, 5)
+    calls = []
+    real = hasse._project_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hasse, "_project_coeffs", counted)
+    assert verify_projection_compatibility(c).passed
+    assert calls == []
+
+
 def test_monotone_truncation_extra_split_strand():
     # adding an unused strand (split unknot around the axis) never flips
     # a passing verdict
