@@ -23,7 +23,7 @@ from .hasse import (
     scenario_report_json,
 )
 from .ideles import SurfaceClass, _label_prefixes, diagonal_map
-from .links import BraidWord, universe_from_braid
+from .links import BraidWord, permutation_cycles, universe_from_braid
 
 SCENARIO_SCHEMA = 1
 
@@ -82,6 +82,8 @@ def parse_scenario(data: object, where: str = "scenario") -> Scenario:
     if strands > MAX_STRANDS:
         raise ScenarioError(f"{where}.braid.strands: at most {MAX_STRANDS} strands")
     word = _expect(braid_obj, "word", list, f"{where}.braid")
+    if len(word) > MAX_LENGTH:
+        raise ScenarioError(f"{where}.braid.word: at most {MAX_LENGTH} letters")
     for i, g in enumerate(word):
         if not isinstance(g, int) or isinstance(g, bool):
             raise ScenarioError(f"{where}.braid.word[{i}]: letters must be integers")
@@ -89,8 +91,6 @@ def parse_scenario(data: object, where: str = "scenario") -> Scenario:
         braid = BraidWord(strands, tuple(word))
     except ValueError as exc:
         raise ScenarioError(f"{where}.braid: {exc}") from exc
-    if len(word) > MAX_LENGTH:
-        raise ScenarioError(f"{where}.braid.word: at most {MAX_LENGTH} letters")
     degree = _expect(data, "cover_degree", int, where)
     if not 1 <= degree <= MAX_DEGREE:
         raise ScenarioError(f"{where}.cover_degree: must be in 1..{MAX_DEGREE}")
@@ -167,20 +167,8 @@ def _format_lift(cover: CoverData, ascii_flag: bool) -> str:
         w = m[1][1]
         lam_terms.append(f"{w}{lam}{kn}" if w != 1 else f"{lam}{kn}")
         lines.append(f"  {mu}{jn} -> {mu_img};  {lam}{jn} -> {' + '.join(lam_terms)}")
-    cycles = []
-    seen = set()
-    for j in range(total.size):
-        if j in seen:
-            continue
-        cyc = [j]
-        seen.add(j)
-        t = cover.deck[j]
-        while t not in seen:
-            cyc.append(t)
-            seen.add(t)
-            t = cover.deck[t]
-        cycles.append("(" + " ".join(total.labels[x] for x in cyc) + ")")
-    lines.append("deck rotation: " + " ".join(cycles))
+    cycles = (" ".join(total.labels[x] for x in cyc) for cyc in permutation_cycles(cover.deck))
+    lines.append("deck rotation: " + " ".join(f"({cyc})" for cyc in cycles))
     return "\n".join(lines)
 
 

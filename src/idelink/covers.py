@@ -33,11 +33,9 @@ from .ideles import IdeleVector, SurfaceClass, principal_generators
 from .links import (
     BraidWord,
     LinkUniverse,
-    braid_permutation,
+    _universe_and_cycles,
     braid_power,
-    permutation_cycles,
     relabeled_universe,
-    universe_from_braid,
 )
 from .zlattice import IntMatrix, SubLattice, _span
 
@@ -137,38 +135,18 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     together with the lifted axis; fibers, splitting data, pushforward
     matrices, and the deck rotation all come along.
     """
-    spec = CoverSpec(degree=degree, base=universe_from_braid(b))
-    total = universe_from_braid(
-        braid_power(b, degree), axis_label="A~", component_prefix="J"
-    )
+    base, base_cycles = _universe_and_cycles(b)
+    spec = CoverSpec(degree=degree, base=base)
+    total, top_cycles = _universe_and_cycles(braid_power(b, degree), "A~", "J")
 
-    # The permutation of the n-th power is sigma^n: each strand advances
-    # n steps along its base cycle.
-    sigma = braid_permutation(b)
-    base_cycles = permutation_cycles(sigma)
-    sigma_n = [0] * b.strands
-    for cycle in base_cycles:
-        for i, s in enumerate(cycle):
-            sigma_n[s] = cycle[(i + degree) % len(cycle)]
-    top_cycles = permutation_cycles(tuple(sigma_n))
-    base_comp_of = [0] * b.strands
-    for c, cycle in enumerate(base_cycles):
-        for s in cycle:
-            base_comp_of[s] = c
-    top_comp_of = [0] * b.strands
-    for c, cycle in enumerate(top_cycles):
-        for s in cycle:
-            top_comp_of[s] = c
-
-    # Component 0 is the axis in both universes; closure components are
-    # offset by one.
-    fiber_map = [0] * total.size
-    for c, cycle in enumerate(top_cycles):
-        fiber_map[c + 1] = base_comp_of[cycle[0]] + 1
-
-    deck = [0] * total.size
-    for c, cycle in enumerate(top_cycles):
-        deck[c + 1] = top_comp_of[sigma[cycle[0]]] + 1
+    # sigma is read off the base cycles: each strand moves to the next
+    # one along its cycle.  Component 0 is the axis in both universes;
+    # closure component c + 1 is cycle c.
+    sigma = {cycle[i - 1]: s for cycle in base_cycles for i, s in enumerate(cycle)}
+    base_comp = {s: k for k, cycle in enumerate(base_cycles, 1) for s in cycle}
+    top_comp = {s: j for j, cycle in enumerate(top_cycles, 1) for s in cycle}
+    fiber_map = (0,) + tuple(base_comp[cycle[0]] for cycle in top_cycles)
+    deck = (0,) + tuple(top_comp[sigma[cycle[0]]] for cycle in top_cycles)
 
     splitting = component_splitting(spec)
 
@@ -186,10 +164,10 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     return CoverData(
         spec=spec,
         total=total,
-        fiber_map=tuple(fiber_map),
+        fiber_map=fiber_map,
         splitting=splitting,
         pushforward=tuple(pushforward),
-        deck=tuple(deck),
+        deck=deck,
     )
 
 

@@ -1,7 +1,8 @@
 """Verifiers: decide each norm-principle identity as an exact lattice fact.
 
-Every check runs on a single branched-cover scenario and returns a
-record with a verdict, a witness on failure, and a timing.  Failures are
+Every check runs on a single branched-cover scenario and returns
+``(passed, witness)``: a verdict and, on failure, its witness;
+``run_scenario`` times each check and records it by name.  Failures are
 verdicts rather than errors: the tool exists to probe where truncated
 identities hold, so a principled failure is data and always carries an
 explicit witness (for lattice equalities, a vector lying in exactly one
@@ -118,13 +119,6 @@ def equality_witness(a: SubLattice, b: SubLattice) -> tuple[int, ...] | None:
     return None
 
 
-def _timed(fn: Callable[[], tuple[bool, dict | None]], name: str) -> CheckRecord:
-    start = time.perf_counter()
-    passed, witness = fn()
-    millis = round((time.perf_counter() - start) * 1000.0, 3)
-    return CheckRecord(name=name, passed=passed, millis=millis, witness=witness)
-
-
 def _principal_span(u: LinkUniverse) -> SubLattice:
     """The principal lattice of ``u``, from this module's ``principal_generators``."""
     return _span(2 * u.size, principal_generators(u))
@@ -183,67 +177,53 @@ def _norm_principle_lattice(c: CoverData) -> tuple[bool, dict | None]:
     }
 
 
-def verify_norm_principle(c: CoverData) -> CheckRecord:
+def verify_norm_principle(c: CoverData) -> tuple[bool, dict | None]:
     """Principal-intersect-image equals pushed-forward principal, exactly.
 
     A closed form accepts the covers it can prove; everything else, and
     every failure, goes through the lattice route.
     """
-
-    def run():
-        if _norm_principle_accept(c):
-            return True, None
-        return _norm_principle_lattice(c)
-
-    return _timed(run, "norm_principle")
+    return (True, None) if _norm_principle_accept(c) else _norm_principle_lattice(c)
 
 
-def verify_diagonal_commutes(c: CoverData) -> CheckRecord:
+def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
     """Pushing a lifted surface's boundary equals the image surface's boundary.
 
     Checked exactly on every upstairs generator: the surface of J maps
     to w_K copies of the surface of K = fiber_map[J].  Both sides are
     linear in the surface class, so every other class follows.
     """
-
-    def run():
-        down = principal_generators(c.spec.base)
-        for j, gen in enumerate(principal_generators(c.total)):
-            k = c.fiber_map[j]
-            w = c.splitting.records[k].w
-            lhs = _pushforward_coeffs(c, gen)
-            rhs = tuple(w * x for x in down[k])
-            if lhs != rhs:
-                return False, {
-                    "surface_support": [j],
-                    "surface_coeffs": [1],
-                    "pushed_boundary": list(lhs),
-                    "boundary_of_image": list(rhs),
-                    "coordinates": _coordinate_labels(c.spec.base),
-                }
-        return True, None
-
-    return _timed(run, "diagonal_commutes")
+    down = principal_generators(c.spec.base)
+    for j, gen in enumerate(principal_generators(c.total)):
+        k = c.fiber_map[j]
+        w = c.splitting.records[k].w
+        lhs = _pushforward_coeffs(c, gen)
+        rhs = tuple(w * x for x in down[k])
+        if lhs != rhs:
+            return False, {
+                "surface_support": [j],
+                "surface_coeffs": [1],
+                "pushed_boundary": list(lhs),
+                "boundary_of_image": list(rhs),
+                "coordinates": _coordinate_labels(c.spec.base),
+            }
+    return True, None
 
 
-def verify_meridian_pushforward(c: CoverData) -> CheckRecord:
+def verify_meridian_pushforward(c: CoverData) -> tuple[bool, dict | None]:
     """Pushed-forward meridians carry no longitude coordinates."""
-
-    def run():
-        size = c.total.size
-        for j in range(size):
-            unit = [0] * (2 * size)
-            unit[2 * j] = 1
-            image = _pushforward_coeffs(c, unit)
-            if any(image[1::2]):
-                return False, {
-                    "upstairs_component": c.total.labels[j],
-                    "image": list(image),
-                    "coordinates": _coordinate_labels(c.spec.base),
-                }
-        return True, None
-
-    return _timed(run, "meridian_pushforward")
+    size = c.total.size
+    for j in range(size):
+        unit = [0] * (2 * size)
+        unit[2 * j] = 1
+        image = _pushforward_coeffs(c, unit)
+        if any(image[1::2]):
+            return False, {
+                "upstairs_component": c.total.labels[j],
+                "image": list(image),
+                "coordinates": _coordinate_labels(c.spec.base),
+            }
+    return True, None
 
 
 def _sublinks(size: int) -> Iterator[tuple[int, ...]]:
@@ -251,7 +231,7 @@ def _sublinks(size: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(size), r)
 
 
-def verify_class_quotient_free(c: CoverData) -> CheckRecord:
+def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     """Idele group mod (principal + off-sublink meridians) is free on the sublink.
 
     Decided for every sublink of the base and of the upstairs universe
@@ -262,21 +242,17 @@ def verify_class_quotient_free(c: CoverData) -> CheckRecord:
     every sublink S passes.  The empty sublink is also the first one the
     full loop visits, so a failure carries the same witness.
     """
-
-    def run():
-        for tag, u in (("base", c.spec.base), ("cover", c.total)):
-            inv = _class_quotient(principal_generators(u), ())
-            if inv.free_rank or inv.torsion:
-                return False, {
-                    "universe": tag,
-                    "sublink": [],
-                    "free_rank": inv.free_rank,
-                    "torsion": list(inv.torsion),
-                    "expected_free_rank": 0,
-                }
-        return True, None
-
-    return _timed(run, "class_quotient_free")
+    for tag, u in (("base", c.spec.base), ("cover", c.total)):
+        inv = _class_quotient(principal_generators(u), ())
+        if inv.free_rank or inv.torsion:
+            return False, {
+                "universe": tag,
+                "sublink": [],
+                "free_rank": inv.free_rank,
+                "torsion": list(inv.torsion),
+                "expected_free_rank": 0,
+            }
+    return True, None
 
 
 def _project_coeffs(coeffs: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int, ...]:
@@ -299,7 +275,7 @@ def _projection_table(size: int) -> tuple[tuple[tuple[int, ...], Callable], ...]
     )
 
 
-def verify_projection_compatibility(c: CoverData) -> CheckRecord:
+def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     """Boundary data restricts coherently along nested sublinks.
 
     For every pair L inside L' and every generator on L, the boundary
@@ -311,18 +287,14 @@ def verify_projection_compatibility(c: CoverData) -> CheckRecord:
     a per-size slot-index table.  A failure reruns the nested loop for
     its witness.
     """
-
-    def run():
-        for tag, u in (("base", c.spec.base), ("cover", c.total)):
-            full = tuple(range(u.size))
-            on_full = [_boundary_coeffs(u, k, full) for k in full]
-            for sub, proj in _projection_table(u.size):
-                for k in sub:
-                    if proj(on_full[k]) != proj(_boundary_coeffs(u, k, sub)):
-                        return False, _nested_projection_witness(tag, u)
-        return True, None
-
-    return _timed(run, "projection_compatibility")
+    for tag, u in (("base", c.spec.base), ("cover", c.total)):
+        full = tuple(range(u.size))
+        on_full = [_boundary_coeffs(u, k, full) for k in full]
+        for sub, proj in _projection_table(u.size):
+            for k in sub:
+                if proj(on_full[k]) != proj(_boundary_coeffs(u, k, sub)):
+                    return False, _nested_projection_witness(tag, u)
+    return True, None
 
 
 def _nested_projection_witness(tag: str, u: LinkUniverse) -> dict:
@@ -440,7 +412,7 @@ def _cover_exact_sequence_lattice(c: CoverData) -> tuple[bool, dict | None]:
     return True, None
 
 
-def verify_cover_exact_sequence(c: CoverData) -> CheckRecord:
+def verify_cover_exact_sequence(c: CoverData) -> tuple[bool, dict | None]:
     """The quotient sequence of the cover is exact, as lattice identities.
 
     With R_N = principal + meridians away from the lifted branch axis
@@ -451,16 +423,10 @@ def verify_cover_exact_sequence(c: CoverData) -> CheckRecord:
     accepts the covers it can prove; everything else, and every failure,
     goes through the lattice route.
     """
-
-    def run():
-        if _cover_exact_sequence_accept(c):
-            return True, None
-        return _cover_exact_sequence_lattice(c)
-
-    return _timed(run, "cover_exact_sequence")
+    return (True, None) if _cover_exact_sequence_accept(c) else _cover_exact_sequence_lattice(c)
 
 
-CHECKS: dict[str, Callable[[CoverData], CheckRecord]] = {
+CHECKS: dict[str, Callable[[CoverData], tuple[bool, dict | None]]] = {
     "norm_principle": verify_norm_principle,
     "diagonal_commutes": verify_diagonal_commutes,
     "meridian_pushforward": verify_meridian_pushforward,
@@ -492,12 +458,17 @@ def resolve_checks(names: Sequence[str] | None) -> list[str]:
 def run_scenario(
     b: BraidWord, degree: int, checks: Sequence[str] | None = None
 ) -> VerificationReport:
-    """Lift one braid scenario and run the requested checks."""
+    """Lift one braid scenario and run the requested checks, each timed."""
     names = resolve_checks(checks)
     cover = lift_braid(b, degree)
-    records = tuple(CHECKS[name](cover) for name in names)
+    records = []
+    for name in names:
+        start = time.perf_counter()
+        passed, witness = CHECKS[name](cover)
+        millis = round((time.perf_counter() - start) * 1000.0, 3)
+        records.append(CheckRecord(name, passed, millis, witness))
     return VerificationReport(
-        strands=b.strands, word=b.letters, degree=degree, checks=records
+        strands=b.strands, word=b.letters, degree=degree, checks=tuple(records)
     )
 
 

@@ -179,6 +179,16 @@ def universe_from_braid(
     links each with its winding number (cycle length), and the closure
     components link each other via the braid's crossing signs.
     """
+    return _universe_and_cycles(b, axis_label, component_prefix)[0]
+
+
+def _universe_and_cycles(
+    b: BraidWord, axis_label: str = "A", component_prefix: str = "K"
+) -> tuple[LinkUniverse, tuple[tuple[int, ...], ...]]:
+    """``universe_from_braid`` with the closure's strand cycles it was built from.
+
+    Closure component c + 1 of the universe is cycle c.
+    """
     cycles = braid_components(b)
     closure_lk = _linking_rows(b, cycles)
     m = len(cycles) + 1
@@ -193,12 +203,13 @@ def universe_from_braid(
     labels = (axis_label,) + tuple(
         f"{component_prefix}{c + 1}" for c in range(len(cycles))
     )
-    return LinkUniverse(
+    universe = LinkUniverse(
         labels=labels,
         linking=IntMatrix(rows, cols=m),
         axis_index=0,
         windings=tuple(windings),
     )
+    return universe, cycles
 
 
 def relabeled_universe(u: LinkUniverse, order: tuple[int, ...]) -> LinkUniverse:

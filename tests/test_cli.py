@@ -6,7 +6,6 @@ import pytest
 
 from idelink import hasse
 from idelink.cli import main
-from idelink.hasse import CheckRecord
 
 
 @pytest.fixture()
@@ -34,6 +33,7 @@ def assert_usage_error(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("idelink: ") and "Traceback" not in err
+    return err
 
 
 @pytest.fixture()
@@ -172,7 +172,7 @@ class TestVerify:
         monkeypatch.setitem(
             hasse.CHECKS,
             "always_red",
-            lambda cover: CheckRecord("always_red", False, 0.0, {"why": "test"}),
+            lambda cover: (False, {"why": "test"}),
         )
         assert main(["verify", "--input", scenario_file, "--checks", "always_red"]) == 1
 
@@ -348,6 +348,10 @@ class TestLimits:
     def test_length_limit_on_every_command(self, command, tmp_path, capsys):
         path = write_scenario(tmp_path, braid={"strands": 2, "word": [1] * 9})
         assert_usage_error(command + ["--input", path], capsys)
+        # The length is checked before any letter is.
+        path = write_scenario(tmp_path, braid={"strands": 2, "word": [1] * 52 + [7]})
+        err = assert_usage_error(command + ["--input", path], capsys)
+        assert "at most 8 letters" in err
         path = write_scenario(tmp_path, braid={"strands": 3, "word": [1, 2] * 4})
         assert main(command + ["--input", path, "--out", str(tmp_path / "ok.txt")]) == 0
 

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from idelink import covers, links
+from idelink import links
 from idelink.covers import (
     CoverSpec,
     branched_cover_order,
@@ -184,7 +184,7 @@ class TestLiftInvariants:
 
 
 class TestLiftDerivation:
-    """The lift reads both universes' cycles off one permutation of the base word."""
+    """The lift reads sigma, the fiber map and the deck off both universes' cycles."""
 
     def test_maps_agree_with_walking_both_words(self, sweep_covers, wide4_covers):
         lifted = sweep_covers + wide4_covers
@@ -205,8 +205,8 @@ class TestLiftDerivation:
                     bad.append((b, n, u.labels))
         assert bad == []
 
-    def test_one_lift_walks_the_permutation_at_most_three_times(self, monkeypatch):
-        # One walk per universe, plus sigma of the base word for the deck.
+    def test_one_lift_walks_the_permutation_at_most_twice(self, monkeypatch):
+        # One walk per universe; sigma comes from the base universe's cycles.
         calls = []
         real = links.braid_permutation
 
@@ -215,10 +215,9 @@ class TestLiftDerivation:
             return real(b)
 
         monkeypatch.setattr(links, "braid_permutation", counted)
-        monkeypatch.setattr(covers, "braid_permutation", counted)
         c = lift_braid(BraidWord(4, (1, 2, -3, 1)), 6)
         assert c.total.size > c.spec.base.size
-        assert 0 < len(calls) <= 3
+        assert 0 < len(calls) <= 2
 
 
 class TestPushforward:

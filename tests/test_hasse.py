@@ -87,34 +87,34 @@ def test_norm_principle_witness_on_tampered_cover():
     c = lift_braid(BraidWord(2, (1,)), 2)
     bad = c.pushforward[:1] + (((1, 5), (0, 1)),) + c.pushforward[2:]
     tampered = dataclasses.replace(c, pushforward=bad)
-    rec = verify_norm_principle(tampered)
-    assert not rec.passed
-    assert rec.witness is not None
-    vec = tuple(rec.witness["vector"])
+    passed, witness = verify_norm_principle(tampered)
+    assert not passed
+    assert witness is not None
+    vec = tuple(witness["vector"])
     left = lattice_intersect(
         principal_lattice(tampered.spec.base), pushforward_image(tampered)
     )
     right = principal_pushforward(tampered)
     assert lattice_member(vec, left) != lattice_member(vec, right)
-    assert rec.witness["in_intersection"] != rec.witness["in_pushforward"]
+    assert witness["in_intersection"] != witness["in_pushforward"]
 
 
 def test_meridian_witness_on_tampered_cover():
     c = lift_braid(BraidWord(2, (1,)), 2)
     bad = (((2, 0), (1, 1)),) + c.pushforward[1:]
     tampered = dataclasses.replace(c, pushforward=bad)
-    rec = verify_meridian_pushforward(tampered)
-    assert not rec.passed
-    assert rec.witness["upstairs_component"] == "A~"
+    passed, witness = verify_meridian_pushforward(tampered)
+    assert not passed
+    assert witness["upstairs_component"] == "A~"
 
 
 def test_diagonal_commutes_witness_on_tampered_cover():
     c = lift_braid(BraidWord(2, (1,)), 2)
     bad = c.pushforward[:1] + (((1, 3), (0, 1)),) + c.pushforward[2:]
     tampered = dataclasses.replace(c, pushforward=bad)
-    rec = verify_diagonal_commutes(tampered)
-    assert not rec.passed
-    assert rec.witness["pushed_boundary"] != rec.witness["boundary_of_image"]
+    passed, witness = verify_diagonal_commutes(tampered)
+    assert not passed
+    assert witness["pushed_boundary"] != witness["boundary_of_image"]
 
 
 def test_class_quotient_witness_through_smith(monkeypatch):
@@ -138,9 +138,9 @@ def test_class_quotient_witness_through_smith(monkeypatch):
     monkeypatch.setattr(hasse, "principal_generators", doubled)
     monkeypatch.setattr(kernel, "smith", counted)
     c = lift_braid(BraidWord(2, (1,)), 2)
-    rec = verify_class_quotient_free(c)
-    assert not rec.passed
-    assert rec.witness == {
+    passed, witness = verify_class_quotient_free(c)
+    assert not passed
+    assert witness == {
         "universe": "base",
         "sublink": [],
         "free_rank": 0,
@@ -148,7 +148,7 @@ def test_class_quotient_witness_through_smith(monkeypatch):
         "expected_free_rank": 0,
     }
     assert smith_calls
-    assert (rec.passed, rec.witness) == class_quotient_all_sublinks(c)
+    assert (passed, witness) == class_quotient_all_sublinks(c)
 
 
 def test_projection_witness_on_dropped_linking_term(monkeypatch):
@@ -166,23 +166,21 @@ def test_projection_witness_on_dropped_linking_term(monkeypatch):
 
     monkeypatch.setattr(hasse, "_boundary_coeffs", dropped)
     c = lift_braid(BraidWord(2, ()), 2)
-    rec = verify_projection_compatibility(c)
-    assert not rec.passed
-    assert set(rec.witness) == {
+    passed, witness = verify_projection_compatibility(c)
+    assert not passed
+    assert set(witness) == {
         "universe", "sublink", "larger", "generator", "projected", "direct",
     }
-    assert rec.witness["projected"] != rec.witness["direct"]
-    assert rec.witness["universe"] == "base"
-    assert rec.witness["larger"] == ["A", "K1", "K2"]
-    assert (rec.passed, rec.witness) == projection_all_nested_pairs(c)
+    assert witness["projected"] != witness["direct"]
+    assert witness["universe"] == "base"
+    assert witness["larger"] == ["A", "K1", "K2"]
+    assert (passed, witness) == projection_all_nested_pairs(c)
 
 
 def _agrees_with_full_loops(c):
-    cq = verify_class_quotient_free(c)
-    pc = verify_projection_compatibility(c)
     return (
-        (cq.passed, cq.witness) == class_quotient_all_sublinks(c)
-        and (pc.passed, pc.witness) == projection_all_nested_pairs(c)
+        verify_class_quotient_free(c) == class_quotient_all_sublinks(c)
+        and verify_projection_compatibility(c) == projection_all_nested_pairs(c)
     )
 
 
@@ -200,10 +198,8 @@ def test_reduced_checks_agree_with_full_loops_on_wide4_words(wide4_covers):
 
 def _outcomes(c):
     """(passed, witness) of the tuple checks and of their typed oracles."""
-    dc = verify_diagonal_commutes(c)
-    mp = verify_meridian_pushforward(c)
     return (
-        ((dc.passed, dc.witness), (mp.passed, mp.witness)),
+        (verify_diagonal_commutes(c), verify_meridian_pushforward(c)),
         (diagonal_commutes_typed(c), meridian_pushforward_typed(c)),
     )
 
@@ -253,15 +249,15 @@ def test_product_path_builds_no_typed_wrappers(monkeypatch):
     # their linking matrices are IntMatrix by design.
     b = BraidWord(4, ())
     universes = {}
-    real_universe = covers.universe_from_braid
+    real_universe = covers._universe_and_cycles
 
-    def cached(word, **labels):
-        key = (word, tuple(sorted(labels.items())))
+    def cached(word, *labels):
+        key = (word, labels)
         if key not in universes:
-            universes[key] = real_universe(word, **labels)
+            universes[key] = real_universe(word, *labels)
         return universes[key]
 
-    monkeypatch.setattr(covers, "universe_from_braid", cached)
+    monkeypatch.setattr(covers, "_universe_and_cycles", cached)
     lift_braid(b, 2)
     counts = {"IntMatrix": 0, "IdeleVector": 0}
 
@@ -280,7 +276,7 @@ def test_product_path_builds_no_typed_wrappers(monkeypatch):
     assert (c.spec.base.size, c.total.size) == (5, 5)
     assert counts["IntMatrix"] == 0
     for fn in CHECKS.values():
-        assert fn(c).passed
+        assert fn(c)[0]
     assert counts["IdeleVector"] == 0
 
 
@@ -320,10 +316,10 @@ def _closed_form_outcomes(monkeypatch, covers, names=tuple(CLOSED_FORM)):
             ran.pop(name, None)
             rec = CLOSED_FORM[name][0](c)
             expected = ran[name] if name in ran else routes[name](c)
-            if (rec.passed, rec.witness) != expected:
+            if rec != expected:
                 bad.append((i, name))
-            failed[name] += not rec.passed
-            missed[name] += rec.passed and name in ran
+            failed[name] += not rec[0]
+            missed[name] += rec[0] and name in ran
     return bad, failed, missed
 
 
@@ -487,8 +483,8 @@ def test_closed_form_checks_make_no_kernel_calls(monkeypatch):
 
     for name in ("col_hnf", "col_hnf_with_kernel", "smith"):
         counting(name)
-    assert verify_norm_principle(c).passed
-    assert verify_cover_exact_sequence(c).passed
+    assert verify_norm_principle(c)[0]
+    assert verify_cover_exact_sequence(c)[0]
     assert calls == []
 
 
@@ -507,10 +503,10 @@ def test_projection_witness_on_middle_layer_only(monkeypatch):
     c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
     assert (c.spec.base.size, c.total.size) == (2, 5)
     monkeypatch.setattr(hasse, "_boundary_coeffs", shifted)
-    rec = verify_projection_compatibility(c)
-    assert not rec.passed
-    assert rec.witness["universe"] == "cover"
-    assert (rec.passed, rec.witness) == projection_all_nested_pairs(c)
+    passed, witness = verify_projection_compatibility(c)
+    assert not passed
+    assert witness["universe"] == "cover"
+    assert (passed, witness) == projection_all_nested_pairs(c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -538,7 +534,7 @@ def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernel, "col_hnf", counted)
-    assert verify_class_quotient_free(c).passed
+    assert verify_class_quotient_free(c)[0]
     assert len(calls) == 2
 
 
@@ -565,7 +561,7 @@ def test_projection_pass_makes_no_project_coeffs_call(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(hasse, "_project_coeffs", counted)
-    assert verify_projection_compatibility(c).passed
+    assert verify_projection_compatibility(c)[0]
     assert calls == []
 
 
@@ -587,7 +583,15 @@ def test_checks_run_on_relabeled_cover():
         tuple(reversed(range(c.total.size))),
     )
     for name, fn in CHECKS.items():
-        assert fn(c).passed == fn(r).passed, name
+        assert fn(c)[0] == fn(r)[0], name
+
+
+def test_run_scenario_names_and_times_each_record_by_its_registry_key(monkeypatch):
+    monkeypatch.setitem(CHECKS, "renamed", hasse.verify_norm_principle)
+    (rec,) = run_scenario(BraidWord(2, (1,)), 2, ["renamed"]).checks
+    assert rec.name == "renamed"
+    assert type(rec.millis) is float and rec.millis >= 0
+    assert (rec.passed, rec.witness) == (True, None)
 
 
 def test_resolve_checks():
