@@ -30,13 +30,7 @@ from math import gcd
 from typing import Sequence
 
 from .ideles import IdeleVector, SurfaceClass, principal_generators
-from .links import (
-    BraidWord,
-    LinkUniverse,
-    _universe_and_cycles,
-    braid_power,
-    relabeled_universe,
-)
+from .links import BraidWord, LinkUniverse, _universe_and_cycles, relabeled_universe
 from .zlattice import IntMatrix, SubLattice, _span
 
 
@@ -133,11 +127,12 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
 
     The upstairs universe is the closure of the n-th power of the word
     together with the lifted axis; fibers, splitting data, pushforward
-    matrices, and the deck rotation all come along.
+    matrices, and the deck rotation all come along.  ``CoverSpec``
+    checks the degree before the word is repeated.
     """
     base, base_cycles = _universe_and_cycles(b)
     spec = CoverSpec(degree=degree, base=base)
-    total, top_cycles = _universe_and_cycles(braid_power(b, degree), "A~", "J")
+    total, top_cycles = _universe_and_cycles(b, degree, "A~", "J")
 
     # sigma is read off the base cycles: each strand moves to the next
     # one along its cycle.  Component 0 is the axis in both universes;
@@ -150,15 +145,11 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
 
     splitting = component_splitting(spec)
 
+    # The diagonal is zero, so lift j's own entry adds nothing to c.
     pushforward = []
-    for j in range(total.size):
-        k = fiber_map[j]
+    for row, k in zip(total.linking.entries, fiber_map):
         rec = splitting.records[k]
-        c = rec.e * sum(
-            total.lk(j, j2)
-            for j2 in range(total.size)
-            if j2 != j and fiber_map[j2] == k
-        )
+        c = rec.e * sum(x for x, k2 in zip(row, fiber_map) if k2 == k)
         pushforward.append(((rec.e, c), (0, rec.w)))
 
     return CoverData(

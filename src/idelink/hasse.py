@@ -124,9 +124,15 @@ def _principal_span(u: LinkUniverse) -> SubLattice:
     return _span(2 * u.size, principal_generators(u))
 
 
+@functools.lru_cache(maxsize=16)
+def _identity_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the m x m identity matrix; index data shared by every universe of size m."""
+    return tuple(tuple(int(i == k) for i in range(m)) for k in range(m))
+
+
 def _unit_longitudes(gens: Sequence[tuple[int, ...]]) -> bool:
     """True iff generator k has longitude coordinates [i = k], as in every braid universe."""
-    return all(g[2 * i + 1] == (i == k) for k, g in enumerate(gens) for i in range(len(gens)))
+    return tuple(g[1::2] for g in gens) == _identity_rows(len(gens))
 
 
 def _norm_principle_accept(c: CoverData) -> bool:
@@ -288,9 +294,10 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     its witness.
     """
     for tag, u in (("base", c.spec.base), ("cover", c.total)):
-        full = tuple(range(u.size))
+        m = u.size
+        full = tuple(range(m))
         on_full = [_boundary_coeffs(u, k, full) for k in full]
-        for sub, proj in _projection_table(u.size):
+        for sub, proj in _projection_table(m):
             for k in sub:
                 if proj(on_full[k]) != proj(_boundary_coeffs(u, k, sub)):
                     return False, _nested_projection_witness(tag, u)

@@ -185,7 +185,7 @@ def boundary_punctured_surface(u: LinkUniverse, k: int, sublink: Iterable[int]) 
 def _boundary_coeffs(u: LinkUniverse, k: int, sub: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of ``boundary_punctured_surface`` over every slot, unchecked."""
     lk = u.linking.entries[k]
-    coeffs = [0] * (2 * u.size)
+    coeffs = [0] * (2 * len(lk))
     coeffs[2 * k + 1] = 1
     for k2 in sub:
         if k2 != k:
@@ -210,13 +210,15 @@ def diagonal_map(u: LinkUniverse, s: SurfaceClass) -> IdeleVector:
 
 
 def principal_generators(u: LinkUniverse) -> list[tuple[int, ...]]:
-    """Boundary coefficients of the m single-surface generators.
+    """Boundary coefficients of the m single-surface generators, as a new list.
 
     Entry k equals ``diagonal_map(u, SurfaceClass.single(k)).coeffs``:
     lambda_K on its own slot and -lk(K, K') mu_K' on every other slot.
+    The universe builds them once, from its linking rows, when it is
+    constructed; each call copies that tuple into a list the caller may
+    change.
     """
-    full = tuple(range(u.size))
-    return [_boundary_coeffs(u, k, full) for k in full]
+    return list(u._generators)
 
 
 def principal_lattice(u: LinkUniverse) -> SubLattice:

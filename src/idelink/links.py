@@ -15,7 +15,7 @@ strands at positions ``i-1`` and ``i`` and ``-i`` is its inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .zlattice import IntMatrix
 
@@ -87,28 +87,30 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
     even number of times, so the halving is exact.
     """
     cycles = braid_components(b)
-    return IntMatrix(_linking_rows(b, cycles), cols=len(cycles))
+    return IntMatrix(_linking_rows(b.strands, b.letters, cycles), cols=len(cycles))
 
 
-def _linking_rows(b: BraidWord, cycles: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """``braid_linking_matrix`` as rows of ints, given the closure's cycles."""
-    comp_of = [0] * b.strands
+def _linking_rows(
+    strands: int, letters: tuple[int, ...], cycles: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, ...]]:
+    """``braid_linking_matrix`` as rows of ints, given the word and its closure's cycles."""
+    # comp_at[p] is the component of the strand at position p; position p
+    # starts with strand p, and a crossing within one component moves nothing.
+    comp_at = [0] * strands
     for c, cycle in enumerate(cycles):
         for s in cycle:
-            comp_of[s] = c
+            comp_at[s] = c
     n = len(cycles)
     counts = [[0] * n for _ in range(n)]
-    at = list(range(b.strands))
-    for g in b.letters:
+    for g in letters:
         i = abs(g) - 1
-        s1, s2 = at[i], at[i + 1]
-        c1, c2 = comp_of[s1], comp_of[s2]
+        c1, c2 = comp_at[i], comp_at[i + 1]
         if c1 != c2:
             sign = 1 if g > 0 else -1
             counts[c1][c2] += sign
             counts[c2][c1] += sign
-        at[i], at[i + 1] = at[i + 1], at[i]
-    return [[x // 2 for x in row] for row in counts]
+            comp_at[i], comp_at[i + 1] = c2, c1
+    return [tuple(x // 2 for x in row) for row in counts]
 
 
 def braid_power(b: BraidWord, n: int) -> BraidWord:
@@ -128,12 +130,19 @@ class LinkUniverse:
     set, component ``axis_index`` is the braid axis and ``windings``
     records each component's winding about it (axis slot 0), matching
     the axis row of the linking matrix.
+
+    Constructing a universe checks all of this, then builds its m
+    principal generators from the linking rows (``_generators``, read
+    through ``ideles.principal_generators``).  Universes the package
+    builds from a braid word are symmetric, integral and axis-consistent
+    by construction and come from ``_trusted``, which skips the checks.
     """
 
     labels: tuple[str, ...]
     linking: IntMatrix
     axis_index: int | None = None
     windings: tuple[int, ...] | None = None
+    _generators: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = len(self.labels)
@@ -158,6 +167,29 @@ class LinkUniverse:
                     raise ValueError("axis linking must equal winding numbers")
             if self.windings[a] != 0:
                 raise ValueError("axis winding slot must be zero")
+        object.__setattr__(self, "_generators", _principal_rows(self.linking.entries))
+
+    @classmethod
+    def _trusted(
+        cls,
+        labels: tuple[str, ...],
+        linking: IntMatrix,
+        axis_index: int | None,
+        windings: tuple[int, ...] | None,
+    ) -> "LinkUniverse":
+        """A universe from package-built data that meets every check of ``__post_init__``.
+
+        Nothing is re-checked; ``tests/test_links.py`` rebuilds every
+        lifted universe of the acceptance sweep and ``wide4`` through
+        ``LinkUniverse(...)`` and compares.
+        """
+        u = object.__new__(cls)
+        object.__setattr__(u, "labels", labels)
+        object.__setattr__(u, "linking", linking)
+        object.__setattr__(u, "axis_index", axis_index)
+        object.__setattr__(u, "windings", windings)
+        object.__setattr__(u, "_generators", _principal_rows(linking.entries))
+        return u
 
     @property
     def size(self) -> int:
@@ -170,6 +202,22 @@ class LinkUniverse:
         return tuple(i for i in range(self.size) if i != self.axis_index)
 
 
+def _principal_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Boundary coefficients of each component's surface punctured by all the others.
+
+    Entry k has lambda_K = 1 on its own slot and -lk(K, K') on the
+    meridian of every other slot, flattened meridian-first as in
+    ``ideles``; the zero diagonal leaves mu_K at 0.
+    """
+    gens = []
+    for k, row in enumerate(rows):
+        coeffs = [0] * (2 * len(row))
+        coeffs[0::2] = [-x for x in row]
+        coeffs[2 * k + 1] = 1
+        gens.append(tuple(coeffs))
+    return tuple(gens)
+
+
 def universe_from_braid(
     b: BraidWord, *, axis_label: str = "A", component_prefix: str = "K"
 ) -> LinkUniverse:
@@ -179,37 +227,33 @@ def universe_from_braid(
     links each with its winding number (cycle length), and the closure
     components link each other via the braid's crossing signs.
     """
-    return _universe_and_cycles(b, axis_label, component_prefix)[0]
+    return _universe_and_cycles(b, 1, axis_label, component_prefix)[0]
 
 
 def _universe_and_cycles(
-    b: BraidWord, axis_label: str = "A", component_prefix: str = "K"
+    b: BraidWord, n: int = 1, axis_label: str = "A", component_prefix: str = "K"
 ) -> tuple[LinkUniverse, tuple[tuple[int, ...], ...]]:
-    """``universe_from_braid`` with the closure's strand cycles it was built from.
+    """``universe_from_braid`` of the n-th power of ``b``, with its strand cycles.
 
-    Closure component c + 1 of the universe is cycle c.
+    n is a plain int >= 1.  The power's permutation is the word's
+    permutation composed n times, so no word is built for the power.
+    Closure component c + 1 of the universe is cycle c.  The rows are
+    built from ints, symmetric, with zero diagonal and the windings as
+    axis row, so the universe is built unchecked.
     """
-    cycles = braid_components(b)
-    closure_lk = _linking_rows(b, cycles)
-    m = len(cycles) + 1
-    rows = [[0] * m for _ in range(m)]
-    windings = [0] * m
-    for c, cycle in enumerate(cycles):
-        w = len(cycle)
-        windings[c + 1] = w
-        rows[0][c + 1] = w
-        rows[c + 1][0] = w
-        rows[c + 1][1:] = closure_lk[c]
+    perm = braid_permutation(b)
+    power = perm
+    for _ in range(n - 1):
+        power = tuple(perm[p] for p in power)
+    cycles = permutation_cycles(power)
+    windings = (0,) + tuple(len(cycle) for cycle in cycles)
+    closure_lk = _linking_rows(b.strands, b.letters * n, cycles)
+    rows = (windings,) + tuple((w,) + row for w, row in zip(windings[1:], closure_lk))
     labels = (axis_label,) + tuple(
         f"{component_prefix}{c + 1}" for c in range(len(cycles))
     )
-    universe = LinkUniverse(
-        labels=labels,
-        linking=IntMatrix(rows, cols=m),
-        axis_index=0,
-        windings=tuple(windings),
-    )
-    return universe, cycles
+    linking = IntMatrix._trusted(rows, len(rows))
+    return LinkUniverse._trusted(labels, linking, 0, windings), cycles
 
 
 def relabeled_universe(u: LinkUniverse, order: tuple[int, ...]) -> LinkUniverse:

@@ -54,6 +54,18 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """A matrix of package-built rows: a tuple of equal-width tuples of plain ints.
+
+        Nothing is re-checked; callers outside the package use ``IntMatrix(...)``.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", rows)
+        return m
+
+    @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(((0,) * cols for _ in range(rows)), cols=cols)
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from idelink import hasse
 from idelink.cli import main
@@ -384,3 +386,91 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # missing --input
     assert exc.value.code == 2
+
+
+# Random scenario documents: valid ones up to the limits, wrong types and
+# values in every field, arbitrary JSON, and arbitrary bytes.
+_valid_braid = st.integers(1, 4).flatmap(
+    lambda k: st.fixed_dictionaries(
+        {
+            "strands": st.just(k),
+            "word": st.lists(st.sampled_from([g for g in range(1 - k, k) if g]), max_size=8)
+            if k > 1
+            else st.just([]),
+        }
+    )
+)
+_valid_document = st.fixed_dictionaries(
+    {"schema": st.just(1), "braid": _valid_braid, "cover_degree": st.integers(1, 12)},
+    optional={"checks": st.lists(st.sampled_from(list(hasse.CHECKS)), min_size=1, unique=True)},
+)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-20, 20), st.floats(), st.text(max_size=5)),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(st.text(max_size=6), kids, max_size=4)
+    ),
+    max_leaves=12,
+)
+_braid = st.one_of(
+    st.fixed_dictionaries(
+        {"strands": st.integers(1, 4), "word": st.lists(st.integers(-3, 3), max_size=8)}
+    ),
+    st.fixed_dictionaries(
+        {"strands": st.integers(-1, 6), "word": st.lists(st.integers(-6, 6), max_size=10)},
+        optional={"extra": _json},
+    ),
+    _json,
+)
+_document = st.fixed_dictionaries(
+    {
+        "schema": st.one_of(st.just(1), _json),
+        "braid": _braid,
+        "cover_degree": st.one_of(st.integers(-1, 14), _json),
+    },
+    optional={
+        "checks": st.one_of(st.lists(st.sampled_from([*hasse.CHECKS, "nope"]), max_size=7), _json),
+        "extra": _json,
+    },
+)
+_contents = st.one_of(
+    _valid_document.map(lambda d: json.dumps(d).encode()),
+    _document.map(lambda d: json.dumps(d).encode()),
+    _json.map(lambda d: json.dumps(d).encode()),
+    st.text(max_size=40).map(str.encode),
+    st.binary(max_size=40),
+)
+
+
+@st.composite
+def _command(draw):
+    """argv after ``--input FILE``: lift, verify or delta with flags they read."""
+    command = draw(st.sampled_from(["lift", "verify", "delta"]))
+    if command == "delta":
+        flags = ["--full"] if draw(st.booleans()) else []
+        flags += ["--ascii"] if draw(st.booleans()) else []
+        return command, flags + [str(c) for c in draw(st.lists(st.integers(-3, 3), max_size=4))]
+    degree = draw(st.one_of(st.none(), st.integers(-2, 14)))
+    flags = [] if degree is None else ["--degree", str(degree)]
+    if command == "verify":
+        flags += ["--format", draw(st.sampled_from(["text", "json"]))]
+    elif draw(st.booleans()):
+        flags.append("--ascii")
+    return command, flags
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(contents=_contents, command=_command())
+def test_random_scenario_documents_never_crash(contents, command, tmp_path, capsys):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(contents)
+    name, flags = command
+    rc = main([name, "--input", str(path), *flags])
+    _, err = capsys.readouterr()
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err

@@ -219,6 +219,32 @@ class TestLiftDerivation:
         assert c.total.size > c.spec.base.size
         assert 0 < len(calls) <= 2
 
+    def test_lift_builds_no_checked_wrappers(self, monkeypatch):
+        # The lift's universes come from the trusted constructors; the
+        # public ones, and their checks, stay out of its path.
+        b = BraidWord(4, (1, 2, -3, 1))
+        counts = {"IntMatrix": 0, "LinkUniverse": 0, "BraidWord": 0}
+
+        def counting(cls, attr, key):
+            real = getattr(cls, attr)
+
+            def counted(self, *args, **kwargs):
+                counts[key] += 1
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, attr, counted)
+
+        counting(IntMatrix, "__init__", "IntMatrix")
+        counting(links.LinkUniverse, "__post_init__", "LinkUniverse")
+        counting(BraidWord, "__post_init__", "BraidWord")
+        c = lift_braid(b, 6)
+        assert c.total.size > c.spec.base.size
+        assert counts == {"IntMatrix": 0, "LinkUniverse": 0, "BraidWord": 0}
+        # The counters see the public constructors.
+        BraidWord(2, (1,))
+        links.LinkUniverse(("K",), IntMatrix([[0]]))
+        assert counts == {"IntMatrix": 1, "LinkUniverse": 1, "BraidWord": 1}
+
 
 class TestPushforward:
     def test_sigma1_slots(self):

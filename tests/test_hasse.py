@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idelink import covers, hasse, ideles, kernel, zlattice
+from idelink import covers, hasse, ideles, kernel, links, zlattice
 from idelink.covers import (
     lift_braid,
     principal_pushforward,
@@ -278,6 +278,23 @@ def test_product_path_builds_no_typed_wrappers(monkeypatch):
     for fn in CHECKS.values():
         assert fn(c)[0]
     assert counts["IdeleVector"] == 0
+
+
+def test_scenario_builds_each_universes_generators_once(monkeypatch):
+    # Each universe builds its principal generators when it is constructed;
+    # the checks read copies of them.
+    b = BraidWord(4, ())
+    builds = []
+    real = links._principal_rows
+
+    def counted(rows):
+        builds.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(links, "_principal_rows", counted)
+    report = run_scenario(b, 2)
+    assert report.passed and len(report.checks) == len(CHECKS)
+    assert builds == [5, 5]
 
 
 # The two checks with a closed-form accept, each with its lattice route as

@@ -17,7 +17,7 @@ from idelink.ideles import (
 )
 from idelink.covers import lift_braid
 from idelink.hasse import iter_braid_words
-from idelink.links import BraidWord, universe_from_braid
+from idelink.links import BraidWord, LinkUniverse, universe_from_braid
 from idelink.zlattice import (
     AbelianInvariants,
     IntMatrix,
@@ -171,6 +171,22 @@ class TestPrincipalLattice:
         for u in small_universes(3):
             gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(u.size)]
             assert principal_generators(u) == gens
+
+    def test_public_universe_generators(self):
+        # A universe built through the public constructor, with no axis.
+        u = LinkUniverse(("K1", "K2", "K3"), IntMatrix([[0, 2, -1], [2, 0, 3], [-1, 3, 0]]))
+        gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(u.size)]
+        assert principal_generators(u) == gens
+        assert gens[0] == (0, 1, -2, 0, 1, 0)
+
+    def test_returned_list_is_a_copy(self):
+        u = hopf()
+        gens = principal_generators(u)
+        before = list(gens)
+        gens[0] = gens[0][:1] + (2,) + gens[0][2:]
+        gens.append(gens[1])
+        assert principal_generators(u) == before
+        assert principal_generators(u) is not principal_generators(u)
 
 
 class TestMeridianSubgroup:

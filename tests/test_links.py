@@ -1,5 +1,6 @@
 """Braid combinatorics: permutations, components, exact linking data."""
 
+import dataclasses
 import itertools
 import random
 
@@ -230,3 +231,42 @@ class TestBraidPower:
             for cyc in power:
                 d = base[min(min(c) for c in braid_components(b) if set(cyc) <= set(c))]
                 assert len(cyc) == d // gcd(d, n)
+
+
+def _plain_int_rows(m: IntMatrix) -> bool:
+    return type(m.entries) is tuple and all(
+        type(row) is tuple and len(row) == m.cols and all(type(x) is int for x in row)
+        for row in m.entries
+    )
+
+
+class TestTrustedUniverses:
+    """The lift builds its universes unchecked; every check runs here instead."""
+
+    def test_lifted_universes_pass_the_public_constructors(self, sweep_covers, wide4_covers):
+        for b, n, c in sweep_covers + wide4_covers:
+            for u in (c.spec.base, c.total):
+                m = u.size
+                rebuilt = LinkUniverse(
+                    u.labels, IntMatrix(u.linking.entries, cols=m), u.axis_index, u.windings
+                )
+                assert rebuilt == u, (b, n)
+                assert rebuilt._generators == u._generators, (b, n)
+                assert u.linking.shape == (m, m) and _plain_int_rows(u.linking), (b, n)
+                assert type(u.windings) is tuple, (b, n)
+
+    def test_universe_from_braid_passes_the_public_constructors(self):
+        for b in all_words(3, 4):
+            u = universe_from_braid(b)
+            rebuilt = LinkUniverse(
+                u.labels, IntMatrix(u.linking.entries, cols=u.size), u.axis_index, u.windings
+            )
+            assert rebuilt == u and rebuilt._generators == u._generators
+            assert _plain_int_rows(u.linking)
+
+    def test_generators_are_data_of_the_universe(self):
+        u = universe_from_braid(BraidWord(3, (1, 1, 2)))
+        assert u == dataclasses.replace(u)
+        assert "_generators" not in repr(u)
+        with pytest.raises(TypeError):
+            LinkUniverse(u.labels, u.linking, u.axis_index, u.windings, u._generators)
