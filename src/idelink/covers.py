@@ -25,12 +25,21 @@ chosen covers are integral homology spheres.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .ideles import IdeleVector, SurfaceClass, principal_generators
-from .links import BraidWord, LinkUniverse, _universe_and_cycles, relabeled_universe
+from .links import (
+    BraidWord,
+    LinkUniverse,
+    _braid_walk,
+    _closure_data,
+    _closure_universe,
+    _power_closure_data,
+    relabeled_universe,
+)
 from .zlattice import IntMatrix, SubLattice, _span
 
 
@@ -101,7 +110,9 @@ class CoverData:
         return tuple(j for j, b in enumerate(self.fiber_map) if b == k)
 
 
+@functools.lru_cache(maxsize=256)
 def _split_record(n: int, a: int, b: int) -> SplitRecord:
+    """The record of character values (a, b) in Z/n; small-int data, one per key."""
     a %= n
     b %= n
     e = n // gcd(a, n)
@@ -127,21 +138,26 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
 
     The upstairs universe is the closure of the n-th power of the word
     together with the lifted axis; fibers, splitting data, pushforward
-    matrices, and the deck rotation all come along.  ``CoverSpec``
-    checks the degree before the word is repeated.
+    matrices, and the deck rotation all come along.  The word is walked
+    once, for its permutation sigma and its crossings; ``CoverSpec``
+    checks the degree before anything is built for the power.
     """
-    base, base_cycles = _universe_and_cycles(b)
+    strands = b.strands
+    sigma, crossings = _braid_walk(strands, b.letters)
+    base_cycles, base_comp, base_rows = _closure_data(strands, sigma, crossings)
+    base = _closure_universe(base_cycles, base_rows, "A", "K")
     spec = CoverSpec(degree=degree, base=base)
-    total, top_cycles = _universe_and_cycles(b, degree, "A~", "J")
 
-    # sigma is read off the base cycles: each strand moves to the next
-    # one along its cycle.  Component 0 is the axis in both universes;
-    # closure component c + 1 is cycle c.
-    sigma = {cycle[i - 1]: s for cycle in base_cycles for i, s in enumerate(cycle)}
-    base_comp = {s: k for k, cycle in enumerate(base_cycles, 1) for s in cycle}
-    top_comp = {s: j for j, cycle in enumerate(top_cycles, 1) for s in cycle}
-    fiber_map = (0,) + tuple(base_comp[cycle[0]] for cycle in top_cycles)
-    deck = (0,) + tuple(top_comp[sigma[cycle[0]]] for cycle in top_cycles)
+    top_cycles, top_comp, top_rows = _power_closure_data(
+        strands, sigma, crossings, base_cycles, degree
+    )
+    total = _closure_universe(top_cycles, top_rows, "A~", "J")
+
+    # Component 0 is the axis in both universes; closure component
+    # c + 1 is cycle c.  The deck rotation sends the lift through strand
+    # s to the lift through sigma(s).
+    fiber_map = (0,) + tuple([base_comp[cycle[0]] + 1 for cycle in top_cycles])
+    deck = (0,) + tuple([top_comp[sigma[cycle[0]]] + 1 for cycle in top_cycles])
 
     splitting = component_splitting(spec)
 
@@ -149,7 +165,7 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     pushforward = []
     for row, k in zip(total.linking.entries, fiber_map):
         rec = splitting.records[k]
-        c = rec.e * sum(x for x, k2 in zip(row, fiber_map) if k2 == k)
+        c = rec.e * sum([x for x, k2 in zip(row, fiber_map) if k2 == k])
         pushforward.append(((rec.e, c), (0, rec.w)))
 
     return CoverData(
@@ -184,13 +200,11 @@ def pushforward_idele(c: CoverData, v: IdeleVector) -> IdeleVector:
 def _pushforward_coeffs(c: CoverData, coeffs: Sequence[int]) -> tuple[int, ...]:
     """``pushforward_idele`` on raw upstairs coefficients, unchecked."""
     out = [0] * (2 * c.spec.base.size)
-    for j in range(c.total.size):
-        k = c.fiber_map[j]
-        to_mu, to_lam = c.pushforward[j]
-        mu_j = coeffs[2 * j]
-        lam_j = coeffs[2 * j + 1]
-        out[2 * k] += to_mu[0] * mu_j + to_mu[1] * lam_j
-        out[2 * k + 1] += to_lam[0] * mu_j + to_lam[1] * lam_j
+    for k, ((a, b), (c_j, d)), mu, lam in zip(
+        c.fiber_map, c.pushforward, coeffs[0::2], coeffs[1::2]
+    ):
+        out[2 * k] += a * mu + b * lam
+        out[2 * k + 1] += c_j * mu + d * lam
     return tuple(out)
 
 

@@ -132,7 +132,7 @@ def _identity_rows(m: int) -> tuple[tuple[int, ...], ...]:
 
 def _unit_longitudes(gens: Sequence[tuple[int, ...]]) -> bool:
     """True iff generator k has longitude coordinates [i = k], as in every braid universe."""
-    return tuple(g[1::2] for g in gens) == _identity_rows(len(gens))
+    return tuple([g[1::2] for g in gens]) == _identity_rows(len(gens))
 
 
 def _norm_principle_accept(c: CoverData) -> bool:
@@ -160,7 +160,7 @@ def _norm_principle_accept(c: CoverData) -> bool:
         w[k] = d
     for j, gen in enumerate(principal_generators(c.total)):
         k = c.fiber_map[j]
-        if _pushforward_coeffs(c, gen) != tuple(w[k] * x for x in down[k]):
+        if _pushforward_coeffs(c, gen) != tuple([w[k] * x for x in down[k]]):
             return False
     return True
 
@@ -204,7 +204,7 @@ def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
         k = c.fiber_map[j]
         w = c.splitting.records[k].w
         lhs = _pushforward_coeffs(c, gen)
-        rhs = tuple(w * x for x in down[k])
+        rhs = tuple([w * x for x in down[k]])
         if lhs != rhs:
             return False, {
                 "surface_support": [j],
@@ -217,16 +217,22 @@ def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
 
 
 def verify_meridian_pushforward(c: CoverData) -> tuple[bool, dict | None]:
-    """Pushed-forward meridians carry no longitude coordinates."""
+    """Pushed-forward meridians carry no longitude coordinates.
+
+    The unit meridian of upstairs component J pushes forward to the
+    first column of J's pushforward matrix, on the slot of
+    K = fiber_map[J], and to zero elsewhere; so its longitude coordinate
+    is that matrix's lower-left entry.  A failure pushes the unit
+    through ``_pushforward_coeffs`` for its witness.
+    """
     size = c.total.size
     for j in range(size):
-        unit = [0] * (2 * size)
-        unit[2 * j] = 1
-        image = _pushforward_coeffs(c, unit)
-        if any(image[1::2]):
+        if c.pushforward[j][1][0]:
+            unit = [0] * (2 * size)
+            unit[2 * j] = 1
             return False, {
                 "upstairs_component": c.total.labels[j],
-                "image": list(image),
+                "image": list(_pushforward_coeffs(c, unit)),
                 "coordinates": _coordinate_labels(c.spec.base),
             }
     return True, None
@@ -293,13 +299,14 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     a per-size slot-index table.  A failure reruns the nested loop for
     its witness.
     """
+    boundary = _boundary_coeffs  # looked up per call, so a patch reaches every use
     for tag, u in (("base", c.spec.base), ("cover", c.total)):
         m = u.size
         full = tuple(range(m))
-        on_full = [_boundary_coeffs(u, k, full) for k in full]
+        on_full = [boundary(u, k, full) for k in full]
         for sub, proj in _projection_table(m):
             for k in sub:
-                if proj(on_full[k]) != proj(_boundary_coeffs(u, k, sub)):
+                if proj(on_full[k]) != proj(boundary(u, k, sub)):
                     return False, _nested_projection_witness(tag, u)
     return True, None
 
@@ -446,10 +453,13 @@ CHECKS: dict[str, Callable[[CoverData], tuple[bool, dict | None]]] = {
 def resolve_checks(names: Sequence[str] | None) -> list[str]:
     """Known, distinct check names, at least one; None names all of them.
 
-    A run that checks nothing cannot pass.
+    A run that checks nothing cannot pass.  A bare string is rejected,
+    not read as a sequence of one-letter names.
     """
     if names is None:
         return list(CHECKS)
+    if isinstance(names, str):
+        raise ValueError(f"expected a list of check names, not the string {names!r}")
     if not names:
         raise ValueError("names no check")
     if len(set(names)) != len(names):

@@ -15,7 +15,9 @@ strands at positions ``i-1`` and ``i`` and ``-i`` is its inverse.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .zlattice import IntMatrix
 
@@ -45,18 +47,32 @@ class BraidWord:
 
 def braid_permutation(b: BraidWord) -> tuple[int, ...]:
     """Permutation sending each starting position to its final position."""
-    k = b.strands
-    at = list(range(k))  # at[p] = strand currently at position p
-    for g in b.letters:
+    return _braid_walk(b.strands, b.letters)[0]
+
+
+def _braid_walk(
+    strands: int, letters: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """One pass over a word: its permutation and its crossings in order.
+
+    Strands are named by their starting positions.  Letter ``±i``
+    crosses the strands then at positions i-1 and i; it is recorded as
+    (strand at i-1, strand at i, ±1).
+    """
+    at = list(range(strands))  # at[p] = strand currently at position p
+    crossings = []
+    for g in letters:
         i = abs(g) - 1
-        at[i], at[i + 1] = at[i + 1], at[i]
-    perm = [0] * k
+        s, t = at[i], at[i + 1]
+        at[i], at[i + 1] = t, s
+        crossings.append((s, t, 1 if g > 0 else -1))
+    perm = [0] * strands
     for p, s in enumerate(at):
         perm[s] = p
-    return tuple(perm)
+    return tuple(perm), crossings
 
 
-def permutation_cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Cycles of a permutation, ordered by smallest element, each started there."""
     seen = [False] * len(perm)
     cycles = []
@@ -86,31 +102,84 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
     contribute.  The diagonal is zero.  Two closed components cross an
     even number of times, so the halving is exact.
     """
-    cycles = braid_components(b)
-    return IntMatrix(_linking_rows(b.strands, b.letters, cycles), cols=len(cycles))
+    perm, crossings = _braid_walk(b.strands, b.letters)
+    cycles, _, rows = _closure_data(b.strands, perm, crossings)
+    return IntMatrix(rows, cols=len(cycles))
 
 
-def _linking_rows(
-    strands: int, letters: tuple[int, ...], cycles: tuple[tuple[int, ...], ...]
-) -> list[tuple[int, ...]]:
-    """``braid_linking_matrix`` as rows of ints, given the word and its closure's cycles."""
-    # comp_at[p] is the component of the strand at position p; position p
-    # starts with strand p, and a crossing within one component moves nothing.
-    comp_at = [0] * strands
+def _closure_data(
+    strands: int, perm: tuple[int, ...], crossings: list[tuple[int, int, int]]
+) -> tuple[tuple[tuple[int, ...], ...], list[int], list[tuple[int, ...]]]:
+    """A walked word's closure: its strand cycles, each strand's cycle, its linking rows."""
+    cycles = permutation_cycles(perm)
+    comp = _strand_components(cycles, strands)
+    return cycles, comp, _crossing_rows(crossings, (comp,), len(cycles))
+
+
+def _power_closure_data(
+    strands: int,
+    sigma: tuple[int, ...],
+    crossings: list[tuple[int, int, int]],
+    cycles: tuple[tuple[int, ...], ...],
+    n: int,
+) -> tuple[tuple[tuple[int, ...], ...], list[int], list[tuple[int, ...]]]:
+    """``_closure_data`` of the n-th power of a walked word, from the word's own walk.
+
+    ``cycles`` are the cycles of sigma.  sigma^n moves each strand n
+    steps along its cycle.  Repeat t of the word starts with strand
+    sigma^-t(s) at position s, so its block is the previous one moved
+    along sigma; block n is block 0 again, so the blocks run in whole
+    periods and one period is counted n / period times.
+    """
+    power = [0] * strands
+    for cycle in cycles:
+        for i, s in enumerate(cycle):
+            power[s] = cycle[(i + n) % len(cycle)]
+    top_cycles = permutation_cycles(power)
+    top_comp = _strand_components(top_cycles, strands)
+    blocks = [top_comp]
+    while len(blocks) < n:
+        block = [0] * strands
+        for c, p in zip(blocks[-1], sigma):
+            block[p] = c
+        if block == top_comp:
+            break
+        blocks.append(block)
+    rows = _crossing_rows(crossings, blocks, len(top_cycles), n // len(blocks))
+    return top_cycles, top_comp, rows
+
+
+def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> list[int]:
+    """Entry s is the index of the cycle through strand s."""
+    comp = [0] * strands
     for c, cycle in enumerate(cycles):
         for s in cycle:
-            comp_at[s] = c
-    n = len(cycles)
-    counts = [[0] * n for _ in range(n)]
-    for g in letters:
-        i = abs(g) - 1
-        c1, c2 = comp_at[i], comp_at[i + 1]
-        if c1 != c2:
-            sign = 1 if g > 0 else -1
-            counts[c1][c2] += sign
-            counts[c2][c1] += sign
-            comp_at[i], comp_at[i + 1] = c2, c1
-    return [tuple(x // 2 for x in row) for row in counts]
+            comp[s] = c
+    return comp
+
+
+def _crossing_rows(
+    crossings: list[tuple[int, int, int]],
+    blocks: Sequence[Sequence[int]],
+    size: int,
+    repeat: int = 1,
+) -> list[tuple[int, ...]]:
+    """Linking rows of ``size`` closure components, from a word's crossings.
+
+    The closed braid repeats the word once per block, and the blocks
+    ``repeat`` times over.  Entry s of a block is the component of the
+    strand that starts that repeat at position s.  Each crossing between
+    two components adds its sign to both their entries; the totals are
+    halved.
+    """
+    counts = [[0] * size for _ in range(size)]
+    for comp in blocks:
+        for s, t, sign in crossings:
+            c1, c2 = comp[s], comp[t]
+            if c1 != c2:
+                counts[c1][c2] += sign
+                counts[c2][c1] += sign
+    return [tuple([x * repeat // 2 for x in row]) for row in counts]
 
 
 def braid_power(b: BraidWord, n: int) -> BraidWord:
@@ -227,33 +296,33 @@ def universe_from_braid(
     links each with its winding number (cycle length), and the closure
     components link each other via the braid's crossing signs.
     """
-    return _universe_and_cycles(b, 1, axis_label, component_prefix)[0]
+    perm, crossings = _braid_walk(b.strands, b.letters)
+    cycles, _, rows = _closure_data(b.strands, perm, crossings)
+    return _closure_universe(cycles, rows, axis_label, component_prefix)
 
 
-def _universe_and_cycles(
-    b: BraidWord, n: int = 1, axis_label: str = "A", component_prefix: str = "K"
-) -> tuple[LinkUniverse, tuple[tuple[int, ...], ...]]:
-    """``universe_from_braid`` of the n-th power of ``b``, with its strand cycles.
+@functools.lru_cache(maxsize=64)
+def _component_labels(axis_label: str, component_prefix: str, size: int) -> tuple[str, ...]:
+    """The axis label, then the prefix numbered 1..size; shared by every universe of that size."""
+    return (axis_label,) + tuple(f"{component_prefix}{c}" for c in range(1, size + 1))
 
-    n is a plain int >= 1.  The power's permutation is the word's
-    permutation composed n times, so no word is built for the power.
-    Closure component c + 1 of the universe is cycle c.  The rows are
-    built from ints, symmetric, with zero diagonal and the windings as
-    axis row, so the universe is built unchecked.
+
+def _closure_universe(
+    cycles: tuple[tuple[int, ...], ...],
+    closure_rows: list[tuple[int, ...]],
+    axis_label: str,
+    component_prefix: str,
+) -> LinkUniverse:
+    """The universe of a closed braid, axis first, from its strand cycles and linking rows.
+
+    Closure component c + 1 is cycle c, and the axis links it with its
+    length.  The rows are ints, symmetric, with zero diagonal and the
+    windings as axis row, so the universe is built unchecked.
     """
-    perm = braid_permutation(b)
-    power = perm
-    for _ in range(n - 1):
-        power = tuple(perm[p] for p in power)
-    cycles = permutation_cycles(power)
-    windings = (0,) + tuple(len(cycle) for cycle in cycles)
-    closure_lk = _linking_rows(b.strands, b.letters * n, cycles)
-    rows = (windings,) + tuple((w,) + row for w, row in zip(windings[1:], closure_lk))
-    labels = (axis_label,) + tuple(
-        f"{component_prefix}{c + 1}" for c in range(len(cycles))
-    )
-    linking = IntMatrix._trusted(rows, len(rows))
-    return LinkUniverse._trusted(labels, linking, 0, windings), cycles
+    windings = (0,) + tuple([len(cycle) for cycle in cycles])
+    rows = (windings,) + tuple([(w,) + row for w, row in zip(windings[1:], closure_rows)])
+    labels = _component_labels(axis_label, component_prefix, len(cycles))
+    return LinkUniverse._trusted(labels, IntMatrix._trusted(rows, len(rows)), 0, windings)
 
 
 def relabeled_universe(u: LinkUniverse, order: tuple[int, ...]) -> LinkUniverse:

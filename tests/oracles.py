@@ -15,8 +15,9 @@ time, so a test that patches one of those patches both routes alike.
 The other two are the typed ``diagonal_commutes`` and
 ``meridian_pushforward`` checks, which go through ``SurfaceClass``,
 ``IdeleVector`` and ``diagonal_map`` where ``idelink.hasse`` works on
-raw coefficient tuples; the diagonal one also compares the sum of all
-generators.
+raw coefficient tuples, and push forward by multiplying with the full
+``pushforward_matrix`` where ``idelink.hasse`` reads the per-component
+pairs; the diagonal one also compares the sum of all generators.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from idelink import hasse
-from idelink.covers import pushforward_idele, pushforward_surface
+from idelink.covers import pushforward_matrix, pushforward_surface
 from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
 from idelink.links import BraidWord, braid_components, braid_permutation, braid_power
 
@@ -416,17 +417,18 @@ def projection_all_nested_pairs(c):
 
 def diagonal_commutes_typed(c):
     """``verify_diagonal_commutes`` through surface classes: (passed, witness)."""
+    f = pushforward_matrix(c)
     classes = [SurfaceClass.single(j) for j in range(c.total.size)]
     classes.append(SurfaceClass(tuple(range(c.total.size)), (1,) * c.total.size))
     for s in classes:
-        lhs = pushforward_idele(c, diagonal_map(c.total, s))
-        rhs = diagonal_map(c.spec.base, pushforward_surface(c, s))
+        lhs = f.apply(diagonal_map(c.total, s).coeffs)
+        rhs = diagonal_map(c.spec.base, pushforward_surface(c, s)).coeffs
         if lhs != rhs:
             return False, {
                 "surface_support": list(s.support),
                 "surface_coeffs": list(s.coeffs),
-                "pushed_boundary": list(lhs.coeffs),
-                "boundary_of_image": list(rhs.coeffs),
+                "pushed_boundary": list(lhs),
+                "boundary_of_image": list(rhs),
                 "coordinates": hasse._coordinate_labels(c.spec.base),
             }
     return True, None
@@ -434,13 +436,14 @@ def diagonal_commutes_typed(c):
 
 def meridian_pushforward_typed(c):
     """``verify_meridian_pushforward`` through idele vectors: (passed, witness)."""
+    f = pushforward_matrix(c)
     for j in range(c.total.size):
         unit = IdeleVector.build(range(c.total.size), {j: (1, 0)})
-        image = pushforward_idele(c, unit)
-        if any(image.coeffs[1::2]):
+        image = f.apply(unit.coeffs)
+        if any(image[1::2]):
             return False, {
                 "upstairs_component": c.total.labels[j],
-                "image": list(image.coeffs),
+                "image": list(image),
                 "coordinates": hasse._coordinate_labels(c.spec.base),
             }
     return True, None

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from idelink import links
+from idelink import covers, links
 from idelink.covers import (
     CoverSpec,
     branched_cover_order,
@@ -21,9 +21,11 @@ from idelink.covers import (
     pushforward_surface,
     relabeled_cover,
 )
+from idelink.hasse import iter_braid_words
 from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
 from idelink.links import (
     BraidWord,
+    braid_components,
     braid_linking_matrix,
     braid_power,
     universe_from_braid,
@@ -205,19 +207,46 @@ class TestLiftDerivation:
                     bad.append((b, n, u.labels))
         assert bad == []
 
-    def test_one_lift_walks_the_permutation_at_most_twice(self, monkeypatch):
-        # One walk per universe; sigma comes from the base universe's cycles.
-        calls = []
-        real = links.braid_permutation
+    def test_cover_rows_match_the_power_word_at_every_degree(self):
+        # The cover's rows come from the word's one walk, block by block;
+        # the oracle walks the whole n-fold word.  Every word with <=3
+        # strands and length <=4, at every degree the CLI admits.
+        bad = []
+        for b in iter_braid_words(3, 4):
+            for n in range(1, 13):
+                c = lift_braid(b, n)
+                power = braid_power(b, n)
+                block = tuple(row[1:] for row in c.total.linking.entries[1:])
+                windings = (0,) + tuple(len(cycle) for cycle in braid_components(power))
+                if (block, c.total.windings) != (braid_linking_matrix(power).entries, windings):
+                    bad.append((b, n))
+        assert bad == []
 
-        def counted(b):
-            calls.append(b)
-            return real(b)
+    def test_one_lift_walks_the_word_once(self, monkeypatch):
+        # One walk over the word's letters gives sigma and every crossing;
+        # braid_permutation is not walked again.
+        walks = []
+        perms = []
+        real_walk = covers._braid_walk
+        real_perm = links.braid_permutation
 
-        monkeypatch.setattr(links, "braid_permutation", counted)
-        c = lift_braid(BraidWord(4, (1, 2, -3, 1)), 6)
+        def counted_walk(strands, letters):
+            walks.append(len(letters))
+            return real_walk(strands, letters)
+
+        def counted_perm(b):
+            perms.append(b)
+            return real_perm(b)
+
+        monkeypatch.setattr(covers, "_braid_walk", counted_walk)
+        monkeypatch.setattr(links, "braid_permutation", counted_perm)
+        b = BraidWord(4, (1, 2, -3, 1))
+        c = lift_braid(b, 6)
         assert c.total.size > c.spec.base.size
-        assert 0 < len(calls) <= 2
+        assert (len(walks), len(perms)) == (1, 0)
+        # The walk covers the word's len(b) letters, not the n * len(b)
+        # letters of its n-th power.
+        assert walks == [len(b)]
 
     def test_lift_builds_no_checked_wrappers(self, monkeypatch):
         # The lift's universes come from the trusted constructors; the

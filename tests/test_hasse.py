@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idelink import covers, hasse, ideles, kernel, links, zlattice
+from idelink import hasse, ideles, kernel, links, zlattice
 from idelink.covers import (
     lift_braid,
     principal_pushforward,
@@ -245,20 +245,9 @@ def test_tuple_checks_agree_with_typed_routes_on_tampered_covers():
 
 def test_product_path_builds_no_typed_wrappers(monkeypatch):
     # The typed idele layer and IntMatrix-wrapped pushforwards stay out of
-    # the checks and the lift; universes are built before counting because
-    # their linking matrices are IntMatrix by design.
+    # the checks and the lift; the lift's linking matrices come from the
+    # trusted constructor, which runs no IntMatrix.__init__.
     b = BraidWord(4, ())
-    universes = {}
-    real_universe = covers._universe_and_cycles
-
-    def cached(word, *labels):
-        key = (word, labels)
-        if key not in universes:
-            universes[key] = real_universe(word, *labels)
-        return universes[key]
-
-    monkeypatch.setattr(covers, "_universe_and_cycles", cached)
-    lift_braid(b, 2)
     counts = {"IntMatrix": 0, "IdeleVector": 0}
 
     def counting(cls, key):
@@ -582,6 +571,27 @@ def test_projection_pass_makes_no_project_coeffs_call(monkeypatch):
     assert calls == []
 
 
+def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):
+    # A passing check reads each pushforward matrix directly; only a
+    # failure pushes a unit meridian through for its witness.
+    c = lift_braid(BraidWord(4, ()), 2)
+    assert (c.spec.base.size, c.total.size) == (5, 5)
+    calls = []
+    real = hasse._pushforward_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hasse, "_pushforward_coeffs", counted)
+    assert verify_meridian_pushforward(c)[0]
+    assert calls == []
+    # The counter sees the failure route.
+    bad = (((2, 0), (1, 1)),) + c.pushforward[1:]
+    assert not verify_meridian_pushforward(dataclasses.replace(c, pushforward=bad))[0]
+    assert len(calls) == 1
+
+
 def test_monotone_truncation_extra_split_strand():
     # adding an unused strand (split unknot around the axis) never flips
     # a passing verdict
@@ -641,6 +651,19 @@ def test_repeated_check_rejected():
         resolve_checks(["norm_principle", "norm_principle"])
     with pytest.raises(ValueError, match="names a check more than once"):
         run_scenario(BraidWord(1, ()), 2, ["norm_principle"] * 2)
+
+
+def test_check_names_as_a_bare_string_rejected():
+    # A string is a sequence of one-letter names; every entry point asks
+    # for a list instead.
+    b = BraidWord(2, (1,))
+    with pytest.raises(ValueError, match="expected a list of check names"):
+        resolve_checks("norm_principle")
+    with pytest.raises(ValueError, match="expected a list of check names"):
+        run_scenario(b, 2, "norm_principle")
+    with pytest.raises(ValueError, match="expected a list of check names"):
+        run_suite(1, 0, (2,), checks="norm_principle")
+    assert run_scenario(b, 2, ["norm_principle"]).passed
 
 
 def test_iter_braid_words_deterministic_and_complete():
