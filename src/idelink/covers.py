@@ -31,16 +31,16 @@ from math import gcd
 from typing import Sequence
 
 from .ideles import IdeleVector, SurfaceClass, principal_generators
-from .links import (
-    BraidWord,
-    LinkUniverse,
-    _braid_walk,
-    _closure_data,
-    _closure_universe,
-    _power_closure_data,
-    relabeled_universe,
-)
+from .links import BraidWord, LinkUniverse, _cover_closures, relabeled_universe
 from .zlattice import IntMatrix, SubLattice, _span
+
+
+def _check_degree(degree: int) -> None:
+    """Reject a cover degree that is not a plain int >= 1."""
+    if type(degree) is not int:
+        raise ValueError(f"cover degree {degree!r} is not a plain int")
+    if degree < 1:
+        raise ValueError("cover degree must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,7 @@ class CoverSpec:
     base: LinkUniverse
 
     def __post_init__(self):
-        if type(self.degree) is not int:
-            raise ValueError(f"cover degree {self.degree!r} is not a plain int")
-        if self.degree < 1:
-            raise ValueError("cover degree must be >= 1")
+        _check_degree(self.degree)
         if self.base.axis_index is None:
             raise ValueError("base universe has no branch axis")
 
@@ -139,25 +136,12 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     The upstairs universe is the closure of the n-th power of the word
     together with the lifted axis; fibers, splitting data, pushforward
     matrices, and the deck rotation all come along.  The word is walked
-    once, for its permutation sigma and its crossings; ``CoverSpec``
-    checks the degree before anything is built for the power.
+    once, for its permutation sigma and its crossings; the degree is
+    checked before anything is built.
     """
-    strands = b.strands
-    sigma, crossings = _braid_walk(strands, b.letters)
-    base_cycles, base_comp, base_rows = _closure_data(strands, sigma, crossings)
-    base = _closure_universe(base_cycles, base_rows, "A", "K")
+    _check_degree(degree)
+    base, total, fiber_map, deck = _cover_closures(b, degree)
     spec = CoverSpec(degree=degree, base=base)
-
-    top_cycles, top_comp, top_rows = _power_closure_data(
-        strands, sigma, crossings, base_cycles, degree
-    )
-    total = _closure_universe(top_cycles, top_rows, "A~", "J")
-
-    # Component 0 is the axis in both universes; closure component
-    # c + 1 is cycle c.  The deck rotation sends the lift through strand
-    # s to the lift through sigma(s).
-    fiber_map = (0,) + tuple([base_comp[cycle[0]] + 1 for cycle in top_cycles])
-    deck = (0,) + tuple([top_comp[sigma[cycle[0]]] + 1 for cycle in top_cycles])
 
     splitting = component_splitting(spec)
 

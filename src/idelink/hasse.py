@@ -299,14 +299,13 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     a per-size slot-index table.  A failure reruns the nested loop for
     its witness.
     """
-    boundary = _boundary_coeffs  # looked up per call, so a patch reaches every use
     for tag, u in (("base", c.spec.base), ("cover", c.total)):
         m = u.size
         full = tuple(range(m))
-        on_full = [boundary(u, k, full) for k in full]
+        on_full = [_boundary_coeffs(u, k, full) for k in full]
         for sub, proj in _projection_table(m):
             for k in sub:
-                if proj(on_full[k]) != proj(boundary(u, k, sub)):
+                if proj(on_full[k]) != proj(_boundary_coeffs(u, k, sub)):
                     return False, _nested_projection_witness(tag, u)
     return True, None
 

@@ -259,13 +259,8 @@ def _class_quotient(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> Ab
 
     The kept coordinates are ordered all longitudes first, then the
     sublink's meridians, so each generator's own unit longitude is its
-    pivot and a free quotient is recognised without a Smith form.  For
-    the empty sublink that is each generator's longitude slice.
+    pivot and a free quotient is recognised without a Smith form.
     """
     n = len(gens) + len(sub)
-    if sub:
-        keep = [2 * k + 1 for k in range(len(gens))] + [2 * k for k in sub]
-        cols = [[g[i] for i in keep] for g in gens]
-    else:
-        cols = [g[1::2] for g in gens]
+    cols = [g[1::2] + tuple([g[2 * k] for k in sub]) for g in gens]
     return quotient_invariants(n, _span(n, cols))

@@ -116,39 +116,6 @@ def _closure_data(
     return cycles, comp, _crossing_rows(crossings, (comp,), len(cycles))
 
 
-def _power_closure_data(
-    strands: int,
-    sigma: tuple[int, ...],
-    crossings: list[tuple[int, int, int]],
-    cycles: tuple[tuple[int, ...], ...],
-    n: int,
-) -> tuple[tuple[tuple[int, ...], ...], list[int], list[tuple[int, ...]]]:
-    """``_closure_data`` of the n-th power of a walked word, from the word's own walk.
-
-    ``cycles`` are the cycles of sigma.  sigma^n moves each strand n
-    steps along its cycle.  Repeat t of the word starts with strand
-    sigma^-t(s) at position s, so its block is the previous one moved
-    along sigma; block n is block 0 again, so the blocks run in whole
-    periods and one period is counted n / period times.
-    """
-    power = [0] * strands
-    for cycle in cycles:
-        for i, s in enumerate(cycle):
-            power[s] = cycle[(i + n) % len(cycle)]
-    top_cycles = permutation_cycles(power)
-    top_comp = _strand_components(top_cycles, strands)
-    blocks = [top_comp]
-    while len(blocks) < n:
-        block = [0] * strands
-        for c, p in zip(blocks[-1], sigma):
-            block[p] = c
-        if block == top_comp:
-            break
-        blocks.append(block)
-    rows = _crossing_rows(crossings, blocks, len(top_cycles), n // len(blocks))
-    return top_cycles, top_comp, rows
-
-
 def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> list[int]:
     """Entry s is the index of the cycle through strand s."""
     comp = [0] * strands
@@ -159,18 +126,14 @@ def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> lis
 
 
 def _crossing_rows(
-    crossings: list[tuple[int, int, int]],
-    blocks: Sequence[Sequence[int]],
-    size: int,
-    repeat: int = 1,
+    crossings: list[tuple[int, int, int]], blocks: Sequence[Sequence[int]], size: int
 ) -> list[tuple[int, ...]]:
     """Linking rows of ``size`` closure components, from a word's crossings.
 
-    The closed braid repeats the word once per block, and the blocks
-    ``repeat`` times over.  Entry s of a block is the component of the
-    strand that starts that repeat at position s.  Each crossing between
-    two components adds its sign to both their entries; the totals are
-    halved.
+    The closed braid repeats the word once per block.  Entry s of a
+    block is the component of the strand that starts that repeat at
+    position s.  Each crossing between two components adds its sign to
+    both their entries; the totals are halved.
     """
     counts = [[0] * size for _ in range(size)]
     for comp in blocks:
@@ -179,7 +142,7 @@ def _crossing_rows(
             if c1 != c2:
                 counts[c1][c2] += sign
                 counts[c2][c1] += sign
-    return [tuple([x * repeat // 2 for x in row]) for row in counts]
+    return [tuple([x // 2 for x in row]) for row in counts]
 
 
 def braid_power(b: BraidWord, n: int) -> BraidWord:
@@ -323,6 +286,47 @@ def _closure_universe(
     rows = (windings,) + tuple([(w,) + row for w, row in zip(windings[1:], closure_rows)])
     labels = _component_labels(axis_label, component_prefix, len(cycles))
     return LinkUniverse._trusted(labels, IntMatrix._trusted(rows, len(rows)), 0, windings)
+
+
+def _cover_closures(
+    b: BraidWord, n: int
+) -> tuple[LinkUniverse, LinkUniverse, tuple[int, ...], tuple[int, ...]]:
+    """The closures of ``b`` and of its n-th power, each with its axis, from one walk of ``b``.
+
+    Returns the base universe (axis "A", components "K1", ...), the
+    universe of the power (axis "A~", components "J1", ...), the fiber
+    map sending each component of the power to the base component below
+    it, and the deck rotation sending the lift through strand s to the
+    lift through sigma(s).  Both maps fix the axis, component 0.  n is a
+    plain int >= 1.
+    """
+    strands = b.strands
+    sigma, crossings = _braid_walk(strands, b.letters)
+    cycles, comp, rows = _closure_data(strands, sigma, crossings)
+    base = _closure_universe(cycles, rows, "A", "K")
+
+    # sigma^n moves each strand n steps along its cycle.
+    power = [0] * strands
+    for cycle in cycles:
+        for i, s in enumerate(cycle):
+            power[s] = cycle[(i + n) % len(cycle)]
+    top_cycles = permutation_cycles(power)
+    top_comp = _strand_components(top_cycles, strands)
+    # Repeat t of the word starts with strand sigma^-t(s) at position s,
+    # so its block is the previous one moved along sigma.
+    blocks = [top_comp]
+    for _ in range(n - 1):
+        block = [0] * strands
+        for c, p in zip(blocks[-1], sigma):
+            block[p] = c
+        blocks.append(block)
+    top_rows = _crossing_rows(crossings, blocks, len(top_cycles))
+    total = _closure_universe(top_cycles, top_rows, "A~", "J")
+
+    # Closure component c + 1 is cycle c.
+    fiber_map = (0,) + tuple([comp[cycle[0]] + 1 for cycle in top_cycles])
+    deck = (0,) + tuple([top_comp[sigma[cycle[0]]] + 1 for cycle in top_cycles])
+    return base, total, fiber_map, deck
 
 
 def relabeled_universe(u: LinkUniverse, order: tuple[int, ...]) -> LinkUniverse:

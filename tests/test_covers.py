@@ -227,7 +227,7 @@ class TestLiftDerivation:
         # braid_permutation is not walked again.
         walks = []
         perms = []
-        real_walk = covers._braid_walk
+        real_walk = links._braid_walk
         real_perm = links.braid_permutation
 
         def counted_walk(strands, letters):
@@ -238,7 +238,7 @@ class TestLiftDerivation:
             perms.append(b)
             return real_perm(b)
 
-        monkeypatch.setattr(covers, "_braid_walk", counted_walk)
+        monkeypatch.setattr(links, "_braid_walk", counted_walk)
         monkeypatch.setattr(links, "braid_permutation", counted_perm)
         b = BraidWord(4, (1, 2, -3, 1))
         c = lift_braid(b, 6)
