@@ -37,10 +37,7 @@ from .zlattice import (
 )
 from .ideles import (
     IdeleVector,
-    SurfaceClass,
-    boundary_punctured_surface,
     class_quotient,
-    diagonal_map,
     meridian_subgroup,
     principal_lattice,
 )
@@ -54,10 +51,8 @@ from .covers import (
     deck_matrix,
     lift_braid,
     principal_pushforward,
-    pushforward_idele,
     pushforward_image,
     pushforward_matrix,
-    pushforward_surface,
     relabeled_cover,
 )
 from .hasse import (
@@ -97,10 +92,7 @@ __all__ = [
     "universe_from_braid",
     # ideles
     "IdeleVector",
-    "SurfaceClass",
-    "boundary_punctured_surface",
     "class_quotient",
-    "diagonal_map",
     "meridian_subgroup",
     "principal_lattice",
     # covers
@@ -113,10 +105,8 @@ __all__ = [
     "deck_matrix",
     "lift_braid",
     "principal_pushforward",
-    "pushforward_idele",
     "pushforward_image",
     "pushforward_matrix",
-    "pushforward_surface",
     "relabeled_cover",
     # hasse
     "CHECKS",

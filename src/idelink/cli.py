@@ -22,7 +22,7 @@ from .hasse import (
     run_suite,
     scenario_report_json,
 )
-from .ideles import SurfaceClass, _label_prefixes, diagonal_map
+from .ideles import IdeleVector, _label_prefixes, principal_generators
 from .links import BraidWord, permutation_cycles, universe_from_braid
 
 SCENARIO_SCHEMA = 1
@@ -207,8 +207,13 @@ def cmd_delta(args) -> int:
         full = [0] * u.size
         for k, c in zip(non_axis, coeffs):
             full[k] = c
-    s = SurfaceClass(tuple(range(u.size)), tuple(full))
-    _emit(diagonal_map(u, s).format(u, ascii_labels=args.ascii), args.out)
+    # The boundary of sum c_k S_k is sum c_k times generator k.
+    delta = [0] * (2 * u.size)
+    for c, g in zip(full, principal_generators(u)):
+        for i, x in enumerate(g):
+            delta[i] += c * x
+    v = IdeleVector(tuple(range(u.size)), tuple(delta))
+    _emit(v.format(u, ascii_labels=args.ascii), args.out)
     return 0
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .ideles import IdeleVector, SurfaceClass, principal_generators
+from .ideles import principal_generators
 from .links import BraidWord, LinkUniverse, _cover_closures, relabeled_universe
 from .zlattice import IntMatrix, SubLattice, _span
 
@@ -174,15 +174,12 @@ def pushforward_matrix(c: CoverData) -> IntMatrix:
     return IntMatrix(rows, cols=2 * mp)
 
 
-def pushforward_idele(c: CoverData, v: IdeleVector) -> IdeleVector:
-    """Accumulate each upstairs slot into its base slot through f."""
-    if v.components != tuple(range(c.total.size)):
-        raise ValueError("vector is not indexed by the upstairs components")
-    return IdeleVector(tuple(range(c.spec.base.size)), _pushforward_coeffs(c, v.coeffs))
-
-
 def _pushforward_coeffs(c: CoverData, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """``pushforward_idele`` on raw upstairs coefficients, unchecked."""
+    """Push raw upstairs (mu, lambda) coefficients down, slot by slot, unchecked.
+
+    Each upstairs slot J adds its pushforward pair's image to the slot of
+    its base component ``fiber_map[J]``.
+    """
     out = [0] * (2 * c.spec.base.size)
     for k, ((a, b), (c_j, d)), mu, lam in zip(
         c.fiber_map, c.pushforward, coeffs[0::2], coeffs[1::2]
@@ -195,20 +192,6 @@ def _pushforward_coeffs(c: CoverData, coeffs: Sequence[int]) -> tuple[int, ...]:
 def pushforward_image(c: CoverData) -> SubLattice:
     """Image of the whole upstairs idele group downstairs."""
     return SubLattice.from_matrix(pushforward_matrix(c))
-
-
-def pushforward_surface(c: CoverData, s: SurfaceClass) -> SurfaceClass:
-    """Image of an upstairs surface class: each lift contributes w copies."""
-    for j in s.support:
-        if not 0 <= j < c.total.size:
-            raise ValueError("support does not lie in the upstairs universe")
-    totals: dict[int, int] = {}
-    for i, j in enumerate(s.support):
-        k = c.fiber_map[j]
-        w = c.splitting.records[k].w
-        totals[k] = totals.get(k, 0) + w * s.coeffs[i]
-    support = tuple(sorted(totals))
-    return SurfaceClass(support, tuple(totals[k] for k in support))
 
 
 def deck_matrix(c: CoverData) -> IntMatrix:
@@ -338,8 +321,7 @@ def branched_cover_order(seifert: IntMatrix, n: int) -> int:
     """
     if seifert.rows != seifert.cols:
         raise ValueError("Seifert matrix must be square")
-    if n < 1:
-        raise ValueError("cover degree must be >= 1")
+    _check_degree(n)
     k = seifert.rows
     entries = seifert.entries
     poly_m = [

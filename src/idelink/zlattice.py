@@ -210,6 +210,8 @@ class SubLattice:
     @classmethod
     def from_columns(cls, ambient_rank: int, columns: Sequence[Sequence[int]]) -> "SubLattice":
         """Span of caller-given columns, validated; package-built columns go to ``_span``."""
+        if type(ambient_rank) is not int:
+            raise ValueError(f"ambient rank {ambient_rank!r} is not a plain int")
         if ambient_rank < 0:
             raise ValueError("negative ambient rank")
         cols = [tuple(_check_int(x) for x in c) for c in columns]

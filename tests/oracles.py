@@ -13,11 +13,14 @@ here unchanged to test that reduction.  They reach the package's
 building blocks through ``idelink.hasse``'s module attributes at call
 time, so a test that patches one of those patches both routes alike.
 The other two are the typed ``diagonal_commutes`` and
-``meridian_pushforward`` checks, which go through ``SurfaceClass``,
-``IdeleVector`` and ``diagonal_map`` where ``idelink.hasse`` works on
-raw coefficient tuples, and push forward by multiplying with the full
-``pushforward_matrix`` where ``idelink.hasse`` reads the per-component
-pairs; the diagonal one also compares the sum of all generators.
+``meridian_pushforward`` checks.  They take surface classes as
+(support, coefficients) pairs, build boundaries straight from the
+linking matrix (``surface_boundary``) where ``idelink.hasse`` reads the
+universe's principal generators, push surfaces forward through the
+fiber map (``surface_pushforward``), and push boundaries forward by
+multiplying with the full ``pushforward_matrix`` where ``idelink.hasse``
+reads the per-component pairs; the diagonal one also compares the sum
+of all generators.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from idelink import hasse
-from idelink.covers import pushforward_matrix, pushforward_surface
-from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
+from idelink.covers import pushforward_matrix
 from idelink.links import BraidWord, braid_components, braid_permutation, braid_power
 
 
@@ -415,18 +417,45 @@ def projection_all_nested_pairs(c):
     return True, None
 
 
+def surface_boundary(u, support, coeffs):
+    """Boundary of the surface class sum c_K S_K on every slot of ``u``.
+
+    S_K is K's Seifert surface punctured by every other component; it
+    contributes c_K to lambda_K and -c_K lk(K, K') to each mu_K'.
+    """
+    lk = u.linking.entries
+    out = [0] * (2 * u.size)
+    for k, a in zip(support, coeffs):
+        out[2 * k + 1] += a
+        for k2 in range(u.size):
+            if k2 != k:
+                out[2 * k2] -= a * lk[k][k2]
+    return tuple(out)
+
+
+def surface_pushforward(c, support, coeffs):
+    """Image (support, coeffs) of an upstairs surface class: w_K copies of S_K per lift."""
+    totals = {}
+    for j, a in zip(support, coeffs):
+        k = c.fiber_map[j]
+        totals[k] = totals.get(k, 0) + c.splitting.records[k].w * a
+    image = tuple(sorted(totals))
+    return image, tuple(totals[k] for k in image)
+
+
 def diagonal_commutes_typed(c):
     """``verify_diagonal_commutes`` through surface classes: (passed, witness)."""
     f = pushforward_matrix(c)
-    classes = [SurfaceClass.single(j) for j in range(c.total.size)]
-    classes.append(SurfaceClass(tuple(range(c.total.size)), (1,) * c.total.size))
-    for s in classes:
-        lhs = f.apply(diagonal_map(c.total, s).coeffs)
-        rhs = diagonal_map(c.spec.base, pushforward_surface(c, s)).coeffs
+    m = c.total.size
+    classes = [((j,), (1,)) for j in range(m)]
+    classes.append((tuple(range(m)), (1,) * m))
+    for support, coeffs in classes:
+        lhs = f.apply(surface_boundary(c.total, support, coeffs))
+        rhs = surface_boundary(c.spec.base, *surface_pushforward(c, support, coeffs))
         if lhs != rhs:
             return False, {
-                "surface_support": list(s.support),
-                "surface_coeffs": list(s.coeffs),
+                "surface_support": list(support),
+                "surface_coeffs": list(coeffs),
                 "pushed_boundary": list(lhs),
                 "boundary_of_image": list(rhs),
                 "coordinates": hasse._coordinate_labels(c.spec.base),
@@ -435,11 +464,11 @@ def diagonal_commutes_typed(c):
 
 
 def meridian_pushforward_typed(c):
-    """``verify_meridian_pushforward`` through idele vectors: (passed, witness)."""
+    """``verify_meridian_pushforward`` through the full pushforward matrix: (passed, witness)."""
     f = pushforward_matrix(c)
     for j in range(c.total.size):
-        unit = IdeleVector.build(range(c.total.size), {j: (1, 0)})
-        image = f.apply(unit.coeffs)
+        unit = tuple(int(i == 2 * j) for i in range(2 * c.total.size))
+        image = f.apply(unit)
         if any(image[1::2]):
             return False, {
                 "upstairs_component": c.total.labels[j],

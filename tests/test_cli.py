@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from idelink import hasse
+from idelink import cli, hasse
 from idelink.cli import main
+from idelink.ideles import IdeleVector
+from idelink.links import universe_from_braid
+
+from oracles import surface_boundary
 
 
 @pytest.fixture()
@@ -100,6 +105,45 @@ class TestDelta:
     def test_wrong_count_rejected(self, hopf_scenario):
         assert main(["delta", "--input", hopf_scenario, "1"]) == 2
         assert main(["delta", "--input", hopf_scenario, "--full", "1"]) == 2
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("strands", [1, 2, 3])
+def test_delta_sums_to_the_oracle_boundary(strands, full, tmp_path, capsys, monkeypatch):
+    # Every universe of <=3 strands and length <=4, three seeded classes
+    # each: delta's coefficients are the oracle's boundary of the class,
+    # built from the linking matrix, and it prints their format().
+    seen = []
+
+    class Recording(IdeleVector):
+        def __post_init__(self):
+            super().__post_init__()
+            seen.append((self.components, self.coeffs))
+
+    monkeypatch.setattr(cli, "IdeleVector", Recording)
+    rng = random.Random(strands)
+    path = tmp_path / "delta.json"
+    words = [b for b in hasse.iter_braid_words(strands, 4) if b.strands == strands]
+    for b in words:
+        u = universe_from_braid(b)
+        doc = {"schema": 1, "braid": {"strands": strands, "word": list(b.letters)}, "cover_degree": 2}
+        path.write_text(json.dumps(doc))
+        for trial in range(3):
+            ascii_labels = trial == 1
+            coeffs = [rng.randint(-3, 3) for _ in range(u.size)]
+            if full:
+                argv = ["--full", "--"] + [str(x) for x in coeffs]
+            else:
+                coeffs[u.axis_index] = 0
+                argv = ["--"] + [str(coeffs[k]) for k in u.non_axis()]
+            argv = ["delta", "--input", str(path)] + ["--ascii"] * ascii_labels + argv
+            assert main(argv) == 0
+            expected = IdeleVector(
+                tuple(range(u.size)), surface_boundary(u, range(u.size), coeffs)
+            )
+            assert seen.pop() == (expected.components, expected.coeffs)
+            assert capsys.readouterr().out == expected.format(u, ascii_labels) + "\n"
+    assert len(words) == {1: 1, 2: 31, 3: 341}[strands]
 
 
 class TestVerify:

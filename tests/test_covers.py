@@ -10,19 +10,18 @@ import pytest
 from idelink import covers, links
 from idelink.covers import (
     CoverSpec,
+    _pushforward_coeffs,
     branched_cover_order,
     component_splitting,
     deck_matrix,
     lift_braid,
     principal_pushforward,
-    pushforward_idele,
     pushforward_image,
     pushforward_matrix,
-    pushforward_surface,
     relabeled_cover,
 )
 from idelink.hasse import iter_braid_words
-from idelink.ideles import IdeleVector, SurfaceClass, diagonal_map
+from idelink.ideles import principal_generators
 from idelink.links import (
     BraidWord,
     braid_components,
@@ -32,7 +31,13 @@ from idelink.links import (
 )
 from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 
-from oracles import lift_maps_by_walking_both_words, poly_eval, resultant_oracle
+from oracles import (
+    lift_maps_by_walking_both_words,
+    poly_eval,
+    resultant_oracle,
+    surface_boundary,
+    surface_pushforward,
+)
 
 
 def suite_covers(max_strands=3, max_len=3, degrees=(2, 3)):
@@ -275,23 +280,28 @@ class TestLiftDerivation:
         assert counts == {"IntMatrix": 1, "LinkUniverse": 1, "BraidWord": 1}
 
 
+def unit(m, i):
+    """The i-th coordinate vector of Z^(2m)."""
+    return tuple(int(t == i) for t in range(2 * m))
+
+
 class TestPushforward:
     def test_sigma1_slots(self):
         c = lift_braid(BraidWord(2, (1,)), 2)
-        mu_j2 = pushforward_idele(c, IdeleVector.build(range(3), {2: (1, 0)}))
-        assert mu_j2.coeffs == (0, 0, 1, 0)
-        lam_j1 = pushforward_idele(c, IdeleVector.build(range(3), {1: (0, 1)}))
-        assert lam_j1.coeffs == (0, 0, 1, 1)
-        mu_axis = pushforward_idele(c, IdeleVector.build(range(3), {0: (1, 0)}))
-        assert mu_axis.coeffs == (2, 0, 0, 0)
-        assert pushforward_idele(c, IdeleVector.zero(range(3))).is_zero()
+        mu_j2 = _pushforward_coeffs(c, unit(3, 4))
+        assert mu_j2 == (0, 0, 1, 0)
+        lam_j1 = _pushforward_coeffs(c, unit(3, 3))
+        assert lam_j1 == (0, 0, 1, 1)
+        mu_axis = _pushforward_coeffs(c, unit(3, 0))
+        assert mu_axis == (2, 0, 0, 0)
+        assert _pushforward_coeffs(c, (0,) * 6) == (0,) * 4
 
     def test_trivial_cover_slots(self):
         c = lift_braid(BraidWord(1, ()), 2)
-        lam_j = pushforward_idele(c, IdeleVector.build(range(2), {1: (0, 1)}))
-        assert lam_j.coeffs == (0, 0, 0, 2)
-        mu_j = pushforward_idele(c, IdeleVector.build(range(2), {1: (1, 0)}))
-        assert mu_j.coeffs == (0, 0, 1, 0)
+        lam_j = _pushforward_coeffs(c, unit(2, 3))
+        assert lam_j == (0, 0, 0, 2)
+        mu_j = _pushforward_coeffs(c, unit(2, 2))
+        assert mu_j == (0, 0, 1, 0)
 
     def test_image_examples(self):
         c = lift_braid(BraidWord(1, ()), 2)
@@ -311,23 +321,17 @@ class TestPushforward:
 
     def test_surface_examples(self):
         c = lift_braid(BraidWord(2, (1,)), 2)
-        s = pushforward_surface(c, SurfaceClass.single(1))
-        assert s.support == (1,) and s.coeffs == (1,)
-        axis = pushforward_surface(c, SurfaceClass.single(0))
-        assert axis.support == (0,) and axis.coeffs == (1,)
+        assert surface_pushforward(c, (1,), (1,)) == ((1,), (1,))
+        assert surface_pushforward(c, (0,), (1,)) == ((0,), (1,))
         c2 = lift_braid(BraidWord(1, ()), 2)
-        doubled = pushforward_surface(c2, SurfaceClass.single(1))
-        assert doubled.support == (1,) and doubled.coeffs == (2,)
+        assert surface_pushforward(c2, (1,), (1,)) == ((1,), (2,))
 
     def test_matrix_agrees_with_slotwise(self):
         rng = random.Random(3)
         for c in suite_covers(2, 3, (2, 3)):
             f = pushforward_matrix(c)
-            v = IdeleVector(
-                tuple(range(c.total.size)),
-                tuple(rng.randint(-4, 4) for _ in range(2 * c.total.size)),
-            )
-            assert f.apply(v.coeffs) == pushforward_idele(c, v).coeffs
+            v = tuple(rng.randint(-4, 4) for _ in range(2 * c.total.size))
+            assert f.apply(v) == _pushforward_coeffs(c, v)
 
 
 class TestDeck:
@@ -374,10 +378,10 @@ class TestCoverIdentities:
 
     def test_diagonal_commutes_on_generators(self):
         for c in suite_covers(3, 3, (2, 3)):
+            gens = principal_generators(c.total)
             for j in range(c.total.size):
-                s = SurfaceClass.single(j)
-                lhs = pushforward_idele(c, diagonal_map(c.total, s))
-                rhs = diagonal_map(c.spec.base, pushforward_surface(c, s))
+                lhs = _pushforward_coeffs(c, gens[j])
+                rhs = surface_boundary(c.spec.base, *surface_pushforward(c, (j,), (1,)))
                 assert lhs == rhs
 
     def test_meridian_columns(self):
@@ -443,6 +447,12 @@ class TestBranchedCoverOrder:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             branched_cover_order(IntMatrix([[1, 0]]), 2)
+
+    @pytest.mark.parametrize("degree", [True, 2.0, 0, -1])
+    def test_degree_must_be_plain_positive_int(self, degree):
+        # As in lift_braid: a bool or float degree is a ValueError, not 1 or a TypeError.
+        with pytest.raises(ValueError, match="cover degree"):
+            branched_cover_order(TREFOIL, degree)
 
     def test_against_resultant_oracle(self):
         rng = random.Random(12)

@@ -7,10 +7,8 @@ import pytest
 
 from idelink.ideles import (
     IdeleVector,
-    SurfaceClass,
-    boundary_punctured_surface,
+    _boundary_coeffs,
     class_quotient,
-    diagonal_map,
     meridian_subgroup,
     principal_generators,
     principal_lattice,
@@ -29,7 +27,7 @@ from idelink.zlattice import (
     snf,
 )
 
-from oracles import invariants_oracle
+from oracles import invariants_oracle, surface_boundary
 
 
 def hopf():
@@ -48,6 +46,21 @@ def small_universes(max_len=4):
                 yield universe_from_braid(BraidWord(strands, w))
 
 
+def generator_sum(u, support, coeffs):
+    """sum c_K times principal generator K, the boundary ``delta`` prints."""
+    gens = principal_generators(u)
+    out = [0] * (2 * u.size)
+    for k, c in zip(support, coeffs):
+        for i, x in enumerate(gens[k]):
+            out[i] += c * x
+    return tuple(out)
+
+
+def single(u, k):
+    """Oracle boundary of the single-surface class S_K."""
+    return surface_boundary(u, (k,), (1,))
+
+
 class TestIdeleVector:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -55,65 +68,50 @@ class TestIdeleVector:
         with pytest.raises(TypeError):
             IdeleVector((0,), (1.0, 0))
 
-    def test_arithmetic(self):
-        a = IdeleVector.build((0, 1), {0: (1, 0), 1: (0, 2)})
-        b = IdeleVector.build((0, 1), {0: (0, 1)})
-        assert (a + b).coeffs == (1, 1, 0, 2)
-        assert (a - b).coeffs == (1, -1, 0, 2)
-        assert (-a).coeffs == (-1, 0, 0, -2)
-        assert a.mu(0) == 1 and a.lam(1) == 2
-
-    def test_mismatched_slots_rejected(self):
-        a = IdeleVector.zero((0, 1))
-        b = IdeleVector.zero((0, 2))
-        with pytest.raises(ValueError):
-            _ = a + b
+    def test_components_are_plain_ints(self):
+        for bad in ("a", True, 1.0):
+            with pytest.raises(ValueError, match="plain int"):
+                IdeleVector((bad,), (0, 0))
+        with pytest.raises(ValueError, match="duplicate"):
+            IdeleVector((1, 1), (0, 0, 0, 0))
 
     def test_format(self):
         u = axis_knot_lk2()
-        v = IdeleVector.build((0, 1), {0: (-2, 0), 1: (0, 1)})
+        v = IdeleVector((0, 1), (-2, 0, 0, 1))
         assert v.format(u) == "-2·μ_A + λ_K1"
         assert v.format(u, ascii_labels=True) == "-2*mu_A + lam_K1"
-        assert IdeleVector.zero((0, 1)).format(u) == "0"
+        assert IdeleVector((0, 1), (0, 0, 0, 0)).format(u) == "0"
 
 
 class TestBoundary:
     def test_hopf_two_component_sublink(self):
         u = hopf()
-        v = boundary_punctured_surface(u, 1, (1, 2))
-        assert v.coeffs == (0, 0, 0, 1, -1, 0)
+        assert _boundary_coeffs(u, 1, (1, 2)) == (0, 0, 0, 1, -1, 0)
 
     def test_singleton_sublink_is_bare_longitude(self):
         u = hopf()
-        v = boundary_punctured_surface(u, 1, (1,))
-        assert v.coeffs == (0, 0, 0, 1, 0, 0)
+        assert _boundary_coeffs(u, 1, (1,)) == (0, 0, 0, 1, 0, 0)
 
     def test_split_universe(self):
         u = universe_from_braid(BraidWord(3, ()))  # three split unknots
         # non-axis components have zero mutual linking
-        v = boundary_punctured_surface(u, 1, (1, 2, 3))
-        assert v.lam(1) == 1
-        assert v.mu(2) == 0 and v.mu(3) == 0
-
-    def test_requires_membership(self):
-        with pytest.raises(ValueError):
-            boundary_punctured_surface(hopf(), 1, (0, 2))
+        v = _boundary_coeffs(u, 1, (1, 2, 3))
+        assert v[3] == 1
+        assert v[4] == 0 and v[6] == 0
 
 
 class TestDiagonalMap:
     def test_hopf_generator(self):
         u = hopf()
-        v = diagonal_map(u, SurfaceClass.single(1))
-        assert v.coeffs == (-1, 0, 0, 1, -1, 0)
+        assert principal_generators(u)[1] == (-1, 0, 0, 1, -1, 0)
 
     def test_zero_class(self):
         u = hopf()
-        assert diagonal_map(u, SurfaceClass.zero((1, 2))).is_zero()
+        assert generator_sum(u, (1, 2), (0, 0)) == (0,) * 6
 
     def test_winding_two(self):
         u = axis_knot_lk2()
-        v = diagonal_map(u, SurfaceClass.single(1))
-        assert v.coeffs == (-2, 0, 0, 1)
+        assert principal_generators(u)[1] == (-2, 0, 0, 1)
 
     def test_linearity_on_braid_universes(self):
         rng = random.Random(9)
@@ -121,11 +119,12 @@ class TestDiagonalMap:
         for _ in range(200):
             u = rng.choice(universes)
             support = tuple(sorted(rng.sample(range(u.size), rng.randint(0, u.size))))
-            c1 = SurfaceClass(support, tuple(rng.randint(-3, 3) for _ in support))
-            c2 = SurfaceClass(support, tuple(rng.randint(-3, 3) for _ in support))
-            lhs = diagonal_map(u, c1 + c2)
-            rhs = diagonal_map(u, c1) + diagonal_map(u, c2)
-            assert lhs == rhs
+            c1 = tuple(rng.randint(-3, 3) for _ in support)
+            c2 = tuple(rng.randint(-3, 3) for _ in support)
+            lhs = generator_sum(u, support, tuple(a + b for a, b in zip(c1, c2)))
+            b1 = surface_boundary(u, support, c1)
+            b2 = surface_boundary(u, support, c2)
+            assert lhs == tuple(x + y for x, y in zip(b1, b2))
 
     def test_meridian_coefficient_formula(self):
         # mu-coefficient at K is minus the linking-weighted sum of all
@@ -135,15 +134,17 @@ class TestDiagonalMap:
         for _ in range(200):
             u = rng.choice(universes)
             support = tuple(sorted(rng.sample(range(u.size), rng.randint(0, u.size))))
-            s = SurfaceClass(support, tuple(rng.randint(-3, 3) for _ in support))
-            v = diagonal_map(u, s)
+            coeffs = tuple(rng.randint(-3, 3) for _ in support)
+            v = generator_sum(u, support, coeffs)
+            assert v == surface_boundary(u, support, coeffs)
+            coefficient = dict(zip(support, coeffs))
             for k in range(u.size):
                 expected = -sum(
-                    u.linking.entries[k][k2] * s.coefficient(k2)
+                    u.linking.entries[k][k2] * coefficient.get(k2, 0)
                     for k2 in range(u.size)
                     if k2 != k
                 )
-                assert v.mu(k) == expected
+                assert v[2 * k] == expected
 
 
 class TestPrincipalLattice:
@@ -159,23 +160,23 @@ class TestPrincipalLattice:
         u = universe_from_braid(BraidWord(2, ()))
         p = principal_lattice(u)
         for k in (1, 2):
-            v = diagonal_map(u, SurfaceClass.single(k))
-            assert v.lam(k) == 1 and v.mu(3 - k) == 0
+            v = principal_generators(u)[k]
+            assert v[2 * k + 1] == 1 and v[2 * (3 - k)] == 0
 
     def test_hopf_generators(self):
         u = hopf()
-        gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(3)]
+        gens = [single(u, k) for k in range(3)]
         assert principal_lattice(u) == SubLattice.from_columns(6, gens)
 
     def test_generators_are_single_surface_boundaries(self):
         for u in small_universes(3):
-            gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(u.size)]
+            gens = [single(u, k) for k in range(u.size)]
             assert principal_generators(u) == gens
 
     def test_public_universe_generators(self):
         # A universe built through the public constructor, with no axis.
         u = LinkUniverse(("K1", "K2", "K3"), IntMatrix([[0, 2, -1], [2, 0, 3], [-1, 3, 0]]))
-        gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(u.size)]
+        gens = [single(u, k) for k in range(u.size)]
         assert principal_generators(u) == gens
         assert gens[0] == (0, 1, -2, 0, 1, 0)
 
@@ -210,6 +211,15 @@ class TestMeridianSubgroup:
         with pytest.raises(ValueError):
             meridian_subgroup(hopf(), (5,))
 
+    def test_rejects_components_that_are_not_plain_ints(self):
+        # True would otherwise stand for component 1 and exclude K1.
+        u = hopf()
+        for bad in ((True,), (1.0,), ("K1",), (0, True)):
+            with pytest.raises(ValueError, match="plain int"):
+                meridian_subgroup(u, bad)
+            with pytest.raises(ValueError, match="plain int"):
+                class_quotient(u, bad)
+
 
 class TestClassQuotient:
     def test_axis_only(self):
@@ -229,7 +239,7 @@ class TestClassQuotient:
         for u in small_universes(3):
             m = u.size
             principal = principal_lattice(u)
-            gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(m)]
+            gens = [single(u, k) for k in range(m)]
             for r in range(m + 1):
                 for sub in itertools.combinations(range(m), r):
                     inv = class_quotient(u, sub)
@@ -258,7 +268,7 @@ class TestClassQuotient:
         assert len(universes) > 100
         for u in universes:
             m = u.size
-            gens = [diagonal_map(u, SurfaceClass.single(k)).coeffs for k in range(m)]
+            gens = [single(u, k) for k in range(m)]
             for r in range(m + 1):
                 for sub in itertools.combinations(range(m), r):
                     keep = sorted([2 * k for k in sub] + [2 * k + 1 for k in range(m)])

@@ -227,6 +227,14 @@ class TestLatticeOps:
         with pytest.raises(ValueError):
             SubLattice.from_columns(-2, ())
 
+    def test_ambient_rank_must_be_plain_int(self):
+        # True would otherwise be kept as the rank, 2.0 fail inside the kernel.
+        for bad in (True, 2.0, "2"):
+            with pytest.raises(ValueError, match="plain int"):
+                SubLattice.from_columns(bad, ())
+            with pytest.raises(ValueError, match="plain int"):
+                SubLattice.zero(bad)
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             lattice_sum(lat(2, (1, 0)), lat(3, (1, 0, 0)))
