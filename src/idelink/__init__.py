@@ -42,9 +42,7 @@ from .ideles import (
     principal_lattice,
 )
 from .covers import (
-    ComponentSplitting,
     CoverData,
-    CoverSpec,
     SplitRecord,
     branched_cover_order,
     component_splitting,
@@ -96,9 +94,7 @@ __all__ = [
     "meridian_subgroup",
     "principal_lattice",
     # covers
-    "ComponentSplitting",
     "CoverData",
-    "CoverSpec",
     "SplitRecord",
     "branched_cover_order",
     "component_splitting",

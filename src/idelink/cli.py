@@ -133,10 +133,10 @@ def _emit(text: str, out_path: str | None):
 
 
 def _format_lift(cover: CoverData, ascii_flag: bool) -> str:
-    base = cover.spec.base
+    base = cover.base
     total = cover.total
     mu, lam = _label_prefixes(ascii_flag)
-    lines = [f"cover degree: {cover.spec.degree}"]
+    lines = [f"cover degree: {cover.degree}"]
 
     def universe_block(title, u):
         lines.append(f"{title} ({u.size} components)")
@@ -150,7 +150,7 @@ def _format_lift(cover: CoverData, ascii_flag: bool) -> str:
     universe_block("cover universe", total)
     lines.append("splitting (per base component)")
     lines.append("  component  a  b  e  d  w  r")
-    for k, rec in enumerate(cover.splitting.records):
+    for k, rec in enumerate(cover.splitting):
         lines.append(
             f"  {base.labels[k]:<9}  {rec.a}  {rec.b}  {rec.e}  {rec.d}  {rec.w}  {rec.r}"
         )

@@ -44,24 +44,6 @@ def _check_degree(degree: int) -> None:
 
 
 @dataclass(frozen=True)
-class CoverSpec:
-    """Degree-n cyclic cover of the base universe branched over its axis.
-
-    The character sends the axis meridian to 1 in Z/n, so the cover is
-    connected; degree 1 is the identity cover, admitted as a degenerate
-    test case.
-    """
-
-    degree: int
-    base: LinkUniverse
-
-    def __post_init__(self):
-        _check_degree(self.degree)
-        if self.base.axis_index is None:
-            raise ValueError("base universe has no branch axis")
-
-
-@dataclass(frozen=True)
 class SplitRecord:
     """Covering arithmetic of one base component.
 
@@ -80,26 +62,24 @@ class SplitRecord:
 
 
 @dataclass(frozen=True)
-class ComponentSplitting:
-    degree: int
-    records: tuple[SplitRecord, ...]
-
-
-@dataclass(frozen=True)
 class CoverData:
-    """A lifted braid universe with its covering bookkeeping.
+    """The degree-n cyclic cover of ``base`` branched over its axis.
 
-    ``fiber_map[j]`` is the base component under upstairs component j;
-    ``pushforward[j]`` is the 2x2 matrix ((e, c), (0, w)) of plain ints,
-    rows first, sending (mu_J, lambda_J) coefficient pairs to base
-    (mu, lambda) pairs; and ``deck[j]`` is the deck rotation on upstairs
-    components.
+    The character sends the axis meridian to 1 in Z/n, so the cover is
+    connected; degree 1 is the identity cover, admitted as a degenerate
+    test case.  ``total`` is the upstairs universe; ``fiber_map[j]`` is
+    the base component under upstairs component j; ``splitting[k]`` is
+    the ``SplitRecord`` of base component k; ``pushforward[j]`` is the
+    2x2 matrix ((e, c), (0, w)) of plain ints, rows first, sending
+    (mu_J, lambda_J) coefficient pairs to base (mu, lambda) pairs; and
+    ``deck[j]`` is the deck rotation on upstairs components.
     """
 
-    spec: CoverSpec
+    degree: int
+    base: LinkUniverse
     total: LinkUniverse
     fiber_map: tuple[int, ...]
-    splitting: ComponentSplitting
+    splitting: tuple[SplitRecord, ...]
     pushforward: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     deck: tuple[int, ...]
 
@@ -117,17 +97,16 @@ def _split_record(n: int, a: int, b: int) -> SplitRecord:
     return SplitRecord(a=a, b=b, e=e, d=d, w=d // e, r=n // d)
 
 
-def component_splitting(spec: CoverSpec) -> ComponentSplitting:
-    """Splitting data of every base component under the axis character."""
-    n = spec.degree
-    base = spec.base
-    records = []
-    for k in range(base.size):
-        if k == base.axis_index:
-            records.append(_split_record(n, 1, 0))
-        else:
-            records.append(_split_record(n, 0, base.windings[k]))
-    return ComponentSplitting(degree=n, records=tuple(records))
+def component_splitting(degree: int, base: LinkUniverse) -> tuple[SplitRecord, ...]:
+    """Splitting data of every base component under the degree-n axis character."""
+    _check_degree(degree)
+    windings = base.windings
+    if windings is None:
+        raise ValueError("base universe has no branch axis")
+    return tuple([
+        _split_record(degree, 1, 0) if k == base.axis_index else _split_record(degree, 0, w)
+        for k, w in enumerate(windings)
+    ])
 
 
 def lift_braid(b: BraidWord, degree: int) -> CoverData:
@@ -141,19 +120,18 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     """
     _check_degree(degree)
     base, total, fiber_map, deck = _cover_closures(b, degree)
-    spec = CoverSpec(degree=degree, base=base)
-
-    splitting = component_splitting(spec)
+    splitting = component_splitting(degree, base)
 
     # The diagonal is zero, so lift j's own entry adds nothing to c.
     pushforward = []
     for row, k in zip(total.linking.entries, fiber_map):
-        rec = splitting.records[k]
+        rec = splitting[k]
         c = rec.e * sum([x for x, k2 in zip(row, fiber_map) if k2 == k])
         pushforward.append(((rec.e, c), (0, rec.w)))
 
     return CoverData(
-        spec=spec,
+        degree=degree,
+        base=base,
         total=total,
         fiber_map=fiber_map,
         splitting=splitting,
@@ -164,7 +142,7 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
 
 def pushforward_matrix(c: CoverData) -> IntMatrix:
     """Full pushforward on idele coordinates, a 2m x 2m' integer matrix."""
-    m = c.spec.base.size
+    m = c.base.size
     mp = c.total.size
     rows = [[0] * (2 * mp) for _ in range(2 * m)]
     for j in range(mp):
@@ -180,7 +158,7 @@ def _pushforward_coeffs(c: CoverData, coeffs: Sequence[int]) -> tuple[int, ...]:
     Each upstairs slot J adds its pushforward pair's image to the slot of
     its base component ``fiber_map[J]``.
     """
-    out = [0] * (2 * c.spec.base.size)
+    out = [0] * (2 * c.base.size)
     for k, ((a, b), (c_j, d)), mu, lam in zip(
         c.fiber_map, c.pushforward, coeffs[0::2], coeffs[1::2]
     ):
@@ -208,7 +186,7 @@ def deck_matrix(c: CoverData) -> IntMatrix:
 def principal_pushforward(c: CoverData) -> SubLattice:
     """Pushforward of the upstairs principal lattice, generator by generator."""
     cols = [_pushforward_coeffs(c, g) for g in principal_generators(c.total)]
-    return _span(2 * c.spec.base.size, cols)
+    return _span(2 * c.base.size, cols)
 
 
 def relabeled_cover(
@@ -220,7 +198,7 @@ def relabeled_cover(
     component ``i``; all covering bookkeeping is transported along.
     Verdicts must not depend on this relabeling.
     """
-    base = relabeled_universe(c.spec.base, base_order)
+    base = relabeled_universe(c.base, base_order)
     total = relabeled_universe(c.total, top_order)
     base_inv = [0] * len(base_order)
     for new, old in enumerate(base_order):
@@ -230,16 +208,13 @@ def relabeled_cover(
         top_inv[old] = new
     fiber_map = tuple(base_inv[c.fiber_map[top_order[j]]] for j in range(len(top_order)))
     deck = tuple(top_inv[c.deck[top_order[j]]] for j in range(len(top_order)))
-    splitting = ComponentSplitting(
-        degree=c.splitting.degree,
-        records=tuple(c.splitting.records[base_order[k]] for k in range(len(base_order))),
-    )
     pushforward = tuple(c.pushforward[top_order[j]] for j in range(len(top_order)))
     return CoverData(
-        spec=CoverSpec(degree=c.spec.degree, base=base),
+        degree=c.degree,
+        base=base,
         total=total,
         fiber_map=fiber_map,
-        splitting=splitting,
+        splitting=tuple(c.splitting[k] for k in base_order),
         pushforward=pushforward,
         deck=deck,
     )

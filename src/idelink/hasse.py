@@ -149,7 +149,7 @@ def _norm_principle_accept(c: CoverData) -> bool:
     closed form does not apply or the check fails; the lattice route
     then decides and finds the witness.
     """
-    down = principal_generators(c.spec.base)
+    down = principal_generators(c.base)
     if not _unit_longitudes(down):
         return False
     w: list[int | None] = [None] * len(down)
@@ -167,7 +167,7 @@ def _norm_principle_accept(c: CoverData) -> bool:
 
 def _norm_principle_lattice(c: CoverData) -> tuple[bool, dict | None]:
     """``norm_principle`` as lattice arithmetic: (passed, witness)."""
-    base = c.spec.base
+    base = c.base
     left = lattice_intersect(_principal_span(base), pushforward_image(c))
     right = _span(
         2 * base.size, [_pushforward_coeffs(c, g) for g in principal_generators(c.total)]
@@ -199,10 +199,10 @@ def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
     to w_K copies of the surface of K = fiber_map[J].  Both sides are
     linear in the surface class, so every other class follows.
     """
-    down = principal_generators(c.spec.base)
+    down = principal_generators(c.base)
     for j, gen in enumerate(principal_generators(c.total)):
         k = c.fiber_map[j]
-        w = c.splitting.records[k].w
+        w = c.splitting[k].w
         lhs = _pushforward_coeffs(c, gen)
         rhs = tuple([w * x for x in down[k]])
         if lhs != rhs:
@@ -211,7 +211,7 @@ def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
                 "surface_coeffs": [1],
                 "pushed_boundary": list(lhs),
                 "boundary_of_image": list(rhs),
-                "coordinates": _coordinate_labels(c.spec.base),
+                "coordinates": _coordinate_labels(c.base),
             }
     return True, None
 
@@ -233,7 +233,7 @@ def verify_meridian_pushforward(c: CoverData) -> tuple[bool, dict | None]:
             return False, {
                 "upstairs_component": c.total.labels[j],
                 "image": list(_pushforward_coeffs(c, unit)),
-                "coordinates": _coordinate_labels(c.spec.base),
+                "coordinates": _coordinate_labels(c.base),
             }
     return True, None
 
@@ -254,7 +254,7 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     every sublink S passes.  The empty sublink is also the first one the
     full loop visits, so a failure carries the same witness.
     """
-    for tag, u in (("base", c.spec.base), ("cover", c.total)):
+    for tag, u in (("base", c.base), ("cover", c.total)):
         inv = _class_quotient(principal_generators(u), ())
         if inv.free_rank or inv.torsion:
             return False, {
@@ -299,7 +299,7 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     a per-size slot-index table.  A failure reruns the nested loop for
     its witness.
     """
-    for tag, u in (("base", c.spec.base), ("cover", c.total)):
+    for tag, u in (("base", c.base), ("cover", c.total)):
         m = u.size
         full = tuple(range(m))
         on_full = [_boundary_coeffs(u, k, full) for k in full]
@@ -363,7 +363,7 @@ def _cover_exact_sequence_accept(c: CoverData) -> bool:
     closed form does not apply or the check fails; the lattice route
     then decides and finds the witness.
     """
-    psi_m = _axis_functional(c.spec.base)
+    psi_m = _axis_functional(c.base)
     psi_n = _axis_functional(c.total)
     if psi_m is None or psi_n is None:
         return False
@@ -381,7 +381,7 @@ def _cover_exact_sequence_accept(c: CoverData) -> bool:
 
 def _cover_exact_sequence_lattice(c: CoverData) -> tuple[bool, dict | None]:
     """``cover_exact_sequence`` as lattice arithmetic: (passed, witness)."""
-    base = c.spec.base
+    base = c.base
     total = c.total
     f = pushforward_matrix(c)
     r_m = lattice_sum(_principal_span(base), meridian_subgroup(base, (base.axis_index,)))

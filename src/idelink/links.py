@@ -158,26 +158,31 @@ def braid_power(b: BraidWord, n: int) -> BraidWord:
 class LinkUniverse:
     """A finite ordered family of oriented knots with exact linking data.
 
-    ``linking`` is symmetric with zero diagonal.  When ``axis_index`` is
-    set, component ``axis_index`` is the braid axis and ``windings``
-    records each component's winding about it (axis slot 0), matching
-    the axis row of the linking matrix.
+    ``labels`` are distinct strings and ``linking`` is symmetric with
+    zero diagonal.  When ``axis_index`` (a plain int) is set, component
+    ``axis_index`` is the braid axis and ``windings``, the axis row of
+    the linking matrix, gives each component's winding about it (axis
+    slot 0).
 
     Constructing a universe checks all of this, then builds its m
     principal generators from the linking rows (``_generators``, read
     through ``ideles.principal_generators``).  Universes the package
-    builds from a braid word are symmetric, integral and axis-consistent
-    by construction and come from ``_trusted``, which skips the checks.
+    builds from a braid word are well formed by construction and come
+    from ``_trusted``, which skips the checks.
     """
 
     labels: tuple[str, ...]
     linking: IntMatrix
     axis_index: int | None = None
-    windings: tuple[int, ...] | None = None
     _generators: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = len(self.labels)
+        for name in self.labels:
+            if not isinstance(name, str):
+                raise ValueError(f"component label {name!r} is not a string")
+        if len(set(self.labels)) != m:
+            raise ValueError("component labels must be distinct")
         if self.linking.shape != (m, m):
             raise ValueError("linking matrix shape does not match components")
         for i in range(m):
@@ -186,19 +191,12 @@ class LinkUniverse:
             for j in range(i):
                 if self.linking.entries[i][j] != self.linking.entries[j][i]:
                     raise ValueError("linking matrix must be symmetric")
-        if (self.axis_index is None) != (self.windings is None):
-            raise ValueError("windings are present exactly when an axis is")
-        if self.axis_index is not None:
-            a = self.axis_index
+        a = self.axis_index
+        if a is not None:
+            if type(a) is not int:
+                raise ValueError(f"axis index {a!r} is not a plain int")
             if not 0 <= a < m:
                 raise ValueError("axis index out of range")
-            if len(self.windings) != m:
-                raise ValueError("windings length does not match components")
-            for i in range(m):
-                if i != a and self.linking.entries[a][i] != self.windings[i]:
-                    raise ValueError("axis linking must equal winding numbers")
-            if self.windings[a] != 0:
-                raise ValueError("axis winding slot must be zero")
         object.__setattr__(self, "_generators", _principal_rows(self.linking.entries))
 
     @classmethod
@@ -207,7 +205,6 @@ class LinkUniverse:
         labels: tuple[str, ...],
         linking: IntMatrix,
         axis_index: int | None,
-        windings: tuple[int, ...] | None,
     ) -> "LinkUniverse":
         """A universe from package-built data that meets every check of ``__post_init__``.
 
@@ -219,13 +216,17 @@ class LinkUniverse:
         object.__setattr__(u, "labels", labels)
         object.__setattr__(u, "linking", linking)
         object.__setattr__(u, "axis_index", axis_index)
-        object.__setattr__(u, "windings", windings)
         object.__setattr__(u, "_generators", _principal_rows(linking.entries))
         return u
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    @property
+    def windings(self) -> tuple[int, ...] | None:
+        """Each component's winding about the axis, axis slot 0; None without an axis."""
+        return None if self.axis_index is None else self.linking.entries[self.axis_index]
 
     def lk(self, i: int, j: int) -> int:
         return self.linking.entries[i][j]
@@ -250,10 +251,8 @@ def _principal_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     return tuple(gens)
 
 
-def universe_from_braid(
-    b: BraidWord, *, axis_label: str = "A", component_prefix: str = "K"
-) -> LinkUniverse:
-    """Universe of the braid closure plus its axis (axis listed first).
+def universe_from_braid(b: BraidWord) -> LinkUniverse:
+    """Universe of the braid closure plus its axis (axis "A" listed first, then "K1", ...).
 
     Closure components are ordered by smallest strand index; the axis
     links each with its winding number (cycle length), and the closure
@@ -261,7 +260,7 @@ def universe_from_braid(
     """
     perm, crossings = _braid_walk(b.strands, b.letters)
     cycles, _, rows = _closure_data(b.strands, perm, crossings)
-    return _closure_universe(cycles, rows, axis_label, component_prefix)
+    return _closure_universe(cycles, rows, "A", "K")
 
 
 @functools.lru_cache(maxsize=64)
@@ -279,13 +278,13 @@ def _closure_universe(
     """The universe of a closed braid, axis first, from its strand cycles and linking rows.
 
     Closure component c + 1 is cycle c, and the axis links it with its
-    length.  The rows are ints, symmetric, with zero diagonal and the
-    windings as axis row, so the universe is built unchecked.
+    length.  The rows are ints, symmetric, with zero diagonal, and the
+    labels are distinct strings, so the universe is built unchecked.
     """
     windings = (0,) + tuple([len(cycle) for cycle in cycles])
     rows = (windings,) + tuple([(w,) + row for w, row in zip(windings[1:], closure_rows)])
     labels = _component_labels(axis_label, component_prefix, len(cycles))
-    return LinkUniverse._trusted(labels, IntMatrix._trusted(rows, len(rows)), 0, windings)
+    return LinkUniverse._trusted(labels, IntMatrix._trusted(rows, len(rows)), 0)
 
 
 def _cover_closures(
@@ -336,14 +335,12 @@ def relabeled_universe(u: LinkUniverse, order: tuple[int, ...]) -> LinkUniverse:
     to confirm that every verdict is independent of enumeration order.
     """
     m = u.size
-    if sorted(order) != list(range(m)):
+    if any(type(i) is not int for i in order) or sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of the component indices")
     rows = [[u.linking.entries[order[i]][order[j]] for j in range(m)] for i in range(m)]
     axis = None if u.axis_index is None else order.index(u.axis_index)
-    windings = None if u.windings is None else tuple(u.windings[order[i]] for i in range(m))
     return LinkUniverse(
         labels=tuple(u.labels[order[i]] for i in range(m)),
         linking=IntMatrix(rows, cols=m),
         axis_index=axis,
-        windings=windings,
     )

@@ -29,12 +29,22 @@ def _check_int(x):
     return x
 
 
+def _check_size(what: str, n) -> None:
+    """Reject a shape, size or rank that is not a plain int >= 0."""
+    if type(n) is not int:
+        raise ValueError(f"{what} {n!r} is not a plain int")
+    if n < 0:
+        raise ValueError(f"negative {what}")
+
+
 class IntMatrix:
     """Immutable integer matrix; entries are row-major tuples of ints."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[int]], *, cols: int | None = None):
+        if cols is not None:
+            _check_size("column count", cols)
         rows = tuple(tuple(_check_int(x) for x in row) for row in entries)
         if rows:
             width = len(rows[0])
@@ -44,8 +54,6 @@ class IntMatrix:
                 raise ValueError("cols does not match row width")
         else:
             width = 0 if cols is None else cols
-        if width < 0:
-            raise ValueError("negative column count")
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
@@ -67,16 +75,20 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
+        _check_size("row count", rows)
         return cls(((0,) * cols for _ in range(rows)), cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _check_size("size", n)
         return cls(
             (tuple(1 if c == r else 0 for c in range(n)) for r in range(n)), cols=n
         )
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], *, rows: int | None = None) -> "IntMatrix":
+        if rows is not None:
+            _check_size("row count", rows)
         columns = [tuple(c) for c in columns]
         if columns:
             height = len(columns[0])
@@ -168,8 +180,7 @@ class AbelianInvariants:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("negative free rank")
+        _check_size("free rank", self.free_rank)
         prev = None
         for d in self.torsion:
             if d < 2:
@@ -210,10 +221,7 @@ class SubLattice:
     @classmethod
     def from_columns(cls, ambient_rank: int, columns: Sequence[Sequence[int]]) -> "SubLattice":
         """Span of caller-given columns, validated; package-built columns go to ``_span``."""
-        if type(ambient_rank) is not int:
-            raise ValueError(f"ambient rank {ambient_rank!r} is not a plain int")
-        if ambient_rank < 0:
-            raise ValueError("negative ambient rank")
+        _check_size("ambient rank", ambient_rank)
         cols = [tuple(_check_int(x) for x in c) for c in columns]
         if any(len(c) != ambient_rank for c in cols):
             raise ValueError("column length does not match ambient rank")
@@ -359,6 +367,7 @@ def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInva
     quotient, not necessary: <(2, 1)> in Z^2 has quotient Z and pivot 2,
     and goes through Smith like every other input.
     """
+    _check_size("ambient rank", ambient_rank)
     if relations.ambient_rank != ambient_rank:
         raise ValueError("relations do not lie in the ambient group")
     rank = relations.rank

@@ -377,7 +377,7 @@ def unfree_sublink(gens):
 
 def class_quotient_all_sublinks(c):
     """``verify_class_quotient_free`` as a loop over every sublink: (passed, witness)."""
-    for tag, u in (("base", c.spec.base), ("cover", c.total)):
+    for tag, u in (("base", c.base), ("cover", c.total)):
         found = unfree_sublink(hasse.principal_generators(u))
         if found is not None:
             sub, inv = found
@@ -393,7 +393,7 @@ def class_quotient_all_sublinks(c):
 
 def projection_all_nested_pairs(c):
     """``verify_projection_compatibility`` over every nested pair: (passed, witness)."""
-    for tag, u in (("base", c.spec.base), ("cover", c.total)):
+    for tag, u in (("base", c.base), ("cover", c.total)):
         subs = list(hasse._sublinks(u.size))
         boundary = {
             (k, sub): hasse._boundary_coeffs(u, k, sub) for sub in subs for k in sub
@@ -438,7 +438,7 @@ def surface_pushforward(c, support, coeffs):
     totals = {}
     for j, a in zip(support, coeffs):
         k = c.fiber_map[j]
-        totals[k] = totals.get(k, 0) + c.splitting.records[k].w * a
+        totals[k] = totals.get(k, 0) + c.splitting[k].w * a
     image = tuple(sorted(totals))
     return image, tuple(totals[k] for k in image)
 
@@ -451,14 +451,14 @@ def diagonal_commutes_typed(c):
     classes.append((tuple(range(m)), (1,) * m))
     for support, coeffs in classes:
         lhs = f.apply(surface_boundary(c.total, support, coeffs))
-        rhs = surface_boundary(c.spec.base, *surface_pushforward(c, support, coeffs))
+        rhs = surface_boundary(c.base, *surface_pushforward(c, support, coeffs))
         if lhs != rhs:
             return False, {
                 "surface_support": list(support),
                 "surface_coeffs": list(coeffs),
                 "pushed_boundary": list(lhs),
                 "boundary_of_image": list(rhs),
-                "coordinates": hasse._coordinate_labels(c.spec.base),
+                "coordinates": hasse._coordinate_labels(c.base),
             }
     return True, None
 
@@ -473,7 +473,7 @@ def meridian_pushforward_typed(c):
             return False, {
                 "upstairs_component": c.total.labels[j],
                 "image": list(image),
-                "coordinates": hasse._coordinate_labels(c.spec.base),
+                "coordinates": hasse._coordinate_labels(c.base),
             }
     return True, None
 

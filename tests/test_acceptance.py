@@ -80,7 +80,7 @@ def test_criterion_2_worked_double_cover():
     c = lift_braid(BraidWord(1, ()), 2)
     # ordered basis (mu_A, lam_A, mu_K, lam_K)
     expected = SubLattice.from_columns(4, [(0, 1, -1, 0), (-2, 0, 0, 2)])
-    left = lattice_intersect(principal_lattice(c.spec.base), pushforward_image(c))
+    left = lattice_intersect(principal_lattice(c.base), pushforward_image(c))
     right = principal_pushforward(c)
     ok = lattice_equal(left, expected) and lattice_equal(right, expected)
     _announce(2, ok, "both sides equal <lam_A - mu_K, 2 lam_K - 2 mu_A>")
@@ -227,23 +227,23 @@ def test_criterion_10_enumeration_determinism(sweep_covers):
     scenarios = 0
     for _, _, c in sweep_covers:
         scenarios += 1
-        base_order = tuple(reversed(range(c.spec.base.size)))
+        base_order = tuple(reversed(range(c.base.size)))
         top_order = tuple(reversed(range(c.total.size)))
         r = relabeled_cover(c, base_order, top_order)
         left = lattice_intersect(
-            principal_lattice(c.spec.base), pushforward_image(c)
+            principal_lattice(c.base), pushforward_image(c)
         )
         right = principal_pushforward(c)
         left_p = lattice_intersect(
-            principal_lattice(r.spec.base), pushforward_image(r)
+            principal_lattice(r.base), pushforward_image(r)
         )
         right_p = principal_pushforward(r)
         verdict = lattice_equal(left, right)
         verdict_p = lattice_equal(left_p, right_p)
         same_forms = lattice_equal(
-            _map_back(left_p, base_order, c.spec.base.size), left
+            _map_back(left_p, base_order, c.base.size), left
         ) and lattice_equal(
-            _map_back(right_p, base_order, c.spec.base.size), right
+            _map_back(right_p, base_order, c.base.size), right
         )
         if not (verdict and verdict_p and same_forms):
             mismatched += 1

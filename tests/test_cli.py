@@ -54,6 +54,52 @@ def hopf_scenario(tmp_path):
     return str(path)
 
 
+LIFT_SIGMA1_DEGREE_2 = """\
+cover degree: 2
+base universe (2 components)
+  A axis  lk-row: [0 2]
+  K1 winding=2  lk-row: [2 0]
+cover universe (3 components)
+  A~ axis  lk-row: [0 1 1]
+  J1 winding=1  lk-row: [1 0 1]
+  J2 winding=1  lk-row: [1 1 0]
+splitting (per base component)
+  component  a  b  e  d  w  r
+  A          1  0  2  2  1  1
+  K1         0  0  1  1  1  2
+pushforward (per cover component)
+  μ_A~ -> 2μ_A;  λ_A~ -> λ_A
+  μ_J1 -> μ_K1;  λ_J1 -> μ_K1 + λ_K1
+  μ_J2 -> μ_K1;  λ_J2 -> μ_K1 + λ_K1
+deck rotation: (A~) (J1 J2)
+"""
+
+# c = -3 on J1 and J2; K1 has w = 3 and r = 2, K2 has w = 6.
+LIFT_THREE_STRAND_DEGREE_6 = """\
+cover degree: 6
+base universe (3 components)
+  A axis  lk-row: [0 2 1]
+  K1 winding=2  lk-row: [2 0 1]
+  K2 winding=1  lk-row: [1 1 0]
+cover universe (4 components)
+  A~ axis  lk-row: [0 1 1 1]
+  J1 winding=1  lk-row: [1 0 -3 3]
+  J2 winding=1  lk-row: [1 -3 0 3]
+  J3 winding=1  lk-row: [1 3 3 0]
+splitting (per base component)
+  component  a  b  e  d  w  r
+  A          1  0  6  6  1  1
+  K1         0  2  1  3  3  2
+  K2         0  1  1  6  6  1
+pushforward (per cover component)
+  μ_A~ -> 6μ_A;  λ_A~ -> λ_A
+  μ_J1 -> μ_K1;  λ_J1 -> -3μ_K1 + 3λ_K1
+  μ_J2 -> μ_K1;  λ_J2 -> -3μ_K1 + 3λ_K1
+  μ_J3 -> μ_K2;  λ_J3 -> 6λ_K2
+deck rotation: (A~) (J1 J2) (J3)
+"""
+
+
 class TestLift:
     def test_prints_splitting_table(self, scenario_file, capsys):
         assert main(["lift", "--input", scenario_file]) == 0
@@ -72,6 +118,20 @@ class TestLift:
         target = tmp_path / "lift.txt"
         assert main(["lift", "--input", scenario_file, "--out", str(target)]) == 0
         assert "deck rotation" in target.read_text()
+
+    @pytest.mark.parametrize("ascii_flag", [False, True])
+    @pytest.mark.parametrize("braid, degree, expected", [
+        ({"strands": 2, "word": [1]}, 2, LIFT_SIGMA1_DEGREE_2),
+        ({"strands": 3, "word": [2, 2, -1]}, 6, LIFT_THREE_STRAND_DEGREE_6),
+    ])
+    def test_whole_output(self, braid, degree, expected, ascii_flag, tmp_path, capsys):
+        # --ascii changes only the idele coordinate prefixes.
+        if ascii_flag:
+            expected = expected.replace("μ_", "mu_").replace("λ_", "lam_")
+        path = write_scenario(tmp_path, braid=braid, cover_degree=degree)
+        argv = ["lift", "--input", path] + (["--ascii"] if ascii_flag else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_invalid_letter_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -9,7 +9,6 @@ import pytest
 
 from idelink import covers, links
 from idelink.covers import (
-    CoverSpec,
     _pushforward_coeffs,
     branched_cover_order,
     component_splitting,
@@ -52,49 +51,48 @@ def suite_covers(max_strands=3, max_len=3, degrees=(2, 3)):
 class TestLift:
     def test_sigma1_double_cover(self):
         c = lift_braid(BraidWord(2, (1,)), 2)
-        assert c.spec.base.linking.entries == ((0, 2), (2, 0))
+        assert c.base.linking.entries == ((0, 2), (2, 0))
         assert c.total.labels == ("A~", "J1", "J2")
         assert c.total.linking.entries == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-        rec = c.splitting.records[1]
+        rec = c.splitting[1]
         assert (rec.e, rec.w, rec.r) == (1, 1, 2)
         assert c.fiber_map == (0, 1, 1)
 
     def test_trivial_braid_double_cover(self):
         c = lift_braid(BraidWord(1, ()), 2)
-        rec = c.splitting.records[1]
+        rec = c.splitting[1]
         assert (rec.e, rec.w, rec.r) == (1, 2, 1)
         assert c.total.size == 2
 
     def test_axis_record(self):
         for n in (1, 2, 3, 5):
             c = lift_braid(BraidWord(2, (1, -1)), n)
-            axis = c.splitting.records[0]
+            axis = c.splitting[0]
             assert (axis.a, axis.e, axis.w, axis.r) == (1 % n, n, 1, 1)
             assert c.pushforward[0] == ((n, 0), (0, 1))
 
     def test_identity_cover(self):
         c = lift_braid(BraidWord(2, (1, 1)), 1)
-        assert c.total.size == c.spec.base.size
+        assert c.total.size == c.base.size
         assert c.deck == tuple(range(c.total.size))
         assert lattice_equal(pushforward_image(c), SubLattice.full(6))
 
     def test_spec_validation(self):
         u = universe_from_braid(BraidWord(2, (1,)))
         with pytest.raises(ValueError):
-            CoverSpec(degree=0, base=u)
+            component_splitting(0, u)
         from idelink.links import LinkUniverse
 
         no_axis = LinkUniverse(("K1", "K2"), IntMatrix([[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
-            CoverSpec(degree=2, base=no_axis)
+            component_splitting(2, no_axis)
 
     def test_splitting_formulas(self):
         # non-axis component of winding w: e = 1, w-degree = order of w
         # mod n, r = gcd(w, n)
         for winding, n in itertools.product(range(1, 6), range(1, 7)):
             base = universe_from_braid(BraidWord(winding, tuple(range(1, winding))))
-            spec = CoverSpec(degree=n, base=base)
-            rec = component_splitting(spec).records[1]
+            rec = component_splitting(n, base)[1]
             assert rec.e == 1
             assert rec.r == gcd(winding, n)
             assert rec.w == n // gcd(winding, n)
@@ -132,10 +130,10 @@ def _closure_crossings(b):
 
 def lift_invariant_failures(b, c):
     """Every lift invariant that ``c``, a cover of the closure of ``b``, breaks."""
-    n = c.spec.degree
-    base = c.spec.base
+    n = c.degree
+    base = c.base
     bad = []
-    for k, rec in enumerate(c.splitting.records):
+    for k, rec in enumerate(c.splitting):
         if rec.e * rec.w != rec.d or rec.r * rec.d != n:
             bad.append(("splitting arithmetic", k))
         fiber = c.fiber(k)
@@ -206,7 +204,7 @@ class TestLiftDerivation:
     def test_universe_closure_block_is_linking_matrix(self, sweep_covers, wide4_covers):
         bad = []
         for b, n, c in sweep_covers + wide4_covers:
-            for u, word in ((c.spec.base, b), (c.total, braid_power(b, n))):
+            for u, word in ((c.base, b), (c.total, braid_power(b, n))):
                 block = tuple(row[1:] for row in u.linking.entries[1:])
                 if block != braid_linking_matrix(word).entries:
                     bad.append((b, n, u.labels))
@@ -247,7 +245,7 @@ class TestLiftDerivation:
         monkeypatch.setattr(links, "braid_permutation", counted_perm)
         b = BraidWord(4, (1, 2, -3, 1))
         c = lift_braid(b, 6)
-        assert c.total.size > c.spec.base.size
+        assert c.total.size > c.base.size
         assert (len(walks), len(perms)) == (1, 0)
         # The walk covers the word's len(b) letters, not the n * len(b)
         # letters of its n-th power.
@@ -272,7 +270,7 @@ class TestLiftDerivation:
         counting(links.LinkUniverse, "__post_init__", "LinkUniverse")
         counting(BraidWord, "__post_init__", "BraidWord")
         c = lift_braid(b, 6)
-        assert c.total.size > c.spec.base.size
+        assert c.total.size > c.base.size
         assert counts == {"IntMatrix": 0, "LinkUniverse": 0, "BraidWord": 0}
         # The counters see the public constructors.
         BraidWord(2, (1,))
@@ -341,8 +339,8 @@ class TestDeck:
 
     def test_order_on_fibers(self):
         for c in suite_covers(3, 2, (2, 3, 4)):
-            for k in range(c.spec.base.size):
-                r = c.splitting.records[k].r
+            for k in range(c.base.size):
+                r = c.splitting[k].r
                 for j in c.fiber(k):
                     t = j
                     for _ in range(r):
@@ -365,14 +363,14 @@ class TestCoverIdentities:
     def test_linking_transfer(self):
         # e_K'' * sum of upstairs linkings over K'' = w_K * base linking
         for c in suite_covers(3, 3, (2, 3, 4)):
-            base = c.spec.base
+            base = c.base
             for j in range(c.total.size):
                 k = c.fiber_map[j]
-                w_k = c.splitting.records[k].w
+                w_k = c.splitting[k].w
                 for k2 in range(base.size):
                     if k2 == k:
                         continue
-                    e2 = c.splitting.records[k2].e
+                    e2 = c.splitting[k2].e
                     upstairs = sum(c.total.lk(j, j2) for j2 in c.fiber(k2))
                     assert e2 * upstairs == w_k * base.lk(k, k2)
 
@@ -381,7 +379,7 @@ class TestCoverIdentities:
             gens = principal_generators(c.total)
             for j in range(c.total.size):
                 lhs = _pushforward_coeffs(c, gens[j])
-                rhs = surface_boundary(c.spec.base, *surface_pushforward(c, (j,), (1,)))
+                rhs = surface_boundary(c.base, *surface_pushforward(c, (j,), (1,)))
                 assert lhs == rhs
 
     def test_meridian_columns(self):
@@ -389,7 +387,7 @@ class TestCoverIdentities:
             f = pushforward_matrix(c)
             for j in range(c.total.size):
                 col = f.column(2 * j)
-                assert col[1::2] == (0,) * c.spec.base.size
+                assert col[1::2] == (0,) * c.base.size
 
     def test_principal_pushforward_matches_matrix_route(self):
         from idelink.ideles import principal_lattice
@@ -404,16 +402,25 @@ class TestCoverIdentities:
 class TestRelabeledCover:
     def test_roundtrip(self):
         c = lift_braid(BraidWord(3, (1, 2)), 2)
-        base_order = tuple(reversed(range(c.spec.base.size)))
+        base_order = tuple(reversed(range(c.base.size)))
         top_order = tuple(reversed(range(c.total.size)))
         r = relabeled_cover(c, base_order, top_order)
-        assert r.spec.base.labels == tuple(reversed(c.spec.base.labels))
+        assert r.base.labels == tuple(reversed(c.base.labels))
         back = relabeled_cover(
             r,
             tuple(base_order.index(i) for i in range(len(base_order))),
             tuple(top_order.index(i) for i in range(len(top_order))),
         )
         assert back == c
+
+    @pytest.mark.parametrize("bad", [(True, False), (1.0, 0.0)])
+    def test_orders_must_be_plain_ints(self, bad):
+        c = lift_braid(BraidWord(2, (1,)), 2)
+        top = tuple(range(c.total.size))
+        with pytest.raises(ValueError, match="permutation"):
+            relabeled_cover(c, bad, top)
+        with pytest.raises(ValueError, match="permutation"):
+            relabeled_cover(c, (0, 1), bad + (2,))
 
     def test_deck_matrix_is_permutation(self):
         c = lift_braid(BraidWord(2, (1,)), 4)

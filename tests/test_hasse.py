@@ -53,7 +53,7 @@ def test_worked_double_cover_lattices():
     c = lift_braid(BraidWord(1, ()), 2)
     # ordered basis (mu_A, lam_A, mu_K, lam_K)
     expected = SubLattice.from_columns(4, [(0, 1, -1, 0), (-2, 0, 0, 2)])
-    left = lattice_intersect(principal_lattice(c.spec.base), pushforward_image(c))
+    left = lattice_intersect(principal_lattice(c.base), pushforward_image(c))
     right = principal_pushforward(c)
     assert lattice_equal(left, expected)
     assert lattice_equal(right, expected)
@@ -92,7 +92,7 @@ def test_norm_principle_witness_on_tampered_cover():
     assert witness is not None
     vec = tuple(witness["vector"])
     left = lattice_intersect(
-        principal_lattice(tampered.spec.base), pushforward_image(tampered)
+        principal_lattice(tampered.base), pushforward_image(tampered)
     )
     right = principal_pushforward(tampered)
     assert lattice_member(vec, left) != lattice_member(vec, right)
@@ -262,7 +262,7 @@ def test_product_path_builds_no_typed_wrappers(monkeypatch):
     counting(zlattice.IntMatrix, "IntMatrix")
     counting(ideles.IdeleVector, "IdeleVector")
     c = lift_braid(b, 2)
-    assert (c.spec.base.size, c.total.size) == (5, 5)
+    assert (c.base.size, c.total.size) == (5, 5)
     assert counts["IntMatrix"] == 0
     for fn in CHECKS.values():
         assert fn(c)[0]
@@ -346,13 +346,13 @@ def test_closed_forms_agree_with_lattice_routes_on_relabeled_covers(monkeypatch,
     rng = random.Random(29)
     relabeled = []
     for _, _, c in sweep_covers[::100]:
-        base_order = list(range(c.spec.base.size))
+        base_order = list(range(c.base.size))
         top_order = list(range(c.total.size))
         rng.shuffle(base_order)
         rng.shuffle(top_order)
         relabeled.append(relabeled_cover(c, tuple(base_order), tuple(top_order)))
     assert len(relabeled) == 58
-    assert any(r.spec.base.axis_index or r.total.axis_index for r in relabeled)
+    assert any(r.base.axis_index or r.total.axis_index for r in relabeled)
     none = dict.fromkeys(CLOSED_FORM, 0)
     assert _closed_form_outcomes(monkeypatch, relabeled) == ([], none, none)
 
@@ -409,15 +409,15 @@ def test_closed_forms_agree_under_patched_generators(monkeypatch, sweep_covers):
         return [g[:a] + (g[a] + by(k),) + g[a + 1 :] for k, g in enumerate(real(u))]
 
     for c in covers:
-        base, total = c.spec.base, c.total
-        w = [c.splitting.records[k].w for k in c.fiber_map]
-        patched[id(base)] = shifted(base, lambda k: 0 if k == base.axis_index else c.spec.degree)
+        base, total = c.base, c.total
+        w = [c.splitting[k].w for k in c.fiber_map]
+        patched[id(base)] = shifted(base, lambda k: 0 if k == base.axis_index else c.degree)
         patched[id(total)] = shifted(total, lambda j: 0 if j == total.axis_index else w[j])
     none = dict.fromkeys(CLOSED_FORM, 0)
     assert _closed_form_outcomes(monkeypatch, covers) == ([], none, none)
 
     for c in covers:
-        patched[id(c.spec.base)] = shifted(c.spec.base, lambda k: 1)
+        patched[id(c.base)] = shifted(c.base, lambda k: 1)
         patched[id(c.total)] = real(c.total)
     bad, failed, _ = _closed_form_outcomes(monkeypatch, covers)
     assert bad == []
@@ -426,7 +426,7 @@ def test_closed_forms_agree_under_patched_generators(monkeypatch, sweep_covers):
     # Doubled longitudes in both universes are no units: the closed forms
     # do not apply, and the lattice routes pass some covers and fail others.
     for c in covers:
-        for u in (c.spec.base, c.total):
+        for u in (c.base, c.total):
             patched[id(u)] = [tuple(x << (i % 2) for i, x in enumerate(g)) for g in real(u)]
     bad, failed, _ = _closed_form_outcomes(monkeypatch, covers)
     assert bad == []
@@ -475,7 +475,7 @@ def test_accept_implies_lattice_pass_on_grafted_covers(sweep_covers):
 
 def test_closed_form_checks_make_no_kernel_calls(monkeypatch):
     c = lift_braid(BraidWord(4, ()), 2)
-    assert (c.spec.base.size, c.total.size) == (5, 5)
+    assert (c.base.size, c.total.size) == (5, 5)
     calls = []
 
     def counting(name):
@@ -507,7 +507,7 @@ def test_projection_witness_on_middle_layer_only(monkeypatch):
         return tuple(coeffs)
 
     c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
-    assert (c.spec.base.size, c.total.size) == (2, 5)
+    assert (c.base.size, c.total.size) == (2, 5)
     monkeypatch.setattr(hasse, "_boundary_coeffs", shifted)
     passed, witness = verify_projection_compatibility(c)
     assert not passed
@@ -531,7 +531,7 @@ def test_free_on_empty_sublink_iff_free_on_every_sublink(gens):
 
 def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
     c = lift_braid(BraidWord(4, ()), 2)
-    assert (c.spec.base.size, c.total.size) == (5, 5)
+    assert (c.base.size, c.total.size) == (5, 5)
     calls = []
     real = kernel.col_hnf
 
@@ -558,7 +558,7 @@ def test_projection_table_matches_project_coeffs(size):
 
 def test_projection_pass_makes_no_project_coeffs_call(monkeypatch):
     c = lift_braid(BraidWord(4, ()), 2)
-    assert (c.spec.base.size, c.total.size) == (5, 5)
+    assert (c.base.size, c.total.size) == (5, 5)
     calls = []
     real = hasse._project_coeffs
 
@@ -575,7 +575,7 @@ def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):
     # A passing check reads each pushforward matrix directly; only a
     # failure pushes a unit meridian through for its witness.
     c = lift_braid(BraidWord(4, ()), 2)
-    assert (c.spec.base.size, c.total.size) == (5, 5)
+    assert (c.base.size, c.total.size) == (5, 5)
     calls = []
     real = hasse._pushforward_coeffs
 
@@ -606,7 +606,7 @@ def test_checks_run_on_relabeled_cover():
     c = lift_braid(BraidWord(3, (1, 2, 2)), 2)
     r = relabeled_cover(
         c,
-        tuple(reversed(range(c.spec.base.size))),
+        tuple(reversed(range(c.base.size))),
         tuple(reversed(range(c.total.size))),
     )
     for name, fn in CHECKS.items():

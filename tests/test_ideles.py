@@ -264,7 +264,7 @@ class TestClassQuotient:
         for b in iter_braid_words(3, 4):
             for n in (2, 3, 4, 5):
                 c = lift_braid(b, n)
-                universes.update((c.spec.base, c.total))
+                universes.update((c.base, c.total))
         assert len(universes) > 100
         for u in universes:
             m = u.size

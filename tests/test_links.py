@@ -174,13 +174,32 @@ class TestUniverse:
             LinkUniverse(("A", "K"), IntMatrix([[0, 1], [2, 0]]))
         with pytest.raises(ValueError):
             LinkUniverse(("A", "K"), IntMatrix([[1, 0], [0, 0]]))
-        with pytest.raises(ValueError):
-            LinkUniverse(
-                ("A", "K"),
-                IntMatrix([[0, 2], [2, 0]]),
-                axis_index=0,
-                windings=(0, 1),
-            )
+
+    def test_windings_are_the_axis_row(self):
+        m = IntMatrix([[0, 2, 1], [2, 0, 3], [1, 3, 0]])
+        assert LinkUniverse(("K", "A", "L"), m, axis_index=1).windings == (2, 0, 3)
+        assert LinkUniverse(("K", "A", "L"), m).windings is None
+
+    @pytest.mark.parametrize("axis", [True, 1.0])
+    def test_axis_index_must_be_plain_int(self, axis):
+        # True would otherwise be stored as the axis, 1.0 fail with a TypeError.
+        with pytest.raises(ValueError, match="not a plain int"):
+            LinkUniverse(("A", "K"), IntMatrix([[0, 1], [1, 0]]), axis)
+
+    def test_labels_must_be_strings(self):
+        # Int labels would otherwise fail later, in IdeleVector.format and the witnesses.
+        with pytest.raises(ValueError, match="not a string"):
+            LinkUniverse((1, 2), IntMatrix([[0, 1], [1, 0]]), 0)
+
+    def test_labels_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):
+            LinkUniverse(("A", "A"), IntMatrix([[0, 1], [1, 0]]), 0)
+
+    @pytest.mark.parametrize("order", [(True, False, 2), (1.0, 0.0, 2.0)])
+    def test_relabel_order_must_be_plain_ints(self, order):
+        u = universe_from_braid(BraidWord(2, (1, 1)))
+        with pytest.raises(ValueError, match="permutation"):
+            relabeled_universe(u, order)
 
     def test_relabeled_universe_roundtrip(self):
         u = universe_from_braid(BraidWord(3, (1, 2, 1)))
@@ -245,11 +264,9 @@ class TestTrustedUniverses:
 
     def test_lifted_universes_pass_the_public_constructors(self, sweep_covers, wide4_covers):
         for b, n, c in sweep_covers + wide4_covers:
-            for u in (c.spec.base, c.total):
+            for u in (c.base, c.total):
                 m = u.size
-                rebuilt = LinkUniverse(
-                    u.labels, IntMatrix(u.linking.entries, cols=m), u.axis_index, u.windings
-                )
+                rebuilt = LinkUniverse(u.labels, IntMatrix(u.linking.entries, cols=m), u.axis_index)
                 assert rebuilt == u, (b, n)
                 assert rebuilt._generators == u._generators, (b, n)
                 assert u.linking.shape == (m, m) and _plain_int_rows(u.linking), (b, n)
@@ -258,9 +275,7 @@ class TestTrustedUniverses:
     def test_universe_from_braid_passes_the_public_constructors(self):
         for b in all_words(3, 4):
             u = universe_from_braid(b)
-            rebuilt = LinkUniverse(
-                u.labels, IntMatrix(u.linking.entries, cols=u.size), u.axis_index, u.windings
-            )
+            rebuilt = LinkUniverse(u.labels, IntMatrix(u.linking.entries, cols=u.size), u.axis_index)
             assert rebuilt == u and rebuilt._generators == u._generators
             assert _plain_int_rows(u.linking)
 
@@ -269,4 +284,4 @@ class TestTrustedUniverses:
         assert u == dataclasses.replace(u)
         assert "_generators" not in repr(u)
         with pytest.raises(TypeError):
-            LinkUniverse(u.labels, u.linking, u.axis_index, u.windings, u._generators)
+            LinkUniverse(u.labels, u.linking, u.axis_index, u._generators)

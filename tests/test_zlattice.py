@@ -37,6 +37,27 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             IntMatrix([[True]])
 
+    @pytest.mark.parametrize("cols", [True, 2.5])
+    def test_cols_must_be_plain_int(self, cols):
+        # True would otherwise be stored as the width, 2.5 fail later in .columns().
+        with pytest.raises(ValueError, match="plain int"):
+            IntMatrix([], cols=cols)
+
+    def test_zero_shape_must_be_plain_ints(self):
+        for rows, cols in ((2, 2.0), (2.0, 2), (True, 2)):
+            with pytest.raises(ValueError, match="plain int"):
+                IntMatrix.zero(rows, cols)
+
+    def test_from_columns_rows_must_be_plain_int(self):
+        with pytest.raises(ValueError, match="plain int"):
+            IntMatrix.from_columns([], rows=2.0)
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_identity_size_must_be_plain_int(self, n):
+        # identity(True) would otherwise build a 1x1 matrix.
+        with pytest.raises(ValueError, match="plain int"):
+            IntMatrix.identity(n)
+
     def test_empty_shapes(self):
         assert IntMatrix([], cols=3).shape == (0, 3)
         assert IntMatrix([(), (), ()]).shape == (3, 0)
@@ -235,6 +256,10 @@ class TestLatticeOps:
             with pytest.raises(ValueError, match="plain int"):
                 SubLattice.zero(bad)
 
+    def test_full_rank_must_be_plain_int(self):
+        with pytest.raises(ValueError, match="plain int"):
+            SubLattice.full(2.0)
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             lattice_sum(lat(2, (1, 0)), lat(3, (1, 0, 0)))
@@ -319,6 +344,17 @@ class TestQuotients:
             AbelianInvariants(0, (1,))
         assert AbelianInvariants(0, (2, 4)).order == 8
         assert AbelianInvariants(1, ()).order == 0
+
+    @pytest.mark.parametrize("free_rank", [1.0, True])
+    def test_free_rank_must_be_plain_int(self, free_rank):
+        with pytest.raises(ValueError, match="plain int"):
+            AbelianInvariants(free_rank, ())
+
+    @pytest.mark.parametrize("rank", [1.0, True])
+    def test_quotient_ambient_rank_must_be_plain_int(self, rank):
+        # 1.0 would otherwise come back as AbelianInvariants(free_rank=1.0, ...).
+        with pytest.raises(ValueError, match="plain int"):
+            quotient_invariants(rank, SubLattice.zero(1))
 
 
 class TestKernelAndPreimage:
