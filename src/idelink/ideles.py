@@ -148,7 +148,7 @@ def _class_quotient(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> Ab
 
     The kept coordinates are ordered all longitudes first, then the
     sublink's meridians, so each generator's own unit longitude is its
-    pivot and a free quotient is recognised without a Smith form.
+    pivot and a free quotient is recognised with no further kernel call.
     """
     n = len(gens) + len(sub)
     cols = [g[1::2] + tuple([g[2 * k] for k in sub]) for g in gens]

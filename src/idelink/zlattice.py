@@ -18,6 +18,7 @@ operations hand canonical columns straight to the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import kernel
@@ -181,8 +182,11 @@ class AbelianInvariants:
 
     def __post_init__(self):
         _check_size("free rank", self.free_rank)
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         prev = None
         for d in self.torsion:
+            if type(d) is not int:
+                raise ValueError(f"torsion invariant {d!r} is not a plain int")
             if d < 2:
                 raise ValueError("torsion invariants must be >= 2")
             if prev is not None and d % prev:
@@ -242,7 +246,8 @@ class SubLattice:
     @property
     def canonical_form(self) -> IntMatrix:
         """The canonical columns as an ambient_rank x rank matrix."""
-        return IntMatrix.from_columns(self.columns, rows=self.ambient_rank)
+        rows = tuple(zip(*self.columns)) or ((),) * self.ambient_rank
+        return IntMatrix._trusted(rows, self.rank)
 
 
 def _span(ambient_rank: int, cols) -> SubLattice:
@@ -269,9 +274,9 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """
     u, d, v = kernel.smith(m.rows, m.cols, [list(r) for r in m.entries])
     return (
-        IntMatrix(u, cols=m.rows),
-        IntMatrix(d, cols=m.cols),
-        IntMatrix(v, cols=m.cols),
+        IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
+        IntMatrix._trusted(tuple(map(tuple, d)), m.cols),
+        IntMatrix._trusted(tuple(map(tuple, v)), m.cols),
     )
 
 
@@ -294,16 +299,23 @@ def kernel_lattice(m: IntMatrix) -> SubLattice:
 
 
 def lattice_intersect(a: SubLattice, b: SubLattice) -> SubLattice:
-    """Intersection, via the kernel of the juxtaposed generator block."""
+    """Intersection, via the kernel of the juxtaposed generator block.
+
+    Each kernel column's leading coefficients combine a's columns into a
+    vector of the intersection; a vector adds ``x * column`` for the
+    nonzero coefficients ``x`` only.
+    """
     _require_same_ambient(a, b)
     n = a.ambient_rank
     ker = _kernel_span(n, a.columns + b.columns)
-    # A kernel vector's leading a.rank coordinates combine a's columns
-    # (zip stops there) into a vector of the intersection.
-    vectors = [
-        [sum(x * col[i] for x, col in zip(coeffs, a.columns)) for i in range(n)]
-        for coeffs in ker.columns
-    ]
+    # zip stops at a.rank, the leading coordinates of a kernel vector.
+    vectors = []
+    for coeffs in ker.columns:
+        v = [0] * n
+        for x, col in zip(coeffs, a.columns):
+            if x:
+                v = [s + x * c for s, c in zip(v, col)]
+        vectors.append(v)
     return _span(n, vectors)
 
 
@@ -360,26 +372,45 @@ def lattice_equal(a: SubLattice, b: SubLattice) -> bool:
 def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInvariants:
     """Invariant factors of Z^ambient_rank modulo the relation lattice.
 
-    When every canonical column's pivot (its first nonzero entry) is 1,
-    those columns plus the unit vectors on the non-pivot rows form a
-    unimodular basis, so the quotient is free of rank ambient_rank - rank
-    and no Smith form is needed.  Unit pivots are sufficient for a free
-    quotient, not necessary: <(2, 1)> in Z^2 has quotient Z and pivot 2,
-    and goes through Smith like every other input.
+    The canonical columns are independent, so the free rank is
+    ambient_rank - rank.  When every pivot (a column's first nonzero
+    entry) is 1, those columns plus the unit vectors on the non-pivot
+    rows form a unimodular basis and there is no torsion.  Unit pivots
+    are sufficient for a free quotient, not necessary: <(2, 1)> in Z^2
+    has quotient Z and pivot 2, and takes the Hermite route below like
+    every other input.
+
+    The torsion comes from the rank x rank diagonal that alternating
+    column Hermite forms of the transpose reach.  The canonical form is
+    already a column HNF, so the first call runs on its rows; every
+    later call runs on the rows of the previous lower-triangular
+    result.  A round makes the new leading pivot the gcd of the old
+    one's column, so it either strictly lowers the leading pivot or,
+    when the pivot divides its column, clears the pivot's row and
+    column and leaves the trailing block to the later rounds.  Pivots
+    are positive integers, so the loop ends.  Replacing each pair of
+    diagonal entries (a, b) by (gcd, lcm) then makes a divisibility
+    chain, and the entries above 1 are the torsion.
     """
     _check_size("ambient rank", ambient_rank)
     if relations.ambient_rank != ambient_rank:
         raise ValueError("relations do not lie in the ambient group")
     rank = relations.rank
-    if all(next(filter(None, col)) == 1 for col in relations.columns):
-        return AbelianInvariants(ambient_rank - rank, ())
-    _, d, _ = kernel.smith(ambient_rank, rank, list(zip(*relations.columns)))
-    diag = [d[i][i] for i in range(min(ambient_rank, rank))]
-    nonzero = [x for x in diag if x]
-    return AbelianInvariants(
-        free_rank=ambient_rank - len(nonzero),
-        torsion=tuple(x for x in nonzero if x > 1),
-    )
+    cols = relations.columns
+    free_rank = ambient_rank - rank
+    if all(next(filter(None, col)) == 1 for col in cols):
+        return AbelianInvariants(free_rank, ())
+    while True:
+        cols = kernel.col_hnf(rank, list(zip(*cols)))
+        if not any(any(col[j + 1:]) for j, col in enumerate(cols)):
+            break
+    diag = [col[j] for j, col in enumerate(cols) if col[j] != 1]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g = gcd(a, b)
+            diag[i], diag[j] = g, a // g * b
+    return AbelianInvariants(free_rank, tuple(x for x in diag if x > 1))
 
 
 def relative_quotient_invariants(outer: SubLattice, inner: SubLattice) -> AbelianInvariants:

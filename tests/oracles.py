@@ -6,7 +6,11 @@ by breadth-first closure with a provable slack margin, quotient
 invariants by gcds of minors, and resultants by the Euclidean remainder
 sequence over the rationals.
 
-The check routes at the end are the exception.  Two are the
+The routes at the end are the exception.  Three are the lattice
+routes ``idelink.zlattice`` replaced: absolute and relative quotient
+invariants read off the diagonal of ``kernel.smith``, and intersection
+vectors summed densely over every kernel coefficient.  The check
+routes follow.  Two are the
 per-sublink and per-nested-pair loops that ``idelink.hasse`` reduced to
 one class quotient per universe and one comparison per sublink, kept
 here unchanged to test that reduction.  They reach the package's
@@ -30,9 +34,10 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from idelink import hasse
+from idelink import hasse, kernel, zlattice
 from idelink.covers import pushforward_matrix
 from idelink.links import BraidWord, braid_components, braid_permutation, braid_power
+from idelink.zlattice import AbelianInvariants, SubLattice
 
 
 def rational_solve(cols, v):
@@ -359,6 +364,36 @@ def resultant_oracle(f, g):
     if acc.denominator != 1:
         raise AssertionError("resultant of integer polynomials must be integral")
     return int(acc)
+
+
+def smith_quotient_invariants(n, relations):
+    """Z^n modulo the sublattice ``relations``, from the Smith diagonal."""
+    rank = relations.rank
+    _, d, _ = kernel.smith(n, rank, list(zip(*relations.columns)))
+    nonzero = [x for x in (d[i][i] for i in range(min(n, rank))) if x]
+    return AbelianInvariants(n - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
+def smith_relative_quotient_invariants(outer, inner):
+    """outer/inner for nested sublattices, through ``smith_quotient_invariants``."""
+    coords = []
+    for col in inner.columns:
+        sol = zlattice._solve_in_hnf(outer.columns, col)
+        if sol is None:
+            raise ValueError("inner lattice is not contained in outer lattice")
+        coords.append(sol)
+    return smith_quotient_invariants(outer.rank, SubLattice.from_columns(outer.rank, coords))
+
+
+def dense_lattice_intersect(a, b):
+    """a meet b, each vector summed over every kernel coefficient and row."""
+    n = a.ambient_rank
+    ker = zlattice._kernel_span(n, a.columns + b.columns)
+    vectors = [
+        [sum(x * col[i] for x, col in zip(coeffs, a.columns)) for i in range(n)]
+        for coeffs in ker.columns
+    ]
+    return SubLattice.from_columns(n, vectors)
 
 
 def unfree_sublink(gens):

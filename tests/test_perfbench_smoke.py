@@ -2,8 +2,9 @@
 
 ``perfbench/child.py`` binds names of the package (``KERNEL_BACKEND``,
 ``SuiteResult(..., complete=True)``, ``ideles.IdeleVector.__init__``,
-the kernel functions its self-test counts) and gates ``sweep3`` on the
-digest of its report.  Each case runs the child on this tree in a fresh
+the kernel functions its self-test counts), gates ``sweep3`` on the
+digest of its report and checks every ``lattice`` output against its
+gcd/lcm known answer.  Each case runs the child on this tree in a fresh
 interpreter, as the benchmark does, with spans written under
 ``tmp_path``; nothing under ``perfbench/`` is written.
 """
@@ -32,7 +33,7 @@ def run_child(*args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("workload", ["sweep3", "wide4"])
+@pytest.mark.parametrize("workload", ["sweep3", "wide4", "lattice"])
 def test_trace(workload, tmp_path):
     result = run_child("trace", str(SRC), workload, "11", str(tmp_path / workload))
     assert result["errors"] == []

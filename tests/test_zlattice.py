@@ -1,9 +1,12 @@
 """Exact lattice algebra against brute-force oracles and algebraic laws."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idelink import kernel
@@ -23,7 +26,14 @@ from idelink.zlattice import (
     snf,
 )
 
-from oracles import box_points, invariants_oracle, member_oracle
+from oracles import (
+    box_points,
+    dense_lattice_intersect,
+    invariants_oracle,
+    member_oracle,
+    smith_quotient_invariants,
+    smith_relative_quotient_invariants,
+)
 
 
 def lat(rank, *cols):
@@ -292,43 +302,65 @@ class TestQuotients:
         assert quotient_invariants(2, SubLattice.full(2)) == AbelianInvariants(0, ())
 
     @pytest.fixture
-    def smith_calls(self, monkeypatch):
+    def kernel_calls(self, monkeypatch):
+        """Names of the kernel functions called, in order; clear it before the call under test."""
         calls = []
-        real = kernel.smith
+        for name in ("col_hnf", "col_hnf_with_kernel", "smith"):
+            real = getattr(kernel, name)
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+            def counted(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(kernel, "smith", counted)
+            monkeypatch.setattr(kernel, name, counted)
         return calls
 
-    def test_saturated_non_unit_pivot_goes_through_smith(self, smith_calls):
+    def test_saturated_non_unit_pivot_goes_through_the_kernel(self, kernel_calls):
         # <(2, 1)> is saturated, so Z^2 modulo it is Z, but its pivot is 2:
         # unit pivots are sufficient for a free quotient, not necessary.
         a = lat(2, (2, 1))
         assert a.columns == ((2, 1),)
+        kernel_calls.clear()
         assert quotient_invariants(2, a) == AbelianInvariants(1, ())
-        assert len(smith_calls) == 1
+        assert "col_hnf" in kernel_calls
+        assert "smith" not in kernel_calls
 
     @pytest.mark.parametrize("rank,cols", [
         (3, [(1, 5, -7), (0, 1, 3)]),
         (4, [(1, 2, 3, 4), (0, 0, 1, 9)]),
         (4, [(0, 1, -6, 2), (0, 0, 0, 1), (1, 0, 0, 0)]),
     ])
-    def test_unit_pivots_with_entries_below(self, smith_calls, rank, cols):
+    def test_unit_pivots_with_entries_below(self, kernel_calls, rank, cols):
         a = lat(rank, *cols)
         assert all(next(filter(None, col)) == 1 for col in a.columns)
         assert any(col[i] for col in a.columns for i in range(col.index(1) + 1, rank))
+        kernel_calls.clear()
         inv = quotient_invariants(rank, a)
+        assert kernel_calls == []
         assert inv == AbelianInvariants(rank - len(cols), ())
         assert (inv.free_rank, inv.torsion) == invariants_oracle(rank, cols)
-        assert smith_calls == []
 
-    def test_zero_lattice(self, smith_calls):
-        assert quotient_invariants(3, SubLattice.zero(3)) == AbelianInvariants(3, ())
-        assert quotient_invariants(0, SubLattice.zero(0)) == AbelianInvariants(0, ())
-        assert smith_calls == []
+    def test_zero_lattice(self, kernel_calls):
+        zero3, zero0 = SubLattice.zero(3), SubLattice.zero(0)
+        kernel_calls.clear()
+        assert quotient_invariants(3, zero3) == AbelianInvariants(3, ())
+        assert quotient_invariants(0, zero0) == AbelianInvariants(0, ())
+        assert kernel_calls == []
+
+    def test_never_calls_smith(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("quotient_invariants called kernel.smith")
+
+        rng = random.Random(80)
+        cases = [random_case(rng) for _ in range(300)]
+        lattices = [SubLattice.from_columns(rank, cols) for rank, cols in cases]
+        non_unit = [
+            a for a in lattices if any(next(filter(None, col)) != 1 for col in a.columns)
+        ]
+        assert len(non_unit) > 100
+        monkeypatch.setattr(kernel, "smith", refused)
+        for a in lattices:
+            quotient_invariants(a.ambient_rank, a)
 
     def test_relative(self):
         outer = lat(2, (1, 0), (0, 1))
@@ -336,6 +368,17 @@ class TestQuotients:
         assert relative_quotient_invariants(outer, inner) == AbelianInvariants(0, (2, 2))
         with pytest.raises(ValueError):
             relative_quotient_invariants(inner, outer)
+
+    def test_torsion_list_is_stored_as_tuple(self):
+        inv = AbelianInvariants(0, [2])
+        assert inv.torsion == (2,)
+        assert inv == AbelianInvariants(0, (2,))
+        assert hash(inv) == hash(AbelianInvariants(0, (2,)))
+
+    @pytest.mark.parametrize("torsion", [(2.0,), (True,), (2, 4.0)])
+    def test_torsion_must_be_plain_ints(self, torsion):
+        with pytest.raises(ValueError, match="plain int"):
+            AbelianInvariants(0, torsion)
 
     def test_invariants_validation(self):
         with pytest.raises(ValueError):
@@ -445,3 +488,73 @@ class TestOracleEquivalence:
             free, torsion = invariants_oracle(rank, cols)
             assert inv.free_rank == free
             assert inv.torsion == torsion
+
+
+def load_workloads():
+    """The benchmark's workload module, imported without writing bytecode."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def assert_agrees_with_old_routes(a, b):
+    """Hermite quotients and sparse intersection equal the Smith and dense routes."""
+    n = a.ambient_rank
+    s = lattice_sum(a, b)
+    i = lattice_intersect(a, b)
+    assert i == dense_lattice_intersect(a, b)
+    for m in (a, b, s, i):
+        assert quotient_invariants(n, m) == smith_quotient_invariants(n, m)
+    for outer, inner in ((s, i), (a, i), (s, a)):
+        assert relative_quotient_invariants(outer, inner) == (
+            smith_relative_quotient_invariants(outer, inner)
+        )
+
+
+class TestOldRoutes:
+    """The Hermite quotient route and the sparse intersection against the routes they replaced."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_lattice_workload_problems(self, seed):
+        workloads = load_workloads()
+        for k in range(200):
+            p = workloads.lattice_problem_at(seed, 0, k)
+            n = p["n"]
+            a = SubLattice.from_columns(n, p["cols_a"])
+            b = SubLattice.from_columns(n, p["cols_b"])
+            assert_agrees_with_old_routes(a, b)
+            want = workloads.lattice_answers(p)["quotients"]
+            got = [quotient_invariants(n, m) for m in (a, b)]
+            assert [(q.free_rank, q.torsion) for q in got] == want[:2]
+
+    entries = st.one_of(
+        st.integers(-4, 4),
+        st.integers(2**64, 2**66),
+        st.integers(-(2**66), -(2**64)),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda r: st.tuples(
+                st.just(r),
+                st.lists(st.tuples(*[TestOldRoutes.entries] * r), max_size=r + 3),
+                st.lists(st.tuples(*[TestOldRoutes.entries] * r), max_size=r + 3),
+            )
+        )
+    )
+    @example((0, [(), ()], []))
+    @example((2, [(2, 1)], [(4, 2), (0, 3)]))
+    @example((2, [(2, 1), (4, 2), (6, 3)], [(2**64, 2**65)]))
+    def test_odd_shapes(self, case):
+        rank, cols_a, cols_b = case
+        a = SubLattice.from_columns(rank, cols_a)
+        b = SubLattice.from_columns(rank, cols_b)
+        assert_agrees_with_old_routes(a, b)
