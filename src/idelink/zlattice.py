@@ -182,7 +182,8 @@ class AbelianInvariants:
 
     def __post_init__(self):
         _check_size("free rank", self.free_rank)
-        object.__setattr__(self, "torsion", tuple(self.torsion))
+        if type(self.torsion) is not tuple:
+            object.__setattr__(self, "torsion", tuple(self.torsion))
         prev = None
         for d in self.torsion:
             if type(d) is not int:
@@ -395,11 +396,10 @@ def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInva
     _check_size("ambient rank", ambient_rank)
     if relations.ambient_rank != ambient_rank:
         raise ValueError("relations do not lie in the ambient group")
-    rank = relations.rank
     cols = relations.columns
-    free_rank = ambient_rank - rank
+    rank = len(cols)
     if all(next(filter(None, col)) == 1 for col in cols):
-        return AbelianInvariants(free_rank, ())
+        return AbelianInvariants(ambient_rank - rank, ())
     while True:
         cols = kernel.col_hnf(rank, list(zip(*cols)))
         if not any(any(col[j + 1:]) for j, col in enumerate(cols)):
@@ -410,7 +410,7 @@ def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInva
             a, b = diag[i], diag[j]
             g = gcd(a, b)
             diag[i], diag[j] = g, a // g * b
-    return AbelianInvariants(free_rank, tuple(x for x in diag if x > 1))
+    return AbelianInvariants(ambient_rank - rank, tuple(x for x in diag if x > 1))
 
 
 def relative_quotient_invariants(outer: SubLattice, inner: SubLattice) -> AbelianInvariants:
