@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
+from ._record import Record
 from .covers import CoverData, lift_braid
 from .hasse import (
     CHECKS,
@@ -40,11 +40,13 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; message names the bad field."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    braid: BraidWord
-    cover_degree: int
-    checks: list[str] | None
+class Scenario(Record):
+    __slots__ = _fields = ("braid", "cover_degree", "checks")
+
+    def __init__(self, braid: BraidWord, cover_degree: int, checks: list[str] | None):
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "cover_degree", cover_degree)
+        object.__setattr__(self, "checks", checks)
 
 
 def _expect(mapping: dict, key: str, types, where: str):

@@ -26,10 +26,10 @@ chosen covers are integral homology spheres.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 
+from ._record import Record
 from .ideles import principal_generators
 from .links import BraidWord, LinkUniverse, _cover_closures, relabeled_universe
 from .zlattice import IntMatrix, SubLattice, _span
@@ -43,8 +43,7 @@ def _check_degree(degree: int) -> None:
         raise ValueError("cover degree must be >= 1")
 
 
-@dataclass(frozen=True)
-class SplitRecord:
+class SplitRecord(Record):
     """Covering arithmetic of one base component.
 
     a, b are the character values on the meridian and longitude; e is
@@ -53,16 +52,18 @@ class SplitRecord:
     number of components lying over this one.
     """
 
-    a: int
-    b: int
-    e: int
-    d: int
-    w: int
-    r: int
+    __slots__ = _fields = ("a", "b", "e", "d", "w", "r")
+
+    def __init__(self, a: int, b: int, e: int, d: int, w: int, r: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(Record):
     """The degree-n cyclic cover of ``base`` branched over its axis.
 
     The character sends the axis meridian to 1 in Z/n, so the cover is
@@ -75,13 +76,27 @@ class CoverData:
     ``deck[j]`` is the deck rotation on upstairs components.
     """
 
-    degree: int
-    base: LinkUniverse
-    total: LinkUniverse
-    fiber_map: tuple[int, ...]
-    splitting: tuple[SplitRecord, ...]
-    pushforward: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    deck: tuple[int, ...]
+    __slots__ = _fields = (
+        "degree", "base", "total", "fiber_map", "splitting", "pushforward", "deck"
+    )
+
+    def __init__(
+        self,
+        degree: int,
+        base: LinkUniverse,
+        total: LinkUniverse,
+        fiber_map: tuple[int, ...],
+        splitting: tuple[SplitRecord, ...],
+        pushforward: tuple[tuple[tuple[int, int], tuple[int, int]], ...],
+        deck: tuple[int, ...],
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "fiber_map", fiber_map)
+        object.__setattr__(self, "splitting", splitting)
+        object.__setattr__(self, "pushforward", pushforward)
+        object.__setattr__(self, "deck", deck)
 
     def fiber(self, k: int) -> tuple[int, ...]:
         return tuple(j for j, b in enumerate(self.fiber_map) if b == k)

@@ -19,10 +19,10 @@ import functools
 import itertools
 import operator
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
+from ._record import Record
 from .covers import (
     CoverData,
     _pushforward_coeffs,
@@ -54,12 +54,14 @@ from .zlattice import (
 REPORT_SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    passed: bool
-    millis: float
-    witness: dict | None = None
+class CheckRecord(Record):
+    __slots__ = _fields = ("name", "passed", "millis", "witness")
+
+    def __init__(self, name: str, passed: bool, millis: float, witness: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "millis", millis)
+        object.__setattr__(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -72,12 +74,16 @@ class CheckRecord:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    strands: int
-    word: tuple[int, ...]
-    degree: int
-    checks: tuple[CheckRecord, ...]
+class VerificationReport(Record):
+    __slots__ = _fields = ("strands", "word", "degree", "checks")
+
+    def __init__(
+        self, strands: int, word: tuple[int, ...], degree: int, checks: tuple[CheckRecord, ...]
+    ):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -509,13 +515,22 @@ def count_scenarios(max_strands: int, max_length: int, degrees: Sequence[int]) -
     return words * len(degrees)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    max_strands: int
-    max_length: int
-    degrees: tuple[int, ...]
-    reports: tuple[VerificationReport, ...]
-    complete: bool
+class SuiteResult(Record):
+    __slots__ = _fields = ("max_strands", "max_length", "degrees", "reports", "complete")
+
+    def __init__(
+        self,
+        max_strands: int,
+        max_length: int,
+        degrees: tuple[int, ...],
+        reports: tuple[VerificationReport, ...],
+        complete: bool,
+    ):
+        object.__setattr__(self, "max_strands", max_strands)
+        object.__setattr__(self, "max_length", max_length)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "complete", complete)
 
     @property
     def check_count(self) -> int:

@@ -17,9 +17,9 @@ the generators span the principal lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+from ._record import Record
 from .links import LinkUniverse
 from .zlattice import AbelianInvariants, SubLattice, _span, quotient_invariants
 
@@ -29,24 +29,24 @@ def _label_prefixes(ascii_labels: bool) -> tuple[str, str]:
     return ("mu_", "lam_") if ascii_labels else ("μ_", "λ_")
 
 
-@dataclass(frozen=True)
-class IdeleVector:
+class IdeleVector(Record):
     """Integer (mu, lambda) data over an ordered tuple of component slots."""
 
-    components: tuple[int, ...]
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("components", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != 2 * len(self.components):
+    def __init__(self, components: tuple[int, ...], coeffs: tuple[int, ...]):
+        if len(coeffs) != 2 * len(components):
             raise ValueError("coefficient vector must have two entries per slot")
-        for x in self.coeffs:
+        for x in coeffs:
             if type(x) is not int:
                 raise TypeError("idele coefficients must be plain ints")
-        for k in self.components:
+        for k in components:
             if type(k) is not int:
                 raise ValueError(f"component {k!r} is not a plain int")
-        if len(set(self.components)) != len(self.components):
+        if len(set(components)) != len(components):
             raise ValueError("duplicate component slots")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def format(self, u: LinkUniverse, ascii_labels: bool = False) -> str:
         """Human-readable combination of mu/lambda basis elements."""

@@ -16,30 +16,30 @@ strands at positions ``i-1`` and ``i`` and ``-i`` is its inverse.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .zlattice import IntMatrix
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """A word in the braid group on ``strands`` strands."""
 
-    strands: int
-    letters: tuple[int, ...]
+    __slots__ = _fields = ("strands", "letters")
 
-    def __post_init__(self):
-        if type(self.strands) is not int:
-            raise ValueError(f"strand count {self.strands!r} is not a plain int")
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: tuple[int, ...]):
+        if type(strands) is not int:
+            raise ValueError(f"strand count {strands!r} is not a plain int")
+        if strands < 1:
             raise ValueError("a braid needs at least one strand")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for g in self.letters:
-            if type(g) is not int or g == 0 or abs(g) > self.strands - 1:
+        letters = tuple(letters)
+        for g in letters:
+            if type(g) is not int or g == 0 or abs(g) > strands - 1:
                 raise ValueError(
-                    f"letter {g!r} is not a generator index for {self.strands} strands"
+                    f"letter {g!r} is not a generator index for {strands} strands"
                 )
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)
@@ -154,8 +154,7 @@ def braid_power(b: BraidWord, n: int) -> BraidWord:
     return BraidWord(b.strands, b.letters * n)
 
 
-@dataclass(frozen=True)
-class LinkUniverse:
+class LinkUniverse(Record):
     """A finite ordered family of oriented knots with exact linking data.
 
     ``labels`` are distinct strings and ``linking`` is symmetric with
@@ -171,33 +170,35 @@ class LinkUniverse:
     from ``_trusted``, which skips the checks.
     """
 
-    labels: tuple[str, ...]
-    linking: IntMatrix
-    axis_index: int | None = None
-    _generators: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("labels", "linking", "axis_index", "_generators")
+    _fields = ("labels", "linking", "axis_index")
 
-    def __post_init__(self):
-        m = len(self.labels)
-        for name in self.labels:
+    def __init__(
+        self, labels: tuple[str, ...], linking: IntMatrix, axis_index: int | None = None
+    ):
+        m = len(labels)
+        for name in labels:
             if not isinstance(name, str):
                 raise ValueError(f"component label {name!r} is not a string")
-        if len(set(self.labels)) != m:
+        if len(set(labels)) != m:
             raise ValueError("component labels must be distinct")
-        if self.linking.shape != (m, m):
+        if linking.shape != (m, m):
             raise ValueError("linking matrix shape does not match components")
         for i in range(m):
-            if self.linking.entries[i][i]:
+            if linking.entries[i][i]:
                 raise ValueError("linking matrix must have zero diagonal")
             for j in range(i):
-                if self.linking.entries[i][j] != self.linking.entries[j][i]:
+                if linking.entries[i][j] != linking.entries[j][i]:
                     raise ValueError("linking matrix must be symmetric")
-        a = self.axis_index
-        if a is not None:
-            if type(a) is not int:
-                raise ValueError(f"axis index {a!r} is not a plain int")
-            if not 0 <= a < m:
+        if axis_index is not None:
+            if type(axis_index) is not int:
+                raise ValueError(f"axis index {axis_index!r} is not a plain int")
+            if not 0 <= axis_index < m:
                 raise ValueError("axis index out of range")
-        object.__setattr__(self, "_generators", _principal_rows(self.linking.entries))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "linking", linking)
+        object.__setattr__(self, "axis_index", axis_index)
+        object.__setattr__(self, "_generators", _principal_rows(linking.entries))
 
     @classmethod
     def _trusted(
@@ -206,7 +207,7 @@ class LinkUniverse:
         linking: IntMatrix,
         axis_index: int | None,
     ) -> "LinkUniverse":
-        """A universe from package-built data that meets every check of ``__post_init__``.
+        """A universe from package-built data that meets every check of ``__init__``.
 
         Nothing is re-checked; ``tests/test_links.py`` rebuilds every
         lifted universe of the acceptance sweep and ``wide4`` through

@@ -17,11 +17,11 @@ operations hand canonical columns straight to the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from math import gcd
-from typing import Iterable, Sequence
 
 from . import kernel
+from ._record import Record
 
 
 def _check_int(x):
@@ -38,10 +38,10 @@ def _check_size(what: str, n) -> None:
         raise ValueError(f"negative {what}")
 
 
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix; entries are row-major tuples of ints."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = _fields = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[int]], *, cols: int | None = None):
         if cols is not None:
@@ -58,9 +58,6 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def _trusted(cls, rows: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
@@ -159,33 +156,21 @@ class IntMatrix:
             prev = pivot
         return sign * m[n - 1][n - 1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.shape == other.shape
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.entries))
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]!r}, cols={self.cols})"
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """Isomorphism class of a finitely generated abelian group."""
 
-    free_rank: int
-    torsion: tuple[int, ...]
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        _check_size("free rank", self.free_rank)
-        if type(self.torsion) is not tuple:
-            object.__setattr__(self, "torsion", tuple(self.torsion))
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        _check_size("free rank", free_rank)
+        if type(torsion) is not tuple:
+            torsion = tuple(torsion)
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if type(d) is not int:
                 raise ValueError(f"torsion invariant {d!r} is not a plain int")
             if d < 2:
@@ -193,6 +178,8 @@ class AbelianInvariants:
             if prev is not None and d % prev:
                 raise ValueError("torsion invariants must form a divisibility chain")
             prev = d
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def order(self) -> int:
@@ -205,19 +192,21 @@ class AbelianInvariants:
         return n
 
 
-@dataclass(frozen=True)
-class SubLattice:
+class SubLattice(Record):
     """Subgroup of Z^ambient_rank, held as its canonical column Hermite form.
 
     ``columns`` holds the canonical columns ``kernel.col_hnf`` returns,
-    each as a tuple of ints.  The form is unique for the subgroup, so the
-    generated ``__eq__``/``__hash__`` compare lattices.  Construct through
-    ``from_columns``/``from_matrix``/``zero``/``full`` so the form is
-    always canonical.
+    each as a tuple of ints.  The form is unique for the subgroup, so
+    record equality and hashing, over (ambient_rank, columns), compare
+    lattices.  Construct through ``from_columns``/``from_matrix``/
+    ``zero``/``full`` so the form is always canonical.
     """
 
-    ambient_rank: int
-    columns: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("ambient_rank", "columns")
+
+    def __init__(self, ambient_rank: int, columns: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
     def from_matrix(cls, generators: IntMatrix) -> "SubLattice":

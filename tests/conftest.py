@@ -1,7 +1,7 @@
 """Cover sets that several test modules sweep, lifted once per session.
 
-Covers are frozen dataclasses, so tests share them; a test that needs a
-changed cover builds one with ``dataclasses.replace``.
+Covers are immutable records, so tests share them; a test that needs a
+changed cover builds one with ``oracles.replaced``.
 """
 
 import pytest

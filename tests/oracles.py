@@ -25,10 +25,14 @@ fiber map (``surface_pushforward``), and push boundaries forward by
 multiplying with the full ``pushforward_matrix`` where ``idelink.hasse``
 reads the per-component pairs; the diagonal one also compares the sum
 of all generators.
+
+``replaced``, last, is no oracle: it rebuilds a changed record (a
+tampered cover, say) through the record's public constructor.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -539,3 +543,14 @@ def wide4_words():
         for degree in (2, 3, 4, 6, 12)
         for _ in range(8)
     ]
+
+
+def replaced(obj, **changes):
+    """``obj`` with ``changes``, rebuilt through its class's public constructor.
+
+    Every constructor parameter not in ``changes`` is read from the
+    attribute of the same name, so the constructor's checks run again.
+    """
+    kwargs = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    kwargs.update(changes)
+    return type(obj)(**kwargs)

@@ -176,8 +176,8 @@ def test_delta_sums_to_the_oracle_boundary(strands, full, tmp_path, capsys, monk
     seen = []
 
     class Recording(IdeleVector):
-        def __post_init__(self):
-            super().__post_init__()
+        def __init__(self, components, coeffs):
+            super().__init__(components, coeffs)
             seen.append((self.components, self.coeffs))
 
     monkeypatch.setattr(cli, "IdeleVector", Recording)

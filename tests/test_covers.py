@@ -1,6 +1,5 @@
 """Lifting braid universes through branched covers of the axis."""
 
-import dataclasses
 import itertools
 import random
 from math import gcd
@@ -33,6 +32,7 @@ from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 from oracles import (
     lift_maps_by_walking_both_words,
     poly_eval,
+    replaced,
     resultant_oracle,
     surface_boundary,
     surface_pushforward,
@@ -182,7 +182,7 @@ class TestLiftInvariants:
         b = BraidWord(2, (1,))
         c = lift_braid(b, 2)
         # A deck rotation that fixes every component breaks the fiber cycle.
-        frozen = dataclasses.replace(c, deck=tuple(range(c.total.size)))
+        frozen = replaced(c, deck=tuple(range(c.total.size)))
         assert lift_invariant_failures(b, frozen) == [("deck cycle", 1)]
         # The mirror word crosses its lifts negatively.
         assert lift_invariant_failures(BraidWord(2, (-1,)), c) == [("linking", c.total.labels)]
@@ -267,8 +267,8 @@ class TestLiftDerivation:
             monkeypatch.setattr(cls, attr, counted)
 
         counting(IntMatrix, "__init__", "IntMatrix")
-        counting(links.LinkUniverse, "__post_init__", "LinkUniverse")
-        counting(BraidWord, "__post_init__", "BraidWord")
+        counting(links.LinkUniverse, "__init__", "LinkUniverse")
+        counting(BraidWord, "__init__", "BraidWord")
         c = lift_braid(b, 6)
         assert c.total.size > c.base.size
         assert counts == {"IntMatrix": 0, "LinkUniverse": 0, "BraidWord": 0}

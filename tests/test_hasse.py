@@ -1,6 +1,5 @@
 """Verifier records, witnesses, and the suite driver."""
 
-import dataclasses
 import json
 import random
 
@@ -45,6 +44,7 @@ from oracles import (
     diagonal_commutes_typed,
     meridian_pushforward_typed,
     projection_all_nested_pairs,
+    replaced,
     unfree_sublink,
 )
 
@@ -86,7 +86,7 @@ def test_norm_principle_witness_on_tampered_cover():
     # lying in exactly one side
     c = lift_braid(BraidWord(2, (1,)), 2)
     bad = c.pushforward[:1] + (((1, 5), (0, 1)),) + c.pushforward[2:]
-    tampered = dataclasses.replace(c, pushforward=bad)
+    tampered = replaced(c, pushforward=bad)
     passed, witness = verify_norm_principle(tampered)
     assert not passed
     assert witness is not None
@@ -102,7 +102,7 @@ def test_norm_principle_witness_on_tampered_cover():
 def test_meridian_witness_on_tampered_cover():
     c = lift_braid(BraidWord(2, (1,)), 2)
     bad = (((2, 0), (1, 1)),) + c.pushforward[1:]
-    tampered = dataclasses.replace(c, pushforward=bad)
+    tampered = replaced(c, pushforward=bad)
     passed, witness = verify_meridian_pushforward(tampered)
     assert not passed
     assert witness["upstairs_component"] == "A~"
@@ -111,7 +111,7 @@ def test_meridian_witness_on_tampered_cover():
 def test_diagonal_commutes_witness_on_tampered_cover():
     c = lift_braid(BraidWord(2, (1,)), 2)
     bad = c.pushforward[:1] + (((1, 3), (0, 1)),) + c.pushforward[2:]
-    tampered = dataclasses.replace(c, pushforward=bad)
+    tampered = replaced(c, pushforward=bad)
     passed, witness = verify_diagonal_commutes(tampered)
     assert not passed
     assert witness["pushed_boundary"] != witness["boundary_of_image"]
@@ -231,7 +231,7 @@ def _tampered_covers(seed):
             rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
             bad = tuple(tuple(row) for row in rows)
             pushforward = c.pushforward[:j] + (bad,) + c.pushforward[j + 1 :]
-            yield dataclasses.replace(c, pushforward=pushforward)
+            yield replaced(c, pushforward=pushforward)
 
 
 def test_tuple_checks_agree_with_typed_routes_on_tampered_covers():
@@ -367,7 +367,7 @@ def test_closed_forms_agree_with_lattice_routes_on_tampered_pushforwards(monkeyp
         rows = [list(row) for row in c.pushforward[j]]
         rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
         pushforward = c.pushforward[:j] + (tuple(map(tuple, rows)),) + c.pushforward[j + 1 :]
-        tampered.append(dataclasses.replace(c, pushforward=pushforward))
+        tampered.append(replaced(c, pushforward=pushforward))
     bad, failed, missed = _closed_form_outcomes(monkeypatch, tampered)
     assert bad == []
     # The damage must reach both checks, or the agreement says little.
@@ -386,7 +386,7 @@ def test_exact_sequence_agrees_with_lattice_route_on_swapped_deck_targets(monkey
         i, j = rng.sample(range(c.total.size), 2)
         deck = list(c.deck)
         deck[i], deck[j] = deck[j], deck[i]
-        swapped.append(dataclasses.replace(c, deck=tuple(deck)))
+        swapped.append(replaced(c, deck=tuple(deck)))
     assert len(swapped) == 5124
     bad, failed, missed = _closed_form_outcomes(monkeypatch, swapped, ("cover_exact_sequence",))
     assert bad == []
@@ -438,7 +438,7 @@ def test_closed_forms_agree_with_lattice_routes_on_zero_pushforwards(monkeypatch
     # f = 0: both sides of norm_principle are 0, while the exact sequence
     # fails, since the preimage of R_M is everything.
     covers = [
-        dataclasses.replace(c, pushforward=(((0, 0), (0, 0)),) * c.total.size)
+        replaced(c, pushforward=(((0, 0), (0, 0)),) * c.total.size)
         for _, _, c in sweep_covers[::20]
     ]
     bad, failed, missed = _closed_form_outcomes(monkeypatch, covers)
@@ -457,7 +457,7 @@ def _grafted_covers(draw, covers):
         draw(st.one_of(st.just(real), pair)) for real in c.pushforward
     )
     deck = draw(st.one_of(st.just(c.deck), st.permutations(range(c.total.size))))
-    return dataclasses.replace(c, pushforward=pushforward, deck=tuple(deck))
+    return replaced(c, pushforward=pushforward, deck=tuple(deck))
 
 
 def test_accept_implies_lattice_pass_on_grafted_covers(sweep_covers):
@@ -589,7 +589,7 @@ def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):
     assert calls == []
     # The counter sees the failure route.
     bad = (((2, 0), (1, 1)),) + c.pushforward[1:]
-    assert not verify_meridian_pushforward(dataclasses.replace(c, pushforward=bad))[0]
+    assert not verify_meridian_pushforward(replaced(c, pushforward=bad))[0]
     assert len(calls) == 1
 
 
