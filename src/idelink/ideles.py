@@ -35,6 +35,7 @@ class IdeleVector(Record):
     __slots__ = _fields = ("components", "coeffs")
 
     def __init__(self, components: tuple[int, ...], coeffs: tuple[int, ...]):
+        components, coeffs = tuple(components), tuple(coeffs)
         if len(coeffs) != 2 * len(components):
             raise ValueError("coefficient vector must have two entries per slot")
         for x in coeffs:

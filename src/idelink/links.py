@@ -176,6 +176,7 @@ class LinkUniverse(Record):
     def __init__(
         self, labels: tuple[str, ...], linking: IntMatrix, axis_index: int | None = None
     ):
+        labels = tuple(labels)
         m = len(labels)
         for name in labels:
             if not isinstance(name, str):

@@ -9,11 +9,15 @@ sequence over the rationals.
 The routes at the end are the exception.  Three are the lattice
 routes ``idelink.zlattice`` replaced: absolute and relative quotient
 invariants read off the diagonal of ``kernel.smith``, and intersection
-vectors summed densely over every kernel coefficient.  The check
-routes follow.  Two are the
-per-sublink and per-nested-pair loops that ``idelink.hasse`` reduced to
-one class quotient per universe and one comparison per sublink, kept
-here unchanged to test that reduction.  They reach the package's
+vectors summed densely over every kernel coefficient.  ``kernel.smith``
+builds its diagonal by alternating the same column Hermite reduction
+that ``quotient_invariants`` alternates, so the two Smith routes read a
+Hermite-built diagonal and differ from the package route only in the
+divisibility fold; the independent reference for quotient invariants
+is ``invariants_oracle`` (gcds of minors).  The check routes follow.
+Two are the per-sublink and per-nested-pair loops that ``idelink.hasse``
+reduced to one class quotient per universe and one comparison per
+sublink, kept here unchanged to test that reduction.  They reach the package's
 building blocks through ``idelink.hasse``'s module attributes at call
 time, so a test that patches one of those patches both routes alike.
 The other two are the typed ``diagonal_commutes`` and

@@ -206,3 +206,10 @@ class TestEquality:
         assert m == IntMatrix([[1, 2], [3, 4]]) and hash(m) == hash(IntMatrix([[1, 2], [3, 4]]))
         assert m != IntMatrix([[1, 2, 3, 4]]) and IntMatrix.zero(0, 2) != IntMatrix.zero(0, 3)
 
+    def test_list_built_equals_tuple_built(self):
+        pairs = [
+            (LinkUniverse(["A", "K1"], HOPF, 0), LinkUniverse(("A", "K1"), HOPF, 0)),
+            (IdeleVector([0], [1, 2]), IdeleVector((0,), (1, 2))),
+        ]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

@@ -179,10 +179,10 @@ matrix_strategy = st.integers(1, 4).flatmap(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(matrix_strategy)
-def test_snf_contract(m):
+def assert_snf_contract(m):
+    """snf(m) meets the contract; returns its diagonal."""
     u, d, v = snf(m)
+    assert (u.shape, d.shape, v.shape) == ((m.rows, m.rows), m.shape, (m.cols, m.cols))
     assert (u @ m @ v) == d
     assert abs(u.det()) == 1
     assert abs(v.det()) == 1
@@ -197,6 +197,58 @@ def test_snf_contract(m):
             assert x % diag[i - 1] == 0
         if i and diag[i - 1] == 0:
             assert x == 0
+    return diag
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_strategy)
+def test_snf_contract(m):
+    assert_snf_contract(m)
+
+
+# Small entries, so pivots repeat and saturate, and entries beyond 2^64.
+ODD_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.integers(2**64, 2**66),
+    st.integers(-(2**66), -(2**64)),
+)
+
+
+def _odd_matrix(shape_rows_mix):
+    """A matrix of the drawn rows, then combinations of them (rank deficient)."""
+    (_, c), rows, mix = shape_rows_mix
+    rows = rows + [
+        [sum(k * row[j] for k, row in zip(coeffs, rows)) for j in range(c)] for coeffs in mix
+    ]
+    return IntMatrix(rows, cols=c)
+
+
+odd_matrix_strategy = st.tuples(st.integers(0, 4), st.integers(0, 5)).flatmap(
+    lambda rc: st.tuples(
+        st.just(rc),
+        st.lists(
+            st.lists(ODD_ENTRIES, min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0],
+            max_size=rc[0],
+        ),
+        st.lists(st.lists(st.integers(-2, 2), min_size=rc[0], max_size=rc[0]), max_size=2),
+    )
+).map(_odd_matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_matrix_strategy)
+@example(IntMatrix([], cols=0))
+@example(IntMatrix([], cols=4))
+@example(IntMatrix([[], [], []], cols=0))
+@example(IntMatrix([[2**64, 2**65], [2**65, 2**66]]))
+@example(IntMatrix([[2**64 + 1, 0, 2**65], [0, 0, 0], [3 * (2**64 + 1), 0, 3 * 2**65]]))
+def test_snf_contract_on_odd_shapes(m):
+    """Empty, rank-deficient and beyond-2^64 matrices; the diagonal against gcds of minors."""
+    diag = assert_snf_contract(m)
+    nonzero = [x for x in diag if x]
+    free_rank, torsion = invariants_oracle(m.rows, m.columns())
+    assert (m.rows - len(nonzero), tuple(x for x in nonzero if x > 1)) == (free_rank, torsion)
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,25 +347,37 @@ class TestLatticeOps:
             assert lattice_equal(lattice_sum(a, a), a)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the kernel functions called, in order; clear it before the call under test."""
+    calls = []
+    for name in ("col_hnf", "col_hnf_with_kernel", "smith"):
+        real = getattr(kernel, name)
+
+        def counted(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, name, counted)
+    return calls
+
+
+def test_snf_reaches_no_kernel_function_but_smith(kernel_calls):
+    """snf is one ``kernel.smith`` call, which reaches no other public kernel function."""
+    rng = random.Random(81)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)]
+    for r, c in shapes:
+        m = IntMatrix([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], cols=c)
+        kernel_calls.clear()
+        snf(m)
+        assert kernel_calls == ["smith"]
+
+
 class TestQuotients:
     def test_examples(self):
         assert quotient_invariants(2, lat(2, (2, 0))) == AbelianInvariants(1, (2,))
         assert quotient_invariants(3, SubLattice.zero(3)) == AbelianInvariants(3, ())
         assert quotient_invariants(2, SubLattice.full(2)) == AbelianInvariants(0, ())
-
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        """Names of the kernel functions called, in order; clear it before the call under test."""
-        calls = []
-        for name in ("col_hnf", "col_hnf_with_kernel", "smith"):
-            real = getattr(kernel, name)
-
-            def counted(*args, name=name, real=real):
-                calls.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(kernel, name, counted)
-        return calls
 
     def test_saturated_non_unit_pivot_goes_through_the_kernel(self, kernel_calls):
         # <(2, 1)> is saturated, so Z^2 modulo it is Z, but its pivot is 2:
@@ -518,14 +582,6 @@ def assert_agrees_with_old_routes(a, b):
         )
 
 
-# Small entries, so pivots repeat and saturate, and entries beyond 2^64.
-ODD_ENTRIES = st.one_of(
-    st.integers(-4, 4),
-    st.integers(2**64, 2**66),
-    st.integers(-(2**66), -(2**64)),
-)
-
-
 class TestOldRoutes:
     """The Hermite quotient route and the sparse intersection against the routes they replaced."""
 
@@ -538,12 +594,15 @@ class TestOldRoutes:
             a = SubLattice.from_columns(n, p["cols_a"])
             b = SubLattice.from_columns(n, p["cols_b"])
             assert_agrees_with_old_routes(a, b)
-            want = workloads.lattice_answers(p)["quotients"]
+            want = workloads.lattice_answers(p)
             got = [
                 quotient_invariants(n, m)
                 for m in (a, b, lattice_sum(a, b), lattice_intersect(a, b))
             ]
-            assert [(q.free_rank, q.torsion) for q in got] == want
+            assert [(q.free_rank, q.torsion) for q in got] == want["quotients"]
+            diag = assert_snf_contract(a.canonical_form)
+            chain = want["snf_diagonal"]
+            assert diag == chain + [0] * (len(diag) - len(chain))
 
     @settings(max_examples=300, deadline=None)
     @given(
