@@ -3,10 +3,12 @@
 All the lattice algebra in this package reduces to one elimination
 loop on integer matrices: a column-style Hermite normal form whose
 column operations can be mirrored on a second matrix.  ``col_hnf``
-returns the form, ``col_hnf_with_kernel`` also tracks a kernel basis,
-and ``smith`` reaches a Smith normal form with transforms by
-alternating that reduction over columns and rows.  Every canonical
-form the package reports comes from this module.
+returns the form, ``col_hnf_with_kernel`` reduces only the first
+``nrows`` rows and also returns the carried rest of each column it
+zeroes (a kernel basis when that rest starts as the identity), and
+``smith`` reaches a Smith normal form with transforms by alternating
+that reduction over columns and rows.  Every canonical form the
+package reports comes from this module.
 
 Matrices are plain nested lists of Python ints (arbitrary precision, no
 floats).  ``col_hnf``/``col_hnf_with_kernel`` work on a list of columns;
@@ -135,16 +137,20 @@ def col_hnf(nrows, cols):
 
 
 def col_hnf_with_kernel(nrows, cols):
-    """Return (hnf_cols, kernel_cols) for the column map of ``cols``.
+    """Return (hnf_cols, kernel_tails) for columns longer than ``nrows``.
 
-    ``kernel_cols`` is a list of integer coefficient columns (length
-    ``len(cols)``) generating {x : cols . x = 0}.
+    Only the first ``nrows`` entries (the head) of each column are
+    reduced; the rest of each column (its tail) rides along as the
+    mirror.  ``hnf_cols`` is ``col_hnf`` of the heads.  ``kernel_tails``
+    holds the tails of the ``len(cols) - rank`` columns whose heads
+    reduced to zero: when column j carries the unit vector e_j they
+    generate {x : heads . x = 0}, and for any tails t_j each is
+    sum_j x_j t_j for the matching such x.
     """
-    work = [list(c) for c in cols]
-    ncols = len(cols)
-    mirror = [[1 if r == j else 0 for r in range(ncols)] for j in range(ncols)]
-    rank = _reduce_columns(nrows, work, mirror)
-    return work[:rank], mirror[rank:]
+    work = [list(c[:nrows]) for c in cols]
+    tails = [list(c[nrows:]) for c in cols]
+    rank = _reduce_columns(nrows, work, tails)
+    return work[:rank], tails[rank:]
 
 
 def smith(nrows, ncols, rows):

@@ -245,9 +245,15 @@ def _span(ambient_rank: int, cols) -> SubLattice:
     return SubLattice(ambient_rank, tuple(map(tuple, kernel.col_hnf(ambient_rank, cols))))
 
 
+def _unit_tails(cols) -> list[tuple[int, ...]]:
+    """Each column j followed by the unit vector e_j of Z^len(cols)."""
+    n = len(cols)
+    return [tuple(c) + (0,) * j + (1,) + (0,) * (n - j - 1) for j, c in enumerate(cols)]
+
+
 def _kernel_span(nrows: int, cols) -> SubLattice:
     """Integer kernel of the column map ``cols``, a sublattice of Z^len(cols)."""
-    _, ker = kernel.col_hnf_with_kernel(nrows, cols)
+    _, ker = kernel.col_hnf_with_kernel(nrows, _unit_tails(cols))
     return _span(len(cols), ker)
 
 
@@ -289,32 +295,32 @@ def kernel_lattice(m: IntMatrix) -> SubLattice:
 
 
 def lattice_intersect(a: SubLattice, b: SubLattice) -> SubLattice:
-    """Intersection, via the kernel of the juxtaposed generator block.
+    """Intersection, from one kernel reduction with carried rows.
 
-    Each kernel column's leading coefficients combine a's columns into a
-    vector of the intersection; a vector adds ``x * column`` for the
-    nonzero coefficients ``x`` only.
+    Columns (a_j, a_j) and (b_k, 0) are reduced on their first halves.
+    Coefficients (x, y) zero those exactly when sum x_j a_j equals
+    -sum y_k b_k, and the second half is then that common vector, so
+    the tails ``kernel.col_hnf_with_kernel`` returns span a meet b.
     """
     _require_same_ambient(a, b)
     n = a.ambient_rank
-    ker = _kernel_span(n, a.columns + b.columns)
-    # zip stops at a.rank, the leading coordinates of a kernel vector.
-    vectors = []
-    for coeffs in ker.columns:
-        v = [0] * n
-        for x, col in zip(coeffs, a.columns):
-            if x:
-                v = [s + x * c for s, c in zip(v, col)]
-        vectors.append(v)
+    zero = (0,) * n
+    cols = [c + c for c in a.columns] + [c + zero for c in b.columns]
+    _, vectors = kernel.col_hnf_with_kernel(n, cols)
     return _span(n, vectors)
 
 
 def preimage_lattice(m: IntMatrix, target: SubLattice) -> SubLattice:
-    """{x in Z^cols : m @ x lies in target}, a sublattice of Z^cols."""
+    """{x in Z^cols : m @ x lies in target}, a sublattice of Z^cols.
+
+    Spanned by the kernel tails of the columns (m_j, e_j) and (t, 0).
+    """
     if m.rows != target.ambient_rank:
         raise ValueError("matrix rows must match target ambient rank")
-    ker = _kernel_span(m.rows, m.columns() + list(target.columns))
-    return _span(m.cols, [col[: m.cols] for col in ker.columns])
+    zero = (0,) * m.cols
+    cols = _unit_tails(m.columns()) + [t + zero for t in target.columns]
+    _, vectors = kernel.col_hnf_with_kernel(m.rows, cols)
+    return _span(m.cols, vectors)
 
 
 def _solve_in_hnf(cols, v: Sequence[int]) -> list[int] | None:
@@ -328,19 +334,20 @@ def _solve_in_hnf(cols, v: Sequence[int]) -> list[int] | None:
     coeffs = []
     row = 0
     for col in cols:
-        pivot = row
-        while not col[pivot]:
-            pivot += 1
-        if any(residue[row:pivot]):
-            return None
-        q, rem = divmod(residue[pivot], col[pivot])
+        while not col[row]:
+            if residue[row]:
+                return None
+            row += 1
+        q, rem = divmod(residue[row], col[row])
         if rem:
             return None
         if q:
-            for t in range(pivot, len(residue)):
-                residue[t] -= q * col[t]
+            for t in range(row, len(residue)):
+                s = col[t]
+                if s:
+                    residue[t] -= q * s
         coeffs.append(q)
-        row = pivot + 1
+        row += 1
     return None if any(residue[row:]) else coeffs
 
 
@@ -359,6 +366,21 @@ def lattice_equal(a: SubLattice, b: SubLattice) -> bool:
     return a.columns == b.columns
 
 
+def _dividing_pivots(cols) -> list[int] | None:
+    """Pivots of Hermite columns if each divides the entries below it, else None."""
+    pivots = []
+    for col in cols:
+        i = 0
+        while not col[i]:
+            i += 1
+        p = col[i]
+        for x in col[i + 1:]:
+            if x % p:
+                return None
+        pivots.append(p)
+    return pivots
+
+
 def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInvariants:
     """Invariant factors of Z^ambient_rank modulo the relation lattice.
 
@@ -370,16 +392,16 @@ def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInva
     has quotient Z and pivot 2, and takes the Hermite route below like
     every other input.
 
-    The torsion comes from the rank x rank diagonal that alternating
-    column Hermite forms of the transpose reach.  The canonical form is
-    already a column HNF, so the first call runs on its rows; every
-    later call runs on the rows of the previous lower-triangular
-    result.  A round makes the new leading pivot the gcd of the old
-    one's column, so it either strictly lowers the leading pivot or,
-    when the pivot divides its column, clears the pivot's row and
-    column and leaves the trailing block to the later rounds.  Pivots
-    are positive integers, so the loop ends.  Replacing each pair of
-    diagonal entries (a, b) by (gcd, lcm) then makes a divisibility
+    Otherwise the torsion comes from a column Hermite form whose every
+    pivot divides the entries below it: row operations clear its
+    columns downward from the first, each touching no other column, so
+    its pivots are a diagonal form.  The canonical form is tested
+    first; until a form passes, column Hermite forms of the transpose
+    alternate, each on the rows of the previous result.  A round makes
+    the new leading pivot the gcd of the old one's column, so it either
+    strictly lowers the leading pivot or clears the pivot's row and
+    column; a diagonal form passes, so the loop ends.  Replacing each
+    pair of pivots (a, b) by (gcd, lcm) then makes a divisibility
     chain, and the entries above 1 are the torsion.
     """
     _check_size("ambient rank", ambient_rank)
@@ -389,11 +411,11 @@ def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInva
     rank = len(cols)
     if all(next(filter(None, col)) == 1 for col in cols):
         return AbelianInvariants(ambient_rank - rank, ())
-    while True:
+    pivots = _dividing_pivots(cols)
+    while pivots is None:
         cols = kernel.col_hnf(rank, list(zip(*cols)))
-        if not any(any(col[j + 1:]) for j, col in enumerate(cols)):
-            break
-    diag = [col[j] for j, col in enumerate(cols) if col[j] != 1]
+        pivots = _dividing_pivots(cols)
+    diag = [p for p in pivots if p != 1]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]

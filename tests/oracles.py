@@ -3,18 +3,21 @@
 Nothing here shares code with the package kernels: membership is decided
 by rational elimination plus a finite congruence search, box enumeration
 by breadth-first closure with a provable slack margin, quotient
-invariants by gcds of minors, and resultants by the Euclidean remainder
-sequence over the rationals.
+invariants by gcds of minors (small matrices) and by a Smith
+elimination on the smallest nonzero entry with row and column
+operations (any size, entries of hundreds of bits included), and
+resultants by the Euclidean remainder sequence over the rationals.
 
-The routes at the end are the exception.  Three are the lattice
+The routes at the end are the exception.  Four are the lattice
 routes ``idelink.zlattice`` replaced: absolute and relative quotient
-invariants read off the diagonal of ``kernel.smith``, and intersection
-vectors summed densely over every kernel coefficient.  ``kernel.smith``
-builds its diagonal by alternating the same column Hermite reduction
-that ``quotient_invariants`` alternates, so the two Smith routes read a
-Hermite-built diagonal and differ from the package route only in the
-divisibility fold; the independent reference for quotient invariants
-is ``invariants_oracle`` (gcds of minors).  The check routes follow.
+invariants read off the diagonal of ``kernel.smith``, intersection
+vectors summed densely over every kernel coefficient, and the preimage
+read off the leading coordinates of a canonical kernel lattice.
+``kernel.smith`` builds its diagonal by alternating the same column
+Hermite reduction that ``quotient_invariants`` alternates, so the two
+Smith routes share the package route's elimination; the independent
+references for quotient invariants are ``invariants_oracle`` and
+``smith_invariants_oracle``.  The check routes follow.
 Two are the per-sublink and per-nested-pair loops that ``idelink.hasse``
 reduced to one class quotient per universe and one comparison per
 sublink, kept here unchanged to test that reduction.  They reach the package's
@@ -318,6 +321,71 @@ def invariants_oracle(rank, cols):
     return rank - rho, tuple(torsion)
 
 
+def smith_diagonal_oracle(rows):
+    """Nonzero Smith invariants d_1 | d_2 | ... of an integer matrix given by rows.
+
+    Textbook elimination: the smallest nonzero entry is the pivot; row
+    operations reduce its column and column operations its row; a
+    nonzero remainder is a smaller pivot for the next round.  Once the
+    pivot's row and column are clear, a row holding an entry the pivot
+    does not divide is added to the pivot's row (the next round then
+    finds a smaller remainder); otherwise the pivot is the next
+    invariant and its row and column are struck out.
+    """
+    a = [list(r) for r in rows]
+    diag = []
+    while True:
+        entries = [(abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        if not entries:
+            return diag
+        _, i, j = min(entries)
+        p = a[i][j]
+        clear = True
+        for r, row in enumerate(a):
+            if r != i and row[j]:
+                q = row[j] // p
+                a[r] = row = [x - q * y for x, y in zip(row, a[i])]
+                clear = clear and not row[j]
+        for c, x in enumerate(a[i]):
+            if c != j and x:
+                q = x // p
+                for row in a:
+                    row[c] -= q * row[j]
+                clear = clear and not a[i][c]
+        if not clear:
+            continue
+        bad = next((row for row in a if any(x % p for x in row)), None)
+        if bad is not None:
+            a[i] = [x + y for x, y in zip(a[i], bad)]
+            continue
+        diag.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
+
+
+def smith_invariants_oracle(rank, cols):
+    """(free_rank, torsion) of Z^rank / <cols> from ``smith_diagonal_oracle``."""
+    rows = [[c[i] for c in cols] for i in range(rank)]
+    diag = smith_diagonal_oracle(rows)
+    return rank - len(diag), tuple(x for x in diag if x > 1)
+
+
+def relative_invariants_oracle(outer_cols, inner_cols):
+    """(free_rank, torsion) of outer/inner, for independent ``outer_cols``.
+
+    Each inner column's coordinates over the outer columns come from
+    rational elimination and must be integers.
+    """
+    coords = []
+    for v in inner_cols:
+        sol = rational_solve(outer_cols, v)
+        if sol is None or any(x.denominator != 1 for x in sol[0]):
+            raise ValueError("inner lattice is not contained in outer lattice")
+        coords.append([int(x) for x in sol[0]])
+    return smith_invariants_oracle(len(outer_cols), coords)
+
+
 def _poly_trim(p):
     p = list(p)
     while p and p[-1] == 0:
@@ -402,6 +470,12 @@ def dense_lattice_intersect(a, b):
         for coeffs in ker.columns
     ]
     return SubLattice.from_columns(n, vectors)
+
+
+def kernel_coefficient_preimage(m, target):
+    """{x : m @ x in target}, the leading coordinates of the canonical kernel lattice."""
+    ker = zlattice._kernel_span(m.rows, m.columns() + list(target.columns))
+    return SubLattice.from_columns(m.cols, [col[: m.cols] for col in ker.columns])
 
 
 def unfree_sublink(gens):

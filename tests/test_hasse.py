@@ -117,27 +117,66 @@ def test_diagonal_commutes_witness_on_tampered_cover():
     assert witness["pushed_boundary"] != witness["boundary_of_image"]
 
 
-def test_class_quotient_witness_through_smith(monkeypatch):
-    # Doubling the axis generator's own longitude leaves Z/2 in the quotient
-    # by the empty sublink; the unit-pivot accept must not apply, so the
-    # invariants come from the Hermite route past the span's own col_hnf.
-    real = hasse.principal_generators
-
-    def doubled(u):
-        gens = real(u)
-        gens[0] = gens[0][:1] + (2,) + gens[0][2:]
-        return gens
-
-    hnf_calls = []
-    real_hnf = kernel.col_hnf
+def _count_col_hnf(monkeypatch):
+    """Arguments of every ``kernel.col_hnf`` call from now on."""
+    calls = []
+    real = kernel.col_hnf
 
     def counted(*args):
-        hnf_calls.append(args)
-        return real_hnf(*args)
+        calls.append(args)
+        return real(*args)
 
-    c = lift_braid(BraidWord(2, (1,)), 2)
-    monkeypatch.setattr(hasse, "principal_generators", doubled)
     monkeypatch.setattr(kernel, "col_hnf", counted)
+    return calls
+
+
+def _tampered_longitudes(monkeypatch, changes):
+    """Principal generators with ``changes[k]`` = {slot: value} written into generator k."""
+    real = hasse.principal_generators
+
+    def tampered(u):
+        gens = real(u)
+        for k, slots in changes.items():
+            g = list(gens[k])
+            for slot, value in slots.items():
+                g[slot] = value
+            gens[k] = tuple(g)
+        return gens
+
+    monkeypatch.setattr(hasse, "principal_generators", tampered)
+
+
+def test_class_quotient_witness_through_smith(monkeypatch):
+    # Longitude block [(2, 1), (0, 2)] as Hermite columns: the pivot 2 does
+    # not divide the 1 below it, so neither the unit-pivot accept nor the
+    # divisibility exit applies, and the invariants come from the
+    # alternating Hermite rounds past the span's own col_hnf.  The quotient
+    # is Z/4, where the pivots alone would read Z/2 + Z/2.
+    c = lift_braid(BraidWord(2, (1,)), 2)
+    _tampered_longitudes(monkeypatch, {0: {1: 2, 3: 1}, 1: {3: 2}})
+    hnf_calls = _count_col_hnf(monkeypatch)
+    passed, witness = verify_class_quotient_free(c)
+    assert not passed
+    assert witness == {
+        "universe": "base",
+        "sublink": [],
+        "free_rank": 0,
+        "torsion": [4],
+        "expected_free_rank": 0,
+    }
+    # The base universe fails first: one call spans it, the rest alternate.
+    assert hnf_calls[0][1] == [(2, 1), (0, 2)]
+    assert len(hnf_calls) > 1
+    assert (passed, witness) == class_quotient_all_sublinks(c)
+
+
+def test_class_quotient_witness_from_the_divisibility_exit(monkeypatch):
+    # Doubling the axis generator's own longitude gives the Hermite columns
+    # [(2, 0), (0, 1)]: every pivot divides the entries below it, so the
+    # pivots are the diagonal and Z/2 is read off with no call past the span's.
+    c = lift_braid(BraidWord(2, (1,)), 2)
+    _tampered_longitudes(monkeypatch, {0: {1: 2}})
+    hnf_calls = _count_col_hnf(monkeypatch)
     passed, witness = verify_class_quotient_free(c)
     assert not passed
     assert witness == {
@@ -147,8 +186,7 @@ def test_class_quotient_witness_through_smith(monkeypatch):
         "torsion": [2],
         "expected_free_rank": 0,
     }
-    # The base universe fails first: one call spans it, the rest decide.
-    assert len(hnf_calls) > 1
+    assert len(hnf_calls) == 1
     assert (passed, witness) == class_quotient_all_sublinks(c)
 
 

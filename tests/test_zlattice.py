@@ -30,7 +30,11 @@ from oracles import (
     box_points,
     dense_lattice_intersect,
     invariants_oracle,
+    kernel_coefficient_preimage,
     member_oracle,
+    relative_invariants_oracle,
+    smith_diagonal_oracle,
+    smith_invariants_oracle,
     smith_quotient_invariants,
     smith_relative_quotient_invariants,
 )
@@ -249,6 +253,14 @@ def test_snf_contract_on_odd_shapes(m):
     nonzero = [x for x in diag if x]
     free_rank, torsion = invariants_oracle(m.rows, m.columns())
     assert (m.rows - len(nonzero), tuple(x for x in nonzero if x > 1)) == (free_rank, torsion)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrix_strategy, odd_matrix_strategy))
+def test_smith_oracle_against_minor_gcds(m):
+    """The elimination oracle and the minor-gcd oracle agree on small matrices."""
+    cols = m.columns()
+    assert smith_invariants_oracle(m.rows, cols) == invariants_oracle(m.rows, cols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -568,22 +580,30 @@ def load_workloads():
     return module
 
 
-def assert_agrees_with_old_routes(a, b):
-    """Hermite quotients and sparse intersection equal the Smith and dense routes."""
+def assert_agrees_with_old_routes(a, b, gens):
+    """Carried-row intersection and preimage, and Hermite quotients, against the old routes.
+
+    ``gens`` is a matrix of generators of ``a`` as given (zero and
+    dependent columns allowed); the preimage of ``b`` under it is
+    compared.  Quotients are also compared with the elimination oracle.
+    """
     n = a.ambient_rank
     s = lattice_sum(a, b)
     i = lattice_intersect(a, b)
     assert i == dense_lattice_intersect(a, b)
+    assert preimage_lattice(gens, b) == kernel_coefficient_preimage(gens, b)
     for m in (a, b, s, i):
-        assert quotient_invariants(n, m) == smith_quotient_invariants(n, m)
+        q = quotient_invariants(n, m)
+        assert q == smith_quotient_invariants(n, m)
+        assert (q.free_rank, q.torsion) == smith_invariants_oracle(n, m.columns)
     for outer, inner in ((s, i), (a, i), (s, a)):
-        assert relative_quotient_invariants(outer, inner) == (
-            smith_relative_quotient_invariants(outer, inner)
-        )
+        q = relative_quotient_invariants(outer, inner)
+        assert q == smith_relative_quotient_invariants(outer, inner)
+        assert (q.free_rank, q.torsion) == relative_invariants_oracle(outer.columns, inner.columns)
 
 
 class TestOldRoutes:
-    """The Hermite quotient route and the sparse intersection against the routes they replaced."""
+    """The Hermite quotient route, carried-row intersection and preimage against the old routes."""
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_lattice_workload_problems(self, seed):
@@ -593,7 +613,7 @@ class TestOldRoutes:
             n = p["n"]
             a = SubLattice.from_columns(n, p["cols_a"])
             b = SubLattice.from_columns(n, p["cols_b"])
-            assert_agrees_with_old_routes(a, b)
+            assert_agrees_with_old_routes(a, b, IntMatrix.from_columns(p["cols_a"], rows=n))
             want = workloads.lattice_answers(p)
             got = [
                 quotient_invariants(n, m)
@@ -603,6 +623,7 @@ class TestOldRoutes:
             diag = assert_snf_contract(a.canonical_form)
             chain = want["snf_diagonal"]
             assert diag == chain + [0] * (len(diag) - len(chain))
+            assert [x for x in diag if x] == smith_diagonal_oracle(a.canonical_form.entries)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -621,4 +642,4 @@ class TestOldRoutes:
         rank, cols_a, cols_b = case
         a = SubLattice.from_columns(rank, cols_a)
         b = SubLattice.from_columns(rank, cols_b)
-        assert_agrees_with_old_routes(a, b)
+        assert_agrees_with_old_routes(a, b, IntMatrix.from_columns(cols_a, rows=rank))
