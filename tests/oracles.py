@@ -8,11 +8,10 @@ elimination on the smallest nonzero entry with row and column
 operations (any size, entries of hundreds of bits included), and
 resultants by the Euclidean remainder sequence over the rationals.
 
-The routes at the end are the exception.  Four are the lattice
+The routes at the end are the exception.  Three are the lattice
 routes ``idelink.zlattice`` replaced: absolute and relative quotient
-invariants read off the diagonal of ``kernel.smith``, intersection
-vectors summed densely over every kernel coefficient, and the preimage
-read off the leading coordinates of a canonical kernel lattice.
+invariants read off the diagonal of ``kernel.smith``, and intersection
+vectors summed densely over every kernel coefficient.
 ``kernel.smith`` builds its diagonal by alternating the same column
 Hermite reduction that ``quotient_invariants`` alternates, so the two
 Smith routes share the package route's elimination; the independent
@@ -470,12 +469,6 @@ def dense_lattice_intersect(a, b):
         for coeffs in ker.columns
     ]
     return SubLattice.from_columns(n, vectors)
-
-
-def kernel_coefficient_preimage(m, target):
-    """{x : m @ x in target}, the leading coordinates of the canonical kernel lattice."""
-    ker = zlattice._kernel_span(m.rows, m.columns() + list(target.columns))
-    return SubLattice.from_columns(m.cols, [col[: m.cols] for col in ker.columns])
 
 
 def unfree_sublink(gens):

@@ -30,7 +30,6 @@ from oracles import (
     box_points,
     dense_lattice_intersect,
     invariants_oracle,
-    kernel_coefficient_preimage,
     member_oracle,
     relative_invariants_oracle,
     smith_diagonal_oracle,
@@ -580,18 +579,15 @@ def load_workloads():
     return module
 
 
-def assert_agrees_with_old_routes(a, b, gens):
-    """Carried-row intersection and preimage, and Hermite quotients, against the old routes.
+def assert_agrees_with_old_routes(a, b):
+    """Carried-row intersection and Hermite quotients against the old routes.
 
-    ``gens`` is a matrix of generators of ``a`` as given (zero and
-    dependent columns allowed); the preimage of ``b`` under it is
-    compared.  Quotients are also compared with the elimination oracle.
+    Quotients are also compared with the elimination oracle.
     """
     n = a.ambient_rank
     s = lattice_sum(a, b)
     i = lattice_intersect(a, b)
     assert i == dense_lattice_intersect(a, b)
-    assert preimage_lattice(gens, b) == kernel_coefficient_preimage(gens, b)
     for m in (a, b, s, i):
         q = quotient_invariants(n, m)
         assert q == smith_quotient_invariants(n, m)
@@ -603,7 +599,7 @@ def assert_agrees_with_old_routes(a, b, gens):
 
 
 class TestOldRoutes:
-    """The Hermite quotient route, carried-row intersection and preimage against the old routes."""
+    """The Hermite quotient route and carried-row intersection against the old routes."""
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_lattice_workload_problems(self, seed):
@@ -613,7 +609,7 @@ class TestOldRoutes:
             n = p["n"]
             a = SubLattice.from_columns(n, p["cols_a"])
             b = SubLattice.from_columns(n, p["cols_b"])
-            assert_agrees_with_old_routes(a, b, IntMatrix.from_columns(p["cols_a"], rows=n))
+            assert_agrees_with_old_routes(a, b)
             want = workloads.lattice_answers(p)
             got = [
                 quotient_invariants(n, m)
@@ -642,4 +638,4 @@ class TestOldRoutes:
         rank, cols_a, cols_b = case
         a = SubLattice.from_columns(rank, cols_a)
         b = SubLattice.from_columns(rank, cols_b)
-        assert_agrees_with_old_routes(a, b, IntMatrix.from_columns(cols_a, rows=rank))
+        assert_agrees_with_old_routes(a, b)
