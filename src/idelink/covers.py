@@ -19,8 +19,9 @@ computable:
   strand s to the lift through sigma(s).
 
 Also included: the classical homology-order formula for cyclic branched
-covers over a knot with a given Seifert matrix, used to certify that
-chosen covers are integral homology spheres.
+covers over a knot with a given Seifert matrix, taken as one integer
+determinant, used to certify that chosen covers are integral homology
+spheres.
 """
 
 from __future__ import annotations
@@ -235,95 +236,36 @@ def relabeled_cover(
     )
 
 
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return _poly_trim(out)
-
-
-def _poly_matrix_det(m: list[list[list[int]]]) -> list[int]:
-    """Determinant of a small matrix of integer polynomials, by expansion."""
-    n = len(m)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return list(m[0][0])
-    det: list[int] = []
-    for j in range(n):
-        minor = [[row[t] for t in range(n) if t != j] for row in m[1:]]
-        term = _poly_mul(m[0][j], _poly_matrix_det(minor))
-        if j % 2:
-            term = [-x for x in term]
-        det = _poly_add(det, term)
-    return det
-
-
-def _sylvester_resultant(f: list[int], g: list[int]) -> int:
-    """Resultant of two integer polynomials via the Sylvester determinant."""
-    f = _poly_trim(list(f))
-    g = _poly_trim(list(g))
-    if not f or not g:
-        return 0
-    df = len(f) - 1
-    dg = len(g) - 1
-    if df == 0:
-        return f[0] ** dg
-    if dg == 0:
-        return g[0] ** df
-    size = df + dg
-    rows = []
-    frev = f[::-1]
-    grev = g[::-1]
-    for i in range(dg):
-        rows.append([0] * i + frev + [0] * (size - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + grev + [0] * (size - dg - 1 - i))
-    return IntMatrix(rows, cols=size).det()
-
-
 def branched_cover_order(seifert: IntMatrix, n: int) -> int:
     """First-homology order of the n-fold cyclic branched cover of a knot.
 
-    From a Seifert matrix V the order is the absolute resultant of
-    det(V - t V^T) with (t^n - 1)/(t - 1); a zero resultant signals
-    infinite homology and is returned as 0 so callers can filter for
-    integral homology spheres (order 1).
+    From a k x k Seifert matrix V the order is |prod det(V - zeta V^T)|
+    over the n-th roots of unity zeta != 1.  Those are the distinct
+    eigenvalues of C, the companion matrix of 1 + t + ... + t^(n-1), so
+    diagonalising C turns V (x) I - V^T (x) C into the blocks
+    V - zeta V^T and the order is one integer determinant,
+    |det(V (x) I - V^T (x) C)|.  A zero signals infinite homology and is
+    returned as 0 so callers can filter for integral homology spheres
+    (order 1).  For n = 1 the product is empty: the order is 1, or 0
+    when det(V - t V^T) vanishes identically, which a polynomial of
+    degree <= k shows by its values at t = 0..k.
     """
     if seifert.rows != seifert.cols:
         raise ValueError("Seifert matrix must be square")
     _check_degree(n)
     k = seifert.rows
-    entries = seifert.entries
-    poly_m = [
-        [
-            _poly_trim([entries[i][j], -entries[j][i]])
-            for j in range(k)
-        ]
+    v = seifert.entries
+    if n == 1:
+        return int(any(
+            IntMatrix([[v[i][j] - t * v[j][i] for j in range(k)] for i in range(k)], cols=k).det()
+            for t in range(k + 1)
+        ))
+    m = n - 1
+    # Ones below the diagonal, and minus the (all-one) coefficients in the last column.
+    comp = [[(b == a - 1) - (b == m - 1) for b in range(m)] for a in range(m)]
+    rows = [
+        [v[i][j] * (a == b) - v[j][i] * comp[a][b] for j in range(k) for b in range(m)]
         for i in range(k)
+        for a in range(m)
     ]
-    alex = _poly_matrix_det(poly_m)
-    cyc = [1] * n  # (t^n - 1)/(t - 1)
-    if len(cyc) == 1:
-        return 1 if alex else 0
-    res = _sylvester_resultant(alex, cyc)
-    return abs(res)
+    return abs(IntMatrix(rows, cols=k * m).det())

@@ -157,11 +157,11 @@ def braid_power(b: BraidWord, n: int) -> BraidWord:
 class LinkUniverse(Record):
     """A finite ordered family of oriented knots with exact linking data.
 
-    ``labels`` are distinct strings and ``linking`` is symmetric with
-    zero diagonal.  When ``axis_index`` (a plain int) is set, component
-    ``axis_index`` is the braid axis and ``windings``, the axis row of
-    the linking matrix, gives each component's winding about it (axis
-    slot 0).
+    ``labels`` are distinct strings and ``linking`` is an ``IntMatrix``,
+    symmetric with zero diagonal.  When ``axis_index`` (a plain int) is
+    set, component ``axis_index`` is the braid axis and ``windings``,
+    the axis row of the linking matrix, gives each component's winding
+    about it (axis slot 0).
 
     Constructing a universe checks all of this, then builds its m
     principal generators from the linking rows (``_generators``, read
@@ -183,6 +183,8 @@ class LinkUniverse(Record):
                 raise ValueError(f"component label {name!r} is not a string")
         if len(set(labels)) != m:
             raise ValueError("component labels must be distinct")
+        if not isinstance(linking, IntMatrix):
+            raise ValueError(f"linking {linking!r} is not an IntMatrix")
         if linking.shape != (m, m):
             raise ValueError("linking matrix shape does not match components")
         for i in range(m):

@@ -268,7 +268,7 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     u and v are unimodular; d is diagonal, nonnegative, with each
     diagonal entry dividing the next.
     """
-    u, d, v = kernel.smith(m.rows, m.cols, [list(r) for r in m.entries])
+    u, d, v = kernel.smith(m.rows, m.cols, m.entries)
     return (
         IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
         IntMatrix._trusted(tuple(map(tuple, d)), m.cols),

@@ -5,7 +5,8 @@ by rational elimination plus a finite congruence search, box enumeration
 by breadth-first closure with a provable slack margin, quotient
 invariants by gcds of minors (small matrices) and by a Smith
 elimination on the smallest nonzero entry with row and column
-operations (any size, entries of hundreds of bits included), and
+operations (any size, entries of hundreds of bits included), Alexander
+polynomials by interpolating permutation-expansion determinants, and
 resultants by the Euclidean remainder sequence over the rationals.
 
 The routes at the end are the exception.  Three are the lattice
@@ -417,6 +418,28 @@ def _poly_divmod(f, g):
     while f and f[-1] == 0:
         f.pop()
     return q, f
+
+
+def alexander_oracle(v):
+    """det(V - t V^T) for a k x k matrix V, coefficients ascending, trimmed.
+
+    The determinant is a polynomial of degree <= k; its values at
+    t = 0..k come from ``det_expansion``, and Lagrange interpolation over
+    ``Fraction`` gives its coefficients back.
+    """
+    k = len(v)
+    coeffs = [Fraction(0)] * (k + 1)
+    for s in range(k + 1):
+        value = det_expansion([[v[i][j] - s * v[j][i] for j in range(k)] for i in range(k)])
+        basis = [Fraction(value)]  # value * prod over r != s of (t - r)/(s - r)
+        for r in range(k + 1):
+            if r != s:
+                shifted = [Fraction(0)] + basis
+                basis = [(a - r * b) / (s - r) for a, b in zip(shifted, basis + [0])]
+        coeffs = [a + b for a, b in zip(coeffs, basis)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("interpolated integer polynomial must be integral")
+    return _poly_trim(int(c) for c in coeffs)
 
 
 def resultant_oracle(f, g):

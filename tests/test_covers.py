@@ -30,6 +30,7 @@ from idelink.links import (
 from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 
 from oracles import (
+    alexander_oracle,
     lift_maps_by_walking_both_words,
     poly_eval,
     replaced,
@@ -502,3 +503,35 @@ def alexander_by_expansion(v):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def _seifert_cases():
+    """(V, n) pairs: degenerate matrices at every n 1-12, then seeded random ones."""
+    pinned = [
+        [],
+        [[0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[1, 1], [1, 1]],  # symmetric and singular: det(V - t V^T) = (1 - t)^2 det V = 0
+        [[2, -1, 3], [2, -1, 3], [0, 1, 1]],  # a repeated row
+        [[2**70 + 1, -(2**65)], [3, 2**64 + 7]],
+    ]
+    cases = [(v, n) for v in pinned for n in range(1, 13)]
+    rng = random.Random(19)
+    for _ in range(300):
+        k = rng.randint(0, 5)
+        bound = 2**66 if rng.random() < 0.1 else 3
+        v = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(k)]
+        if k > 1 and rng.random() < 0.2:
+            v[-1] = list(v[0])
+        cases.append((v, rng.randint(1, 12)))
+    return cases
+
+
+def test_branched_cover_order_against_interpolated_resultant():
+    # The oracle's Alexander polynomial shares no code with the package;
+    # its resultant with 1 + t + ... + t^(n-1) is 0 when it vanishes identically, n = 1 included.
+    for v, n in _seifert_cases():
+        expected = abs(resultant_oracle(alexander_oracle(v), [1] * n))
+        assert branched_cover_order(IntMatrix(v, cols=len(v)), n) == expected, (v, n)
+    for v in ([[0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[1, 1], [1, 1]]):
+        assert branched_cover_order(IntMatrix(v), 1) == 0

@@ -48,6 +48,10 @@ def test_smith_contract_on_raw_lists():
         given = [list(r) for r in rows]
         u, d, v = kernel.smith(nrows, ncols, given)
         assert given == rows
+        # Tuple rows (an IntMatrix's entries, as zlattice.snf passes them) give the same result.
+        as_tuples = tuple(map(tuple, rows))
+        assert kernel.smith(nrows, ncols, as_tuples) == (u, d, v)
+        assert as_tuples == tuple(map(tuple, rows))
         assert len(u) == nrows and all(len(r) == nrows for r in u)
         assert len(v) == ncols and all(len(r) == ncols for r in v)
         assert len(d) == nrows and all(len(r) == ncols for r in d)

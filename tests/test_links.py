@@ -192,6 +192,12 @@ class TestUniverse:
         with pytest.raises(ValueError, match="not a string"):
             LinkUniverse((1, 2), IntMatrix([[0, 1], [1, 0]]), 0)
 
+    @pytest.mark.parametrize("linking", [[[0]], ((0,),), None])
+    def test_linking_must_be_an_int_matrix(self, linking):
+        # A nested list would otherwise fail with an AttributeError on .shape.
+        with pytest.raises(ValueError, match="linking .* is not an IntMatrix"):
+            LinkUniverse(("A",), linking)
+
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
             LinkUniverse(("A", "A"), IntMatrix([[0, 1], [1, 0]]), 0)
