@@ -21,7 +21,7 @@ import operator
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from . import __version__
+from . import __version__, kernel
 from ._record import Record
 from .covers import (
     CoverData,
@@ -33,21 +33,21 @@ from .covers import (
 )
 from .ideles import (
     _boundary_coeffs,
-    _class_quotient,
     _label_prefixes,
+    _longitudes_first,
     meridian_subgroup,
     principal_generators,
 )
 from .links import BraidWord, LinkUniverse
 from .zlattice import (
     SubLattice,
+    _quotient_invariants,
     _span,
     lattice_equal,
     lattice_intersect,
     lattice_member,
     lattice_sum,
     preimage_lattice,
-    quotient_invariants,
     relative_quotient_invariants,
 )
 
@@ -253,23 +253,30 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     """Idele group mod (principal + off-sublink meridians) is free on the sublink.
 
     Decided for every sublink of the base and of the upstairs universe
-    from one class quotient per universe, the empty sublink's.  With the
-    longitudes first the generator block is [L; B_S], and Z^m / L is free
-    of rank 0 exactly when L is unimodular; then (l, mu) -> mu - B_S L^-1 l
-    maps Z^(m+|S|) onto Z^|S| with the generators' span as kernel, so
-    every sublink S passes.  The empty sublink is also the first one the
-    full loop visits, so a failure carries the same witness.
+    from one column Hermite form per universe, the empty sublink's.
+    With the longitudes first the generator block is [L; B_S], and
+    Z^m / L is free of rank 0 exactly when L is unimodular, that is
+    when its canonical form is the m x m identity: m columns, column k
+    with its pivot 1 on row k.  Then (l, mu) -> mu - B_S L^-1 l maps
+    Z^(m+|S|) onto Z^|S| with the generators' span as kernel, so every
+    sublink S passes.  Otherwise the same form gives the empty
+    sublink's invariants; it is also the first sublink the full loop
+    visits, so a failure carries the same witness.
     """
     for tag, u in (("base", c.base), ("cover", c.total)):
-        inv = _class_quotient(principal_generators(u), ())
-        if inv.free_rank or inv.torsion:
-            return False, {
-                "universe": tag,
-                "sublink": [],
-                "free_rank": inv.free_rank,
-                "torsion": list(inv.torsion),
-                "expected_free_rank": 0,
-            }
+        gens = principal_generators(u)
+        m = len(gens)
+        cols = kernel.col_hnf(m, _longitudes_first(gens, ()))
+        if len(cols) == m and all([col[k] == 1 for k, col in enumerate(cols)]):
+            continue
+        inv = _quotient_invariants(m, cols)
+        return False, {
+            "universe": tag,
+            "sublink": [],
+            "free_rank": inv.free_rank,
+            "torsion": list(inv.torsion),
+            "expected_free_rank": 0,
+        }
     return True, None
 
 
@@ -412,7 +419,7 @@ def _cover_exact_sequence_lattice(c: CoverData) -> tuple[bool, dict | None]:
             "in_deck_image_plus_relations": lattice_member(vec, exact_side),
             "coordinates": _coordinate_labels(total),
         }
-    source_mod_kernel = quotient_invariants(2 * total.size, kernel_side)
+    source_mod_kernel = _quotient_invariants(2 * total.size, kernel_side.columns)
     image_side = relative_quotient_invariants(
         lattice_sum(pushforward_image(c), r_m), r_m
     )

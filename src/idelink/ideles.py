@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from . import kernel
 from ._record import Record
 from .links import LinkUniverse
-from .zlattice import AbelianInvariants, SubLattice, _span, quotient_invariants
+from .zlattice import AbelianInvariants, SubLattice, _quotient_invariants, _span
 
 
 def _label_prefixes(ascii_labels: bool) -> tuple[str, str]:
@@ -144,13 +145,18 @@ def class_quotient(u: LinkUniverse, sublink: Iterable[int]) -> AbelianInvariants
     return _class_quotient(principal_generators(u), _check_sublink(u, sublink))
 
 
-def _class_quotient(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> AbelianInvariants:
-    """``class_quotient`` from the universe's ``principal_generators``.
+def _longitudes_first(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The generators over the kept coordinates: all longitudes, then the sublink's meridians.
 
-    The kept coordinates are ordered all longitudes first, then the
-    sublink's meridians, so each generator's own unit longitude is its
-    pivot and a free quotient is recognised with no further kernel call.
+    With this order each generator's own unit longitude is its pivot in
+    a braid universe, and the empty sublink leaves the longitude block L.
     """
+    if not sub:
+        return [g[1::2] for g in gens]
+    return [g[1::2] + tuple([g[2 * k] for k in sub]) for g in gens]
+
+
+def _class_quotient(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> AbelianInvariants:
+    """``class_quotient`` from the universe's ``principal_generators``."""
     n = len(gens) + len(sub)
-    cols = [g[1::2] + tuple([g[2 * k] for k in sub]) for g in gens]
-    return quotient_invariants(n, _span(n, cols))
+    return _quotient_invariants(n, kernel.col_hnf(n, _longitudes_first(gens, sub)))

@@ -30,6 +30,12 @@ def _check_int(x):
     return x
 
 
+def _check_kind(what: str, x, cls) -> None:
+    """Reject an argument that is not a ``cls``, at a public entry."""
+    if not isinstance(x, cls):
+        raise ValueError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+
+
 def _check_size(what: str, n) -> None:
     """Reject a shape, size or rank that is not a plain int >= 0."""
     if type(n) is not int:
@@ -181,6 +187,17 @@ class AbelianInvariants(Record):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
 
+    @classmethod
+    def _trusted(cls, free_rank: int, torsion: tuple[int, ...]) -> "AbelianInvariants":
+        """Invariants the package computed: a rank >= 0 and a tuple divisibility chain >= 2.
+
+        Nothing is re-checked; callers outside the package use ``AbelianInvariants(...)``.
+        """
+        inv = object.__new__(cls)
+        object.__setattr__(inv, "free_rank", free_rank)
+        object.__setattr__(inv, "torsion", torsion)
+        return inv
+
     @property
     def order(self) -> int:
         """Group order, or 0 when the group is infinite."""
@@ -210,6 +227,7 @@ class SubLattice(Record):
 
     @classmethod
     def from_matrix(cls, generators: IntMatrix) -> "SubLattice":
+        _check_kind("generators", generators, IntMatrix)
         return _span(generators.rows, generators.columns())
 
     @classmethod
@@ -268,6 +286,7 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     u and v are unimodular; d is diagonal, nonnegative, with each
     diagonal entry dividing the next.
     """
+    _check_kind("matrix", m, IntMatrix)
     u, d, v = kernel.smith(m.rows, m.cols, m.entries)
     return (
         IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
@@ -277,6 +296,8 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def _require_same_ambient(a: SubLattice, b: SubLattice):
+    _check_kind("first lattice", a, SubLattice)
+    _check_kind("second lattice", b, SubLattice)
     if a.ambient_rank != b.ambient_rank:
         raise ValueError(
             f"ambient rank mismatch: {a.ambient_rank} vs {b.ambient_rank}"
@@ -291,6 +312,7 @@ def lattice_sum(a: SubLattice, b: SubLattice) -> SubLattice:
 
 def kernel_lattice(m: IntMatrix) -> SubLattice:
     """Integer kernel {x in Z^cols : m @ x == 0} as a sublattice of Z^cols."""
+    _check_kind("matrix", m, IntMatrix)
     return _kernel_span(m.rows, m.columns())
 
 
@@ -312,6 +334,8 @@ def lattice_intersect(a: SubLattice, b: SubLattice) -> SubLattice:
 
 def preimage_lattice(m: IntMatrix, target: SubLattice) -> SubLattice:
     """{x in Z^cols : m @ x lies in target}, a sublattice of Z^cols."""
+    _check_kind("matrix", m, IntMatrix)
+    _check_kind("target", target, SubLattice)
     if m.rows != target.ambient_rank:
         raise ValueError("matrix rows must match target ambient rank")
     ker = _kernel_span(m.rows, m.columns() + list(target.columns))
@@ -348,6 +372,7 @@ def _solve_in_hnf(cols, v: Sequence[int]) -> list[int] | None:
 
 def lattice_member(v: Sequence[int], a: SubLattice) -> bool:
     """True iff v is an integer combination of the generators."""
+    _check_kind("lattice", a, SubLattice)
     if len(v) != a.ambient_rank:
         raise ValueError(f"vector length {len(v)} != ambient rank {a.ambient_rank}")
     for x in v:
@@ -379,18 +404,34 @@ def _dividing_pivots(cols) -> list[int] | None:
 def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInvariants:
     """Invariant factors of Z^ambient_rank modulo the relation lattice.
 
+    Checks its arguments, then ``_quotient_invariants`` reads the
+    invariants off the relations' canonical columns.
+    """
+    _check_size("ambient rank", ambient_rank)
+    _check_kind("relations", relations, SubLattice)
+    if relations.ambient_rank != ambient_rank:
+        raise ValueError("relations do not lie in the ambient group")
+    return _quotient_invariants(ambient_rank, relations.columns)
+
+
+def _quotient_invariants(ambient_rank: int, cols) -> AbelianInvariants:
+    """``quotient_invariants`` of canonical Hermite columns, as ``kernel.col_hnf`` returns them.
+
     The canonical columns are independent, so the free rank is
     ambient_rank - rank.  When every pivot (a column's first nonzero
     entry) is 1, those columns plus the unit vectors on the non-pivot
     rows form a unimodular basis and there is no torsion.  The
     divisibility test below covers that case too, but answers it in
     2.4 us per call where this line takes 1.6 us (shared 2-core Xeon,
-    Python 3.11.7).  Every class quotient the `sweep3` and `wide4`
-    benchmark workloads take has unit pivots (2,984 and 480 a pass),
-    and without this line 10 alternating pairs read their items_per_s
-    2.4% and 1.5% lower.  Unit pivots
-    are sufficient for a free quotient, not necessary: <(2, 1)> in Z^2
-    has quotient Z, but its pivot 2 does not divide the 1 below.
+    Python 3.11.7).  Two callers still reach it: public
+    ``ideles.class_quotient`` on a non-empty sublink, whose quotients
+    for a braid universe all have unit pivots, and the quotients of
+    the ``lattice`` benchmark workload, where it stops at the first
+    pivot above 1.  ``verify_class_quotient_free`` reads a free
+    quotient off the Hermite form itself and comes here only on a
+    failure.  Unit pivots are sufficient for a free quotient, not
+    necessary: <(2, 1)> in Z^2 has quotient Z, but its pivot 2 does
+    not divide the 1 below.
 
     Otherwise the torsion comes from a column Hermite form whose every
     pivot divides the entries below it: row operations clear its
@@ -404,13 +445,9 @@ def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInva
     pair of pivots (a, b) by (gcd, lcm) then makes a divisibility
     chain, and the entries above 1 are the torsion.
     """
-    _check_size("ambient rank", ambient_rank)
-    if relations.ambient_rank != ambient_rank:
-        raise ValueError("relations do not lie in the ambient group")
-    cols = relations.columns
     rank = len(cols)
     if all(next(filter(None, col)) == 1 for col in cols):
-        return AbelianInvariants(ambient_rank - rank, ())
+        return AbelianInvariants._trusted(ambient_rank - rank, ())
     pivots = _dividing_pivots(cols)
     while pivots is None:
         cols = kernel.col_hnf(rank, list(zip(*cols)))
@@ -421,7 +458,7 @@ def quotient_invariants(ambient_rank: int, relations: SubLattice) -> AbelianInva
             a, b = diag[i], diag[j]
             g = gcd(a, b)
             diag[i], diag[j] = g, a // g * b
-    return AbelianInvariants(ambient_rank - rank, tuple(x for x in diag if x > 1))
+    return AbelianInvariants._trusted(ambient_rank - rank, tuple(x for x in diag if x > 1))
 
 
 def relative_quotient_invariants(outer: SubLattice, inner: SubLattice) -> AbelianInvariants:
@@ -434,4 +471,4 @@ def relative_quotient_invariants(outer: SubLattice, inner: SubLattice) -> Abelia
             raise ValueError("inner lattice is not contained in outer lattice")
         coords.append(sol)
     rank = outer.rank
-    return quotient_invariants(rank, _span(rank, coords))
+    return _quotient_invariants(rank, kernel.col_hnf(rank, coords))

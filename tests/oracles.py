@@ -45,7 +45,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from idelink import hasse, kernel, zlattice
+from idelink import hasse, ideles, kernel, zlattice
 from idelink.covers import pushforward_matrix
 from idelink.links import BraidWord, braid_components, braid_permutation, braid_power
 from idelink.zlattice import AbelianInvariants, SubLattice
@@ -502,7 +502,7 @@ def unfree_sublink(gens):
     quotient of every sublink is free of the sublink's rank.
     """
     for sub in hasse._sublinks(len(gens)):
-        inv = hasse._class_quotient(gens, sub)
+        inv = ideles._class_quotient(gens, sub)
         if inv.free_rank != len(sub) or inv.torsion:
             return sub, inv
     return None

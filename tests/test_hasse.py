@@ -148,10 +148,10 @@ def _tampered_longitudes(monkeypatch, changes):
 
 def test_class_quotient_witness_through_smith(monkeypatch):
     # Longitude block [(2, 1), (0, 2)] as Hermite columns: the pivot 2 does
-    # not divide the 1 below it, so neither the unit-pivot accept nor the
+    # not divide the 1 below it, so neither the identity accept nor the
     # divisibility exit applies, and the invariants come from the
-    # alternating Hermite rounds past the span's own col_hnf.  The quotient
-    # is Z/4, where the pivots alone would read Z/2 + Z/2.
+    # alternating Hermite rounds past the check's own col_hnf.  The
+    # quotient is Z/4, where the pivots alone would read Z/2 + Z/2.
     c = lift_braid(BraidWord(2, (1,)), 2)
     _tampered_longitudes(monkeypatch, {0: {1: 2, 3: 1}, 1: {3: 2}})
     hnf_calls = _count_col_hnf(monkeypatch)
@@ -164,7 +164,7 @@ def test_class_quotient_witness_through_smith(monkeypatch):
         "torsion": [4],
         "expected_free_rank": 0,
     }
-    # The base universe fails first: one call spans it, the rest alternate.
+    # The base universe fails first: one call reduces it, the rest alternate.
     assert hnf_calls[0][1] == [(2, 1), (0, 2)]
     assert len(hnf_calls) > 1
     assert (passed, witness) == class_quotient_all_sublinks(c)
@@ -173,7 +173,7 @@ def test_class_quotient_witness_through_smith(monkeypatch):
 def test_class_quotient_witness_from_the_divisibility_exit(monkeypatch):
     # Doubling the axis generator's own longitude gives the Hermite columns
     # [(2, 0), (0, 1)]: every pivot divides the entries below it, so the
-    # pivots are the diagonal and Z/2 is read off with no call past the span's.
+    # pivots are the diagonal and Z/2 is read off with no call past the check's.
     c = lift_braid(BraidWord(2, (1,)), 2)
     _tampered_longitudes(monkeypatch, {0: {1: 2}})
     hnf_calls = _count_col_hnf(monkeypatch)
@@ -188,6 +188,19 @@ def test_class_quotient_witness_from_the_divisibility_exit(monkeypatch):
     }
     assert len(hnf_calls) == 1
     assert (passed, witness) == class_quotient_all_sublinks(c)
+
+
+def test_unimodular_longitude_block_that_is_not_the_identity_passes(monkeypatch):
+    # Writing 1 into the axis generator's longitude on the other slot gives
+    # the block [(1, 1), (0, 1)]: unimodular, so its Hermite form is the
+    # identity and every sublink's quotient is free.
+    c = lift_braid(BraidWord(2, (1,)), 2)
+    _tampered_longitudes(monkeypatch, {0: {3: 1}})
+    hnf_calls = _count_col_hnf(monkeypatch)
+    assert verify_class_quotient_free(c) == (True, None)
+    assert hnf_calls[0][1] == [(1, 1), (0, 1)]
+    assert len(hnf_calls) == 2
+    assert class_quotient_all_sublinks(c) == (True, None)
 
 
 def test_projection_witness_on_dropped_linking_term(monkeypatch):
@@ -564,23 +577,26 @@ def test_projection_witness_on_middle_layer_only(monkeypatch):
 )
 def test_free_on_empty_sublink_iff_free_on_every_sublink(gens):
     # Any [L; B] block, not only braid universes: the empty sublink decides.
-    inv = hasse._class_quotient(gens, ())
+    inv = ideles._class_quotient(gens, ())
     assert (not inv.free_rank and not inv.torsion) == (unfree_sublink(gens) is None)
 
 
 def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
+    # A pass is read off the kernel's Hermite form: no lattice or
+    # invariants record is built and the public quotient is not called.
     c = lift_braid(BraidWord(4, ()), 2)
     assert (c.base.size, c.total.size) == (5, 5)
-    calls = []
-    real = kernel.col_hnf
+    calls = _count_col_hnf(monkeypatch)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a passing class quotient built a wrapper")
 
-    monkeypatch.setattr(kernel, "col_hnf", counted)
-    assert verify_class_quotient_free(c)[0]
-    assert len(calls) == 2
+    for mod in (zlattice, ideles, hasse):
+        monkeypatch.setattr(mod, "quotient_invariants", forbidden, raising=False)
+    monkeypatch.setattr(zlattice.SubLattice, "__init__", forbidden)
+    monkeypatch.setattr(zlattice.AbelianInvariants, "__init__", forbidden)
+    assert verify_class_quotient_free(c) == (True, None)
+    assert [nrows for nrows, _ in calls] == [5, 5]
 
 
 @pytest.mark.parametrize("size", range(7))

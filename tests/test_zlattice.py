@@ -1,5 +1,6 @@
 """Exact lattice algebra against brute-force oracles and algebraic laws."""
 
+import contextlib
 import importlib.util
 import random
 import sys
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idelink import kernel
+import idelink
+from idelink import kernel, zlattice
 from idelink.zlattice import (
     AbelianInvariants,
     IntMatrix,
@@ -475,6 +477,30 @@ class TestQuotients:
             quotient_invariants(rank, SubLattice.zero(1))
 
 
+# Each public lattice operation given a record of the wrong kind (a plain
+# list, or an IntMatrix where a SubLattice belongs and the reverse).
+WRONG_KIND = {
+    "quotient_invariants": lambda: quotient_invariants(2, [(1, 0)]),
+    "relative_quotient_invariants": lambda: relative_quotient_invariants(
+        SubLattice.full(2), IntMatrix.identity(2)
+    ),
+    "lattice_sum": lambda: lattice_sum([(1, 0)], SubLattice.full(2)),
+    "lattice_intersect": lambda: lattice_intersect(SubLattice.full(2), [(1, 0)]),
+    "lattice_equal": lambda: lattice_equal(IntMatrix.identity(2), SubLattice.full(2)),
+    "lattice_member": lambda: lattice_member((1, 0), [(1, 0)]),
+    "preimage_lattice": lambda: preimage_lattice(IntMatrix.identity(2), [(1, 0)]),
+    "hnf": lambda: hnf(SubLattice.full(2)),
+    "snf": lambda: snf([[1, 2]]),
+    "kernel_lattice": lambda: kernel_lattice(SubLattice.full(2)),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_KIND)
+def test_wrong_kind_argument_raises_value_error(name):
+    with pytest.raises(ValueError, match="must be a"):
+        WRONG_KIND[name]()
+
+
 class TestKernelAndPreimage:
     def test_kernel_annihilates(self):
         rng = random.Random(3)
@@ -579,11 +605,51 @@ def load_workloads():
     return module
 
 
+@contextlib.contextmanager
+def rebuilt_quotients():
+    """Check every ``_quotient_invariants`` result made inside the block.
+
+    Each must equal its rebuild through the validating
+    ``AbelianInvariants(...)``: a plain-int rank and a tuple divisibility
+    chain of entries >= 2.  Yields the list of results.
+    """
+    results = []
+    real = zlattice._quotient_invariants
+
+    def recorded(*args):
+        inv = real(*args)
+        results.append(inv)
+        return inv
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zlattice, "_quotient_invariants", recorded)
+        yield results
+    for inv in results:
+        assert AbelianInvariants(inv.free_rank, inv.torsion) == inv
+
+
+def test_lattice_workload_quotients_rebuild():
+    # One whole pass of the benchmark's lattice workload, run as it runs.
+    workloads = load_workloads()
+    runner = workloads.Runner("lattice", idelink)
+    with rebuilt_quotients() as results:
+        for _, x in runner.inputs(11, 0):
+            assert runner.check(x, runner.run(x)) is None
+    assert len(results) == 5 * runner.count()
+
+
 def assert_agrees_with_old_routes(a, b):
     """Carried-row intersection and Hermite quotients against the old routes.
 
-    Quotients are also compared with the elimination oracle.
+    Quotients are also compared with the elimination oracle, and each
+    ``_quotient_invariants`` result with its validated rebuild.
     """
+    with rebuilt_quotients() as results:
+        _agrees_with_old_routes(a, b)
+    assert len(results) == 7
+
+
+def _agrees_with_old_routes(a, b):
     n = a.ambient_rank
     s = lattice_sum(a, b)
     i = lattice_intersect(a, b)
