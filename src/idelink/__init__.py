@@ -13,7 +13,6 @@ from .kernel import BACKEND as KERNEL_BACKEND
 from .links import (
     BraidWord,
     LinkUniverse,
-    braid_components,
     braid_linking_matrix,
     braid_permutation,
     braid_power,
@@ -25,7 +24,6 @@ from .zlattice import (
     IntMatrix,
     SubLattice,
     hnf,
-    kernel_lattice,
     lattice_equal,
     lattice_intersect,
     lattice_member,
@@ -71,7 +69,6 @@ __all__ = [
     "SubLattice",
     "hnf",
     "snf",
-    "kernel_lattice",
     "lattice_equal",
     "lattice_intersect",
     "lattice_member",
@@ -82,7 +79,6 @@ __all__ = [
     # links
     "BraidWord",
     "LinkUniverse",
-    "braid_components",
     "braid_linking_matrix",
     "braid_permutation",
     "braid_power",

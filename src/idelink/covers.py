@@ -99,9 +99,6 @@ class CoverData(Record):
         object.__setattr__(self, "pushforward", pushforward)
         object.__setattr__(self, "deck", deck)
 
-    def fiber(self, k: int) -> tuple[int, ...]:
-        return tuple(j for j, b in enumerate(self.fiber_map) if b == k)
-
 
 @functools.lru_cache(maxsize=256)
 def _split_record(n: int, a: int, b: int) -> SplitRecord:

@@ -4,8 +4,9 @@ All the lattice algebra in this package reduces to one elimination
 loop on integer matrices: a column-style Hermite normal form of the
 first rows of each column, whose column operations carry the rows
 below along.  ``col_hnf`` returns the form, ``col_hnf_with_kernel``
-also returns the carried rest of each column it zeroes (a kernel
-basis when that rest starts as the identity), and ``smith`` reaches a
+returns only the carried rest of each column it zeroes (a kernel
+basis when that rest starts as the identity, a preimage or an
+intersection when it starts as other rows), and ``smith`` reaches a
 Smith normal form with transforms by alternating that reduction over
 columns and rows, each line carrying its line of a transform.  Every
 canonical form the package reports comes from this module.
@@ -115,19 +116,18 @@ def col_hnf(nrows, cols):
 
 
 def col_hnf_with_kernel(nrows, cols):
-    """Return (hnf_cols, kernel_tails) for columns longer than ``nrows``.
+    """Carried tails of the columns whose first ``nrows`` entries reduce to zero.
 
     Only the first ``nrows`` entries (the head) of each column are
-    reduced; the rest of each column (its tail) is carried along.
-    ``hnf_cols`` is ``col_hnf`` of the heads.  ``kernel_tails``
-    holds the tails of the ``len(cols) - rank`` columns whose heads
-    reduced to zero: when column j carries the unit vector e_j they
-    generate {x : heads . x = 0}, and for any tails t_j each is
+    reduced; the rest of each column (its tail) is carried along.  The
+    ``len(cols) - rank`` tails returned are those of the columns whose
+    heads reduced to zero: when column j carries the unit vector e_j
+    they generate {x : heads . x = 0}, and for any tails t_j each is
     sum_j x_j t_j for the matching such x.
     """
     work = [list(c) for c in cols]
     rank = _reduce_columns(nrows, work)
-    return [c[:nrows] for c in work[:rank]], [c[nrows:] for c in work[rank:]]
+    return [c[nrows:] for c in work[rank:]]
 
 
 def smith(nrows, ncols, rows):

@@ -89,11 +89,6 @@ def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def braid_components(b: BraidWord) -> tuple[tuple[int, ...], ...]:
-    """Strand cycles of the closure; one cycle per closed-braid component."""
-    return permutation_cycles(braid_permutation(b))
-
-
 def braid_linking_matrix(b: BraidWord) -> IntMatrix:
     """Pairwise linking numbers of the closure components.
 
@@ -231,9 +226,6 @@ class LinkUniverse(Record):
     def windings(self) -> tuple[int, ...] | None:
         """Each component's winding about the axis, axis slot 0; None without an axis."""
         return None if self.axis_index is None else self.linking.entries[self.axis_index]
-
-    def lk(self, i: int, j: int) -> int:
-        return self.linking.entries[i][j]
 
     def non_axis(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if i != self.axis_index)

@@ -114,6 +114,7 @@ class IntMatrix(Record):
         return [self.column(j) for j in range(self.cols)]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        _check_kind("right operand", other, IntMatrix)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         out = []
@@ -223,6 +224,7 @@ class SubLattice(Record):
     def from_columns(cls, ambient_rank: int, columns: Sequence[Sequence[int]]) -> "SubLattice":
         """Span of caller-given columns, validated; package-built columns go to ``_span``."""
         _check_size("ambient rank", ambient_rank)
+        _check_kind("columns", columns, Iterable)
         cols = [tuple(_check_int(x) for x in c) for c in columns]
         if any(len(c) != ambient_rank for c in cols):
             raise ValueError("column length does not match ambient rank")
@@ -250,18 +252,6 @@ class SubLattice(Record):
 def _span(ambient_rank: int, cols) -> SubLattice:
     """Sublattice spanned by trusted integer columns of length ambient_rank."""
     return SubLattice(ambient_rank, tuple(map(tuple, kernel.col_hnf(ambient_rank, cols))))
-
-
-def _kernel_span(nrows: int, cols) -> SubLattice:
-    """Integer kernel of the column map ``cols``, a sublattice of Z^len(cols).
-
-    Column j carries the unit vector e_j, so the returned tails are the
-    kernel coefficients.
-    """
-    n = len(cols)
-    tails = [tuple(c) + (0,) * j + (1,) + (0,) * (n - j - 1) for j, c in enumerate(cols)]
-    _, ker = kernel.col_hnf_with_kernel(nrows, tails)
-    return _span(n, ker)
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
@@ -299,12 +289,6 @@ def lattice_sum(a: SubLattice, b: SubLattice) -> SubLattice:
     return _span(a.ambient_rank, a.columns + b.columns)
 
 
-def kernel_lattice(m: IntMatrix) -> SubLattice:
-    """Integer kernel {x in Z^cols : m @ x == 0} as a sublattice of Z^cols."""
-    _check_kind("matrix", m, IntMatrix)
-    return _kernel_span(m.rows, m.columns())
-
-
 def lattice_intersect(a: SubLattice, b: SubLattice) -> SubLattice:
     """Intersection, from one kernel reduction with carried rows.
 
@@ -317,18 +301,27 @@ def lattice_intersect(a: SubLattice, b: SubLattice) -> SubLattice:
     n = a.ambient_rank
     zero = (0,) * n
     cols = [c + c for c in a.columns] + [c + zero for c in b.columns]
-    _, vectors = kernel.col_hnf_with_kernel(n, cols)
-    return _span(n, vectors)
+    return _span(n, kernel.col_hnf_with_kernel(n, cols))
 
 
 def preimage_lattice(m: IntMatrix, target: SubLattice) -> SubLattice:
-    """{x in Z^cols : m @ x lies in target}, a sublattice of Z^cols."""
+    """{x in Z^cols : m @ x lies in target}, a sublattice of Z^cols.
+
+    One kernel reduction with carried rows: columns (m_j, e_j) and
+    (t, 0), t a target column, are reduced on their first m.rows
+    entries.  Coefficients (x, y) zero those exactly when m @ x equals
+    -sum y_k t_k, and the carried rows are then x, so the tails
+    ``kernel.col_hnf_with_kernel`` returns span the preimage.  With
+    ``SubLattice.zero(m.rows)`` as target it is the kernel of m.
+    """
     _check_kind("matrix", m, IntMatrix)
     _check_kind("target", target, SubLattice)
     if m.rows != target.ambient_rank:
         raise ValueError("matrix rows must match target ambient rank")
-    ker = _kernel_span(m.rows, m.columns() + list(target.columns))
-    return _span(m.cols, [col[: m.cols] for col in ker.columns])
+    n = m.cols
+    cols = [c + (0,) * j + (1,) + (0,) * (n - j - 1) for j, c in enumerate(m.columns())]
+    cols += [t + (0,) * n for t in target.columns]
+    return _span(n, kernel.col_hnf_with_kernel(m.rows, cols))
 
 
 def _solve_in_hnf(cols, v: Sequence[int]) -> list[int] | None:
@@ -362,6 +355,7 @@ def _solve_in_hnf(cols, v: Sequence[int]) -> list[int] | None:
 def lattice_member(v: Sequence[int], a: SubLattice) -> bool:
     """True iff v is an integer combination of the generators."""
     _check_kind("lattice", a, SubLattice)
+    _check_kind("vector", v, Sequence)
     if len(v) != a.ambient_rank:
         raise ValueError(f"vector length {len(v)} != ambient rank {a.ambient_rank}")
     for x in v:
@@ -407,33 +401,20 @@ def _quotient_invariants(ambient_rank: int, cols) -> AbelianInvariants:
     """``quotient_invariants`` of canonical Hermite columns, as ``kernel.col_hnf`` returns them.
 
     The canonical columns are independent, so the free rank is
-    ambient_rank - rank.  When every pivot (a column's first nonzero
-    entry) is 1, those columns plus the unit vectors on the non-pivot
-    rows form a unimodular basis and there is no torsion.  The
-    divisibility test below covers that case too, and the line has no
-    measured gain left: the ``sweep3`` and ``wide4`` benchmark passes
-    make no call here, and on one ``lattice`` pass (seed 11) 2 of
-    the 2,200 quotients have unit pivots; 10 alternating ``lattice``
-    pairs without the line read ``items_per_s`` +0.2%, within the
-    spread (shared 2-core Xeon, Python 3.11.7).  Unit pivots are
-    sufficient for a free quotient, not necessary: <(2, 1)> in Z^2
-    has quotient Z, but its pivot 2 does not divide the 1 below.
-
-    Otherwise the torsion comes from a column Hermite form whose every
-    pivot divides the entries below it: row operations clear its
-    columns downward from the first, each touching no other column, so
-    its pivots are a diagonal form.  The canonical form is tested
-    first; until a form passes, column Hermite forms of the transpose
-    alternate, each on the rows of the previous result.  A round makes
-    the new leading pivot the gcd of the old one's column, so it either
-    strictly lowers the leading pivot or clears the pivot's row and
-    column; a diagonal form passes, so the loop ends.  Replacing each
-    pair of pivots (a, b) by (gcd, lcm) then makes a divisibility
-    chain, and the entries above 1 are the torsion.
+    ambient_rank - rank.  The torsion comes from a column Hermite form
+    whose every pivot (a column's first nonzero entry) divides the
+    entries below it: row operations clear its columns downward from
+    the first, each touching no other column, so its pivots are a
+    diagonal form.  The canonical form is tested first (unit pivots
+    pass it with no kernel call); until a form passes, column Hermite
+    forms of the transpose alternate, each on the rows of the previous
+    result.  A round makes the new leading pivot the gcd of the old
+    one's column, so it either strictly lowers the leading pivot or
+    clears the pivot's row and column; a diagonal form passes, so the
+    loop ends.  Replacing each pair of pivots (a, b) by (gcd, lcm) then
+    makes a divisibility chain, and the entries above 1 are the torsion.
     """
     rank = len(cols)
-    if all(next(filter(None, col)) == 1 for col in cols):
-        return AbelianInvariants(ambient_rank - rank, ())
     pivots = _dividing_pivots(cols)
     while pivots is None:
         cols = kernel.col_hnf(rank, list(zip(*cols)))

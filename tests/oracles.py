@@ -9,10 +9,11 @@ operations (any size, entries of hundreds of bits included), Alexander
 polynomials by interpolating permutation-expansion determinants, and
 resultants by the Euclidean remainder sequence over the rationals.
 
-The routes at the end are the exception.  Three are the lattice
+The routes at the end are the exception.  Four are the lattice
 routes ``idelink.zlattice`` replaced: absolute and relative quotient
-invariants read off the diagonal of ``kernel.smith``, and intersection
-vectors summed densely over every kernel coefficient.
+invariants read off the diagonal of ``kernel.smith``, intersection
+vectors summed densely over every kernel coefficient, and preimages
+cut from the whole kernel of [M | T].
 ``kernel.smith`` builds its diagonal by alternating the same column
 Hermite reduction that ``quotient_invariants`` alternates, so the two
 Smith routes share the package route's elimination; the independent
@@ -47,7 +48,7 @@ from math import gcd, lcm
 
 from idelink import hasse, ideles, kernel, zlattice
 from idelink.covers import pushforward_matrix
-from idelink.links import BraidWord, braid_components, braid_permutation, braid_power
+from idelink.links import BraidWord, braid_permutation, braid_power, permutation_cycles
 from idelink.zlattice import AbelianInvariants, SubLattice
 
 
@@ -483,15 +484,28 @@ def smith_relative_quotient_invariants(outer, inner):
     return smith_quotient_invariants(outer.rank, SubLattice.from_columns(outer.rank, coords))
 
 
+def identity_tail_kernel(nrows, cols):
+    """Integer kernel of the column map ``cols``, each column carrying its unit vector."""
+    n = len(cols)
+    carried = [list(c) + [int(i == j) for i in range(n)] for j, c in enumerate(cols)]
+    return SubLattice.from_columns(n, kernel.col_hnf_with_kernel(nrows, carried))
+
+
 def dense_lattice_intersect(a, b):
     """a meet b, each vector summed over every kernel coefficient and row."""
     n = a.ambient_rank
-    ker = zlattice._kernel_span(n, a.columns + b.columns)
+    ker = identity_tail_kernel(n, a.columns + b.columns)
     vectors = [
         [sum(x * col[i] for x, col in zip(coeffs, a.columns)) for i in range(n)]
         for coeffs in ker.columns
     ]
     return SubLattice.from_columns(n, vectors)
+
+
+def kernel_cut_preimage(m, target):
+    """{x : m @ x in target}: the whole kernel of [M | T], cut to its first m.cols coordinates."""
+    ker = identity_tail_kernel(m.rows, m.columns() + list(target.columns))
+    return SubLattice.from_columns(m.cols, [col[: m.cols] for col in ker.columns])
 
 
 def unfree_sublink(gens):
@@ -615,12 +629,12 @@ def lift_maps_by_walking_both_words(b, n):
     """``lift_braid``'s (fiber_map, deck), reading the cycles of b and of b^n off each word.
 
     Axis first in both universes; closure components follow in
-    ``braid_components`` order.  A lift over the strand s moves to the
-    lift over sigma(s).
+    ``permutation_cycles`` order.  A lift over the strand s moves to
+    the lift over sigma(s).
     """
     sigma = braid_permutation(b)
-    base_of = {s: c + 1 for c, cycle in enumerate(braid_components(b)) for s in cycle}
-    top = braid_components(braid_power(b, n))
+    base_of = {s: c + 1 for c, cycle in enumerate(permutation_cycles(sigma)) for s in cycle}
+    top = permutation_cycles(braid_permutation(braid_power(b, n)))
     top_of = {s: c + 1 for c, cycle in enumerate(top) for s in cycle}
     fiber_map = (0,) + tuple(base_of[cycle[0]] for cycle in top)
     deck = (0,) + tuple(top_of[sigma[cycle[0]]] for cycle in top)

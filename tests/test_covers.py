@@ -22,9 +22,10 @@ from idelink.hasse import iter_braid_words
 from idelink.ideles import principal_generators
 from idelink.links import (
     BraidWord,
-    braid_components,
     braid_linking_matrix,
+    braid_permutation,
     braid_power,
+    permutation_cycles,
     universe_from_braid,
 )
 from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
@@ -137,7 +138,7 @@ def lift_invariant_failures(b, c):
     for k, rec in enumerate(c.splitting):
         if rec.e * rec.w != rec.d or rec.r * rec.d != n:
             bad.append(("splitting arithmetic", k))
-        fiber = c.fiber(k)
+        fiber = tuple(j for j, x in enumerate(c.fiber_map) if x == k)
         if len(fiber) != rec.r:
             bad.append(("fiber size", k))
         # The deck rotation restricted to a fiber is one r-cycle.
@@ -221,7 +222,8 @@ class TestLiftDerivation:
                 c = lift_braid(b, n)
                 power = braid_power(b, n)
                 block = tuple(row[1:] for row in c.total.linking.entries[1:])
-                windings = (0,) + tuple(len(cycle) for cycle in braid_components(power))
+                cycles = permutation_cycles(braid_permutation(power))
+                windings = (0,) + tuple(len(cycle) for cycle in cycles)
                 if (block, c.total.windings) != (braid_linking_matrix(power).entries, windings):
                     bad.append((b, n))
         assert bad == []
@@ -340,13 +342,11 @@ class TestDeck:
 
     def test_order_on_fibers(self):
         for c in suite_covers(3, 2, (2, 3, 4)):
-            for k in range(c.base.size):
-                r = c.splitting[k].r
-                for j in c.fiber(k):
-                    t = j
-                    for _ in range(r):
-                        t = c.deck[t]
-                    assert t == j
+            for j, k in enumerate(c.fiber_map):
+                t = j
+                for _ in range(c.splitting[k].r):
+                    t = c.deck[t]
+                assert t == j
 
     def test_deck_invariance(self):
         for c in suite_covers(3, 2, (2, 3)):
@@ -372,8 +372,11 @@ class TestCoverIdentities:
                     if k2 == k:
                         continue
                     e2 = c.splitting[k2].e
-                    upstairs = sum(c.total.lk(j, j2) for j2 in c.fiber(k2))
-                    assert e2 * upstairs == w_k * base.lk(k, k2)
+                    upstairs = sum(
+                        c.total.linking.entries[j][j2]
+                        for j2, x in enumerate(c.fiber_map) if x == k2
+                    )
+                    assert e2 * upstairs == w_k * base.linking.entries[k][k2]
 
     def test_diagonal_commutes_on_generators(self):
         for c in suite_covers(3, 3, (2, 3)):

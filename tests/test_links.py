@@ -8,10 +8,10 @@ import pytest
 from idelink.links import (
     BraidWord,
     LinkUniverse,
-    braid_components,
     braid_linking_matrix,
     braid_permutation,
     braid_power,
+    permutation_cycles,
     relabeled_universe,
     universe_from_braid,
 )
@@ -68,12 +68,12 @@ class TestPermutation:
 
 class TestComponents:
     def test_examples(self):
-        assert braid_components(BraidWord(2, (1, 1))) == ((0,), (1,))
-        assert braid_components(BraidWord(2, (1,))) == ((0, 1),)
-        assert braid_components(BraidWord(3, (1, 2))) == ((0, 2, 1),)
+        assert permutation_cycles(braid_permutation(BraidWord(2, (1, 1)))) == ((0,), (1,))
+        assert permutation_cycles(braid_permutation(BraidWord(2, (1,)))) == ((0, 1),)
+        assert permutation_cycles(braid_permutation(BraidWord(3, (1, 2)))) == ((0, 2, 1),)
 
     def test_ordering_by_smallest_strand(self):
-        comps = braid_components(BraidWord(4, (3,)))
+        comps = permutation_cycles(braid_permutation(BraidWord(4, (3,))))
         assert comps == ((0,), (1,), (2, 3))
 
 
@@ -142,8 +142,8 @@ class TestLinkingMatrix:
                 # components of the stabilized braid: strand k joins the
                 # cycle containing the old strand holding position k at
                 # the end of the word, i.e. the cycle of sigma^-1(k).
-                old = braid_components(b)
-                new = braid_components(stabilized)
+                old = permutation_cycles(braid_permutation(b))
+                new = permutation_cycles(braid_permutation(stabilized))
                 assert len(new) == len(old)
                 for ci, cyc in enumerate(old):
                     assert set(cyc) <= set(new[ci])
@@ -162,12 +162,12 @@ class TestUniverse:
     def test_trivial_word(self):
         u = universe_from_braid(BraidWord(1, ()))
         assert u.labels == ("A", "K1")
-        assert u.lk(0, 1) == 1
+        assert u.linking.entries[0][1] == 1
 
     def test_single_generator(self):
         u = universe_from_braid(BraidWord(2, (1,)))
         assert u.labels == ("A", "K1")
-        assert u.lk(0, 1) == 2
+        assert u.linking.entries[0][1] == 2
         assert u.windings == (0, 2)
 
     def test_validation(self):
@@ -252,10 +252,11 @@ class TestBraidPower:
             ) if alphabet else ()
             b = BraidWord(k, w)
             n = rng.randint(1, 6)
-            base = {min(c): len(c) for c in braid_components(b)}
-            power = braid_components(braid_power(b, n))
+            cycles = permutation_cycles(braid_permutation(b))
+            base = {min(c): len(c) for c in cycles}
+            power = permutation_cycles(braid_permutation(braid_power(b, n)))
             for cyc in power:
-                d = base[min(min(c) for c in braid_components(b) if set(cyc) <= set(c))]
+                d = base[min(min(c) for c in cycles if set(cyc) <= set(c))]
                 assert len(cyc) == d // gcd(d, n)
 
 

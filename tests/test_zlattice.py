@@ -15,7 +15,6 @@ from idelink.zlattice import (
     IntMatrix,
     SubLattice,
     hnf,
-    kernel_lattice,
     lattice_equal,
     lattice_intersect,
     lattice_member,
@@ -30,6 +29,7 @@ from oracles import (
     box_points,
     dense_lattice_intersect,
     invariants_oracle,
+    kernel_cut_preimage,
     member_oracle,
     relative_invariants_oracle,
     smith_diagonal_oracle,
@@ -489,7 +489,9 @@ WRONG_KIND = {
     "preimage_lattice": lambda: preimage_lattice(IntMatrix.identity(2), [(1, 0)]),
     "hnf": lambda: hnf(SubLattice.full(2)),
     "snf": lambda: snf([[1, 2]]),
-    "kernel_lattice": lambda: kernel_lattice(SubLattice.full(2)),
+    "IntMatrix.__matmul__": lambda: IntMatrix.identity(2) @ [[1], [0]],
+    "lattice_member.vector": lambda: lattice_member(5, SubLattice.full(2)),
+    "SubLattice.from_columns": lambda: SubLattice.from_columns(2, 5),
 }
 
 
@@ -508,10 +510,42 @@ class TestKernelAndPreimage:
             m = IntMatrix(
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             )
-            ker = kernel_lattice(m)
+            ker = preimage_lattice(m, SubLattice.zero(rows))
             assert ker.ambient_rank == cols
             for col in ker.canonical_form.columns():
                 assert m.apply(col) == (0,) * rows
+
+    def test_kernel_is_the_whole_kernel(self):
+        # cols - rank(m) independent kernel vectors spanning a saturated
+        # lattice (torsion-free quotient): that is the whole kernel.
+        rng = random.Random(4)
+        for _ in range(80):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(0, 5)
+            m = IntMatrix(
+                [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)], cols=cols
+            )
+            ker = preimage_lattice(m, SubLattice.zero(rows))
+            assert ker.rank == cols - hnf(m).cols
+            assert invariants_oracle(cols, ker.columns) == (cols - ker.rank, ())
+
+    def test_preimage_matches_the_kernel_cut_oracle_in_one_reduction(self, kernel_calls):
+        rng = random.Random(5)
+        for _ in range(150):
+            rows = rng.randint(0, 4)
+            cols = rng.randint(0, 5)
+            m = IntMatrix(
+                [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)], cols=cols
+            )
+            target = SubLattice.from_columns(
+                rows,
+                [[rng.randint(-6, 6) for _ in range(rows)] for _ in range(rng.randint(0, rows + 1))],
+            )
+            want = kernel_cut_preimage(m, target)
+            kernel_calls.clear()
+            got = preimage_lattice(m, target)
+            assert kernel_calls == ["col_hnf_with_kernel", "col_hnf"]
+            assert got == want
 
     def test_preimage(self):
         m = IntMatrix([[2, 0], [0, 1]])
