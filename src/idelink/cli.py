@@ -122,16 +122,27 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(data, where=path)
 
 
-def _emit(text: str, out_path: str | None):
+def _write_out(write, out_path: str | None):
+    """Call ``write`` on the file ``out_path``, or on stdout when it is None."""
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        write(sys.stdout)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            write(fh)
+
+
+def _emit(text: str, out_path: str | None):
+    _write_out(lambda fh: fh.write(text if text.endswith("\n") else text + "\n"), out_path)
+
+
+def _emit_json(doc: dict, out_path: str | None):
+    """Indented, key-sorted JSON and a newline, streamed: the document is never one string."""
+
+    def write(fh):
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    _write_out(write, out_path)
 
 
 def _format_lift(cover: CoverData, ascii_flag: bool) -> str:
@@ -230,7 +241,7 @@ def cmd_verify(args) -> int:
         checks = _resolve_cli_checks(args.checks)
     report = run_scenario(scenario.braid, degree, checks)
     if args.format == "json":
-        _emit(json.dumps(scenario_report_json(report), indent=2, sort_keys=True), args.out)
+        _emit_json(scenario_report_json(report), args.out)
     else:
         lines = [
             f"scenario: strands={scenario.braid.strands} "
@@ -276,18 +287,17 @@ def cmd_suite(args) -> int:
     if args.checks is not None:
         checks = _resolve_cli_checks(args.checks)
     result = run_suite(args.max_strands, args.max_length, degrees, checks)
-    doc = result.to_json_dict()
+    write_json = args.out is not None or args.format == "json"
+    doc = result.to_json_dict() if write_json else {"summary": result.summary()}
     summary = doc["summary"]
     sys.stdout.write(
         f"scenarios: {summary['scenarios']}  checks: {summary['checks']}  "
         f"passes: {summary['passes']}  failures: {summary['failures']}  "
         f"time: {summary['total_millis']} ms  [complete]\n"
     )
-    if args.out is not None:
-        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
-    elif args.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True), None)
-    return 0 if result.failure_count == 0 else 1
+    if write_json:
+        _emit_json(doc, args.out)
+    return 0 if summary["failures"] == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,7 @@ from math import gcd
 from ._record import Record
 from .ideles import principal_generators
 from .links import BraidWord, LinkUniverse, _cover_closures, relabeled_universe
-from .zlattice import IntMatrix, SubLattice, _span
+from .zlattice import IntMatrix, SubLattice, _check_kind, _span
 
 
 def _check_degree(degree: int) -> None:
@@ -113,6 +113,7 @@ def _split_record(n: int, a: int, b: int) -> SplitRecord:
 def component_splitting(degree: int, base: LinkUniverse) -> tuple[SplitRecord, ...]:
     """Splitting data of every base component under the degree-n axis character."""
     _check_degree(degree)
+    _check_kind("base universe", base, LinkUniverse)
     windings = base.windings
     if windings is None:
         raise ValueError("base universe has no branch axis")
@@ -131,6 +132,7 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     once, for its permutation sigma and its crossings; the degree is
     checked before anything is built.
     """
+    _check_kind("braid", b, BraidWord)
     _check_degree(degree)
     base, total, fiber_map, deck = _cover_closures(b, degree)
     splitting = component_splitting(degree, base)
@@ -155,6 +157,7 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
 
 def pushforward_matrix(c: CoverData) -> IntMatrix:
     """Full pushforward on idele coordinates, a 2m x 2m' integer matrix."""
+    _check_kind("cover", c, CoverData)
     m = c.base.size
     mp = c.total.size
     rows = [[0] * (2 * mp) for _ in range(2 * m)]
@@ -187,6 +190,7 @@ def pushforward_image(c: CoverData) -> SubLattice:
 
 def deck_matrix(c: CoverData) -> IntMatrix:
     """The deck rotation as a permutation matrix on idele coordinates."""
+    _check_kind("cover", c, CoverData)
     mp = c.total.size
     rows = [[0] * (2 * mp) for _ in range(2 * mp)]
     for j in range(mp):
@@ -198,6 +202,7 @@ def deck_matrix(c: CoverData) -> IntMatrix:
 
 def principal_pushforward(c: CoverData) -> SubLattice:
     """Pushforward of the upstairs principal lattice, generator by generator."""
+    _check_kind("cover", c, CoverData)
     cols = [_pushforward_coeffs(c, g) for g in principal_generators(c.total)]
     return _span(2 * c.base.size, cols)
 
@@ -211,6 +216,7 @@ def relabeled_cover(
     component ``i``; all covering bookkeeping is transported along.
     Verdicts must not depend on this relabeling.
     """
+    _check_kind("cover", c, CoverData)
     base = relabeled_universe(c.base, base_order)
     total = relabeled_universe(c.total, top_order)
     base_inv = [0] * len(base_order)
@@ -247,6 +253,7 @@ def branched_cover_order(seifert: IntMatrix, n: int) -> int:
     when det(V - t V^T) vanishes identically, which a polynomial of
     degree <= k shows by its values at t = 0..k.
     """
+    _check_kind("Seifert matrix", seifert, IntMatrix)
     if seifert.rows != seifert.cols:
         raise ValueError("Seifert matrix must be square")
     _check_degree(n)

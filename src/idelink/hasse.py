@@ -25,6 +25,7 @@ from . import __version__, kernel
 from ._record import Record
 from .covers import (
     CoverData,
+    _check_degree,
     _pushforward_coeffs,
     deck_matrix,
     lift_braid,
@@ -40,6 +41,7 @@ from .ideles import (
 from .links import BraidWord, LinkUniverse
 from .zlattice import (
     SubLattice,
+    _check_kind,
     _quotient_invariants,
     _span,
     lattice_equal,
@@ -116,6 +118,8 @@ def equality_witness(a: SubLattice, b: SubLattice) -> tuple[int, ...] | None:
     other side whenever the lattices differ, so scanning generators is
     complete.
     """
+    _check_kind("first lattice", a, SubLattice)
+    _check_kind("second lattice", b, SubLattice)
     for col in a.columns:
         if not lattice_member(col, b):
             return col
@@ -195,6 +199,7 @@ def verify_norm_principle(c: CoverData) -> tuple[bool, dict | None]:
     A closed form accepts the covers it can prove; everything else, and
     every failure, goes through the lattice route.
     """
+    _check_kind("cover", c, CoverData)
     return (True, None) if _norm_principle_accept(c) else _norm_principle_lattice(c)
 
 
@@ -205,6 +210,7 @@ def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
     to w_K copies of the surface of K = fiber_map[J].  Both sides are
     linear in the surface class, so every other class follows.
     """
+    _check_kind("cover", c, CoverData)
     down = principal_generators(c.base)
     for j, gen in enumerate(principal_generators(c.total)):
         k = c.fiber_map[j]
@@ -231,6 +237,7 @@ def verify_meridian_pushforward(c: CoverData) -> tuple[bool, dict | None]:
     is that matrix's lower-left entry.  A failure pushes the unit
     through ``_pushforward_coeffs`` for its witness.
     """
+    _check_kind("cover", c, CoverData)
     size = c.total.size
     for j in range(size):
         if c.pushforward[j][1][0]:
@@ -263,6 +270,7 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     sublink's invariants; it is also the first sublink the full loop
     visits, so a failure carries the same witness.
     """
+    _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
         gens = principal_generators(u)
         m = len(gens)
@@ -280,18 +288,13 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _project_coeffs(coeffs: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int, ...]:
-    """Full-universe idele coefficients restricted to the slots of ``sub``."""
-    return tuple(x for k in sub for x in coeffs[2 * k : 2 * k + 2])
-
-
 @functools.lru_cache(maxsize=16)
 def _projection_table(size: int) -> tuple[tuple[tuple[int, ...], Callable], ...]:
     """Every nonempty sublink, in ``_sublinks`` order, with a getter for its slots.
 
-    The getter reads slots 2k, 2k+1 for each k of the sublink, which is
-    ``_project_coeffs``; a nonempty sublink has two or more slots, so it
-    returns a tuple.  Index data only, shared by every universe of ``size``.
+    The getter reads slots 2k, 2k+1 for each k of the sublink: two or
+    more, so it returns a tuple.  The pass loop and the witness search
+    both project through it; index data shared by every universe of ``size``.
     """
     return tuple(
         (sub, operator.itemgetter(*(i for k in sub for i in (2 * k, 2 * k + 1))))
@@ -309,9 +312,10 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     boundary on the full universe projected to L with the boundary on L:
     then proj_L(b_L') = proj_L(b_full) = proj_L(b_L).  The two sides of
     every comparison are still built separately, and projected through
-    a per-size slot-index table.  A failure reruns the nested loop for
-    its witness.
+    a per-size slot-index table, as is the nested loop a failure reruns
+    for its witness.
     """
+    _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
         m = u.size
         full = tuple(range(m))
@@ -326,14 +330,14 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
 def _nested_projection_witness(tag: str, u: LinkUniverse) -> dict:
     """The first nested pair, in sublink order, whose projection disagrees."""
     subs = list(_sublinks(u.size))
+    proj = dict(_projection_table(u.size))
     boundary = {(k, sub): _boundary_coeffs(u, k, sub) for sub in subs for k in sub}
-    own = {(k, sub): _project_coeffs(b, sub) for (k, sub), b in boundary.items()}
     for big in subs:
         for small in _sublinks(len(big)):
             sub = tuple(big[i] for i in small)
             for k in sub:
-                via_big = _project_coeffs(boundary[k, big], sub)
-                direct = own[k, sub]
+                via_big = proj[sub](boundary[k, big])
+                direct = proj[sub](boundary[k, sub])
                 if via_big != direct:
                     return {
                         "universe": tag,
@@ -449,6 +453,7 @@ def verify_cover_exact_sequence(c: CoverData) -> tuple[bool, dict | None]:
     accepts the covers it can prove; everything else, and every failure,
     goes through the lattice route.
     """
+    _check_kind("cover", c, CoverData)
     return (True, None) if _cover_exact_sequence_accept(c) else _cover_exact_sequence_lattice(c)
 
 
@@ -474,6 +479,8 @@ def resolve_checks(names: Sequence[str] | None) -> list[str]:
         raise ValueError(f"expected a list of check names, not the string {names!r}")
     if not names:
         raise ValueError("names no check")
+    for n in names:
+        _check_kind("check name", n, str)
     if len(set(names)) != len(names):
         raise ValueError("names a check more than once")
     unknown = [n for n in names if n not in CHECKS]
@@ -539,18 +546,24 @@ class SuiteResult(Record):
         object.__setattr__(self, "reports", reports)
         object.__setattr__(self, "complete", complete)
 
-    @property
-    def check_count(self) -> int:
-        return sum(len(r.checks) for r in self.reports)
-
-    @property
-    def failure_count(self) -> int:
-        return sum(1 for r in self.reports for c in r.checks if not c.passed)
+    def summary(self) -> dict:
+        """The report's ``summary`` block, from one pass over the check records."""
+        millis = []
+        failures = 0
+        for r in self.reports:
+            for c in r.checks:
+                millis.append(c.millis)
+                if not c.passed:
+                    failures += 1
+        return {
+            "scenarios": len(self.reports),
+            "checks": len(millis),
+            "passes": len(millis) - failures,
+            "failures": failures,
+            "total_millis": round(sum(millis), 3),
+        }
 
     def to_json_dict(self) -> dict:
-        total_millis = round(
-            sum(c.millis for r in self.reports for c in r.checks), 3
-        )
         return {
             "version": __version__,
             "schema": REPORT_SCHEMA,
@@ -561,13 +574,7 @@ class SuiteResult(Record):
             },
             "complete": self.complete,
             "scenarios": [r.to_json_dict() for r in self.reports],
-            "summary": {
-                "scenarios": len(self.reports),
-                "checks": self.check_count,
-                "passes": self.check_count - self.failure_count,
-                "failures": self.failure_count,
-                "total_millis": total_millis,
-            },
+            "summary": self.summary(),
         }
 
 
@@ -586,10 +593,7 @@ def run_suite(
     if not degrees:
         raise ValueError("names no degree")
     for n in degrees:
-        if type(n) is not int:
-            raise ValueError(f"cover degree {n!r} is not a plain int")
-        if n < 1:
-            raise ValueError("cover degrees must be >= 1")
+        _check_degree(n)
     if len(set(degrees)) != len(degrees):
         raise ValueError("names a degree more than once")
     names = resolve_checks(checks)
@@ -608,6 +612,7 @@ def run_suite(
 
 
 def scenario_report_json(report: VerificationReport) -> dict:
+    _check_kind("report", report, VerificationReport)
     return {
         "version": __version__,
         "schema": REPORT_SCHEMA,

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from . import kernel
 from ._record import Record
 from .links import LinkUniverse
-from .zlattice import AbelianInvariants, SubLattice, _quotient_invariants, _span
+from .zlattice import AbelianInvariants, SubLattice, _check_kind, _quotient_invariants, _span
 
 
 def _label_prefixes(ascii_labels: bool) -> tuple[str, str]:
@@ -52,6 +52,7 @@ class IdeleVector(Record):
 
     def format(self, u: LinkUniverse, ascii_labels: bool = False) -> str:
         """Human-readable combination of mu/lambda basis elements."""
+        _check_kind("universe", u, LinkUniverse)
         mu_sym, lam_sym = _label_prefixes(ascii_labels)
         dot = "*" if ascii_labels else "·"
         terms = []
@@ -71,6 +72,7 @@ class IdeleVector(Record):
 
 
 def _check_sublink(u: LinkUniverse, sublink: Iterable[int]) -> tuple[int, ...]:
+    _check_kind("universe", u, LinkUniverse)
     sub = tuple(sublink)
     for k in sub:
         if type(k) is not int:
@@ -87,16 +89,15 @@ def _check_sublink(u: LinkUniverse, sublink: Iterable[int]) -> tuple[int, ...]:
 def _boundary_coeffs(u: LinkUniverse, k: int, sub: tuple[int, ...]) -> tuple[int, ...]:
     """Boundary of K's Seifert surface punctured by the sublink ``sub``, unchecked.
 
-    lambda_K minus lk(K, K') mu_K' for the other components K' of the
-    sublink, over every slot of the universe; slots outside the sublink
-    are zero.
+    K's principal generator restricted to the sublink: lambda_K, and
+    -lk(K, K') mu_K' on the meridian slots of ``sub`` (mu_K is zero
+    there); every other slot is zero.
     """
-    lk = u.linking.entries[k]
-    coeffs = [0] * (2 * len(lk))
-    coeffs[2 * k + 1] = 1
+    g = u._generators[k]
+    coeffs = [0] * len(g)
+    coeffs[2 * k + 1] = g[2 * k + 1]
     for k2 in sub:
-        if k2 != k:
-            coeffs[2 * k2] = -lk[k2]
+        coeffs[2 * k2] = g[2 * k2]
     return tuple(coeffs)
 
 
@@ -109,6 +110,7 @@ def principal_generators(u: LinkUniverse) -> list[tuple[int, ...]]:
     builds them once, from its linking rows, when it is constructed;
     each call copies that tuple into a list the caller may change.
     """
+    _check_kind("universe", u, LinkUniverse)
     return list(u._generators)
 
 
@@ -118,7 +120,8 @@ def principal_lattice(u: LinkUniverse) -> SubLattice:
     The boundaries of the single-surface generators span the image of
     every sublink's boundary map, so they generate the whole lattice.
     """
-    return _span(2 * u.size, principal_generators(u))
+    gens = principal_generators(u)
+    return _span(2 * len(gens), gens)
 
 
 def meridian_subgroup(u: LinkUniverse, excluded: Iterable[int]) -> SubLattice:

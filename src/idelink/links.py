@@ -19,7 +19,7 @@ import functools
 from collections.abc import Sequence
 
 from ._record import Record
-from .zlattice import IntMatrix
+from .zlattice import IntMatrix, _check_kind
 
 
 class BraidWord(Record):
@@ -47,6 +47,7 @@ class BraidWord(Record):
 
 def braid_permutation(b: BraidWord) -> tuple[int, ...]:
     """Permutation sending each starting position to its final position."""
+    _check_kind("braid", b, BraidWord)
     return _braid_walk(b.strands, b.letters)[0]
 
 
@@ -97,6 +98,7 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
     contribute.  The diagonal is zero.  Two closed components cross an
     even number of times, so the halving is exact.
     """
+    _check_kind("braid", b, BraidWord)
     perm, crossings = _braid_walk(b.strands, b.letters)
     cycles, _, rows = _closure_data(b.strands, perm, crossings)
     return IntMatrix(rows, cols=len(cycles))
@@ -142,6 +144,7 @@ def _crossing_rows(
 
 def braid_power(b: BraidWord, n: int) -> BraidWord:
     """The word repeated n times on the same strands (n a plain int >= 1)."""
+    _check_kind("braid", b, BraidWord)
     if type(n) is not int:
         raise ValueError(f"braid power {n!r} is not a plain int")
     if n < 1:
@@ -160,7 +163,8 @@ class LinkUniverse(Record):
 
     Constructing a universe checks all of this, then builds its m
     principal generators from the linking rows (``_generators``, read
-    through ``ideles.principal_generators``).  Universes the package
+    through ``ideles.principal_generators`` and restricted to sublinks
+    by ``ideles._boundary_coeffs``).  Universes the package
     builds from a braid word are well formed by construction and come
     from ``_trusted``, which skips the checks.
     """
@@ -236,7 +240,8 @@ def _principal_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
 
     Entry k has lambda_K = 1 on its own slot and -lk(K, K') on the
     meridian of every other slot, flattened meridian-first as in
-    ``ideles``; the zero diagonal leaves mu_K at 0.
+    ``ideles``; the zero diagonal leaves mu_K at 0.  This is the one
+    place the boundary sign convention is written down.
     """
     gens = []
     for k, row in enumerate(rows):
@@ -254,6 +259,7 @@ def universe_from_braid(b: BraidWord) -> LinkUniverse:
     links each with its winding number (cycle length), and the closure
     components link each other via the braid's crossing signs.
     """
+    _check_kind("braid", b, BraidWord)
     perm, crossings = _braid_walk(b.strands, b.letters)
     cycles, _, rows = _closure_data(b.strands, perm, crossings)
     return _closure_universe(cycles, rows, "A", "K")
@@ -330,6 +336,7 @@ def relabeled_universe(u: LinkUniverse, order: tuple[int, ...]) -> LinkUniverse:
     ``order[i]`` names the old index of the new component ``i``.  Used
     to confirm that every verdict is independent of enumeration order.
     """
+    _check_kind("universe", u, LinkUniverse)
     m = u.size
     if any(type(i) is not int for i in order) or sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of the component indices")

@@ -24,6 +24,11 @@ reduced to one class quotient per universe and one comparison per
 sublink, kept here unchanged to test that reduction.  They reach the package's
 building blocks through ``idelink.hasse``'s module attributes at call
 time, so a test that patches one of those patches both routes alike.
+The nested-pair loop projects by slicing (``project_coeffs``) where
+``idelink.hasse`` projects through its slot-index table.  Next,
+``boundary_from_linking`` reads a sublink boundary off the linking
+matrix, the formula that ``ideles._boundary_coeffs`` replaced by a
+restriction of the stored principal generator.
 The other two are the typed ``diagonal_commutes`` and
 ``meridian_pushforward`` checks.  They take surface classes as
 (support, coefficients) pairs, build boundaries straight from the
@@ -538,6 +543,11 @@ def class_quotient_all_sublinks(c):
     return True, None
 
 
+def project_coeffs(coeffs, sub):
+    """Idele coefficients restricted to the slots 2k, 2k+1 of each k in ``sub``, by slicing."""
+    return tuple(x for k in sub for x in coeffs[2 * k : 2 * k + 2])
+
+
 def projection_all_nested_pairs(c):
     """``verify_projection_compatibility`` over every nested pair: (passed, witness)."""
     for tag, u in (("base", c.base), ("cover", c.total)):
@@ -545,12 +555,12 @@ def projection_all_nested_pairs(c):
         boundary = {
             (k, sub): hasse._boundary_coeffs(u, k, sub) for sub in subs for k in sub
         }
-        own = {(k, sub): hasse._project_coeffs(b, sub) for (k, sub), b in boundary.items()}
+        own = {(k, sub): project_coeffs(b, sub) for (k, sub), b in boundary.items()}
         for big in subs:
             for small in hasse._sublinks(len(big)):
                 sub = tuple(big[i] for i in small)
                 for k in sub:
-                    via_big = hasse._project_coeffs(boundary[k, big], sub)
+                    via_big = project_coeffs(boundary[k, big], sub)
                     direct = own[k, sub]
                     if via_big != direct:
                         return False, {
@@ -562,6 +572,21 @@ def projection_all_nested_pairs(c):
                             "direct": list(direct),
                         }
     return True, None
+
+
+def boundary_from_linking(u, k, sub):
+    """Boundary of K's surface punctured by ``sub``, read off the linking matrix.
+
+    lambda_K = 1, and -lk(K, K') on mu_K' for every other component K'
+    of the sublink; every other slot is zero.
+    """
+    lk = u.linking.entries[k]
+    coeffs = [0] * (2 * u.size)
+    coeffs[2 * k + 1] = 1
+    for k2 in sub:
+        if k2 != k:
+            coeffs[2 * k2] = -lk[k2]
+    return tuple(coeffs)
 
 
 def surface_boundary(u, support, coeffs):

@@ -2,12 +2,13 @@
 
 import json
 import random
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from idelink import cli, hasse
+from idelink import __version__, cli, hasse
 from idelink.cli import main
 from idelink.ideles import IdeleVector
 from idelink.links import universe_from_braid
@@ -340,6 +341,18 @@ class TestVerify:
         assert err.startswith("idelink: ")
         assert f"{path}.braid: unknown fields ['wrod']" in err
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"braid": {"strands": 2, "word": ["a"]}}, "braid.word[0]: letters must be integers"),
+            ({"checks": [1]}, "checks[0]: names must be strings"),
+        ],
+        ids=["word-letter-not-an-integer", "check-name-not-a-string"],
+    )
+    def test_field_of_the_wrong_type_rejected(self, fields, message, tmp_path, capsys):
+        err = assert_usage_error(["verify", "--input", write_scenario(tmp_path, **fields)], capsys)
+        assert message in err
+
     def test_bad_schema_version(self, tmp_path):
         path = tmp_path / "v9.json"
         path.write_text(
@@ -348,6 +361,85 @@ class TestVerify:
             )
         )
         assert main(["verify", "--input", str(path)]) == 2
+
+
+def _frozen_clock(monkeypatch):
+    """Every check takes 0.0 ms, so whole reports are reproducible byte for byte."""
+    monkeypatch.setattr(hasse, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+
+
+def _failing_norm_principle(monkeypatch):
+    monkeypatch.setitem(
+        hasse.CHECKS, "norm_principle", lambda cover: (False, {"vector": [1, -2], "why": "test"})
+    )
+
+
+VERIFY_FAILURE_JSON = f"""\
+{{
+  "checks": [
+    {{
+      "millis": 0.0,
+      "name": "norm_principle",
+      "verdict": "fail",
+      "witness": {{
+        "vector": [
+          1,
+          -2
+        ],
+        "why": "test"
+      }}
+    }}
+  ],
+  "passed": false,
+  "scenario": {{
+    "degree": 2,
+    "strands": 2,
+    "word": [
+      1
+    ]
+  }},
+  "schema": 1,
+  "version": "{__version__}"
+}}
+"""
+
+# The same check record inside a suite report, four levels deeper.
+SUITE_FAILURE_RECORD = """\
+        {
+          "millis": 0.0,
+          "name": "norm_principle",
+          "verdict": "fail",
+          "witness": {
+            "vector": [
+              1,
+              -2
+            ],
+            "why": "test"
+          }
+        }
+"""
+
+
+class TestWitnessReports:
+    def test_verify_json_serializes_the_witness(self, scenario_file, monkeypatch, capsys):
+        _frozen_clock(monkeypatch)
+        _failing_norm_principle(monkeypatch)
+        argv = ["verify", "--input", scenario_file, "--checks", "norm_principle",
+                "--format", "json"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == VERIFY_FAILURE_JSON
+
+    def test_suite_report_serializes_the_witness(self, tmp_path, monkeypatch, capsys):
+        _frozen_clock(monkeypatch)
+        _failing_norm_principle(monkeypatch)
+        out_path = tmp_path / "report.json"
+        argv = ["suite", "--max-strands", "1", "--max-length", "0", "--degrees", "2",
+                "--checks", "norm_principle", "--out", str(out_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "scenarios: 1  checks: 1  passes: 0  failures: 1  time: 0.0 ms  [complete]\n"
+        )
+        assert SUITE_FAILURE_RECORD in out_path.read_text()
 
 
 class TestSuite:
@@ -395,6 +487,17 @@ class TestSuite:
         )
         assert passes == doc["summary"]["passes"]
 
+    def test_json_to_stdout_matches_out_file(self, tmp_path, monkeypatch, capsys):
+        _frozen_clock(monkeypatch)
+        bounds = ["suite", "--max-strands", "2", "--max-length", "1", "--degrees", "2,3"]
+        out_path = tmp_path / "report.json"
+        assert main(bounds + ["--out", str(out_path)]) == 0
+        summary_line = capsys.readouterr().out
+        assert main(bounds + ["--format", "json"]) == 0
+        printed = capsys.readouterr().out
+        assert printed == summary_line + out_path.read_text()
+        assert printed.endswith("}\n")
+
     def test_bounds_rejected_before_running(self, capsys):
         assert main(["suite", "--max-strands", "9", "--max-length", "1", "--degrees", "2"]) == 2
         assert main(["suite", "--max-strands", "2", "--max-length", "99", "--degrees", "2"]) == 2
@@ -415,6 +518,11 @@ class TestSuite:
     def test_repeated_check_rejected(self, capsys):
         bounds = ["suite", "--max-strands", "1", "--max-length", "0", "--degrees", "2"]
         assert_usage_error(bounds + ["--checks", "norm_principle,norm_principle"], capsys)
+
+    def test_degree_that_is_not_an_integer_rejected(self, capsys):
+        bounds = ["suite", "--max-strands", "1", "--max-length", "0"]
+        err = assert_usage_error(bounds + ["--degrees", "2,x"], capsys)
+        assert "--degrees: invalid literal" in err
 
     def test_unwritable_out_is_io_error(self, capsys):
         rc = main(

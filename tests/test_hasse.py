@@ -43,6 +43,7 @@ from oracles import (
     class_quotient_all_sublinks,
     diagonal_commutes_typed,
     meridian_pushforward_typed,
+    project_coeffs,
     projection_all_nested_pairs,
     replaced,
     unfree_sublink,
@@ -599,6 +600,22 @@ def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
     assert [nrows for nrows, _ in calls] == [5, 5]
 
 
+def test_exact_sequence_image_isomorphism_witness(monkeypatch):
+    # Middle exactness holds on the worked double cover; a relative
+    # quotient patched to Z/2 then breaks part (ii) against the source
+    # modulo the kernel, which is Z.
+    c = lift_braid(BraidWord(2, (1,)), 2)
+    monkeypatch.setattr(hasse, "_cover_exact_sequence_accept", lambda c: False)
+    monkeypatch.setattr(
+        hasse, "relative_quotient_invariants", lambda a, b: zlattice.AbelianInvariants(0, (2,))
+    )
+    assert verify_cover_exact_sequence(c) == (False, {
+        "part": "image_isomorphism",
+        "source_mod_kernel": {"free_rank": 1, "torsion": []},
+        "image": {"free_rank": 0, "torsion": [2]},
+    })
+
+
 @pytest.mark.parametrize("size", range(7))
 def test_projection_table_matches_project_coeffs(size):
     table = hasse._projection_table(size)
@@ -606,24 +623,7 @@ def test_projection_table_matches_project_coeffs(size):
     rng = random.Random(size)
     for _ in range(20):
         v = tuple(rng.randint(-9, 9) for _ in range(2 * size))
-        assert [proj(v) for _, proj in table] == [
-            hasse._project_coeffs(v, sub) for sub, _ in table
-        ]
-
-
-def test_projection_pass_makes_no_project_coeffs_call(monkeypatch):
-    c = lift_braid(BraidWord(4, ()), 2)
-    assert (c.base.size, c.total.size) == (5, 5)
-    calls = []
-    real = hasse._project_coeffs
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(hasse, "_project_coeffs", counted)
-    assert verify_projection_compatibility(c)[0]
-    assert calls == []
+        assert [proj(v) for _, proj in table] == [project_coeffs(v, sub) for sub, _ in table]
 
 
 def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):
@@ -742,8 +742,9 @@ class TestRunSuite:
         res = run_suite(2, 3, (2, 3))
         assert len(res.reports) == 32
         assert res.complete
-        assert res.failure_count == 0
-        assert res.check_count == 32 * len(CHECKS)
+        summary = res.summary()
+        assert summary["failures"] == 0
+        assert summary["checks"] == 32 * len(CHECKS)
 
     def test_empty_degrees(self):
         # No degree means no scenario, and a run that checks nothing cannot pass.

@@ -27,7 +27,7 @@ from idelink.zlattice import (
     snf,
 )
 
-from oracles import invariants_oracle, surface_boundary
+from oracles import boundary_from_linking, invariants_oracle, surface_boundary
 
 
 def hopf():
@@ -98,6 +98,31 @@ class TestBoundary:
         v = _boundary_coeffs(u, 1, (1, 2, 3))
         assert v[3] == 1
         assert v[4] == 0 and v[6] == 0
+
+
+def _boundary_disagreements(covers):
+    """(linking rows, k, sublink) where ``_boundary_coeffs`` differs from the linking formula.
+
+    Every sublink of every distinct universe of ``covers``, with every
+    component k, on the sublink or off it.
+    """
+    universes = {u.linking.entries: u for _, _, c in covers for u in (c.base, c.total)}
+    return [
+        (rows, k, sub)
+        for rows, u in universes.items()
+        for r in range(u.size + 1)
+        for sub in itertools.combinations(range(u.size), r)
+        for k in range(u.size)
+        if _boundary_coeffs(u, k, sub) != boundary_from_linking(u, k, sub)
+    ]
+
+
+def test_boundary_matches_linking_formula_on_acceptance_sweep(sweep_covers):
+    assert _boundary_disagreements(sweep_covers) == []
+
+
+def test_boundary_matches_linking_formula_on_wide4_words(wide4_covers):
+    assert _boundary_disagreements(wide4_covers) == []
 
 
 class TestDiagonalMap:

@@ -1,10 +1,13 @@
-"""The package's public surface: every exported name resolves, once."""
+"""The package's public surface: every exported name resolves, once; bad arguments are refused."""
 
 import os
 import subprocess
 import sys
 
+import pytest
+
 import idelink
+from idelink import covers, hasse, ideles, links, zlattice
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(idelink.__file__)))
 
@@ -42,3 +45,105 @@ def test_import_loads_no_heavy_stdlib_module():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[] []"
+
+
+
+# Each public entry of links, ideles, covers and hasse given an argument
+# of the wrong kind: a tuple where a record belongs, a list where an
+# IntMatrix belongs, or a non-string check name.
+BAD = (2, (1,))
+BRAID = links.BraidWord(2, (1,))
+LATTICE = idelink.SubLattice.full(2)
+WRONG_KIND = {
+    "links.braid_permutation": lambda: links.braid_permutation(BAD),
+    "links.braid_linking_matrix": lambda: links.braid_linking_matrix(BAD),
+    "links.braid_power": lambda: links.braid_power(BAD, 2),
+    "links.universe_from_braid": lambda: links.universe_from_braid(BAD),
+    "links.relabeled_universe": lambda: links.relabeled_universe(BAD, (0, 1)),
+    "ideles.IdeleVector.format": lambda: ideles.IdeleVector((0,), (1, 0)).format(BAD),
+    "ideles.principal_generators": lambda: ideles.principal_generators(BAD),
+    "ideles.principal_lattice": lambda: ideles.principal_lattice(BAD),
+    "ideles.meridian_subgroup": lambda: ideles.meridian_subgroup(BAD, ()),
+    "ideles.class_quotient": lambda: ideles.class_quotient(BAD, ()),
+    "covers.component_splitting": lambda: covers.component_splitting(2, BAD),
+    "covers.lift_braid": lambda: covers.lift_braid(BAD, 2),
+    "covers.pushforward_matrix": lambda: covers.pushforward_matrix(BAD),
+    "covers.pushforward_image": lambda: covers.pushforward_image(BAD),
+    "covers.deck_matrix": lambda: covers.deck_matrix(BAD),
+    "covers.principal_pushforward": lambda: covers.principal_pushforward(BAD),
+    "covers.relabeled_cover": lambda: covers.relabeled_cover(BAD, (0, 1), (0, 1, 2)),
+    "covers.branched_cover_order": lambda: covers.branched_cover_order([[1]], 2),
+    "hasse.equality_witness.a": lambda: hasse.equality_witness(BAD, LATTICE),
+    "hasse.equality_witness.b": lambda: hasse.equality_witness(LATTICE, BAD),
+    "hasse.resolve_checks": lambda: hasse.resolve_checks([1]),
+    "hasse.run_scenario": lambda: hasse.run_scenario(BAD, 2),
+    "hasse.run_scenario.checks": lambda: hasse.run_scenario(BRAID, 2, [1]),
+    "hasse.scenario_report_json": lambda: hasse.scenario_report_json(BAD),
+    **{f"hasse.{fn.__name__}": (lambda fn=fn: fn(BAD)) for fn in hasse.CHECKS.values()},
+}
+
+
+@pytest.mark.parametrize("name", WRONG_KIND)
+def test_wrong_kind_argument_raises_value_error(name):
+    with pytest.raises(ValueError, match="must be a"):
+        WRONG_KIND[name]()
+
+
+# Each shape check of the public constructors and operations, with its
+# message: (call, message).
+_HOPF = links.universe_from_braid(links.BraidWord(2, (1, 1)))
+_I2 = zlattice.IntMatrix.identity(2)
+BAD_SHAPE = {
+    "LinkUniverse.shape": (
+        lambda: links.LinkUniverse(("A", "K"), zlattice.IntMatrix([[0]])),
+        "linking matrix shape does not match components",
+    ),
+    "LinkUniverse.axis": (
+        lambda: links.LinkUniverse(("A", "K"), zlattice.IntMatrix([[0, 1], [1, 0]]), 2),
+        "axis index out of range",
+    ),
+    "sublink.repeated": (
+        lambda: ideles.meridian_subgroup(_HOPF, (1, 1)),
+        "sublink has repeated components",
+    ),
+    "IntMatrix.ragged": (lambda: zlattice.IntMatrix([[1, 2], [3]]), "ragged rows"),
+    "IntMatrix.cols": (
+        lambda: zlattice.IntMatrix([[1, 2]], cols=3), "cols does not match row width"
+    ),
+    "IntMatrix.from_columns.ragged": (
+        lambda: zlattice.IntMatrix.from_columns([(1, 2), (3,)]), "ragged columns"
+    ),
+    "IntMatrix.from_columns.rows": (
+        lambda: zlattice.IntMatrix.from_columns([(1, 2)], rows=3),
+        "rows does not match column height",
+    ),
+    "IntMatrix.__matmul__": (
+        lambda: _I2 @ zlattice.IntMatrix.identity(3), "shape mismatch: (2, 2) @ (3, 3)"
+    ),
+    "IntMatrix.apply": (
+        lambda: _I2.apply((1,)), "vector length does not match column count"
+    ),
+    "IntMatrix.det": (
+        lambda: zlattice.IntMatrix([[1, 2]]).det(), "determinant of a non-square matrix"
+    ),
+    "SubLattice.from_columns": (
+        lambda: zlattice.SubLattice.from_columns(2, [(1,)]),
+        "column length does not match ambient rank",
+    ),
+    "preimage_lattice": (
+        lambda: zlattice.preimage_lattice(_I2, zlattice.SubLattice.full(3)),
+        "matrix rows must match target ambient rank",
+    ),
+    "quotient_invariants": (
+        lambda: zlattice.quotient_invariants(3, zlattice.SubLattice.full(2)),
+        "relations do not lie in the ambient group",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SHAPE)
+def test_bad_shape_raises_value_error_with_its_message(name):
+    call, message = BAD_SHAPE[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -151,7 +151,9 @@ class TestConstruction:
         result = SuiteResult(*bounds, reports=reports, complete=True)
         assert (result.max_strands, result.max_length, result.degrees) == bounds
         assert result.reports is reports and result.complete is True
-        assert result.check_count == 1 and result.failure_count == 0
+        assert result.summary() == {
+            "scenarios": 1, "checks": 1, "passes": 1, "failures": 0, "total_millis": 0.1,
+        }
 
     def test_generators_are_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
