@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -35,6 +34,7 @@ from .covers import (
 from .ideles import (
     _boundary_coeffs,
     _label_prefixes,
+    _sublink_slots,
     meridian_subgroup,
     principal_generators,
 )
@@ -290,17 +290,13 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
 
 @functools.lru_cache(maxsize=16)
 def _projection_table(size: int) -> tuple[tuple[tuple[int, ...], Callable], ...]:
-    """Every nonempty sublink, in ``_sublinks`` order, with a getter for its slots.
+    """Every nonempty sublink, in ``_sublinks`` order, with its ``_sublink_slots`` getter.
 
-    The getter reads slots 2k, 2k+1 for each k of the sublink: two or
-    more, so it returns a tuple.  The pass loop and the witness search
-    both project through it; index data shared by every universe of ``size``.
+    The pass loop projects full-universe boundaries through it, and the
+    witness search projects a boundary on a sublink of ``size``
+    components through it; index data shared by every universe of ``size``.
     """
-    return tuple(
-        (sub, operator.itemgetter(*(i for k in sub for i in (2 * k, 2 * k + 1))))
-        for sub in _sublinks(size)
-        if sub
-    )
+    return tuple((sub, _sublink_slots(sub)) for sub in _sublinks(size) if sub)
 
 
 def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
@@ -310,10 +306,10 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     taken on L' and projected down to L equals the boundary taken on L.
     Projections compose, so it is enough to compare, for every L, the
     boundary on the full universe projected to L with the boundary on L:
-    then proj_L(b_L') = proj_L(b_full) = proj_L(b_L).  The two sides of
-    every comparison are still built separately, and projected through
-    a per-size slot-index table, as is the nested loop a failure reruns
-    for its witness.
+    then proj_L(b_L') = proj_L(b_full) = proj_L(b_L).  Every boundary on
+    L is still built, on L's own slots, and compared with the full
+    boundary projected through a per-size slot table; a failure reruns
+    the nested loop for its witness.
     """
     _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
@@ -322,22 +318,26 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
         on_full = [_boundary_coeffs(u, k, full) for k in full]
         for sub, proj in _projection_table(m):
             for k in sub:
-                if proj(on_full[k]) != proj(_boundary_coeffs(u, k, sub)):
+                if proj(on_full[k]) != _boundary_coeffs(u, k, sub):
                     return False, _nested_projection_witness(tag, u)
     return True, None
 
 
 def _nested_projection_witness(tag: str, u: LinkUniverse) -> dict:
-    """The first nested pair, in sublink order, whose projection disagrees."""
+    """The first nested pair, in sublink order, whose projection disagrees.
+
+    A boundary on ``big`` lies on big's slots, so it projects to the
+    sublink at positions ``small`` of ``big`` through the size-|big| table.
+    """
     subs = list(_sublinks(u.size))
-    proj = dict(_projection_table(u.size))
     boundary = {(k, sub): _boundary_coeffs(u, k, sub) for sub in subs for k in sub}
     for big in subs:
+        proj = dict(_projection_table(len(big)))
         for small in _sublinks(len(big)):
             sub = tuple(big[i] for i in small)
             for k in sub:
-                via_big = proj[sub](boundary[k, big])
-                direct = proj[sub](boundary[k, sub])
+                via_big = proj[small](boundary[k, big])
+                direct = boundary[k, sub]
                 if via_big != direct:
                     return {
                         "universe": tag,
@@ -508,20 +508,34 @@ def run_scenario(
     )
 
 
+def _check_bounds(max_strands: int, max_length: int) -> None:
+    """Reject suite bounds that are not plain ints covering at least one scenario."""
+    if type(max_strands) is not int or type(max_length) is not int:
+        raise ValueError("bounds must be plain ints")
+    if max_strands < 1 or max_length < 0:
+        raise ValueError("bounds must cover at least one scenario")
+
+
 def iter_braid_words(max_strands: int, max_length: int) -> Iterator[BraidWord]:
     """All braid words within the bounds, in deterministic order.
 
     Strand counts ascend, then lengths, then letters lexicographically
-    over the signed alphabet -(k-1)..-1, 1..k-1.
+    over the signed alphabet -(k-1)..-1, 1..k-1.  The bounds are checked
+    at the call, not when the first word is asked for.
     """
-    for strands in range(1, max_strands + 1):
-        alphabet = [g for g in range(-(strands - 1), strands) if g]
-        for length in range(max_length + 1):
-            for letters in itertools.product(alphabet, repeat=length):
-                yield BraidWord(strands, letters)
+    _check_bounds(max_strands, max_length)
+    return (
+        BraidWord(strands, letters)
+        for strands in range(1, max_strands + 1)
+        for length in range(max_length + 1)
+        for letters in itertools.product(
+            [g for g in range(-(strands - 1), strands) if g], repeat=length
+        )
+    )
 
 
 def count_scenarios(max_strands: int, max_length: int, degrees: Sequence[int]) -> int:
+    _check_bounds(max_strands, max_length)
     words = 0
     for strands in range(1, max_strands + 1):
         a = 2 * (strands - 1)
@@ -586,10 +600,7 @@ def run_suite(
 ) -> SuiteResult:
     """Run every (word, degree) scenario within bounds, in deterministic order."""
     degrees = tuple(degrees)
-    if type(max_strands) is not int or type(max_length) is not int:
-        raise ValueError("bounds must be plain ints")
-    if max_strands < 1 or max_length < 0:
-        raise ValueError("bounds must cover at least one scenario")
+    _check_bounds(max_strands, max_length)
     if not degrees:
         raise ValueError("names no degree")
     for n in degrees:

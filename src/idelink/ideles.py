@@ -17,7 +17,9 @@ the generators span the principal lattice.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import functools
+import operator
+from collections.abc import Callable, Iterable, Sequence
 
 from . import kernel
 from ._record import Record
@@ -86,19 +88,26 @@ def _check_sublink(u: LinkUniverse, sublink: Iterable[int]) -> tuple[int, ...]:
     return sub
 
 
+@functools.lru_cache(maxsize=256)
+def _sublink_slots(sub: tuple[int, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """Getter for the slots 2k, 2k+1 of each k in ``sub``, in sublink order.
+
+    Two or more indices, so it returns a tuple; the empty sublink's
+    getter returns ``()``.  Index data shared by every universe.
+    """
+    if not sub:
+        return lambda coeffs: ()
+    return operator.itemgetter(*[i for k in sub for i in (2 * k, 2 * k + 1)])
+
+
 def _boundary_coeffs(u: LinkUniverse, k: int, sub: tuple[int, ...]) -> tuple[int, ...]:
     """Boundary of K's Seifert surface punctured by the sublink ``sub``, unchecked.
 
-    K's principal generator restricted to the sublink: lambda_K, and
-    -lk(K, K') mu_K' on the meridian slots of ``sub`` (mu_K is zero
-    there); every other slot is zero.
+    K's principal generator read on the sublink's own slots, 2|sub|
+    entries in sublink order: (0, lambda_K) on K's slot when K is on the
+    sublink, and (-lk(K, K'), 0) on the slot of every other K' of ``sub``.
     """
-    g = u._generators[k]
-    coeffs = [0] * len(g)
-    coeffs[2 * k + 1] = g[2 * k + 1]
-    for k2 in sub:
-        coeffs[2 * k2] = g[2 * k2]
-    return tuple(coeffs)
+    return _sublink_slots(sub)(u._generators[k])
 
 
 def principal_generators(u: LinkUniverse) -> list[tuple[int, ...]]:

@@ -74,7 +74,15 @@ def _braid_walk(
 
 
 def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Cycles of a permutation, ordered by smallest element, each started there."""
+    """Cycles of a permutation of 0..n-1, ordered by smallest element, each started there."""
+    _check_kind("permutation", perm, Sequence)
+    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(len(perm))):
+        raise ValueError(f"{tuple(perm)!r} is not a permutation of 0..{len(perm) - 1}")
+    return _permutation_cycles(perm)
+
+
+def _permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """``permutation_cycles`` of a permutation already known to be one."""
     seen = [False] * len(perm)
     cycles = []
     for s in range(len(perm)):
@@ -108,7 +116,7 @@ def _closure_data(
     strands: int, perm: tuple[int, ...], crossings: list[tuple[int, int, int]]
 ) -> tuple[tuple[tuple[int, ...], ...], list[int], list[tuple[int, ...]]]:
     """A walked word's closure: its strand cycles, each strand's cycle, its linking rows."""
-    cycles = permutation_cycles(perm)
+    cycles = _permutation_cycles(perm)
     comp = _strand_components(cycles, strands)
     return cycles, comp, _crossing_rows(crossings, (comp,), len(cycles))
 
@@ -311,7 +319,7 @@ def _cover_closures(
     for cycle in cycles:
         for i, s in enumerate(cycle):
             power[s] = cycle[(i + n) % len(cycle)]
-    top_cycles = permutation_cycles(power)
+    top_cycles = _permutation_cycles(power)
     top_comp = _strand_components(top_cycles, strands)
     # Repeat t of the word starts with strand sigma^-t(s) at position s,
     # so its block is the previous one moved along sigma.

@@ -24,11 +24,14 @@ reduced to one class quotient per universe and one comparison per
 sublink, kept here unchanged to test that reduction.  They reach the package's
 building blocks through ``idelink.hasse``'s module attributes at call
 time, so a test that patches one of those patches both routes alike.
-The nested-pair loop projects by slicing (``project_coeffs``) where
+A sublink boundary lies on the sublink's own slots, so the nested-pair
+loop projects a boundary on the larger sublink by slicing it at the
+positions of the smaller one inside it (``project_coeffs``), where
 ``idelink.hasse`` projects through its slot-index table.  Next,
-``boundary_from_linking`` reads a sublink boundary off the linking
-matrix, the formula that ``ideles._boundary_coeffs`` replaced by a
-restriction of the stored principal generator.
+``boundary_from_linking`` reads a full-width sublink boundary off the
+linking matrix, the formula that ``ideles._boundary_coeffs`` replaced
+by reading the stored principal generator on the sublink's slots;
+``project_coeffs`` brings it to that layout.
 The other two are the typed ``diagonal_commutes`` and
 ``meridian_pushforward`` checks.  They take surface classes as
 (support, coefficients) pairs, build boundaries straight from the
@@ -555,13 +558,12 @@ def projection_all_nested_pairs(c):
         boundary = {
             (k, sub): hasse._boundary_coeffs(u, k, sub) for sub in subs for k in sub
         }
-        own = {(k, sub): project_coeffs(b, sub) for (k, sub), b in boundary.items()}
         for big in subs:
             for small in hasse._sublinks(len(big)):
                 sub = tuple(big[i] for i in small)
                 for k in sub:
-                    via_big = project_coeffs(boundary[k, big], sub)
-                    direct = own[k, sub]
+                    via_big = project_coeffs(boundary[k, big], small)
+                    direct = boundary[k, sub]
                     if via_big != direct:
                         return False, {
                             "universe": tag,

@@ -214,7 +214,7 @@ def test_projection_witness_on_dropped_linking_term(monkeypatch):
         coeffs = list(real(u, k, sub))
         if len(sub) >= 3:
             last = [k2 for k2 in sub if k2 != k][-1]
-            coeffs[2 * last] = 0
+            coeffs[2 * sub.index(last)] = 0
         return tuple(coeffs)
 
     monkeypatch.setattr(hasse, "_boundary_coeffs", dropped)
@@ -556,7 +556,7 @@ def test_projection_witness_on_middle_layer_only(monkeypatch):
         coeffs = list(real(u, k, sub))
         if u.size == 5 and len(sub) == 3:
             last = [k2 for k2 in sub if k2 != k][-1]
-            coeffs[2 * last] += 1
+            coeffs[2 * sub.index(last)] += 1
         return tuple(coeffs)
 
     c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
@@ -566,6 +566,24 @@ def test_projection_witness_on_middle_layer_only(monkeypatch):
     assert not passed
     assert witness["universe"] == "cover"
     assert (passed, witness) == projection_all_nested_pairs(c)
+
+
+def test_projection_pass_builds_every_sublink_boundary(monkeypatch):
+    # Tests fail the check by patching chosen (generator, sublink) pairs, so
+    # a pass must still build the m full boundaries and the boundary of
+    # every generator on every sublink that holds it: m + m * 2^(m-1).
+    real = hasse._boundary_coeffs
+    calls = {}
+
+    def counted(u, k, sub):
+        calls[u.size] = calls.get(u.size, 0) + 1
+        return real(u, k, sub)
+
+    c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
+    assert (c.base.size, c.total.size) == (2, 5)
+    monkeypatch.setattr(hasse, "_boundary_coeffs", counted)
+    assert verify_projection_compatibility(c) == (True, None)
+    assert calls == {m: m + m * 2 ** (m - 1) for m in (2, 5)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -735,6 +753,15 @@ def test_iter_braid_words_deterministic_and_complete():
     ]
     assert count_scenarios(2, 2, (2, 3)) == len(words) * 2
     assert count_scenarios(3, 5, (2, 3, 4, 5)) == (1 + 63 + 1365) * 4
+
+
+@pytest.mark.parametrize("bounds", [("3", 2), (2, 2.0), (True, 2), (0, 2), (2, -1)])
+def test_word_bounds_rejected_at_the_call(bounds):
+    # Checked when called, as run_suite checks them, not when first iterated.
+    with pytest.raises(ValueError, match="bounds must"):
+        iter_braid_words(*bounds)
+    with pytest.raises(ValueError, match="bounds must"):
+        count_scenarios(*bounds, (2,))
 
 
 class TestRunSuite:

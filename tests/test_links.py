@@ -76,6 +76,14 @@ class TestComponents:
         comps = permutation_cycles(braid_permutation(BraidWord(4, (3,))))
         assert comps == ((0,), (1,), (2, 3))
 
+    def test_entry_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation_cycles((2, (1,)))
+
+    def test_repeated_entry_rejected(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permutation_cycles((0, 0))
+
 
 class TestLinkingMatrix:
     def test_hopf_link(self):
