@@ -28,6 +28,7 @@ from .covers import (
     _pushforward_coeffs,
     deck_matrix,
     lift_braid,
+    principal_pushforward,
     pushforward_image,
     pushforward_matrix,
 )
@@ -37,6 +38,7 @@ from .ideles import (
     _sublink_slots,
     meridian_subgroup,
     principal_generators,
+    principal_lattice,
 )
 from .links import BraidWord, LinkUniverse
 from .zlattice import (
@@ -129,11 +131,6 @@ def equality_witness(a: SubLattice, b: SubLattice) -> tuple[int, ...] | None:
     return None
 
 
-def _principal_span(u: LinkUniverse) -> SubLattice:
-    """The principal lattice of ``u``, from this module's ``principal_generators``."""
-    return _span(2 * u.size, principal_generators(u))
-
-
 @functools.lru_cache(maxsize=16)
 def _identity_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Rows of the m x m identity matrix; index data shared by every universe of size m."""
@@ -178,10 +175,8 @@ def _norm_principle_accept(c: CoverData) -> bool:
 def _norm_principle_lattice(c: CoverData) -> tuple[bool, dict | None]:
     """``norm_principle`` as lattice arithmetic: (passed, witness)."""
     base = c.base
-    left = lattice_intersect(_principal_span(base), pushforward_image(c))
-    right = _span(
-        2 * base.size, [_pushforward_coeffs(c, g) for g in principal_generators(c.total)]
-    )
+    left = lattice_intersect(principal_lattice(base), pushforward_image(c))
+    right = principal_pushforward(c)
     if lattice_equal(left, right):
         return True, None
     vec = equality_witness(left, right)
@@ -401,8 +396,8 @@ def _cover_exact_sequence_lattice(c: CoverData) -> tuple[bool, dict | None]:
     base = c.base
     total = c.total
     f = pushforward_matrix(c)
-    r_m = lattice_sum(_principal_span(base), meridian_subgroup(base, (base.axis_index,)))
-    r_n = lattice_sum(_principal_span(total), meridian_subgroup(total, (total.axis_index,)))
+    r_m = lattice_sum(principal_lattice(base), meridian_subgroup(base, (base.axis_index,)))
+    r_n = lattice_sum(principal_lattice(total), meridian_subgroup(total, (total.axis_index,)))
     kernel_side = preimage_lattice(f, r_m)
     tau = deck_matrix(c)
     shifted = [
@@ -534,8 +529,21 @@ def iter_braid_words(max_strands: int, max_length: int) -> Iterator[BraidWord]:
     )
 
 
-def count_scenarios(max_strands: int, max_length: int, degrees: Sequence[int]) -> int:
+def _check_degrees(degrees: Iterable[int]) -> tuple[int, ...]:
+    """Suite degrees as a tuple: at least one, each a plain int >= 1, none twice."""
+    degrees = tuple(degrees)
+    if not degrees:
+        raise ValueError("names no degree")
+    for n in degrees:
+        _check_degree(n)
+    if len(set(degrees)) != len(degrees):
+        raise ValueError("names a degree more than once")
+    return degrees
+
+
+def count_scenarios(max_strands: int, max_length: int, degrees: Iterable[int]) -> int:
     _check_bounds(max_strands, max_length)
+    degrees = _check_degrees(degrees)
     words = 0
     for strands in range(1, max_strands + 1):
         a = 2 * (strands - 1)
@@ -599,14 +607,8 @@ def run_suite(
     checks: Sequence[str] | None = None,
 ) -> SuiteResult:
     """Run every (word, degree) scenario within bounds, in deterministic order."""
-    degrees = tuple(degrees)
     _check_bounds(max_strands, max_length)
-    if not degrees:
-        raise ValueError("names no degree")
-    for n in degrees:
-        _check_degree(n)
-    if len(set(degrees)) != len(degrees):
-        raise ValueError("names a degree more than once")
+    degrees = _check_degrees(degrees)
     names = resolve_checks(checks)
     reports = tuple(
         run_scenario(b, n, names)

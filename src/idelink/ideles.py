@@ -152,18 +152,13 @@ def class_quotient(u: LinkUniverse, sublink: Iterable[int]) -> AbelianInvariants
     deletes those coordinates, so the quotient is Z^(m+|sublink|) modulo
     the m principal generators with the same coordinates deleted.  For a
     braid universe in S^3 it is free of rank |sublink|: the relations
-    express every longitude over the surviving meridians.
+    express every longitude over the surviving meridians.  The kept
+    coordinates are ordered all longitudes first, then the sublink's
+    meridians, so each generator's own unit longitude is its pivot and
+    a free quotient is recognised with no further kernel call.
     """
-    return _class_quotient(principal_generators(u), _check_sublink(u, sublink))
-
-
-def _class_quotient(gens: Sequence[tuple[int, ...]], sub: tuple[int, ...]) -> AbelianInvariants:
-    """``class_quotient`` from the universe's ``principal_generators``.
-
-    The kept coordinates are ordered all longitudes first, then the
-    sublink's meridians, so each generator's own unit longitude is its
-    pivot and a free quotient is recognised with no further kernel call.
-    """
+    sub = _check_sublink(u, sublink)
+    gens = principal_generators(u)
     n = len(gens) + len(sub)
     cols = [g[1::2] + tuple([g[2 * k] for k in sub]) for g in gens]
     return _quotient_invariants(n, kernel.col_hnf(n, cols))

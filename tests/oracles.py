@@ -21,9 +21,12 @@ references for quotient invariants are ``invariants_oracle`` and
 ``smith_invariants_oracle``.  The check routes follow.
 Two are the per-sublink and per-nested-pair loops that ``idelink.hasse``
 reduced to one class quotient per universe and one comparison per
-sublink, kept here unchanged to test that reduction.  They reach the package's
-building blocks through ``idelink.hasse``'s module attributes at call
-time, so a test that patches one of those patches both routes alike.
+sublink, kept here unchanged to test that reduction.  The per-sublink
+loop calls ``ideles.class_quotient`` on the universe, so it reads the
+same generators as the check.  Only ``_boundary_coeffs`` and
+``_sublinks`` are still reached through ``idelink.hasse``'s module
+attributes at call time, so a test that patches ``_boundary_coeffs``
+patches both projection routes alike.
 A sublink boundary lies on the sublink's own slots, so the nested-pair
 loop projects a boundary on the larger sublink by slicing it at the
 positions of the smaller one inside it (``project_coeffs``), where
@@ -42,8 +45,14 @@ multiplying with the full ``pushforward_matrix`` where ``idelink.hasse``
 reads the per-component pairs; the diagonal one also compares the sum
 of all generators.
 
-``replaced``, last, is no oracle: it rebuilds a changed record (a
-tampered cover, say) through the record's public constructor.
+The last three are test doubles, no oracles.  ``replaced`` rebuilds a
+changed record (a tampered cover, say) through the record's public
+constructor.  ``with_generators`` gives a copy of a universe whose
+principal generators are tampered rows, read by every route that reads
+generators; tests fail the generator checks with it, as they fail the
+pushforward checks with ``replaced(c, pushforward=...)``.
+``universe_of`` wraps any m x 2m generator block in an axis-free
+universe of m components.
 """
 
 from __future__ import annotations
@@ -56,8 +65,14 @@ from math import gcd, lcm
 
 from idelink import hasse, ideles, kernel, zlattice
 from idelink.covers import pushforward_matrix
-from idelink.links import BraidWord, braid_permutation, braid_power, permutation_cycles
-from idelink.zlattice import AbelianInvariants, SubLattice
+from idelink.links import (
+    BraidWord,
+    LinkUniverse,
+    braid_permutation,
+    braid_power,
+    permutation_cycles,
+)
+from idelink.zlattice import AbelianInvariants, IntMatrix, SubLattice
 
 
 def rational_solve(cols, v):
@@ -516,15 +531,14 @@ def kernel_cut_preimage(m, target):
     return SubLattice.from_columns(m.cols, [col[: m.cols] for col in ker.columns])
 
 
-def unfree_sublink(gens):
-    """First sublink, in ``hasse._sublinks`` order, whose class quotient is not free.
+def unfree_sublink(u):
+    """First sublink of ``u``, in ``hasse._sublinks`` order, whose class quotient is not free.
 
-    ``gens`` are principal generators in interleaved (mu, lambda)
-    coordinates.  Returns (sublink, invariants), or None when the class
-    quotient of every sublink is free of the sublink's rank.
+    Returns (sublink, invariants), or None when the class quotient of
+    every sublink is free of the sublink's rank.
     """
-    for sub in hasse._sublinks(len(gens)):
-        inv = ideles._class_quotient(gens, sub)
+    for sub in hasse._sublinks(u.size):
+        inv = ideles.class_quotient(u, sub)
         if inv.free_rank != len(sub) or inv.torsion:
             return sub, inv
     return None
@@ -533,7 +547,7 @@ def unfree_sublink(gens):
 def class_quotient_all_sublinks(c):
     """``verify_class_quotient_free`` as a loop over every sublink: (passed, witness)."""
     for tag, u in (("base", c.base), ("cover", c.total)):
-        found = unfree_sublink(hasse.principal_generators(u))
+        found = unfree_sublink(u)
         if found is not None:
             sub, inv = found
             return False, {
@@ -689,3 +703,23 @@ def replaced(obj, **changes):
     kwargs = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
     kwargs.update(changes)
     return type(obj)(**kwargs)
+
+
+def with_generators(u, gens):
+    """A copy of universe ``u`` whose principal generators are ``gens``.
+
+    The copy is ``replaced(u)`` with its ``_generators`` slot rewritten,
+    so every reader of generators sees ``gens``, while ``replaced`` on
+    the copy runs the constructor again and rebuilds the real ones.
+    The copy still equals ``u``: generators are derived, not a field.
+    """
+    double = replaced(u)
+    object.__setattr__(double, "_generators", tuple(tuple(g) for g in gens))
+    return double
+
+
+def universe_of(gens):
+    """An axis-free universe of m unlinked components carrying the m x 2m block ``gens``."""
+    m = len(gens)
+    u = LinkUniverse(tuple(f"K{k}" for k in range(m)), IntMatrix([[0] * m] * m, cols=m))
+    return with_generators(u, gens)

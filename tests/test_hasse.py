@@ -47,6 +47,8 @@ from oracles import (
     projection_all_nested_pairs,
     replaced,
     unfree_sublink,
+    universe_of,
+    with_generators,
 )
 
 
@@ -131,20 +133,19 @@ def _count_col_hnf(monkeypatch):
     return calls
 
 
-def _tampered_longitudes(monkeypatch, changes):
-    """Principal generators with ``changes[k]`` = {slot: value} written into generator k."""
-    real = hasse.principal_generators
+def _tampered_longitudes(c, changes):
+    """``c`` with ``changes[k]`` = {slot: value} written into generator k of both universes."""
 
     def tampered(u):
-        gens = real(u)
+        gens = ideles.principal_generators(u)
         for k, slots in changes.items():
             g = list(gens[k])
             for slot, value in slots.items():
                 g[slot] = value
             gens[k] = tuple(g)
-        return gens
+        return with_generators(u, gens)
 
-    monkeypatch.setattr(hasse, "principal_generators", tampered)
+    return replaced(c, base=tampered(c.base), total=tampered(c.total))
 
 
 def test_class_quotient_witness_through_smith(monkeypatch):
@@ -153,8 +154,7 @@ def test_class_quotient_witness_through_smith(monkeypatch):
     # divisibility exit applies, and the invariants come from the
     # alternating Hermite rounds past the check's own col_hnf.  The
     # quotient is Z/4, where the pivots alone would read Z/2 + Z/2.
-    c = lift_braid(BraidWord(2, (1,)), 2)
-    _tampered_longitudes(monkeypatch, {0: {1: 2, 3: 1}, 1: {3: 2}})
+    c = _tampered_longitudes(lift_braid(BraidWord(2, (1,)), 2), {0: {1: 2, 3: 1}, 1: {3: 2}})
     hnf_calls = _count_col_hnf(monkeypatch)
     passed, witness = verify_class_quotient_free(c)
     assert not passed
@@ -175,8 +175,7 @@ def test_class_quotient_witness_from_the_divisibility_exit(monkeypatch):
     # Doubling the axis generator's own longitude gives the Hermite columns
     # [(2, 0), (0, 1)]: every pivot divides the entries below it, so the
     # pivots are the diagonal and Z/2 is read off with no call past the check's.
-    c = lift_braid(BraidWord(2, (1,)), 2)
-    _tampered_longitudes(monkeypatch, {0: {1: 2}})
+    c = _tampered_longitudes(lift_braid(BraidWord(2, (1,)), 2), {0: {1: 2}})
     hnf_calls = _count_col_hnf(monkeypatch)
     passed, witness = verify_class_quotient_free(c)
     assert not passed
@@ -195,8 +194,7 @@ def test_unimodular_longitude_block_that_is_not_the_identity_passes(monkeypatch)
     # Writing 1 into the axis generator's longitude on the other slot gives
     # the block [(1, 1), (0, 1)]: unimodular, so its Hermite form is the
     # identity and every sublink's quotient is free.
-    c = lift_braid(BraidWord(2, (1,)), 2)
-    _tampered_longitudes(monkeypatch, {0: {3: 1}})
+    c = _tampered_longitudes(lift_braid(BraidWord(2, (1,)), 2), {0: {3: 1}})
     hnf_calls = _count_col_hnf(monkeypatch)
     assert verify_class_quotient_free(c) == (True, None)
     assert hnf_calls[0][1] == [(1, 1), (0, 1)]
@@ -447,41 +445,43 @@ def test_exact_sequence_agrees_with_lattice_route_on_swapped_deck_targets(monkey
 
 
 def test_closed_forms_agree_under_patched_generators(monkeypatch, sweep_covers):
-    # Both routes read principal_generators through hasse, and the patched
-    # generators keep unit longitudes, so the accepts apply to them.  Adding
-    # n·mu_A to every off-axis base generator and w_K·mu_A~ to every off-axis
-    # lift of K keeps both identities, because the axis lift pushes mu_A~ to
-    # n·mu_A; adding mu_A to the base generators alone breaks both.
+    # Every check and its lattice route read the universes' tampered
+    # generators, which keep unit longitudes, so the accepts apply to them.
+    # Adding n·mu_A to every off-axis base generator and w_K·mu_A~ to every
+    # off-axis lift of K keeps both identities, because the axis lift pushes
+    # mu_A~ to n·mu_A; adding mu_A to the base generators alone breaks both.
     covers = [c for _, _, c in sweep_covers[::20]]
-    real = hasse.principal_generators
-    patched = {}
-    monkeypatch.setattr(hasse, "principal_generators", lambda u: patched[id(u)])
 
     def shifted(u, by):
         a = 2 * u.axis_index
-        return [g[:a] + (g[a] + by(k),) + g[a + 1 :] for k, g in enumerate(real(u))]
+        gens = enumerate(ideles.principal_generators(u))
+        return with_generators(u, [g[:a] + (g[a] + by(k),) + g[a + 1 :] for k, g in gens])
 
+    kept = []
     for c in covers:
         base, total = c.base, c.total
         w = [c.splitting[k].w for k in c.fiber_map]
-        patched[id(base)] = shifted(base, lambda k: 0 if k == base.axis_index else c.degree)
-        patched[id(total)] = shifted(total, lambda j: 0 if j == total.axis_index else w[j])
+        kept.append(replaced(
+            c,
+            base=shifted(base, lambda k: 0 if k == base.axis_index else c.degree),
+            total=shifted(total, lambda j: 0 if j == total.axis_index else w[j]),
+        ))
     none = dict.fromkeys(CLOSED_FORM, 0)
-    assert _closed_form_outcomes(monkeypatch, covers) == ([], none, none)
+    assert _closed_form_outcomes(monkeypatch, kept) == ([], none, none)
 
-    for c in covers:
-        patched[id(c.base)] = shifted(c.base, lambda k: 1)
-        patched[id(c.total)] = real(c.total)
-    bad, failed, _ = _closed_form_outcomes(monkeypatch, covers)
+    broken = [replaced(c, base=shifted(c.base, lambda k: 1)) for c in covers]
+    bad, failed, _ = _closed_form_outcomes(monkeypatch, broken)
     assert bad == []
     assert failed == dict.fromkeys(CLOSED_FORM, len(covers))
 
     # Doubled longitudes in both universes are no units: the closed forms
     # do not apply, and the lattice routes pass some covers and fail others.
-    for c in covers:
-        for u in (c.base, c.total):
-            patched[id(u)] = [tuple(x << (i % 2) for i, x in enumerate(g)) for g in real(u)]
-    bad, failed, _ = _closed_form_outcomes(monkeypatch, covers)
+    def doubled(u):
+        gens = ideles.principal_generators(u)
+        return with_generators(u, [tuple(x << (i % 2) for i, x in enumerate(g)) for g in gens])
+
+    doubled_covers = [replaced(c, base=doubled(c.base), total=doubled(c.total)) for c in covers]
+    bad, failed, _ = _closed_form_outcomes(monkeypatch, doubled_covers)
     assert bad == []
     assert all(0 < n < len(covers) for n in failed.values()), failed
 
@@ -596,8 +596,9 @@ def test_projection_pass_builds_every_sublink_boundary(monkeypatch):
 )
 def test_free_on_empty_sublink_iff_free_on_every_sublink(gens):
     # Any [L; B] block, not only braid universes: the empty sublink decides.
-    inv = ideles._class_quotient(gens, ())
-    assert (not inv.free_rank and not inv.torsion) == (unfree_sublink(gens) is None)
+    u = universe_of(gens)
+    inv = ideles.class_quotient(u, ())
+    assert (not inv.free_rank and not inv.torsion) == (unfree_sublink(u) is None)
 
 
 def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
@@ -752,6 +753,7 @@ def test_iter_braid_words_deterministic_and_complete():
         (2, (1, 1)),
     ]
     assert count_scenarios(2, 2, (2, 3)) == len(words) * 2
+    assert count_scenarios(2, 2, iter((2, 3))) == len(words) * 2
     assert count_scenarios(3, 5, (2, 3, 4, 5)) == (1 + 63 + 1365) * 4
 
 
@@ -762,6 +764,19 @@ def test_word_bounds_rejected_at_the_call(bounds):
         iter_braid_words(*bounds)
     with pytest.raises(ValueError, match="bounds must"):
         count_scenarios(*bounds, (2,))
+
+
+@pytest.mark.parametrize("degrees,message", [
+    ("23", "cover degree '2' is not a plain int"),
+    ((2, 2), "names a degree more than once"),
+    ((0,), "cover degree must be >= 1"),
+    ((), "names no degree"),
+])
+def test_bad_degrees_rejected_alike_by_count_and_suite(degrees, message):
+    for fn in (count_scenarios, run_suite):
+        with pytest.raises(ValueError) as exc:
+            fn(2, 2, degrees)
+        assert str(exc.value) == message
 
 
 class TestRunSuite:

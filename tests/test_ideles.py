@@ -13,7 +13,7 @@ from idelink.ideles import (
     principal_generators,
     principal_lattice,
 )
-from idelink.covers import lift_braid
+from idelink.covers import _pushforward_coeffs, lift_braid, principal_pushforward
 from idelink.hasse import iter_braid_words
 from idelink.links import BraidWord, LinkUniverse, universe_from_braid
 from idelink.zlattice import (
@@ -27,7 +27,14 @@ from idelink.zlattice import (
     snf,
 )
 
-from oracles import boundary_from_linking, invariants_oracle, project_coeffs, surface_boundary
+from oracles import (
+    boundary_from_linking,
+    invariants_oracle,
+    project_coeffs,
+    replaced,
+    surface_boundary,
+    with_generators,
+)
 
 
 def hopf():
@@ -214,6 +221,38 @@ class TestPrincipalLattice:
         gens.append(gens[1])
         assert principal_generators(u) == before
         assert principal_generators(u) is not principal_generators(u)
+
+
+def test_generator_double_reaches_every_reader():
+    # Every reader of generators sees a with_generators double's rows, on the
+    # universe and on a cover built from it; one that cached or rebuilt the
+    # generators would see the real ones, and the failure-route tests would
+    # quietly check those.  Doubling every entry changes every reading.
+    c = lift_braid(BraidWord(2, (1,)), 2)
+    doubles = []
+    for u in (c.base, c.total):
+        m = u.size
+        gens = [tuple(2 * x for x in g) for g in principal_generators(u)]
+        double = with_generators(u, gens)
+        doubles.append(double)
+        assert principal_generators(double) == gens
+        assert principal_lattice(double) == SubLattice.from_columns(2 * m, gens)
+        assert principal_lattice(double) != principal_lattice(u)
+        for r in range(m + 1):
+            for sub in itertools.combinations(range(m), r):
+                kept = [g[1::2] + tuple(g[2 * k] for k in sub) for g in gens]
+                inv = class_quotient(double, sub)
+                assert (inv.free_rank, inv.torsion) == invariants_oracle(m + r, kept)
+                assert inv != class_quotient(u, sub)
+                for k in range(m):
+                    assert _boundary_coeffs(double, k, sub) == project_coeffs(gens[k], sub)
+        # The public constructor rebuilds the real generators.
+        assert principal_generators(replaced(double)) == principal_generators(u)
+    cover = replaced(c, base=doubles[0], total=doubles[1])
+    assert principal_generators(cover.base) == principal_generators(doubles[0])
+    pushed = [_pushforward_coeffs(c, g) for g in principal_generators(doubles[1])]
+    assert principal_pushforward(cover) == SubLattice.from_columns(2 * c.base.size, pushed)
+    assert principal_pushforward(cover) != principal_pushforward(c)
 
 
 class TestMeridianSubgroup:
