@@ -31,7 +31,6 @@ from collections.abc import Sequence
 from math import gcd
 
 from ._record import Record
-from .ideles import principal_generators
 from .links import BraidWord, LinkUniverse, _cover_closures, relabeled_universe
 from .zlattice import IntMatrix, SubLattice, _check_kind, _span
 
@@ -75,11 +74,17 @@ class CoverData(Record):
     2x2 matrix ((e, c), (0, w)) of plain ints, rows first, sending
     (mu_J, lambda_J) coefficient pairs to base (mu, lambda) pairs; and
     ``deck[j]`` is the deck rotation on upstairs components.
+
+    Constructing a cover checks that ``base`` and ``total`` are
+    universes (the other fields are trusted), then pushes each upstairs
+    principal generator down once (``_pushed``, entry j the image of
+    generator j), for the checks and ``principal_pushforward`` to read.
     """
 
-    __slots__ = _fields = (
-        "degree", "base", "total", "fiber_map", "splitting", "pushforward", "deck"
+    __slots__ = (
+        "degree", "base", "total", "fiber_map", "splitting", "pushforward", "deck", "_pushed"
     )
+    _fields = ("degree", "base", "total", "fiber_map", "splitting", "pushforward", "deck")
 
     def __init__(
         self,
@@ -91,6 +96,8 @@ class CoverData(Record):
         pushforward: tuple[tuple[tuple[int, int], tuple[int, int]], ...],
         deck: tuple[int, ...],
     ):
+        _check_kind("base universe", base, LinkUniverse)
+        _check_kind("upstairs universe", total, LinkUniverse)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "total", total)
@@ -98,6 +105,9 @@ class CoverData(Record):
         object.__setattr__(self, "splitting", splitting)
         object.__setattr__(self, "pushforward", pushforward)
         object.__setattr__(self, "deck", deck)
+        object.__setattr__(
+            self, "_pushed", tuple([_pushforward_coeffs(self, g) for g in total._generators])
+        )
 
 
 @functools.lru_cache(maxsize=256)
@@ -201,10 +211,9 @@ def deck_matrix(c: CoverData) -> IntMatrix:
 
 
 def principal_pushforward(c: CoverData) -> SubLattice:
-    """Pushforward of the upstairs principal lattice, generator by generator."""
+    """Pushforward of the upstairs principal lattice: the span of the pushed generators."""
     _check_kind("cover", c, CoverData)
-    cols = [_pushforward_coeffs(c, g) for g in principal_generators(c.total)]
-    return _span(2 * c.base.size, cols)
+    return _span(2 * c.base.size, c._pushed)
 
 
 def relabeled_cover(

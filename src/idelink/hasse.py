@@ -165,9 +165,8 @@ def _norm_principle_accept(c: CoverData) -> bool:
         if c_j or w[k] not in (None, d):
             return False
         w[k] = d
-    for j, gen in enumerate(principal_generators(c.total)):
-        k = c.fiber_map[j]
-        if _pushforward_coeffs(c, gen) != tuple([w[k] * x for x in down[k]]):
+    for k, pushed in zip(c.fiber_map, c._pushed):
+        if pushed != tuple([w[k] * x for x in down[k]]):
             return False
     return True
 
@@ -203,14 +202,13 @@ def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
 
     Checked exactly on every upstairs generator: the surface of J maps
     to w_K copies of the surface of K = fiber_map[J].  Both sides are
-    linear in the surface class, so every other class follows.
+    linear in the surface class, so every other class follows.  The
+    pushed boundaries are the cover's own, pushed once when it was built.
     """
     _check_kind("cover", c, CoverData)
     down = principal_generators(c.base)
-    for j, gen in enumerate(principal_generators(c.total)):
-        k = c.fiber_map[j]
+    for j, (k, lhs) in enumerate(zip(c.fiber_map, c._pushed)):
         w = c.splitting[k].w
-        lhs = _pushforward_coeffs(c, gen)
         rhs = tuple([w * x for x in down[k]])
         if lhs != rhs:
             return False, {
@@ -462,16 +460,19 @@ CHECKS: dict[str, Callable[[CoverData], tuple[bool, dict | None]]] = {
 }
 
 
-def resolve_checks(names: Sequence[str] | None) -> list[str]:
+def resolve_checks(names: Iterable[str] | None) -> list[str]:
     """Known, distinct check names, at least one; None names all of them.
 
     A run that checks nothing cannot pass.  A bare string is rejected,
-    not read as a sequence of one-letter names.
+    not read as a sequence of one-letter names; any other iterable of
+    names, an iterator included, is read once.
     """
     if names is None:
         return list(CHECKS)
     if isinstance(names, str):
         raise ValueError(f"expected a list of check names, not the string {names!r}")
+    _check_kind("check names", names, Iterable)
+    names = list(names)
     if not names:
         raise ValueError("names no check")
     for n in names:
@@ -483,14 +484,18 @@ def resolve_checks(names: Sequence[str] | None) -> list[str]:
         raise ValueError(
             f"unknown checks: {', '.join(unknown)}; available: {', '.join(CHECKS)}"
         )
-    return list(names)
+    return names
 
 
 def run_scenario(
-    b: BraidWord, degree: int, checks: Sequence[str] | None = None
+    b: BraidWord, degree: int, checks: Iterable[str] | None = None
 ) -> VerificationReport:
     """Lift one braid scenario and run the requested checks, each timed."""
-    names = resolve_checks(checks)
+    return _run_scenario(b, degree, resolve_checks(checks))
+
+
+def _run_scenario(b: BraidWord, degree: int, names: list[str]) -> VerificationReport:
+    """``run_scenario`` on names ``resolve_checks`` has already returned."""
     cover = lift_braid(b, degree)
     records = []
     for name in names:
@@ -531,6 +536,7 @@ def iter_braid_words(max_strands: int, max_length: int) -> Iterator[BraidWord]:
 
 def _check_degrees(degrees: Iterable[int]) -> tuple[int, ...]:
     """Suite degrees as a tuple: at least one, each a plain int >= 1, none twice."""
+    _check_kind("degrees", degrees, Iterable)
     degrees = tuple(degrees)
     if not degrees:
         raise ValueError("names no degree")
@@ -604,14 +610,18 @@ def run_suite(
     max_strands: int,
     max_length: int,
     degrees: Iterable[int],
-    checks: Sequence[str] | None = None,
+    checks: Iterable[str] | None = None,
 ) -> SuiteResult:
-    """Run every (word, degree) scenario within bounds, in deterministic order."""
+    """Run every (word, degree) scenario within bounds, in deterministic order.
+
+    Bounds, degrees and check names are all checked, and the names
+    resolved, once, before the first scenario runs.
+    """
     _check_bounds(max_strands, max_length)
     degrees = _check_degrees(degrees)
     names = resolve_checks(checks)
     reports = tuple(
-        run_scenario(b, n, names)
+        _run_scenario(b, n, names)
         for b in iter_braid_words(max_strands, max_length)
         for n in degrees
     )

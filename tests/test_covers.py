@@ -38,6 +38,7 @@ from oracles import (
     resultant_oracle,
     surface_boundary,
     surface_pushforward,
+    with_generators,
 )
 
 
@@ -188,6 +189,54 @@ class TestLiftInvariants:
         assert lift_invariant_failures(b, frozen) == [("deck cycle", 1)]
         # The mirror word crosses its lifts negatively.
         assert lift_invariant_failures(BraidWord(2, (-1,)), c) == [("linking", c.total.labels)]
+
+
+def pushed_by_hand(c):
+    """Every upstairs principal generator pushed down, one call each."""
+    return tuple(_pushforward_coeffs(c, g) for g in principal_generators(c.total))
+
+
+class TestPushedGenerators:
+    """A cover pushes its upstairs generators once, when it is constructed."""
+
+    def test_acceptance_sweep_and_wide4_words(self, sweep_covers, wide4_covers):
+        lifted = sweep_covers + wide4_covers
+        assert len(lifted) == 5716 + 240
+        assert [(b, n) for b, n, c in lifted if c._pushed != pushed_by_hand(c)] == []
+
+    def test_tampered_covers_push_their_own_data(self, sweep_covers):
+        # Each tampered cover is rebuilt through the constructor, so its
+        # pushed generators follow the moved pushforward entry, the swapped
+        # deck targets, the new enumeration or the doubled longitudes.
+        rng = random.Random(41)
+        tampered = {"pushforward": [], "deck": [], "relabeled": [], "doubled": []}
+        for _, _, c in sweep_covers[::20]:
+            j = rng.randrange(c.total.size)
+            rows = [list(row) for row in c.pushforward[j]]
+            rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
+            pushforward = c.pushforward[:j] + (tuple(map(tuple, rows)),) + c.pushforward[j + 1 :]
+            tampered["pushforward"].append(replaced(c, pushforward=pushforward))
+            if c.total.size >= 3:
+                i, j = rng.sample(range(c.total.size), 2)
+                deck = list(c.deck)
+                deck[i], deck[j] = deck[j], deck[i]
+                tampered["deck"].append(replaced(c, deck=tuple(deck)))
+            base_order = list(range(c.base.size))
+            top_order = list(range(c.total.size))
+            rng.shuffle(base_order)
+            rng.shuffle(top_order)
+            tampered["relabeled"].append(relabeled_cover(c, tuple(base_order), tuple(top_order)))
+            doubled = with_generators(c.total, [
+                tuple(x << (i % 2) for i, x in enumerate(g)) for g in principal_generators(c.total)
+            ])
+            tampered["doubled"].append(replaced(c, total=doubled))
+        for kind, covers_of_kind in tampered.items():
+            assert len(covers_of_kind) > 50, kind
+            assert [c for c in covers_of_kind if c._pushed != pushed_by_hand(c)] == [], kind
+        # The tampering reaches the pushed generators, or the check says little.
+        originals = [c for _, _, c in sweep_covers[::20]]
+        for kind in ("pushforward", "doubled"):
+            assert any(t._pushed != c._pushed for t, c in zip(tampered[kind], originals)), kind
 
 
 class TestLiftDerivation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idelink import hasse, ideles, kernel, links, zlattice
+from idelink import covers, hasse, ideles, kernel, links, zlattice
 from idelink.covers import (
     lift_braid,
     principal_pushforward,
@@ -666,6 +666,27 @@ def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):
     assert len(calls) == 1
 
 
+def test_passing_scenario_pushes_each_upstairs_generator_once(monkeypatch):
+    # The cover pushes its 5 generators when it is built; norm_principle's
+    # closed form and diagonal_commutes read them and push nothing.
+    calls = {"covers": 0, "hasse": 0}
+
+    def counting(module, key):
+        real = module._pushforward_coeffs
+
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, "_pushforward_coeffs", counted)
+
+    counting(covers, "covers")
+    counting(hasse, "hasse")
+    report = run_scenario(BraidWord(4, ()), 2)
+    assert report.passed and len(report.checks) == len(CHECKS)
+    assert calls == {"covers": 5, "hasse": 0}
+
+
 def test_monotone_truncation_extra_split_strand():
     # adding an unused strand (split unknot around the axis) never flips
     # a passing verdict
@@ -700,6 +721,31 @@ def test_resolve_checks():
     assert resolve_checks(["norm_principle"]) == ["norm_principle"]
     with pytest.raises(ValueError):
         resolve_checks(["norm_principle", "made_up"])
+
+
+def test_an_iterator_of_check_names_is_read_once():
+    names = ["norm_principle", "meridian_pushforward"]
+    assert resolve_checks(iter(names)) == names
+    with pytest.raises(ValueError, match="names a check more than once"):
+        resolve_checks(iter(["norm_principle"] * 2))
+    b = BraidWord(2, (1,))
+    assert [r.name for r in run_scenario(b, 2, iter(names)).checks] == names
+    result = run_suite(2, 1, (2,), checks=iter(names))
+    assert [[r.name for r in rep.checks] for rep in result.reports] == [names] * 4
+
+
+def test_run_suite_resolves_its_check_names_once(monkeypatch):
+    calls = []
+    real = hasse.resolve_checks
+
+    def counted(names):
+        calls.append(names)
+        return real(names)
+
+    monkeypatch.setattr(hasse, "resolve_checks", counted)
+    result = run_suite(2, 2, (2, 3), checks=["norm_principle"])
+    assert len(result.reports) == 16
+    assert calls == [["norm_principle"]]
 
 
 def test_empty_check_list_rejected():
@@ -795,7 +841,7 @@ class TestRunSuite:
 
     def test_non_int_degrees_rejected_before_running(self, monkeypatch):
         ran = []
-        monkeypatch.setattr(hasse, "run_scenario", lambda *args: ran.append(args))
+        monkeypatch.setattr(hasse, "_run_scenario", lambda *args: ran.append(args))
         for degrees in ((True,), (2, 2.0), (2, "3")):
             with pytest.raises(ValueError, match="not a plain int"):
                 run_suite(1, 0, degrees)

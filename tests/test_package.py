@@ -9,6 +9,8 @@ import pytest
 import idelink
 from idelink import covers, hasse, ideles, links, zlattice
 
+from oracles import replaced
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(idelink.__file__)))
 
 # Standard-library modules whose import costs more than the package's own
@@ -50,9 +52,11 @@ def test_import_loads_no_heavy_stdlib_module():
 
 # Each public entry of links, ideles, covers and hasse given an argument
 # of the wrong kind: a tuple where a record belongs, a list where an
-# IntMatrix belongs, or a non-string check name.
+# IntMatrix belongs, a non-string check name, or an int where check
+# names or degrees belong.
 BAD = (2, (1,))
 BRAID = links.BraidWord(2, (1,))
+COVER = covers.lift_braid(BRAID, 2)
 LATTICE = idelink.SubLattice.full(2)
 WRONG_KIND = {
     "links.braid_permutation": lambda: links.braid_permutation(BAD),
@@ -73,11 +77,18 @@ WRONG_KIND = {
     "covers.principal_pushforward": lambda: covers.principal_pushforward(BAD),
     "covers.relabeled_cover": lambda: covers.relabeled_cover(BAD, (0, 1), (0, 1, 2)),
     "covers.branched_cover_order": lambda: covers.branched_cover_order([[1]], 2),
+    "covers.CoverData.base": lambda: replaced(COVER, base=BAD),
+    "covers.CoverData.total": lambda: replaced(COVER, total=BAD),
     "hasse.equality_witness.a": lambda: hasse.equality_witness(BAD, LATTICE),
     "hasse.equality_witness.b": lambda: hasse.equality_witness(LATTICE, BAD),
     "hasse.resolve_checks": lambda: hasse.resolve_checks([1]),
+    "hasse.resolve_checks.int": lambda: hasse.resolve_checks(5),
     "hasse.run_scenario": lambda: hasse.run_scenario(BAD, 2),
     "hasse.run_scenario.checks": lambda: hasse.run_scenario(BRAID, 2, [1]),
+    "hasse.run_scenario.checks_int": lambda: hasse.run_scenario(BRAID, 2, 7),
+    "hasse.run_suite.degrees_int": lambda: hasse.run_suite(1, 1, 5),
+    "hasse.run_suite.checks_int": lambda: hasse.run_suite(1, 1, (2,), 7),
+    "hasse.count_scenarios.degrees_int": lambda: hasse.count_scenarios(1, 1, 5),
     "hasse.scenario_report_json": lambda: hasse.scenario_report_json(BAD),
     **{f"hasse.{fn.__name__}": (lambda fn=fn: fn(BAD)) for fn in hasse.CHECKS.values()},
 }

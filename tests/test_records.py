@@ -197,6 +197,22 @@ class TestEquality:
         assert u._generators == trusted._generators
         assert "_generators" not in repr(u)
 
+    def test_pushed_generators_stay_out_of_value_repr_and_arguments(self):
+        c = lift_braid(BraidWord(2, (1,)), 2)
+        assert c._pushed and "_pushed" not in repr(c)
+        assert "_pushed" not in _arguments(c) and "_pushed" not in type(c)._fields
+        with pytest.raises(TypeError):
+            replaced(c, _pushed=())
+        # A cover whose stored images differ still equals and hashes as c.
+        other = replaced(c)
+        object.__setattr__(other, "_pushed", ())
+        assert other == c and hash(other) == hash(c) and repr(other) == repr(c)
+
+    def test_pushed_generators_survive_copy_and_pickle(self):
+        c = lift_braid(BraidWord(3, (1, -2)), 3)
+        for clone in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert clone == c and clone._pushed == c._pushed
+
     def test_unhashable_fields_make_an_unhashable_record(self):
         with pytest.raises(TypeError):
             hash(CheckRecord("x", False, 1.0, {"v": [1]}))
