@@ -33,9 +33,7 @@ from .covers import (
     pushforward_matrix,
 )
 from .ideles import (
-    _boundary_coeffs,
     _label_prefixes,
-    _sublink_slots,
     meridian_subgroup,
     principal_generators,
     principal_lattice,
@@ -244,11 +242,6 @@ def verify_meridian_pushforward(c: CoverData) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _sublinks(size: int) -> Iterator[tuple[int, ...]]:
-    for r in range(size + 1):
-        yield from itertools.combinations(range(size), r)
-
-
 def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     """Idele group mod (principal + off-sublink meridians) is free on the sublink.
 
@@ -281,66 +274,36 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     return True, None
 
 
-@functools.lru_cache(maxsize=16)
-def _projection_table(size: int) -> tuple[tuple[tuple[int, ...], Callable], ...]:
-    """Every nonempty sublink, in ``_sublinks`` order, with its ``_sublink_slots`` getter.
-
-    The pass loop projects full-universe boundaries through it, and the
-    witness search projects a boundary on a sublink of ``size``
-    components through it; index data shared by every universe of ``size``.
-    """
-    return tuple((sub, _sublink_slots(sub)) for sub in _sublinks(size) if sub)
-
-
 def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     """Boundary data restricts coherently along nested sublinks.
 
-    For every pair L inside L' and every generator on L, the boundary
-    taken on L' and projected down to L equals the boundary taken on L.
-    Projections compose, so it is enough to compare, for every L, the
-    boundary on the full universe projected to L with the boundary on L:
-    then proj_L(b_L') = proj_L(b_full) = proj_L(b_L).  Every boundary on
-    L is still built, on L's own slots, and compared with the full
-    boundary projected through a per-size slot table; a failure reruns
-    the nested loop for its witness.
+    For every L inside L' and every generator on L, the boundary on L'
+    projected to L equals the boundary on L.  A boundary on a sublink is
+    the generator's stored row read on the sublink's slots, so it is
+    enough that each stored row equals the linking formula,
+    (-lk(K, K'), [K' = K]) on the slot of every K': projections compose,
+    so then proj_L(b_L') = proj_L(b_full) = b_L.  A failure names the
+    first sublink, by size and then lexicographically, on which the
+    first wrong row differs from the formula.
     """
     _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
-        m = u.size
-        full = tuple(range(m))
-        on_full = [_boundary_coeffs(u, k, full) for k in full]
-        for sub, proj in _projection_table(m):
-            for k in sub:
-                if proj(on_full[k]) != _boundary_coeffs(u, k, sub):
-                    return False, _nested_projection_witness(tag, u)
+        units = _identity_rows(u.size)
+        for k, (g, row) in enumerate(zip(principal_generators(u), u.linking.entries)):
+            if g[1::2] == units[k] and g[0::2] == tuple([-x for x in row]):
+                continue
+            want = [(-x, unit) for x, unit in zip(row, units[k])]
+            t = next(t for t in (k, *range(u.size)) if g[2 * t : 2 * t + 2] != want[t])
+            sub = sorted({k, t})
+            return False, {
+                "universe": tag,
+                "sublink": [u.labels[t] for t in sub],
+                "larger": list(u.labels),
+                "generator": u.labels[k],
+                "projected": [x for t in sub for x in g[2 * t : 2 * t + 2]],
+                "direct": [x for t in sub for x in want[t]],
+            }
     return True, None
-
-
-def _nested_projection_witness(tag: str, u: LinkUniverse) -> dict:
-    """The first nested pair, in sublink order, whose projection disagrees.
-
-    A boundary on ``big`` lies on big's slots, so it projects to the
-    sublink at positions ``small`` of ``big`` through the size-|big| table.
-    """
-    subs = list(_sublinks(u.size))
-    boundary = {(k, sub): _boundary_coeffs(u, k, sub) for sub in subs for k in sub}
-    for big in subs:
-        proj = dict(_projection_table(len(big)))
-        for small in _sublinks(len(big)):
-            sub = tuple(big[i] for i in small)
-            for k in sub:
-                via_big = proj[small](boundary[k, big])
-                direct = boundary[k, sub]
-                if via_big != direct:
-                    return {
-                        "universe": tag,
-                        "sublink": [u.labels[t] for t in sub],
-                        "larger": [u.labels[t] for t in big],
-                        "generator": u.labels[k],
-                        "projected": list(via_big),
-                        "direct": list(direct),
-                    }
-    raise AssertionError("no nested pair disagrees")
 
 
 def _axis_functional(u: LinkUniverse) -> list[int] | None:

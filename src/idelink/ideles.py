@@ -8,18 +8,16 @@ The calculus works on raw coefficient tuples; ``IdeleVector`` validates
 one and formats it for display.
 
 The Seifert surface of K punctured by the other components of a sublink
-L has boundary lambda_K - sum lk(K, K') mu_K' over K' in L, so boundary
-data is linear and fully determined by linking numbers.  Over the whole
-universe the m single-surface boundaries are the principal generators:
-a surface class sum c_K S_K has boundary sum c_K times generator K, and
-the generators span the principal lattice.
+L has boundary lambda_K - sum lk(K, K') mu_K' over K' in L: linear, fully
+determined by linking numbers, and the whole universe's boundary read on
+L's slots.  Over the whole universe the m single-surface boundaries are
+the principal generators: a surface class sum c_K S_K has boundary
+sum c_K times generator K, and the generators span the principal lattice.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 
 from . import kernel
 from ._record import Record
@@ -88,36 +86,14 @@ def _check_sublink(u: LinkUniverse, sublink: Iterable[int]) -> tuple[int, ...]:
     return sub
 
 
-@functools.lru_cache(maxsize=256)
-def _sublink_slots(sub: tuple[int, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """Getter for the slots 2k, 2k+1 of each k in ``sub``, in sublink order.
-
-    Two or more indices, so it returns a tuple; the empty sublink's
-    getter returns ``()``.  Index data shared by every universe.
-    """
-    if not sub:
-        return lambda coeffs: ()
-    return operator.itemgetter(*[i for k in sub for i in (2 * k, 2 * k + 1)])
-
-
-def _boundary_coeffs(u: LinkUniverse, k: int, sub: tuple[int, ...]) -> tuple[int, ...]:
-    """Boundary of K's Seifert surface punctured by the sublink ``sub``, unchecked.
-
-    K's principal generator read on the sublink's own slots, 2|sub|
-    entries in sublink order: (0, lambda_K) on K's slot when K is on the
-    sublink, and (-lk(K, K'), 0) on the slot of every other K' of ``sub``.
-    """
-    return _sublink_slots(sub)(u._generators[k])
-
-
 def principal_generators(u: LinkUniverse) -> list[tuple[int, ...]]:
     """Boundary coefficients of the m single-surface generators, as a new list.
 
-    Entry k is ``_boundary_coeffs(u, k, tuple(range(m)))``, the boundary
-    of K's surface punctured by every other component: lambda_K on its
-    own slot and -lk(K, K') mu_K' on every other slot.  The universe
-    builds them once, from its linking rows, when it is constructed;
-    each call copies that tuple into a list the caller may change.
+    Entry k is the boundary of K's surface punctured by every other
+    component, lambda_K on its own slot and -lk(K, K') mu_K' on every
+    other slot; on a sublink's slots, the one punctured by that sublink.
+    The universe builds them once, from its linking rows, when it is
+    constructed; each call copies them into a list the caller may change.
     """
     _check_kind("universe", u, LinkUniverse)
     return list(u._generators)

@@ -171,10 +171,10 @@ class LinkUniverse(Record):
 
     Constructing a universe checks all of this, then builds its m
     principal generators from the linking rows (``_generators``, read
-    through ``ideles.principal_generators`` and restricted to sublinks
-    by ``ideles._boundary_coeffs``).  Universes the package
-    builds from a braid word are well formed by construction and come
-    from ``_trusted``, which skips the checks.
+    through ``ideles.principal_generators``; a sublink's boundary is a
+    row read on the sublink's slots).  Universes the package builds
+    from a braid word are well formed by construction and come from
+    ``_trusted``, which skips the checks.
     """
 
     __slots__ = ("labels", "linking", "axis_index", "_generators")
@@ -248,8 +248,9 @@ def _principal_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
 
     Entry k has lambda_K = 1 on its own slot and -lk(K, K') on the
     meridian of every other slot, flattened meridian-first as in
-    ``ideles``; the zero diagonal leaves mu_K at 0.  This is the one
-    place the boundary sign convention is written down.
+    ``ideles``; the zero diagonal leaves mu_K at 0.  Rows are built only
+    here; ``hasse.verify_projection_compatibility`` compares each stored
+    row with the same sign convention, read off the linking matrix.
     """
     gens = []
     for k, row in enumerate(rows):

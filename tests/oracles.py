@@ -19,22 +19,15 @@ Hermite reduction that ``quotient_invariants`` alternates, so the two
 Smith routes share the package route's elimination; the independent
 references for quotient invariants are ``invariants_oracle`` and
 ``smith_invariants_oracle``.  The check routes follow.
-Two are the per-sublink and per-nested-pair loops that ``idelink.hasse``
-reduced to one class quotient per universe and one comparison per
-sublink, kept here unchanged to test that reduction.  The per-sublink
-loop calls ``ideles.class_quotient`` on the universe, so it reads the
-same generators as the check.  Only ``_boundary_coeffs`` and
-``_sublinks`` are still reached through ``idelink.hasse``'s module
-attributes at call time, so a test that patches ``_boundary_coeffs``
-patches both projection routes alike.
-A sublink boundary lies on the sublink's own slots, so the nested-pair
-loop projects a boundary on the larger sublink by slicing it at the
-positions of the smaller one inside it (``project_coeffs``), where
-``idelink.hasse`` projects through its slot-index table.  Next,
-``boundary_from_linking`` reads a full-width sublink boundary off the
-linking matrix, the formula that ``ideles._boundary_coeffs`` replaced
-by reading the stored principal generator on the sublink's slots;
-``project_coeffs`` brings it to that layout.
+Two are per-sublink loops over ``sublinks``, this module's own
+enumeration, that ``idelink.hasse`` reduced to one class quotient and
+one row comparison per generator of each universe, kept here to test
+that reduction.  The class-quotient loop calls ``ideles.class_quotient``
+on every sublink, so it reads the same generators as the check.  The
+projection loop compares, for every generator K and every sublink L
+holding K, the stored principal row of K sliced to L's slots
+(``project_coeffs``) with ``boundary_from_linking``, the boundary on L
+read straight off the linking matrix, sliced the same way.
 The other two are the typed ``diagonal_commutes`` and
 ``meridian_pushforward`` checks.  They take surface classes as
 (support, coefficients) pairs, build boundaries straight from the
@@ -531,13 +524,19 @@ def kernel_cut_preimage(m, target):
     return SubLattice.from_columns(m.cols, [col[: m.cols] for col in ker.columns])
 
 
+def sublinks(size):
+    """Every sublink of ``size`` components: by size, then lexicographically."""
+    for r in range(size + 1):
+        yield from itertools.combinations(range(size), r)
+
+
 def unfree_sublink(u):
-    """First sublink of ``u``, in ``hasse._sublinks`` order, whose class quotient is not free.
+    """First sublink of ``u``, in ``sublinks`` order, whose class quotient is not free.
 
     Returns (sublink, invariants), or None when the class quotient of
     every sublink is free of the sublink's rank.
     """
-    for sub in hasse._sublinks(u.size):
+    for sub in sublinks(u.size):
         inv = ideles.class_quotient(u, sub)
         if inv.free_rank != len(sub) or inv.torsion:
             return sub, inv
@@ -565,28 +564,29 @@ def project_coeffs(coeffs, sub):
     return tuple(x for k in sub for x in coeffs[2 * k : 2 * k + 2])
 
 
-def projection_all_nested_pairs(c):
-    """``verify_projection_compatibility`` over every nested pair: (passed, witness)."""
+def projection_all_sublinks(c):
+    """``verify_projection_compatibility`` over every generator and sublink: (passed, witness).
+
+    Generator by generator, each sublink holding it in ``sublinks``
+    order; ``larger`` is the whole universe, the side projected from.
+    """
     for tag, u in (("base", c.base), ("cover", c.total)):
-        subs = list(hasse._sublinks(u.size))
-        boundary = {
-            (k, sub): hasse._boundary_coeffs(u, k, sub) for sub in subs for k in sub
-        }
-        for big in subs:
-            for small in hasse._sublinks(len(big)):
-                sub = tuple(big[i] for i in small)
-                for k in sub:
-                    via_big = project_coeffs(boundary[k, big], small)
-                    direct = boundary[k, sub]
-                    if via_big != direct:
-                        return False, {
-                            "universe": tag,
-                            "sublink": [u.labels[t] for t in sub],
-                            "larger": [u.labels[t] for t in big],
-                            "generator": u.labels[k],
-                            "projected": list(via_big),
-                            "direct": list(direct),
-                        }
+        gens = ideles.principal_generators(u)
+        for k in range(u.size):
+            for sub in sublinks(u.size):
+                if k not in sub:
+                    continue
+                projected = project_coeffs(gens[k], sub)
+                direct = project_coeffs(boundary_from_linking(u, k, sub), sub)
+                if projected != direct:
+                    return False, {
+                        "universe": tag,
+                        "sublink": [u.labels[t] for t in sub],
+                        "larger": list(u.labels),
+                        "generator": u.labels[k],
+                        "projected": list(projected),
+                        "direct": list(direct),
+                    }
     return True, None
 
 

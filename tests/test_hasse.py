@@ -43,8 +43,7 @@ from oracles import (
     class_quotient_all_sublinks,
     diagonal_commutes_typed,
     meridian_pushforward_typed,
-    project_coeffs,
-    projection_all_nested_pairs,
+    projection_all_sublinks,
     replaced,
     unfree_sublink,
     universe_of,
@@ -202,36 +201,10 @@ def test_unimodular_longitude_block_that_is_not_the_identity_passes(monkeypatch)
     assert class_quotient_all_sublinks(c) == (True, None)
 
 
-def test_projection_witness_on_dropped_linking_term(monkeypatch):
-    # On sublinks of three or more components, drop the linking term of the
-    # last other component: projecting from such a sublink then disagrees
-    # with the boundary taken on the smaller one.
-    real = hasse._boundary_coeffs
-
-    def dropped(u, k, sub):
-        coeffs = list(real(u, k, sub))
-        if len(sub) >= 3:
-            last = [k2 for k2 in sub if k2 != k][-1]
-            coeffs[2 * sub.index(last)] = 0
-        return tuple(coeffs)
-
-    monkeypatch.setattr(hasse, "_boundary_coeffs", dropped)
-    c = lift_braid(BraidWord(2, ()), 2)
-    passed, witness = verify_projection_compatibility(c)
-    assert not passed
-    assert set(witness) == {
-        "universe", "sublink", "larger", "generator", "projected", "direct",
-    }
-    assert witness["projected"] != witness["direct"]
-    assert witness["universe"] == "base"
-    assert witness["larger"] == ["A", "K1", "K2"]
-    assert (passed, witness) == projection_all_nested_pairs(c)
-
-
 def _agrees_with_full_loops(c):
     return (
         verify_class_quotient_free(c) == class_quotient_all_sublinks(c)
-        and verify_projection_compatibility(c) == projection_all_nested_pairs(c)
+        and verify_projection_compatibility(c) == projection_all_sublinks(c)
     )
 
 
@@ -245,6 +218,106 @@ def test_reduced_checks_agree_with_full_loops_on_wide4_words(wide4_covers):
     covers = [c for _, _, c in wide4_covers]
     assert sum(c.total.size == 5 for c in covers) > 100
     assert [c for c in covers if not _agrees_with_full_loops(c)] == []
+
+
+def _with_rows(u, rows):
+    """``u`` with generator k replaced by ``rows[k]``, for each k in ``rows``."""
+    gens = ideles.principal_generators(u)
+    for k, row in rows.items():
+        gens[k] = row
+    return with_generators(u, gens)
+
+
+def _doubled_longitudes(u):
+    """``u`` with every longitude coordinate of every generator doubled."""
+    gens = ideles.principal_generators(u)
+    return with_generators(u, [tuple(x << (i % 2) for i, x in enumerate(g)) for g in gens])
+
+
+def _moved_generator_entry(c, rng):
+    """``c`` with one seeded entry of one generator, of the base or the cover, moved by ±1 or ±2."""
+    tag = rng.choice(("base", "total"))
+    u = getattr(c, tag)
+    k = rng.randrange(u.size)
+    row = list(ideles.principal_generators(u)[k])
+    row[rng.randrange(len(row))] += rng.choice((-2, -1, 1, 2))
+    return replaced(c, **{tag: _with_rows(u, {k: tuple(row)})})
+
+
+def test_projection_fails_on_every_moved_generator_entry(sweep_covers):
+    # Every row of a real universe equals the linking formula, so one moved
+    # entry of one generator, in either universe, must fail the check.
+    rng = random.Random(26)
+    tampered = [_moved_generator_entry(c, rng) for _, _, c in sweep_covers[::7]]
+    assert len(tampered) == 817
+    outcomes = [verify_projection_compatibility(c) for c in tampered]
+    assert [i for i, (passed, _) in enumerate(outcomes) if passed] == []
+    assert [i for i, c in enumerate(tampered) if outcomes[i] != projection_all_sublinks(c)] == []
+    # Both universes fail, on the generator's own slot and off it.
+    assert {w["universe"] for _, w in outcomes} == {"base", "cover"}
+    assert {len(w["sublink"]) for _, w in outcomes} == {1, 2}
+
+
+def _projection_failure(u, tag, sub, gen, projected, direct):
+    """The (passed, witness) pair of a projection failure on universe ``u``."""
+    return False, {
+        "universe": tag,
+        "sublink": sub,
+        "larger": list(u.labels),
+        "generator": gen,
+        "projected": projected,
+        "direct": direct,
+    }
+
+
+# The Hopf link and its axis, A, K1, K2, linked pairwise once.
+HOPF_COVER = lift_braid(BraidWord(2, (1, 1)), 2)
+
+
+def test_projection_witness_on_dropped_linking_term():
+    # K2's row drops its linking terms with A and K1; the first of the two
+    # slots, A's, names the pair, which lists A first.
+    c = HOPF_COVER
+    assert c.base.linking.entries == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    tampered = replaced(c, base=_with_rows(c.base, {2: (0, 0, 0, 0, 0, 1)}))
+    expected = _projection_failure(c.base, "base", ["A", "K2"], "K2", [0, 0, 0, 1], [-1, 0, 0, 1])
+    assert verify_projection_compatibility(tampered) == expected
+    assert projection_all_sublinks(tampered) == expected
+
+
+def test_projection_witness_on_own_slot():
+    # K2's own slot carries a meridian, and its slot on K1 moves as well:
+    # the own slot comes first, so the sublink is K2 alone.
+    c = HOPF_COVER
+    tampered = replaced(c, base=_with_rows(c.base, {2: (-1, 0, -3, 0, 1, 1)}))
+    expected = _projection_failure(c.base, "base", ["K2"], "K2", [1, 1], [0, 1])
+    assert verify_projection_compatibility(tampered) == expected
+    assert projection_all_sublinks(tampered) == expected
+
+
+def test_projection_witness_on_cover_only():
+    # A 4-strand knot lifts to 4 components plus the axis at degree 4, all
+    # linked pairwise once; the base is left intact and J3 drops its link
+    # with J4.
+    c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
+    assert (c.base.size, c.total.size) == (2, 5)
+    row = (-1, 0, -1, 0, -1, 0, 0, 1, 0, 0)
+    tampered = replaced(c, total=_with_rows(c.total, {3: row}))
+    expected = _projection_failure(
+        c.total, "cover", ["J3", "J4"], "J3", [0, 1, 0, 0], [0, 1, -1, 0]
+    )
+    assert verify_projection_compatibility(tampered) == expected
+    assert projection_all_sublinks(tampered) == expected
+
+
+def test_projection_fails_on_doubled_longitudes(sweep_covers):
+    covers = [
+        replaced(c, base=_doubled_longitudes(c.base), total=_doubled_longitudes(c.total))
+        for _, _, c in sweep_covers[::20]
+    ]
+    outcomes = [verify_projection_compatibility(c) for c in covers]
+    assert [i for i, (passed, _) in enumerate(outcomes) if passed] == []
+    assert outcomes == [projection_all_sublinks(c) for c in covers]
 
 
 def _outcomes(c):
@@ -476,11 +549,10 @@ def test_closed_forms_agree_under_patched_generators(monkeypatch, sweep_covers):
 
     # Doubled longitudes in both universes are no units: the closed forms
     # do not apply, and the lattice routes pass some covers and fail others.
-    def doubled(u):
-        gens = ideles.principal_generators(u)
-        return with_generators(u, [tuple(x << (i % 2) for i, x in enumerate(g)) for g in gens])
-
-    doubled_covers = [replaced(c, base=doubled(c.base), total=doubled(c.total)) for c in covers]
+    doubled_covers = [
+        replaced(c, base=_doubled_longitudes(c.base), total=_doubled_longitudes(c.total))
+        for c in covers
+    ]
     bad, failed, _ = _closed_form_outcomes(monkeypatch, doubled_covers)
     assert bad == []
     assert all(0 < n < len(covers) for n in failed.values()), failed
@@ -547,45 +619,6 @@ def test_closed_form_checks_make_no_kernel_calls(monkeypatch):
     assert calls == []
 
 
-def test_projection_witness_on_middle_layer_only(monkeypatch):
-    # A 4-strand knot lifts to 4 components plus the axis at degree 4; break
-    # the boundary on 3-component sublinks of that 5-component cover only.
-    real = hasse._boundary_coeffs
-
-    def shifted(u, k, sub):
-        coeffs = list(real(u, k, sub))
-        if u.size == 5 and len(sub) == 3:
-            last = [k2 for k2 in sub if k2 != k][-1]
-            coeffs[2 * sub.index(last)] += 1
-        return tuple(coeffs)
-
-    c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
-    assert (c.base.size, c.total.size) == (2, 5)
-    monkeypatch.setattr(hasse, "_boundary_coeffs", shifted)
-    passed, witness = verify_projection_compatibility(c)
-    assert not passed
-    assert witness["universe"] == "cover"
-    assert (passed, witness) == projection_all_nested_pairs(c)
-
-
-def test_projection_pass_builds_every_sublink_boundary(monkeypatch):
-    # Tests fail the check by patching chosen (generator, sublink) pairs, so
-    # a pass must still build the m full boundaries and the boundary of
-    # every generator on every sublink that holds it: m + m * 2^(m-1).
-    real = hasse._boundary_coeffs
-    calls = {}
-
-    def counted(u, k, sub):
-        calls[u.size] = calls.get(u.size, 0) + 1
-        return real(u, k, sub)
-
-    c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
-    assert (c.base.size, c.total.size) == (2, 5)
-    monkeypatch.setattr(hasse, "_boundary_coeffs", counted)
-    assert verify_projection_compatibility(c) == (True, None)
-    assert calls == {m: m + m * 2 ** (m - 1) for m in (2, 5)}
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 3).flatmap(
@@ -633,16 +666,6 @@ def test_exact_sequence_image_isomorphism_witness(monkeypatch):
         "source_mod_kernel": {"free_rank": 1, "torsion": []},
         "image": {"free_rank": 0, "torsion": [2]},
     })
-
-
-@pytest.mark.parametrize("size", range(7))
-def test_projection_table_matches_project_coeffs(size):
-    table = hasse._projection_table(size)
-    assert [sub for sub, _ in table] == [sub for sub in hasse._sublinks(size) if sub]
-    rng = random.Random(size)
-    for _ in range(20):
-        v = tuple(rng.randint(-9, 9) for _ in range(2 * size))
-        assert [proj(v) for _, proj in table] == [project_coeffs(v, sub) for sub, _ in table]
 
 
 def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):

@@ -7,14 +7,13 @@ import pytest
 
 from idelink.ideles import (
     IdeleVector,
-    _boundary_coeffs,
     class_quotient,
     meridian_subgroup,
     principal_generators,
     principal_lattice,
 )
 from idelink.covers import _pushforward_coeffs, lift_braid, principal_pushforward
-from idelink.hasse import iter_braid_words
+from idelink.hasse import iter_braid_words, verify_projection_compatibility
 from idelink.links import BraidWord, LinkUniverse, universe_from_braid
 from idelink.zlattice import (
     AbelianInvariants,
@@ -93,22 +92,22 @@ class TestIdeleVector:
 class TestBoundary:
     def test_hopf_two_component_sublink(self):
         u = hopf()
-        assert _boundary_coeffs(u, 1, (1, 2)) == (0, 1, -1, 0)
+        assert project_coeffs(principal_generators(u)[1], (1, 2)) == (0, 1, -1, 0)
 
     def test_singleton_sublink_is_bare_longitude(self):
         u = hopf()
-        assert _boundary_coeffs(u, 1, (1,)) == (0, 1)
+        assert project_coeffs(principal_generators(u)[1], (1,)) == (0, 1)
 
     def test_split_universe(self):
         u = universe_from_braid(BraidWord(3, ()))  # three split unknots
         # non-axis components have zero mutual linking
-        v = _boundary_coeffs(u, 1, (1, 2, 3))
+        v = project_coeffs(principal_generators(u)[1], (1, 2, 3))
         assert v[1] == 1
         assert v[2] == 0 and v[4] == 0
 
 
 def _boundary_disagreements(covers):
-    """(linking rows, k, sublink) where ``_boundary_coeffs`` differs from the linking formula.
+    """(linking rows, k, sublink) where a stored row on a sublink differs from the linking formula.
 
     Every sublink of every distinct universe of ``covers``, the empty one
     included, with every component k, on the sublink or off it; the
@@ -121,7 +120,8 @@ def _boundary_disagreements(covers):
         for r in range(u.size + 1)
         for sub in itertools.combinations(range(u.size), r)
         for k in range(u.size)
-        if _boundary_coeffs(u, k, sub) != project_coeffs(boundary_from_linking(u, k, sub), sub)
+        if project_coeffs(principal_generators(u)[k], sub)
+        != project_coeffs(boundary_from_linking(u, k, sub), sub)
     ]
 
 
@@ -245,7 +245,8 @@ def test_generator_double_reaches_every_reader():
                 assert (inv.free_rank, inv.torsion) == invariants_oracle(m + r, kept)
                 assert inv != class_quotient(u, sub)
                 for k in range(m):
-                    assert _boundary_coeffs(double, k, sub) == project_coeffs(gens[k], sub)
+                    stored = principal_generators(double)[k]
+                    assert project_coeffs(stored, sub) == project_coeffs(gens[k], sub)
         # The public constructor rebuilds the real generators.
         assert principal_generators(replaced(double)) == principal_generators(u)
     cover = replaced(c, base=doubles[0], total=doubles[1])
@@ -253,6 +254,7 @@ def test_generator_double_reaches_every_reader():
     pushed = [_pushforward_coeffs(c, g) for g in principal_generators(doubles[1])]
     assert principal_pushforward(cover) == SubLattice.from_columns(2 * c.base.size, pushed)
     assert principal_pushforward(cover) != principal_pushforward(c)
+    assert verify_projection_compatibility(cover)[0] is False
 
 
 class TestMeridianSubgroup:
