@@ -124,12 +124,16 @@ def component_splitting(degree: int, base: LinkUniverse) -> tuple[SplitRecord, .
     """Splitting data of every base component under the degree-n axis character."""
     _check_degree(degree)
     _check_kind("base universe", base, LinkUniverse)
-    windings = base.windings
-    if windings is None:
+    if base.windings is None:
         raise ValueError("base universe has no branch axis")
+    return _component_splitting(degree, base)
+
+
+def _component_splitting(degree: int, base: LinkUniverse) -> tuple[SplitRecord, ...]:
+    """``component_splitting`` of a checked degree and a universe with an axis."""
     return tuple([
         _split_record(degree, 1, 0) if k == base.axis_index else _split_record(degree, 0, w)
-        for k, w in enumerate(windings)
+        for k, w in enumerate(base.windings)
     ])
 
 
@@ -139,13 +143,16 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     The upstairs universe is the closure of the n-th power of the word
     together with the lifted axis; fibers, splitting data, pushforward
     matrices, and the deck rotation all come along.  The word is walked
-    once, for its permutation sigma and its crossings; the degree is
-    checked before anything is built.
+    once, for its permutation sigma and its crossings, and the power's
+    crossings are counted over one period of its word repeats
+    (``links._cover_closures``).  The degree is checked once, before
+    anything is built; the splitting of the base, built here with its
+    axis, is then read without checking either again.
     """
     _check_kind("braid", b, BraidWord)
     _check_degree(degree)
     base, total, fiber_map, deck = _cover_closures(b, degree)
-    splitting = component_splitting(degree, base)
+    splitting = _component_splitting(degree, base)
 
     # The diagonal is zero, so lift j's own entry adds nothing to c.
     pushforward = []

@@ -32,12 +32,7 @@ from .covers import (
     pushforward_image,
     pushforward_matrix,
 )
-from .ideles import (
-    _label_prefixes,
-    meridian_subgroup,
-    principal_generators,
-    principal_lattice,
-)
+from .ideles import _label_prefixes, meridian_subgroup, principal_lattice
 from .links import BraidWord, LinkUniverse
 from .zlattice import (
     SubLattice,
@@ -140,6 +135,22 @@ def _unit_longitudes(gens: Sequence[tuple[int, ...]]) -> bool:
     return tuple([g[1::2] for g in gens]) == _identity_rows(len(gens))
 
 
+def _first_unscaled_lift(c: CoverData, w: Sequence[int | None]) -> int | None:
+    """The first upstairs J whose pushed generator is not w_K·g_K, K = fiber_map[J].
+
+    g_K is the stored base generator, and w is read only at base
+    components with a lift.  Fibers are mostly single lifts, so each
+    lift scales g_K itself; a unit scale (the axis's, always) compares
+    g_K as stored.  None when every lift matches.
+    """
+    down = c.base._generators
+    for j, (k, pushed) in enumerate(zip(c.fiber_map, c._pushed)):
+        w_k = w[k]
+        if pushed != (down[k] if w_k == 1 else tuple([w_k * x for x in down[k]])):
+            return j
+    return None
+
+
 def _norm_principle_accept(c: CoverData) -> bool:
     """True only when ``norm_principle`` passes, decided without a lattice.
 
@@ -148,25 +159,21 @@ def _norm_principle_accept(c: CoverData) -> bool:
     every lift of K pushes forward by ((a_J, b_J), (0, w_K)), the
     longitude coordinates of the image of f on slot K are multiples of
     w_K (all zero, w_K = 0, when K has no lift), so principal ∩ image
-    lies in G·W·Z^m.  When every pushed upstairs generator is w_K·g_K, the
-    pushforward side is exactly G·W·Z^m and lies in both the principal
-    lattice and the image, so the sides are equal.  False means the
-    closed form does not apply or the check fails; the lattice route
-    then decides and finds the witness.
+    lies in G·W·Z^m.  When every pushed upstairs generator is w_K·g_K
+    (``diagonal_commutes``'s comparison, with w_K read off the
+    pushforward pairs), the pushforward side is exactly G·W·Z^m and
+    lies in both the principal lattice and the image, so the sides are
+    equal.  False means the closed form does not apply or the check
+    fails; the lattice route then decides and finds the witness.
     """
-    down = principal_generators(c.base)
-    if not _unit_longitudes(down):
+    if not _unit_longitudes(c.base._generators):
         return False
-    w: list[int | None] = [None] * len(down)
-    for j, (_, (c_j, d)) in enumerate(c.pushforward):
-        k = c.fiber_map[j]
+    w: list[int | None] = [None] * c.base.size
+    for k, (_, (c_j, d)) in zip(c.fiber_map, c.pushforward):
         if c_j or w[k] not in (None, d):
             return False
         w[k] = d
-    for k, pushed in zip(c.fiber_map, c._pushed):
-        if pushed != tuple([w[k] * x for x in down[k]]):
-            return False
-    return True
+    return _first_unscaled_lift(c, w) is None
 
 
 def _norm_principle_lattice(c: CoverData) -> tuple[bool, dict | None]:
@@ -201,22 +208,22 @@ def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
     Checked exactly on every upstairs generator: the surface of J maps
     to w_K copies of the surface of K = fiber_map[J].  Both sides are
     linear in the surface class, so every other class follows.  The
-    pushed boundaries are the cover's own, pushed once when it was built.
+    pushed boundaries are the cover's own, pushed once when it was built,
+    and ``norm_principle``'s closed form makes the same comparison.
     """
     _check_kind("cover", c, CoverData)
-    down = principal_generators(c.base)
-    for j, (k, lhs) in enumerate(zip(c.fiber_map, c._pushed)):
-        w = c.splitting[k].w
-        rhs = tuple([w * x for x in down[k]])
-        if lhs != rhs:
-            return False, {
-                "surface_support": [j],
-                "surface_coeffs": [1],
-                "pushed_boundary": list(lhs),
-                "boundary_of_image": list(rhs),
-                "coordinates": _coordinate_labels(c.base),
-            }
-    return True, None
+    j = _first_unscaled_lift(c, [rec.w for rec in c.splitting])
+    if j is None:
+        return True, None
+    k = c.fiber_map[j]
+    w = c.splitting[k].w
+    return False, {
+        "surface_support": [j],
+        "surface_coeffs": [1],
+        "pushed_boundary": list(c._pushed[j]),
+        "boundary_of_image": [w * x for x in c.base._generators[k]],
+        "coordinates": _coordinate_labels(c.base),
+    }
 
 
 def verify_meridian_pushforward(c: CoverData) -> tuple[bool, dict | None]:
@@ -258,7 +265,7 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     """
     _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
-        gens = principal_generators(u)
+        gens = u._generators
         m = len(gens)
         cols = kernel.col_hnf(m, [g[1::2] for g in gens])
         if len(cols) == m and all([col[k] == 1 for k, col in enumerate(cols)]):
@@ -289,7 +296,7 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
         units = _identity_rows(u.size)
-        for k, (g, row) in enumerate(zip(principal_generators(u), u.linking.entries)):
+        for k, (g, row) in enumerate(zip(u._generators, u.linking.entries)):
             if g[1::2] == units[k] and g[0::2] == tuple([-x for x in row]):
                 continue
             want = [(-x, unit) for x, unit in zip(row, units[k])]
@@ -314,7 +321,7 @@ def _axis_functional(u: LinkUniverse) -> list[int] | None:
     mu_axis, the kernel of mu_axis's dual: psi[2a] = 1 and
     psi[2k+1] = -g_k[2a].  None when the longitudes are not units.
     """
-    gens = principal_generators(u)
+    gens = u._generators
     if not _unit_longitudes(gens):
         return None
     a = u.axis_index

@@ -93,7 +93,9 @@ def principal_generators(u: LinkUniverse) -> list[tuple[int, ...]]:
     component, lambda_K on its own slot and -lk(K, K') mu_K' on every
     other slot; on a sublink's slots, the one punctured by that sublink.
     The universe builds them once, from its linking rows, when it is
-    constructed; each call copies them into a list the caller may change.
+    constructed.  The checks in ``hasse`` read those stored rows in
+    place; this public reader checks its argument and copies them into a
+    list the caller may change.
     """
     _check_kind("universe", u, LinkUniverse)
     return list(u._generators)

@@ -131,14 +131,18 @@ def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> lis
 
 
 def _crossing_rows(
-    crossings: list[tuple[int, int, int]], blocks: Sequence[Sequence[int]], size: int
+    crossings: list[tuple[int, int, int]],
+    blocks: Sequence[Sequence[int]],
+    size: int,
+    repeats: int = 1,
 ) -> list[tuple[int, ...]]:
     """Linking rows of ``size`` closure components, from a word's crossings.
 
-    The closed braid repeats the word once per block.  Entry s of a
-    block is the component of the strand that starts that repeat at
-    position s.  Each crossing between two components adds its sign to
-    both their entries; the totals are halved.
+    The closed braid repeats the word once per block, and the blocks
+    given are repeated ``repeats`` times.  Entry s of a block is the
+    component of the strand that starts that repeat at position s.  Each
+    crossing between two components adds its sign to both their
+    entries; the totals, times ``repeats``, are halved.
     """
     counts = [[0] * size for _ in range(size)]
     for comp in blocks:
@@ -147,7 +151,7 @@ def _crossing_rows(
             if c1 != c2:
                 counts[c1][c2] += sign
                 counts[c2][c1] += sign
-    return [tuple([x // 2 for x in row]) for row in counts]
+    return [tuple([x * repeats // 2 for x in row]) for row in counts]
 
 
 def braid_power(b: BraidWord, n: int) -> BraidWord:
@@ -171,8 +175,9 @@ class LinkUniverse(Record):
 
     Constructing a universe checks all of this, then builds its m
     principal generators from the linking rows (``_generators``, read
-    through ``ideles.principal_generators``; a sublink's boundary is a
-    row read on the sublink's slots).  Universes the package builds
+    in place by the checks and copied out by
+    ``ideles.principal_generators``; a sublink's boundary is a row read
+    on the sublink's slots).  Universes the package builds
     from a braid word are well formed by construction and come from
     ``_trusted``, which skips the checks.
     """
@@ -309,6 +314,13 @@ def _cover_closures(
     it, and the deck rotation sending the lift through strand s to the
     lift through sigma(s).  Both maps fix the axis, component 0.  n is a
     plain int >= 1.
+
+    The n-th power repeats the word n times.  Block t, the components
+    of the strands starting repeat t, is block 0 moved t steps along
+    sigma, and block n is block 0 again, since sigma^n keeps each strand
+    on its cycle of the power.  So the blocks are one orbit under that
+    move, repeating with a period p that divides n: only blocks 0..p-1
+    are built, and their crossings are counted n/p times.
     """
     strands = b.strands
     sigma, crossings = _braid_walk(strands, b.letters)
@@ -323,14 +335,17 @@ def _cover_closures(
     top_cycles = _permutation_cycles(power)
     top_comp = _strand_components(top_cycles, strands)
     # Repeat t of the word starts with strand sigma^-t(s) at position s,
-    # so its block is the previous one moved along sigma.
+    # so its block is the previous one moved along sigma, until the
+    # blocks come back to block 0.
     blocks = [top_comp]
-    for _ in range(n - 1):
+    while len(blocks) < n:
         block = [0] * strands
         for c, p in zip(blocks[-1], sigma):
             block[p] = c
+        if block == top_comp:
+            break
         blocks.append(block)
-    top_rows = _crossing_rows(crossings, blocks, len(top_cycles))
+    top_rows = _crossing_rows(crossings, blocks, len(top_cycles), n // len(blocks))
     total = _closure_universe(top_cycles, top_rows, "A~", "J")
 
     # Closure component c + 1 is cycle c.

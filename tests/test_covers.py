@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -38,6 +38,7 @@ from oracles import (
     resultant_oracle,
     surface_boundary,
     surface_pushforward,
+    wide4_words,
     with_generators,
 )
 
@@ -261,21 +262,43 @@ class TestLiftDerivation:
                     bad.append((b, n, u.labels))
         assert bad == []
 
-    def test_cover_rows_match_the_power_word_at_every_degree(self):
-        # The cover's rows come from the word's one walk, block by block;
-        # the oracle walks the whole n-fold word.  Every word with <=3
-        # strands and length <=4, at every degree the CLI admits.
+    def test_cover_rows_match_the_power_word_at_every_degree(self, monkeypatch):
+        # The cover's rows come from the word's one walk, over one period
+        # of its word repeats counted n/p times; the oracle walks the
+        # whole n-fold word.  Every word with <=3 strands and length <=4,
+        # and every wide4 word, at every degree the CLI admits.  A sigma
+        # cycle of length L splits into gcd(n, L) cycles of the power, so
+        # the repeats have period p = lcm of those gcds.
+        counted = []
+        real = links._crossing_rows
+
+        def recording(crossings, blocks, size, repeats=1):
+            counted.append((len(blocks), repeats))
+            return real(crossings, blocks, size, repeats)
+
+        monkeypatch.setattr(links, "_crossing_rows", recording)
+        words = list(iter_braid_words(3, 4)) + [b for b, _ in wide4_words()]
         bad = []
-        for b in iter_braid_words(3, 4):
+        periods = set()
+        for b in words:
+            sigma_cycles = permutation_cycles(braid_permutation(b))
             for n in range(1, 13):
+                counted.clear()
                 c = lift_braid(b, n)
+                lifted = counted[:]
                 power = braid_power(b, n)
                 block = tuple(row[1:] for row in c.total.linking.entries[1:])
                 cycles = permutation_cycles(braid_permutation(power))
                 windings = (0,) + tuple(len(cycle) for cycle in cycles)
                 if (block, c.total.windings) != (braid_linking_matrix(power).entries, windings):
                     bad.append((b, n))
+                p = lcm(*(gcd(n, len(cycle)) for cycle in sigma_cycles))
+                # The base's one block, then the power's p blocks n/p times.
+                if lifted != [(1, 1), (p, n // p)]:
+                    bad.append((b, n, lifted))
+                periods.add(p < n)
         assert bad == []
+        assert periods == {True, False}
 
     def test_one_lift_walks_the_word_once(self, monkeypatch):
         # One walk over the word's letters gives sigma and every crossing;

@@ -710,6 +710,29 @@ def test_passing_scenario_pushes_each_upstairs_generator_once(monkeypatch):
     assert calls == {"covers": 5, "hasse": 0}
 
 
+def test_passing_scenario_reads_stored_generators_in_place(monkeypatch):
+    # The checks read each universe's stored generator rows, and the lift
+    # builds the splitting it has already checked the degree for: neither
+    # public reader, with its copy and its checks, is on a passing path.
+    calls = {"principal_generators": 0, "component_splitting": 0}
+
+    def counting(module, name, real, raising=True):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted, raising=raising)
+
+    real_generators = ideles.principal_generators
+    counting(ideles, "principal_generators", real_generators)
+    # Counted through hasse's binding too, so a check that imports the reader is caught.
+    counting(hasse, "principal_generators", real_generators, raising=False)
+    counting(covers, "component_splitting", covers.component_splitting)
+    report = run_scenario(BraidWord(4, ()), 2)
+    assert report.passed and len(report.checks) == len(CHECKS)
+    assert calls == {"principal_generators": 0, "component_splitting": 0}
+
+
 def test_monotone_truncation_extra_split_strand():
     # adding an unused strand (split unknot around the axis) never flips
     # a passing verdict
