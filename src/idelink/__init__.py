@@ -23,7 +23,6 @@ from .zlattice import (
     AbelianInvariants,
     IntMatrix,
     SubLattice,
-    hnf,
     lattice_equal,
     lattice_intersect,
     lattice_member,
@@ -43,7 +42,6 @@ from .covers import (
     CoverData,
     SplitRecord,
     branched_cover_order,
-    component_splitting,
     deck_matrix,
     lift_braid,
     principal_pushforward,
@@ -67,7 +65,6 @@ __all__ = [
     "AbelianInvariants",
     "IntMatrix",
     "SubLattice",
-    "hnf",
     "snf",
     "lattice_equal",
     "lattice_intersect",
@@ -93,7 +90,6 @@ __all__ = [
     "CoverData",
     "SplitRecord",
     "branched_cover_order",
-    "component_splitting",
     "deck_matrix",
     "lift_braid",
     "principal_pushforward",

@@ -16,6 +16,7 @@ from ._record import Record
 from .covers import CoverData, lift_braid
 from .hasse import (
     CHECKS,
+    _check_degrees,
     count_scenarios,
     resolve_checks,
     run_scenario,
@@ -258,15 +259,11 @@ def cmd_verify(args) -> int:
 
 
 def _parse_degrees(raw: str) -> tuple[int, ...]:
+    """The integers of ``--degrees``, under the suite's own degree rules."""
     try:
-        degrees = tuple(int(x) for x in raw.split(",") if x.strip())
+        return _check_degrees([int(x) for x in raw.split(",") if x.strip()])
     except ValueError as exc:
         raise ScenarioError(f"--degrees: {exc}") from exc
-    if not degrees:
-        raise ScenarioError("--degrees: names no degree")
-    if len(set(degrees)) != len(degrees):
-        raise ScenarioError("--degrees: names a degree more than once")
-    return degrees
 
 
 def cmd_suite(args) -> int:
@@ -275,9 +272,8 @@ def cmd_suite(args) -> int:
         raise ScenarioError(f"--max-strands must be in 1..{MAX_STRANDS}")
     if args.max_length < 0 or args.max_length > MAX_LENGTH:
         raise ScenarioError(f"--max-length must be in 0..{MAX_LENGTH}")
-    for n in degrees:
-        if n < 1 or n > MAX_DEGREE:
-            raise ScenarioError(f"--degrees entries must be in 1..{MAX_DEGREE}")
+    if max(degrees) > MAX_DEGREE:
+        raise ScenarioError(f"--degrees entries must be in 1..{MAX_DEGREE}")
     planned = count_scenarios(args.max_strands, args.max_length, degrees)
     if planned > MAX_SUITE_SCENARIOS:
         raise ScenarioError(

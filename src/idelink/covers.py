@@ -76,9 +76,10 @@ class CoverData(Record):
     ``deck[j]`` is the deck rotation on upstairs components.
 
     Constructing a cover checks that ``base`` and ``total`` are
-    universes (the other fields are trusted), then pushes each upstairs
-    principal generator down once (``_pushed``, entry j the image of
-    generator j), for the checks and ``principal_pushforward`` to read.
+    universes with a branch axis, which the checks read (the other
+    fields are trusted), then pushes each upstairs principal generator
+    down once (``_pushed``, entry j the image of generator j), for the
+    checks and ``principal_pushforward`` to read.
     """
 
     __slots__ = (
@@ -96,8 +97,10 @@ class CoverData(Record):
         pushforward: tuple[tuple[tuple[int, int], tuple[int, int]], ...],
         deck: tuple[int, ...],
     ):
-        _check_kind("base universe", base, LinkUniverse)
-        _check_kind("upstairs universe", total, LinkUniverse)
+        for what, u in (("base universe", base), ("upstairs universe", total)):
+            _check_kind(what, u, LinkUniverse)
+            if u.axis_index is None:
+                raise ValueError(f"{what} has no branch axis")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "total", total)
@@ -120,17 +123,12 @@ def _split_record(n: int, a: int, b: int) -> SplitRecord:
     return SplitRecord(a=a, b=b, e=e, d=d, w=d // e, r=n // d)
 
 
-def component_splitting(degree: int, base: LinkUniverse) -> tuple[SplitRecord, ...]:
-    """Splitting data of every base component under the degree-n axis character."""
-    _check_degree(degree)
-    _check_kind("base universe", base, LinkUniverse)
-    if base.windings is None:
-        raise ValueError("base universe has no branch axis")
-    return _component_splitting(degree, base)
-
-
 def _component_splitting(degree: int, base: LinkUniverse) -> tuple[SplitRecord, ...]:
-    """``component_splitting`` of a checked degree and a universe with an axis."""
+    """Splitting data of every base component under the degree-n axis character.
+
+    Unchecked: ``lift_braid`` checks the degree and builds ``base`` with
+    its axis; ``lift_braid(b, n).splitting`` is the public reader.
+    """
     return tuple([
         _split_record(degree, 1, 0) if k == base.axis_index else _split_record(degree, 0, w)
         for k, w in enumerate(base.windings)
@@ -146,8 +144,9 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     once, for its permutation sigma and its crossings, and the power's
     crossings are counted over one period of its word repeats
     (``links._cover_closures``).  The degree is checked once, before
-    anything is built; the splitting of the base, built here with its
-    axis, is then read without checking either again.
+    anything is built; ``splitting`` then comes from
+    ``_component_splitting`` of the base built here, axis included,
+    with nothing checked again.
     """
     _check_kind("braid", b, BraidWord)
     _check_degree(degree)

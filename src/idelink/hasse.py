@@ -387,9 +387,7 @@ def _cover_exact_sequence_lattice(c: CoverData) -> tuple[bool, dict | None]:
             "coordinates": _coordinate_labels(total),
         }
     source_mod_kernel = quotient_invariants(2 * total.size, kernel_side)
-    image_side = relative_quotient_invariants(
-        lattice_sum(pushforward_image(c), r_m), r_m
-    )
+    image_side = relative_quotient_invariants(lattice_sum(SubLattice.from_matrix(f), r_m), r_m)
     if source_mod_kernel != image_side:
         return False, {
             "part": "image_isomorphism",

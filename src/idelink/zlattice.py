@@ -78,33 +78,10 @@ class IntMatrix(Record):
         return m
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        _check_size("row count", rows)
-        return cls(((0,) * cols for _ in range(rows)), cols=cols)
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         _check_size("size", n)
         return cls(
             (tuple(1 if c == r else 0 for c in range(n)) for r in range(n)), cols=n
-        )
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], *, rows: int | None = None) -> "IntMatrix":
-        if rows is not None:
-            _check_size("row count", rows)
-        columns = [tuple(c) for c in columns]
-        if columns:
-            height = len(columns[0])
-            if any(len(c) != height for c in columns):
-                raise ValueError("ragged columns")
-            if rows is not None and rows != height:
-                raise ValueError("rows does not match column height")
-        else:
-            height = 0 if rows is None else rows
-        return cls(
-            (tuple(col[r] for col in columns) for r in range(height)),
-            cols=len(columns),
         )
 
     def column(self, j: int) -> tuple[int, ...]:
@@ -188,16 +165,6 @@ class AbelianInvariants(Record):
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
 
-    @property
-    def order(self) -> int:
-        """Group order, or 0 when the group is infinite."""
-        if self.free_rank:
-            return 0
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
 
 class SubLattice(Record):
     """Subgroup of Z^ambient_rank, held as its canonical column Hermite form.
@@ -244,7 +211,11 @@ class SubLattice(Record):
 
     @property
     def canonical_form(self) -> IntMatrix:
-        """The canonical columns as an ambient_rank x rank matrix."""
+        """The canonical columns as an ambient_rank x rank matrix.
+
+        ``SubLattice.from_matrix(m).canonical_form`` is the column Hermite
+        normal form of ``m``.
+        """
         rows = tuple(zip(*self.columns)) or ((),) * self.ambient_rank
         return IntMatrix._trusted(rows, self.rank)
 
@@ -252,11 +223,6 @@ class SubLattice(Record):
 def _span(ambient_rank: int, cols) -> SubLattice:
     """Sublattice spanned by trusted integer columns of length ambient_rank."""
     return SubLattice(ambient_rank, tuple(map(tuple, kernel.col_hnf(ambient_rank, cols))))
-
-
-def hnf(m: IntMatrix) -> IntMatrix:
-    """Canonical column Hermite normal form spanning the same column lattice."""
-    return SubLattice.from_matrix(m).canonical_form
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

@@ -10,7 +10,6 @@ from idelink import covers, links
 from idelink.covers import (
     _pushforward_coeffs,
     branched_cover_order,
-    component_splitting,
     deck_matrix,
     lift_braid,
     principal_pushforward,
@@ -22,11 +21,11 @@ from idelink.hasse import iter_braid_words
 from idelink.ideles import principal_generators
 from idelink.links import (
     BraidWord,
+    LinkUniverse,
     braid_linking_matrix,
     braid_permutation,
     braid_power,
     permutation_cycles,
-    universe_from_braid,
 )
 from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 
@@ -82,21 +81,26 @@ class TestLift:
         assert lattice_equal(pushforward_image(c), SubLattice.full(6))
 
     def test_spec_validation(self):
-        u = universe_from_braid(BraidWord(2, (1,)))
-        with pytest.raises(ValueError):
-            component_splitting(0, u)
-        from idelink.links import LinkUniverse
-
+        with pytest.raises(ValueError, match="cover degree must be >= 1"):
+            lift_braid(BraidWord(2, (1,)), 0)
         no_axis = LinkUniverse(("K1", "K2"), IntMatrix([[0, 1], [1, 0]]))
-        with pytest.raises(ValueError):
-            component_splitting(2, no_axis)
+        with pytest.raises(ValueError, match="has no branch axis"):
+            replaced(lift_braid(BraidWord(2, (1,)), 2), base=no_axis)
+
+    @pytest.mark.parametrize("field", ["base", "total"])
+    def test_universe_without_an_axis_is_refused(self, field):
+        # The cover's own universe with its axis dropped: every check
+        # reads the axis, so the cover is refused when it is built.
+        c = lift_braid(BraidWord(2, (1,)), 2)
+        u = getattr(c, field)
+        with pytest.raises(ValueError, match="has no branch axis"):
+            replaced(c, **{field: LinkUniverse(u.labels, u.linking)})
 
     def test_splitting_formulas(self):
         # non-axis component of winding w: e = 1, w-degree = order of w
         # mod n, r = gcd(w, n)
         for winding, n in itertools.product(range(1, 6), range(1, 7)):
-            base = universe_from_braid(BraidWord(winding, tuple(range(1, winding))))
-            rec = component_splitting(n, base)[1]
+            rec = lift_braid(BraidWord(winding, tuple(range(1, winding))), n).splitting[1]
             assert rec.e == 1
             assert rec.r == gcd(winding, n)
             assert rec.w == n // gcd(winding, n)

@@ -668,6 +668,26 @@ def test_exact_sequence_image_isomorphism_witness(monkeypatch):
     })
 
 
+def test_exact_sequence_lattice_route_builds_the_pushforward_once(monkeypatch):
+    # The axis generator's longitude written on the other slot: the
+    # longitudes are no longer units, so the closed form declines and the
+    # lattice route decides both parts from one pushforward matrix.
+    c = _tampered_longitudes(lift_braid(BraidWord(2, (1,)), 2), {0: {3: 1}})
+    calls = []
+    real = covers.pushforward_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # hasse's own binding, and the one ``covers.pushforward_image`` calls.
+    monkeypatch.setattr(covers, "pushforward_matrix", counted)
+    monkeypatch.setattr(hasse, "pushforward_matrix", counted)
+    assert not hasse._cover_exact_sequence_accept(c)
+    assert verify_cover_exact_sequence(c) == (True, None)
+    assert len(calls) == 1
+
+
 def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):
     # A passing check reads each pushforward matrix directly; only a
     # failure pushes a unit meridian through for its witness.
@@ -711,10 +731,9 @@ def test_passing_scenario_pushes_each_upstairs_generator_once(monkeypatch):
 
 
 def test_passing_scenario_reads_stored_generators_in_place(monkeypatch):
-    # The checks read each universe's stored generator rows, and the lift
-    # builds the splitting it has already checked the degree for: neither
-    # public reader, with its copy and its checks, is on a passing path.
-    calls = {"principal_generators": 0, "component_splitting": 0}
+    # The checks read each universe's stored generator rows: the public
+    # reader, with its copy and its checks, is not on a passing path.
+    calls = {"principal_generators": 0}
 
     def counting(module, name, real, raising=True):
         def counted(*args):
@@ -727,10 +746,9 @@ def test_passing_scenario_reads_stored_generators_in_place(monkeypatch):
     counting(ideles, "principal_generators", real_generators)
     # Counted through hasse's binding too, so a check that imports the reader is caught.
     counting(hasse, "principal_generators", real_generators, raising=False)
-    counting(covers, "component_splitting", covers.component_splitting)
     report = run_scenario(BraidWord(4, ()), 2)
     assert report.passed and len(report.checks) == len(CHECKS)
-    assert calls == {"principal_generators": 0, "component_splitting": 0}
+    assert calls == {"principal_generators": 0}
 
 
 def test_monotone_truncation_extra_split_strand():

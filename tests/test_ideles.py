@@ -339,8 +339,7 @@ class TestClassQuotient:
             for r in range(m + 1):
                 for sub in itertools.combinations(range(m), r):
                     keep = sorted([2 * k for k in sub] + [2 * k + 1 for k in range(m)])
-                    cols = [[g[i] for i in keep] for g in gens]
-                    _, d, _ = snf(IntMatrix.from_columns(cols, rows=len(keep)))
+                    _, d, _ = snf(IntMatrix([[g[i] for g in gens] for i in keep], cols=m))
                     diag = [d.entries[i][i] for i in range(min(len(keep), m))]
                     nonzero = [x for x in diag if x]
                     smith = AbelianInvariants(

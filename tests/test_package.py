@@ -69,7 +69,6 @@ WRONG_KIND = {
     "ideles.principal_lattice": lambda: ideles.principal_lattice(BAD),
     "ideles.meridian_subgroup": lambda: ideles.meridian_subgroup(BAD, ()),
     "ideles.class_quotient": lambda: ideles.class_quotient(BAD, ()),
-    "covers.component_splitting": lambda: covers.component_splitting(2, BAD),
     "covers.lift_braid": lambda: covers.lift_braid(BAD, 2),
     "covers.pushforward_matrix": lambda: covers.pushforward_matrix(BAD),
     "covers.pushforward_image": lambda: covers.pushforward_image(BAD),
@@ -120,13 +119,6 @@ BAD_SHAPE = {
     "IntMatrix.ragged": (lambda: zlattice.IntMatrix([[1, 2], [3]]), "ragged rows"),
     "IntMatrix.cols": (
         lambda: zlattice.IntMatrix([[1, 2]], cols=3), "cols does not match row width"
-    ),
-    "IntMatrix.from_columns.ragged": (
-        lambda: zlattice.IntMatrix.from_columns([(1, 2), (3,)]), "ragged columns"
-    ),
-    "IntMatrix.from_columns.rows": (
-        lambda: zlattice.IntMatrix.from_columns([(1, 2)], rows=3),
-        "rows does not match column height",
     ),
     "IntMatrix.__matmul__": (
         lambda: _I2 @ zlattice.IntMatrix.identity(3), "shape mismatch: (2, 2) @ (3, 3)"

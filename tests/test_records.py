@@ -222,7 +222,7 @@ class TestEquality:
     def test_trusted_matrix_equals_the_checked_one(self):
         m = IntMatrix._trusted(((1, 2), (3, 4)), 2)
         assert m == IntMatrix([[1, 2], [3, 4]]) and hash(m) == hash(IntMatrix([[1, 2], [3, 4]]))
-        assert m != IntMatrix([[1, 2, 3, 4]]) and IntMatrix.zero(0, 2) != IntMatrix.zero(0, 3)
+        assert m != IntMatrix([[1, 2, 3, 4]]) and IntMatrix([], cols=2) != IntMatrix([], cols=3)
 
     def test_list_built_equals_tuple_built(self):
         pairs = [

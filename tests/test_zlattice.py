@@ -14,7 +14,6 @@ from idelink.zlattice import (
     AbelianInvariants,
     IntMatrix,
     SubLattice,
-    hnf,
     lattice_equal,
     lattice_intersect,
     lattice_member,
@@ -56,15 +55,6 @@ class TestIntMatrix:
         with pytest.raises(ValueError, match="plain int"):
             IntMatrix([], cols=cols)
 
-    def test_zero_shape_must_be_plain_ints(self):
-        for rows, cols in ((2, 2.0), (2.0, 2), (True, 2)):
-            with pytest.raises(ValueError, match="plain int"):
-                IntMatrix.zero(rows, cols)
-
-    def test_from_columns_rows_must_be_plain_int(self):
-        with pytest.raises(ValueError, match="plain int"):
-            IntMatrix.from_columns([], rows=2.0)
-
     @pytest.mark.parametrize("n", [True, 2.0])
     def test_identity_size_must_be_plain_int(self, n):
         # identity(True) would otherwise build a 1x1 matrix.
@@ -74,7 +64,7 @@ class TestIntMatrix:
     def test_empty_shapes(self):
         assert IntMatrix([], cols=3).shape == (0, 3)
         assert IntMatrix([(), (), ()]).shape == (3, 0)
-        assert IntMatrix.zero(0, 0).shape == (0, 0)
+        assert IntMatrix([]).shape == (0, 0)
 
     def test_matmul_and_apply(self):
         a = IntMatrix([[1, 2], [3, 4]])
@@ -85,7 +75,7 @@ class TestIntMatrix:
     def test_det(self):
         assert IntMatrix([[1, 2], [3, 4]]).det() == -2
         assert IntMatrix.identity(4).det() == 1
-        assert IntMatrix.zero(3, 3).det() == 0
+        assert IntMatrix([[0, 0, 0]] * 3).det() == 0
         assert IntMatrix([], cols=0).det() == 1
         m = IntMatrix([[2, -1, 0], [1, 7, 3], [0, 4, -5]])
         assert m.det() == det_by_expansion(m.entries)
@@ -106,20 +96,23 @@ def det_by_expansion(rows):
 
 
 class TestHnf:
+    """The column Hermite form of m, read as ``SubLattice.from_matrix(m).canonical_form``."""
+
     def test_index_two_lattice(self):
         # columns (2,0) and (1,1) generate {(u,v): u = v mod 2}
-        h = hnf(IntMatrix([[2, 1], [0, 1]]))
+        h = SubLattice.from_matrix(IntMatrix([[2, 1], [0, 1]])).canonical_form
         assert h.columns() == [(1, 1), (0, 2)]
         assert member_oracle((1, 1), [(2, 0), (1, 1)])
         assert member_oracle((0, 2), [(2, 0), (1, 1)])
         assert not member_oracle((1, 0), [(2, 0), (1, 1)])
 
     def test_identity_fixed(self):
-        assert hnf(IntMatrix.identity(3)) == IntMatrix.identity(3)
+        assert SubLattice.from_matrix(IntMatrix.identity(3)).canonical_form == IntMatrix.identity(3)
 
     def test_empty_matrix(self):
-        assert hnf(IntMatrix.zero(3, 0)) == IntMatrix.zero(3, 0)
-        assert hnf(IntMatrix.zero(3, 2)) == IntMatrix.zero(3, 0)
+        empty = IntMatrix([(), (), ()])
+        assert SubLattice.from_matrix(empty).canonical_form == empty
+        assert SubLattice.from_matrix(IntMatrix([[0, 0]] * 3)).canonical_form == empty
 
     def test_canonical_shape_conditions(self):
         rng = random.Random(99)
@@ -129,7 +122,7 @@ class TestHnf:
             m = IntMatrix(
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             )
-            h = hnf(m)
+            h = SubLattice.from_matrix(m).canonical_form
             pivots = []
             for j in range(h.cols):
                 nz = [i for i in range(h.rows) if h.entries[i][j]]
@@ -168,7 +161,7 @@ def test_hnf_invariant_under_unimodular_column_moves():
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
         u = random_unimodular(rng, cols)
         assert abs(u.det()) == 1
-        assert hnf(m) == hnf(m @ u)
+        assert SubLattice.from_matrix(m) == SubLattice.from_matrix(m @ u)
 
 
 matrix_strategy = st.integers(1, 4).flatmap(
@@ -265,8 +258,8 @@ def test_smith_oracle_against_minor_gcds(m):
 @settings(max_examples=100, deadline=None)
 @given(matrix_strategy)
 def test_hnf_spans_the_same_lattice(m):
-    h = hnf(m)
     a = SubLattice.from_matrix(m)
+    h = a.canonical_form
     for col in h.columns():
         assert member_oracle(col, m.columns())
     for col in m.columns():
@@ -279,8 +272,9 @@ class TestSnfExamples:
         assert d.entries == ((1, 0), (0, 6))
 
     def test_zero(self):
-        _, d, _ = snf(IntMatrix.zero(2, 3))
-        assert d == IntMatrix.zero(2, 3)
+        zero = IntMatrix([[0, 0, 0], [0, 0, 0]])
+        _, d, _ = snf(zero)
+        assert d == zero
 
     def test_one(self):
         _, d, _ = snf(IntMatrix([[1]]))
@@ -460,8 +454,6 @@ class TestQuotients:
             AbelianInvariants(0, (3, 4))
         with pytest.raises(ValueError):
             AbelianInvariants(0, (1,))
-        assert AbelianInvariants(0, (2, 4)).order == 8
-        assert AbelianInvariants(1, ()).order == 0
 
     @pytest.mark.parametrize("free_rank", [1.0, True])
     def test_free_rank_must_be_plain_int(self, free_rank):
@@ -487,7 +479,7 @@ WRONG_KIND = {
     "lattice_equal": lambda: lattice_equal(IntMatrix.identity(2), SubLattice.full(2)),
     "lattice_member": lambda: lattice_member((1, 0), [(1, 0)]),
     "preimage_lattice": lambda: preimage_lattice(IntMatrix.identity(2), [(1, 0)]),
-    "hnf": lambda: hnf(SubLattice.full(2)),
+    "SubLattice.from_matrix": lambda: SubLattice.from_matrix(SubLattice.full(2)),
     "snf": lambda: snf([[1, 2]]),
     "IntMatrix.__matmul__": lambda: IntMatrix.identity(2) @ [[1], [0]],
     "lattice_member.vector": lambda: lattice_member(5, SubLattice.full(2)),
@@ -526,7 +518,7 @@ class TestKernelAndPreimage:
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)], cols=cols
             )
             ker = preimage_lattice(m, SubLattice.zero(rows))
-            assert ker.rank == cols - hnf(m).cols
+            assert ker.rank == cols - SubLattice.from_matrix(m).rank
             assert invariants_oracle(cols, ker.columns) == (cols - ker.rank, ())
 
     def test_preimage_matches_the_kernel_cut_oracle_in_one_reduction(self, kernel_calls):
