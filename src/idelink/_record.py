@@ -10,11 +10,13 @@ class Record:
 
     A subclass lists its attributes in ``__slots__`` and the ones that
     make up its value, in the order they print, in ``_fields``; a slot
-    left out of ``_fields`` holds data derived from them.  Its
-    ``__init__`` checks its arguments and stores them with
-    ``object.__setattr__``.  Records of one class are equal when their
-    fields are; a record never equals an object of another class, a
-    tuple of its fields included.
+    left out of ``_fields`` holds data derived from them.  One rule
+    builds every record: its ``__init__`` checks its arguments and
+    stores them with ``object.__setattr__``, and package code that
+    already holds valid values builds through ``_trusted``, which checks
+    nothing.  Records of one class are equal when their fields are; a
+    record never equals an object of another class, a tuple of its
+    fields included.
     """
 
     __slots__ = ()
@@ -25,6 +27,16 @@ class Record:
         # A plain callable, not a method: ``self._values(self)`` is the
         # field tuple (every record has two or more fields).
         cls._values = operator.attrgetter(*cls._fields)
+        # Each slot's own setter, which stores past ``__setattr__``.
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An unchecked record of ``values``, one per ``__slots__`` entry, derived slots included."""
+        record = object.__new__(cls)
+        for set_slot, value in zip(cls._setters, values):
+            set_slot(record, value)
+        return record
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

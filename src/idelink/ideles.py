@@ -51,8 +51,8 @@ class IdeleVector(Record):
         object.__setattr__(self, "coeffs", coeffs)
 
     def format(self, u: LinkUniverse, ascii_labels: bool = False) -> str:
-        """Human-readable combination of mu/lambda basis elements."""
-        _check_kind("universe", u, LinkUniverse)
+        """Human-readable combination of mu/lambda basis elements; every slot must be in ``u``."""
+        _check_sublink(u, self.components)
         mu_sym, lam_sym = _label_prefixes(ascii_labels)
         dot = "*" if ascii_labels else "·"
         terms = []

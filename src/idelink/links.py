@@ -177,9 +177,11 @@ class LinkUniverse(Record):
     principal generators from the linking rows (``_generators``, read
     in place by the checks and copied out by
     ``ideles.principal_generators``; a sublink's boundary is a row read
-    on the sublink's slots).  Universes the package builds
-    from a braid word are well formed by construction and come from
-    ``_trusted``, which skips the checks.
+    on the sublink's slots).  Universes the package builds from a braid
+    word are well formed by construction and come from
+    ``Record._trusted``, which checks nothing: ``tests/test_links.py``
+    rebuilds every lifted universe of the acceptance sweep and ``wide4``
+    through ``LinkUniverse(...)`` and compares.
     """
 
     __slots__ = ("labels", "linking", "axis_index", "_generators")
@@ -214,26 +216,6 @@ class LinkUniverse(Record):
         object.__setattr__(self, "linking", linking)
         object.__setattr__(self, "axis_index", axis_index)
         object.__setattr__(self, "_generators", _principal_rows(linking.entries))
-
-    @classmethod
-    def _trusted(
-        cls,
-        labels: tuple[str, ...],
-        linking: IntMatrix,
-        axis_index: int | None,
-    ) -> "LinkUniverse":
-        """A universe from package-built data that meets every check of ``__init__``.
-
-        Nothing is re-checked; ``tests/test_links.py`` rebuilds every
-        lifted universe of the acceptance sweep and ``wide4`` through
-        ``LinkUniverse(...)`` and compares.
-        """
-        u = object.__new__(cls)
-        object.__setattr__(u, "labels", labels)
-        object.__setattr__(u, "linking", linking)
-        object.__setattr__(u, "axis_index", axis_index)
-        object.__setattr__(u, "_generators", _principal_rows(linking.entries))
-        return u
 
     @property
     def size(self) -> int:
@@ -295,12 +277,14 @@ def _closure_universe(
 
     Closure component c + 1 is cycle c, and the axis links it with its
     length.  The rows are ints, symmetric, with zero diagonal, and the
-    labels are distinct strings, so the universe is built unchecked.
+    labels are distinct strings, so the universe, its linking matrix and
+    its principal generator rows are built unchecked.
     """
     windings = (0,) + tuple([len(cycle) for cycle in cycles])
     rows = (windings,) + tuple([(w,) + row for w, row in zip(windings[1:], closure_rows)])
     labels = _component_labels(axis_label, component_prefix, len(cycles))
-    return LinkUniverse._trusted(labels, IntMatrix._trusted(rows, len(rows)), 0)
+    linking = IntMatrix._trusted(len(rows), len(rows), rows)
+    return LinkUniverse._trusted(labels, linking, 0, _principal_rows(rows))
 
 
 def _cover_closures(

@@ -66,18 +66,6 @@ class IntMatrix(Record):
         object.__setattr__(self, "entries", rows)
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """A matrix of package-built rows: a tuple of equal-width tuples of plain ints.
-
-        Nothing is re-checked; callers outside the package use ``IntMatrix(...)``.
-        """
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", rows)
-        return m
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         _check_size("size", n)
         return cls(
@@ -105,6 +93,9 @@ class IntMatrix(Record):
         return IntMatrix(out, cols=other.cols)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
+        _check_kind("vector", vec, Sequence)
+        for x in vec:
+            _check_int(x)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(row[t] * vec[t] for t in range(self.cols)) for row in self.entries)
@@ -172,15 +163,21 @@ class SubLattice(Record):
     ``columns`` holds the canonical columns ``kernel.col_hnf`` returns,
     each as a tuple of ints.  The form is unique for the subgroup, so
     record equality and hashing, over (ambient_rank, columns), compare
-    lattices.  Construct through ``from_columns``/``from_matrix``/
-    ``zero``/``full`` so the form is always canonical.
+    lattices.  ``SubLattice(ambient_rank, columns)`` checks any
+    generating columns and reduces them to that form, so every lattice
+    is canonical; ``from_columns`` is the same constructor.
     """
 
     __slots__ = _fields = ("ambient_rank", "columns")
 
-    def __init__(self, ambient_rank: int, columns: tuple[tuple[int, ...], ...]):
+    def __init__(self, ambient_rank: int, columns: Iterable[Sequence[int]]):
+        _check_size("ambient rank", ambient_rank)
+        _check_kind("columns", columns, Iterable)
+        cols = [tuple(_check_int(x) for x in c) for c in columns]
+        if any(len(c) != ambient_rank for c in cols):
+            raise ValueError("column length does not match ambient rank")
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "columns", tuple(map(tuple, kernel.col_hnf(ambient_rank, cols))))
 
     @classmethod
     def from_matrix(cls, generators: IntMatrix) -> "SubLattice":
@@ -188,18 +185,12 @@ class SubLattice(Record):
         return _span(generators.rows, generators.columns())
 
     @classmethod
-    def from_columns(cls, ambient_rank: int, columns: Sequence[Sequence[int]]) -> "SubLattice":
-        """Span of caller-given columns, validated; package-built columns go to ``_span``."""
-        _check_size("ambient rank", ambient_rank)
-        _check_kind("columns", columns, Iterable)
-        cols = [tuple(_check_int(x) for x in c) for c in columns]
-        if any(len(c) != ambient_rank for c in cols):
-            raise ValueError("column length does not match ambient rank")
-        return _span(ambient_rank, cols)
+    def from_columns(cls, ambient_rank: int, columns: Iterable[Sequence[int]]) -> "SubLattice":
+        return cls(ambient_rank, columns)
 
     @classmethod
     def zero(cls, ambient_rank: int) -> "SubLattice":
-        return cls.from_columns(ambient_rank, ())
+        return cls(ambient_rank, ())
 
     @classmethod
     def full(cls, ambient_rank: int) -> "SubLattice":
@@ -217,12 +208,12 @@ class SubLattice(Record):
         normal form of ``m``.
         """
         rows = tuple(zip(*self.columns)) or ((),) * self.ambient_rank
-        return IntMatrix._trusted(rows, self.rank)
+        return IntMatrix._trusted(self.ambient_rank, self.rank, rows)
 
 
 def _span(ambient_rank: int, cols) -> SubLattice:
     """Sublattice spanned by trusted integer columns of length ambient_rank."""
-    return SubLattice(ambient_rank, tuple(map(tuple, kernel.col_hnf(ambient_rank, cols))))
+    return SubLattice._trusted(ambient_rank, tuple(map(tuple, kernel.col_hnf(ambient_rank, cols))))
 
 
 def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -234,9 +225,9 @@ def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     _check_kind("matrix", m, IntMatrix)
     u, d, v = kernel.smith(m.rows, m.cols, m.entries)
     return (
-        IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
-        IntMatrix._trusted(tuple(map(tuple, d)), m.cols),
-        IntMatrix._trusted(tuple(map(tuple, v)), m.cols),
+        IntMatrix._trusted(m.rows, m.rows, tuple(map(tuple, u))),
+        IntMatrix._trusted(m.rows, m.cols, tuple(map(tuple, d))),
+        IntMatrix._trusted(m.cols, m.cols, tuple(map(tuple, v))),
     )
 
 
@@ -391,7 +382,7 @@ def _quotient_invariants(ambient_rank: int, cols) -> AbelianInvariants:
             a, b = diag[i], diag[j]
             g = gcd(a, b)
             diag[i], diag[j] = g, a // g * b
-    return AbelianInvariants(ambient_rank - rank, tuple(x for x in diag if x > 1))
+    return AbelianInvariants._trusted(ambient_rank - rank, tuple(x for x in diag if x > 1))
 
 
 def relative_quotient_invariants(outer: SubLattice, inner: SubLattice) -> AbelianInvariants:

@@ -558,6 +558,14 @@ class TestLimits:
             assert_usage_error(command + ["--input", scenario_file, "--degree", degree], capsys)
         assert main(command + ["--input", scenario_file, "--degree", "12", "--out", out]) == 0
 
+    def test_degree_limit_on_suite(self, capsys):
+        bounds = ["suite", "--max-strands", "1", "--max-length", "0", "--degrees"]
+        for degrees in ("13", "2,13"):
+            err = assert_usage_error(bounds + [degrees], capsys)
+            assert err == "idelink: --degrees entries must be in 1..12\n"
+        assert main(bounds + ["12"]) == 0
+        assert capsys.readouterr().out.startswith("scenarios: 1 ")
+
     @pytest.mark.parametrize("command", [["lift"], ["delta", "1"], ["verify"]], ids=lambda c: c[0])
     def test_length_limit_on_every_command(self, command, tmp_path, capsys):
         path = write_scenario(tmp_path, braid={"strands": 2, "word": [1] * 9})

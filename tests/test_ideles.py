@@ -88,6 +88,13 @@ class TestIdeleVector:
         assert v.format(u, ascii_labels=True) == "-2*mu_A + lam_K1"
         assert IdeleVector((0, 1), (0, 0, 0, 0)).format(u) == "0"
 
+    @pytest.mark.parametrize("k", [5, 2, -1])
+    def test_format_refuses_a_component_outside_the_universe(self, k):
+        # Unchecked, 5 would raise IndexError and -1 print the last label.
+        u = universe_from_braid(BraidWord(2, (1,)))
+        with pytest.raises(ValueError, match=f"^component {k} is not in the universe$"):
+            IdeleVector((k,), (1, 0)).format(u)
+
 
 class TestBoundary:
     def test_hopf_two_component_sublink(self):

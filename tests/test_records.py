@@ -122,6 +122,15 @@ class TestEveryRecord:
     def test_has_no_instance_dict(self, i):
         assert not hasattr(_records()[i][0], "__dict__")
 
+    def test_trusted_rebuild_from_its_slots(self, i):
+        record = _records()[i][0]
+        cls = type(record)
+        values = [getattr(record, name) for name in cls.__slots__]
+        clone = cls._trusted(*values)
+        assert clone == record and hash(clone) == hash(record)
+        assert repr(clone) == repr(record)
+        assert [getattr(clone, name) for name in cls.__slots__] == values
+
     def test_copies_and_pickles_by_value(self, i):
         record = _records()[i][0]
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
@@ -192,9 +201,10 @@ class TestEquality:
 
     def test_derived_generators_stay_out_of_value_and_repr(self):
         u = LinkUniverse(("A", "K1"), HOPF, 0)
-        trusted = LinkUniverse._trusted(("A", "K1"), HOPF, 0)
-        assert u == trusted and hash(u) == hash(trusted)
-        assert u._generators == trusted._generators
+        # A universe built with other stored rows still equals and hashes as u.
+        trusted = LinkUniverse._trusted(("A", "K1"), HOPF, 0, ())
+        assert u == trusted and hash(u) == hash(trusted) and repr(u) == repr(trusted)
+        assert u._generators == ((0, 1, -2, 0), (-2, 0, 0, 1))
         assert "_generators" not in repr(u)
 
     def test_pushed_generators_stay_out_of_value_repr_and_arguments(self):
@@ -220,7 +230,7 @@ class TestEquality:
             hash(Scenario(BRAID, 2, ["norm_principle"]))
 
     def test_trusted_matrix_equals_the_checked_one(self):
-        m = IntMatrix._trusted(((1, 2), (3, 4)), 2)
+        m = IntMatrix._trusted(2, 2, ((1, 2), (3, 4)))
         assert m == IntMatrix([[1, 2], [3, 4]]) and hash(m) == hash(IntMatrix([[1, 2], [3, 4]]))
         assert m != IntMatrix([[1, 2, 3, 4]]) and IntMatrix([], cols=2) != IntMatrix([], cols=3)
 

@@ -72,6 +72,12 @@ class TestIntMatrix:
         assert (a @ b).entries == ((2, 1), (4, 3))
         assert a.apply((1, 1)) == (3, 7)
 
+    @pytest.mark.parametrize("vec", [[1.5, 0], (True, 0), [0, 2.0]])
+    def test_apply_rejects_floats_and_bools(self, vec):
+        # Unchecked, [1.5, 0] would return (1.5, 0.0).
+        with pytest.raises(TypeError, match="plain ints"):
+            IntMatrix.identity(2).apply(vec)
+
     def test_det(self):
         assert IntMatrix([[1, 2], [3, 4]]).det() == -2
         assert IntMatrix.identity(4).det() == 1
@@ -315,6 +321,32 @@ class TestLatticeOps:
         with pytest.raises(ValueError):
             SubLattice.from_columns(-2, ())
 
+    def test_constructor_reduces_columns_to_the_canonical_form(self):
+        # Membership and equality read the canonical form, so columns of
+        # 2Z^2 out of Hermite order must not be stored as given.
+        a = SubLattice(2, ((0, 2), (2, 0)))
+        assert a == SubLattice.from_columns(2, [(0, 2), (2, 0)]) == lat(2, (2, 0), (0, 2))
+        assert a.columns == ((2, 0), (0, 2))
+        assert lattice_equal(a, lat(2, (2, 2), (0, 2)))
+        assert lattice_member((2, 0), a) and not lattice_member((1, 0), a)
+        assert SubLattice(2, [[3, 6], [2, 4]]) == lat(2, (1, 2))
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((-1, ()), ValueError),
+            ((2, 5), ValueError),
+            ((2, [(1,)]), ValueError),
+            ((True, ()), ValueError),
+            ((2, [(1.0, 0)]), TypeError),
+            ((2, [(True, 0)]), TypeError),
+        ],
+        ids=["negative_rank", "columns_int", "short_column", "bool_rank", "float", "bool"],
+    )
+    def test_constructor_checks_its_arguments(self, args, error):
+        with pytest.raises(error):
+            SubLattice(*args)
+
     def test_ambient_rank_must_be_plain_int(self):
         # True would otherwise be kept as the rank, 2.0 fail inside the kernel.
         for bad in (True, 2.0, "2"):
@@ -484,6 +516,7 @@ WRONG_KIND = {
     "IntMatrix.__matmul__": lambda: IntMatrix.identity(2) @ [[1], [0]],
     "lattice_member.vector": lambda: lattice_member(5, SubLattice.full(2)),
     "SubLattice.from_columns": lambda: SubLattice.from_columns(2, 5),
+    "IntMatrix.apply": lambda: IntMatrix.identity(2).apply(5),
 }
 
 
