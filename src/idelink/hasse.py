@@ -44,8 +44,6 @@ from .zlattice import (
     lattice_member,
     lattice_sum,
     preimage_lattice,
-    quotient_invariants,
-    relative_quotient_invariants,
 )
 
 REPORT_SCHEMA = 1
@@ -338,10 +336,9 @@ def _cover_exact_sequence_accept(c: CoverData) -> bool:
     With R_M = ker psi_M and R_N = ker psi_N, the preimage of R_M under
     f is ker(psi_M∘f).  When psi_N∘tau = psi_N the deck image lies in
     R_N, so the exact side is R_N; when psi_M∘f = s·psi_N with s != 0
-    the preimage is R_N too, and both quotient routes of part (ii) give
-    Z (psi_N takes the value 1, and the image is sZ).  False means the
-    closed form does not apply or the check fails; the lattice route
-    then decides and finds the witness.
+    the preimage is R_N too.  False means the closed form does not
+    apply or the check fails; the lattice route then decides and finds
+    the witness.
     """
     psi_m = _axis_functional(c.base)
     psi_n = _axis_functional(c.total)
@@ -386,20 +383,6 @@ def _cover_exact_sequence_lattice(c: CoverData) -> tuple[bool, dict | None]:
             "in_deck_image_plus_relations": lattice_member(vec, exact_side),
             "coordinates": _coordinate_labels(total),
         }
-    source_mod_kernel = quotient_invariants(2 * total.size, kernel_side)
-    image_side = relative_quotient_invariants(lattice_sum(SubLattice.from_matrix(f), r_m), r_m)
-    if source_mod_kernel != image_side:
-        return False, {
-            "part": "image_isomorphism",
-            "source_mod_kernel": {
-                "free_rank": source_mod_kernel.free_rank,
-                "torsion": list(source_mod_kernel.torsion),
-            },
-            "image": {
-                "free_rank": image_side.free_rank,
-                "torsion": list(image_side.torsion),
-            },
-        }
     return True, None
 
 
@@ -407,12 +390,10 @@ def verify_cover_exact_sequence(c: CoverData) -> tuple[bool, dict | None]:
     """The quotient sequence of the cover is exact, as lattice identities.
 
     With R_N = principal + meridians away from the lifted branch axis
-    and R_M its base counterpart: (i) the preimage of R_M under the
-    pushforward equals (deck - 1)-image + R_N (middle exactness), and
-    (ii) the induced quotient map has isomorphic source-mod-kernel and
-    image, computed through two independent routes.  A closed form
-    accepts the covers it can prove; everything else, and every failure,
-    goes through the lattice route.
+    and R_M its base counterpart: the preimage of R_M under the
+    pushforward equals (deck - 1)-image + R_N (middle exactness).  A
+    closed form accepts the covers it can prove; everything else, and
+    every failure, goes through the lattice route.
     """
     _check_kind("cover", c, CoverData)
     return (True, None) if _cover_exact_sequence_accept(c) else _cover_exact_sequence_lattice(c)

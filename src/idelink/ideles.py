@@ -73,6 +73,7 @@ class IdeleVector(Record):
 
 def _check_sublink(u: LinkUniverse, sublink: Iterable[int]) -> tuple[int, ...]:
     _check_kind("universe", u, LinkUniverse)
+    _check_kind("sublink", sublink, Iterable)
     sub = tuple(sublink)
     for k in sub:
         if type(k) is not int:

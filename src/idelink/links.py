@@ -75,10 +75,16 @@ def _braid_walk(
 
 def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Cycles of a permutation of 0..n-1, ordered by smallest element, each started there."""
-    _check_kind("permutation", perm, Sequence)
-    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(len(perm))):
-        raise ValueError(f"{tuple(perm)!r} is not a permutation of 0..{len(perm) - 1}")
+    _check_permutation("permutation", perm)
     return _permutation_cycles(perm)
+
+
+def _check_permutation(what: str, perm, n: int | None = None) -> None:
+    """Reject a ``what`` that is not a sequence ordering 0..n-1; n is its length by default."""
+    _check_kind(what, perm, Sequence)
+    n = len(perm) if n is None else n
+    if any(type(x) is not int for x in perm) or sorted(perm) != list(range(n)):
+        raise ValueError(f"{what} {tuple(perm)!r} is not a permutation of 0..{n - 1}")
 
 
 def _permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -346,8 +352,7 @@ def relabeled_universe(u: LinkUniverse, order: tuple[int, ...]) -> LinkUniverse:
     """
     _check_kind("universe", u, LinkUniverse)
     m = u.size
-    if any(type(i) is not int for i in order) or sorted(order) != list(range(m)):
-        raise ValueError("order must be a permutation of the component indices")
+    _check_permutation("order", order, m)
     rows = [[u.linking.entries[order[i]][order[j]] for j in range(m)] for i in range(m)]
     axis = None if u.axis_index is None else order.index(u.axis_index)
     return LinkUniverse(

@@ -33,7 +33,9 @@ def _check_int(x):
 def _check_kind(what: str, x, cls) -> None:
     """Reject an argument that is not a ``cls``, at a public entry."""
     if not isinstance(x, cls):
-        raise ValueError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+        name = cls.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise ValueError(f"{what} must be {article} {name}, got {type(x).__name__}")
 
 
 def _check_size(what: str, n) -> None:
@@ -173,7 +175,10 @@ class SubLattice(Record):
     def __init__(self, ambient_rank: int, columns: Iterable[Sequence[int]]):
         _check_size("ambient rank", ambient_rank)
         _check_kind("columns", columns, Iterable)
-        cols = [tuple(_check_int(x) for x in c) for c in columns]
+        cols = []
+        for c in columns:
+            _check_kind("column", c, Sequence)
+            cols.append(tuple(_check_int(x) for x in c))
         if any(len(c) != ambient_rank for c in cols):
             raise ValueError("column length does not match ambient rank")
         object.__setattr__(self, "ambient_rank", ambient_rank)

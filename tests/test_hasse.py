@@ -652,22 +652,6 @@ def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
     assert [nrows for nrows, _ in calls] == [5, 5]
 
 
-def test_exact_sequence_image_isomorphism_witness(monkeypatch):
-    # Middle exactness holds on the worked double cover; a relative
-    # quotient patched to Z/2 then breaks part (ii) against the source
-    # modulo the kernel, which is Z.
-    c = lift_braid(BraidWord(2, (1,)), 2)
-    monkeypatch.setattr(hasse, "_cover_exact_sequence_accept", lambda c: False)
-    monkeypatch.setattr(
-        hasse, "relative_quotient_invariants", lambda a, b: zlattice.AbelianInvariants(0, (2,))
-    )
-    assert verify_cover_exact_sequence(c) == (False, {
-        "part": "image_isomorphism",
-        "source_mod_kernel": {"free_rank": 1, "torsion": []},
-        "image": {"free_rank": 0, "torsion": [2]},
-    })
-
-
 def test_exact_sequence_lattice_route_builds_the_pushforward_once(monkeypatch):
     # The axis generator's longitude written on the other slot: the
     # longitudes are no longer units, so the closed form declines and the

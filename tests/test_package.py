@@ -53,7 +53,7 @@ def test_import_loads_no_heavy_stdlib_module():
 # Each public entry of links, ideles, covers and hasse given an argument
 # of the wrong kind: a tuple where a record belongs, a list where an
 # IntMatrix belongs, a non-string check name, or an int where check
-# names or degrees belong.
+# names, degrees, a sublink or a component order belong.
 BAD = (2, (1,))
 BRAID = links.BraidWord(2, (1,))
 COVER = covers.lift_braid(BRAID, 2)
@@ -69,6 +69,10 @@ WRONG_KIND = {
     "ideles.principal_lattice": lambda: ideles.principal_lattice(BAD),
     "ideles.meridian_subgroup": lambda: ideles.meridian_subgroup(BAD, ()),
     "ideles.class_quotient": lambda: ideles.class_quotient(BAD, ()),
+    "ideles.meridian_subgroup.sublink": lambda: ideles.meridian_subgroup(COVER.base, 5),
+    "ideles.class_quotient.sublink": lambda: ideles.class_quotient(COVER.base, 5),
+    "links.relabeled_universe.order": lambda: links.relabeled_universe(COVER.base, 5),
+    "covers.relabeled_cover.order": lambda: covers.relabeled_cover(COVER, 5, (0, 1, 2)),
     "covers.lift_braid": lambda: covers.lift_braid(BAD, 2),
     "covers.pushforward_matrix": lambda: covers.pushforward_matrix(BAD),
     "covers.pushforward_image": lambda: covers.pushforward_image(BAD),
@@ -95,7 +99,7 @@ WRONG_KIND = {
 
 @pytest.mark.parametrize("name", WRONG_KIND)
 def test_wrong_kind_argument_raises_value_error(name):
-    with pytest.raises(ValueError, match="must be a"):
+    with pytest.raises(ValueError, match="must be (a [^AEIOU]|an [AEIOU])"):
         WRONG_KIND[name]()
 
 

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idelink import kernel
+from idelink.covers import pushforward_matrix
+from idelink.ideles import meridian_subgroup, principal_lattice
 from idelink.zlattice import (
     AbelianInvariants,
     IntMatrix,
@@ -31,6 +33,7 @@ from oracles import (
     kernel_cut_preimage,
     member_oracle,
     relative_invariants_oracle,
+    replaced,
     smith_diagonal_oracle,
     smith_invariants_oracle,
     smith_quotient_invariants,
@@ -463,6 +466,32 @@ class TestQuotients:
         for a in lattices:
             quotient_invariants(a.ambient_rank, a)
 
+    def test_first_isomorphism_on_cover_pushforwards(self, sweep_covers, wide4_covers):
+        # Z^(2m')/f^-1(R_M) and (f(Z^(2m')) + R_M)/R_M are isomorphic for every
+        # integer map f: both quotient routes agree on each cover's pushforward
+        # modulo the base's branch relations, on every sweep cover, on its twin
+        # with one pushforward entry moved by +-1 or +-2, and on every wide4 cover.
+        rng = random.Random(31)
+        covers = []
+        for _, _, c in sweep_covers:
+            j = rng.randrange(c.total.size)
+            rows = [list(row) for row in c.pushforward[j]]
+            rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
+            pushforward = c.pushforward[:j] + (tuple(map(tuple, rows)),) + c.pushforward[j + 1 :]
+            covers += [c, replaced(c, pushforward=pushforward)]
+        covers += [c for _, _, c in wide4_covers]
+        assert len(covers) == 11672
+        bad = []
+        for i, c in enumerate(covers):
+            f = pushforward_matrix(c)
+            base = c.base
+            r_m = lattice_sum(principal_lattice(base), meridian_subgroup(base, (base.axis_index,)))
+            source = quotient_invariants(2 * c.total.size, preimage_lattice(f, r_m))
+            image = relative_quotient_invariants(lattice_sum(SubLattice.from_matrix(f), r_m), r_m)
+            if source != image:
+                bad.append((i, source, image))
+        assert bad == []
+
     def test_relative(self):
         outer = lat(2, (1, 0), (0, 1))
         inner = lat(2, (2, 0), (0, 2))
@@ -500,7 +529,9 @@ class TestQuotients:
 
 
 # Each public lattice operation given a record of the wrong kind (a plain
-# list, or an IntMatrix where a SubLattice belongs and the reverse).
+# list, or an IntMatrix where a SubLattice belongs and the reverse), or an
+# int where a vector, the columns or one column belongs.  The message puts
+# "an" before a vowel.
 WRONG_KIND = {
     "quotient_invariants": lambda: quotient_invariants(2, [(1, 0)]),
     "relative_quotient_invariants": lambda: relative_quotient_invariants(
@@ -516,13 +547,15 @@ WRONG_KIND = {
     "IntMatrix.__matmul__": lambda: IntMatrix.identity(2) @ [[1], [0]],
     "lattice_member.vector": lambda: lattice_member(5, SubLattice.full(2)),
     "SubLattice.from_columns": lambda: SubLattice.from_columns(2, 5),
+    "SubLattice.column": lambda: SubLattice(2, [5]),
+    "SubLattice.from_columns.column": lambda: SubLattice.from_columns(2, [5]),
     "IntMatrix.apply": lambda: IntMatrix.identity(2).apply(5),
 }
 
 
 @pytest.mark.parametrize("name", WRONG_KIND)
 def test_wrong_kind_argument_raises_value_error(name):
-    with pytest.raises(ValueError, match="must be a"):
+    with pytest.raises(ValueError, match="must be (a [^AEIOU]|an [AEIOU])"):
         WRONG_KIND[name]()
 
 
