@@ -77,9 +77,14 @@ class CoverData(Record):
 
     Constructing a cover checks that ``base`` and ``total`` are
     universes with a branch axis, which the checks read (the other
-    fields are trusted), then pushes each upstairs principal generator
-    down once (``_pushed``, entry j the image of generator j), for the
-    checks and ``principal_pushforward`` to read.
+    fields are trusted), then pushes the upstairs principal generators
+    down in one ``_pushed_rows`` pass (``_pushed``, entry j the image of
+    generator j), for the checks and ``principal_pushforward`` to read.
+    ``lift_braid`` knows its covers are valid and builds them through
+    ``Record._trusted`` with the same pass: ``tests/test_covers.py``
+    rebuilds the lift of every word with <= 3 strands and length <= 4,
+    and of every ``wide4`` word, at every degree 1-12 through
+    ``CoverData(...)`` and compares, ``_pushed`` included.
     """
 
     __slots__ = (
@@ -109,7 +114,7 @@ class CoverData(Record):
         object.__setattr__(self, "pushforward", pushforward)
         object.__setattr__(self, "deck", deck)
         object.__setattr__(
-            self, "_pushed", tuple([_pushforward_coeffs(self, g) for g in total._generators])
+            self, "_pushed", _pushed_rows(fiber_map, pushforward, base.size, total._generators)
         )
 
 
@@ -141,12 +146,15 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     The upstairs universe is the closure of the n-th power of the word
     together with the lifted axis; fibers, splitting data, pushforward
     matrices, and the deck rotation all come along.  The word is walked
-    once, for its permutation sigma and its crossings, and the power's
-    crossings are counted over one period of its word repeats
-    (``links._cover_closures``).  The degree is checked once, before
-    anything is built; ``splitting`` then comes from
-    ``_component_splitting`` of the base built here, axis included,
-    with nothing checked again.
+    once, for its permutation sigma and its crossings; the cycles,
+    word-repeat blocks, fiber map and deck come from the (sigma, n)
+    skeleton table, and only the linking rows are counted from the
+    crossings (``links._cover_closures``).  The degree is checked once,
+    before anything is built; ``splitting`` then comes from
+    ``_component_splitting`` of the base built here, axis included.
+    Every field is valid by construction, so the cover is built through
+    ``CoverData._trusted``, its generators pushed in one
+    ``_pushed_rows`` pass as the constructor would.
     """
     _check_kind("braid", b, BraidWord)
     _check_degree(degree)
@@ -159,16 +167,10 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
         rec = splitting[k]
         c = rec.e * sum([x for x, k2 in zip(row, fiber_map) if k2 == k])
         pushforward.append(((rec.e, c), (0, rec.w)))
+    pushforward = tuple(pushforward)
 
-    return CoverData(
-        degree=degree,
-        base=base,
-        total=total,
-        fiber_map=fiber_map,
-        splitting=splitting,
-        pushforward=tuple(pushforward),
-        deck=deck,
-    )
+    pushed = _pushed_rows(fiber_map, pushforward, base.size, total._generators)
+    return CoverData._trusted(degree, base, total, fiber_map, splitting, pushforward, deck, pushed)
 
 
 def pushforward_matrix(c: CoverData) -> IntMatrix:
@@ -184,19 +186,33 @@ def pushforward_matrix(c: CoverData) -> IntMatrix:
     return IntMatrix(rows, cols=2 * mp)
 
 
-def _pushforward_coeffs(c: CoverData, coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Push raw upstairs (mu, lambda) coefficients down, slot by slot, unchecked.
+def _pushed_rows(
+    fiber_map: tuple[int, ...],
+    pushforward: tuple[tuple[tuple[int, int], tuple[int, int]], ...],
+    base_size: int,
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], ...]:
+    """Push raw upstairs (mu, lambda) coefficient rows down, slot by slot, unchecked.
 
-    Each upstairs slot J adds its pushforward pair's image to the slot of
-    its base component ``fiber_map[J]``.
+    The one push formula: each upstairs slot J adds its pushforward
+    pair's image to the slot of its base component ``fiber_map[J]``.
+    A cover's generators are pushed in one call when it is built.
     """
-    out = [0] * (2 * c.base.size)
-    for k, ((a, b), (c_j, d)), mu, lam in zip(
-        c.fiber_map, c.pushforward, coeffs[0::2], coeffs[1::2]
-    ):
-        out[2 * k] += a * mu + b * lam
-        out[2 * k + 1] += c_j * mu + d * lam
+    slots = [(2 * k, a, b, c_j, d) for k, ((a, b), (c_j, d)) in zip(fiber_map, pushforward)]
+    out = []
+    for coeffs in rows:
+        image = [0] * (2 * base_size)
+        pairs = iter(coeffs)  # zipped twice: each slot takes its (mu, lambda) in turn
+        for (i, a, b, c_j, d), mu, lam in zip(slots, pairs, pairs):
+            image[i] += a * mu + b * lam
+            image[i + 1] += c_j * mu + d * lam
+        out.append(tuple(image))
     return tuple(out)
+
+
+def _pushforward_coeffs(c: CoverData, coeffs: Sequence[int]) -> tuple[int, ...]:
+    """One upstairs coefficient row of ``c`` pushed down by ``_pushed_rows``, unchecked."""
+    return _pushed_rows(c.fiber_map, c.pushforward, c.base.size, (coeffs,))[0]
 
 
 def pushforward_image(c: CoverData) -> SubLattice:

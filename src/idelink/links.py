@@ -114,26 +114,17 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
     """
     _check_kind("braid", b, BraidWord)
     perm, crossings = _braid_walk(b.strands, b.letters)
-    cycles, _, rows = _closure_data(b.strands, perm, crossings)
-    return IntMatrix(rows, cols=len(cycles))
+    cycles, comp = _cover_skeleton(perm, 1)[:2]
+    return IntMatrix(_crossing_rows(crossings, (comp,), len(cycles)), cols=len(cycles))
 
 
-def _closure_data(
-    strands: int, perm: tuple[int, ...], crossings: list[tuple[int, int, int]]
-) -> tuple[tuple[tuple[int, ...], ...], list[int], list[tuple[int, ...]]]:
-    """A walked word's closure: its strand cycles, each strand's cycle, its linking rows."""
-    cycles = _permutation_cycles(perm)
-    comp = _strand_components(cycles, strands)
-    return cycles, comp, _crossing_rows(crossings, (comp,), len(cycles))
-
-
-def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> list[int]:
+def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> tuple[int, ...]:
     """Entry s is the index of the cycle through strand s."""
     comp = [0] * strands
     for c, cycle in enumerate(cycles):
         for s in cycle:
             comp[s] = c
-    return comp
+    return tuple(comp)
 
 
 def _crossing_rows(
@@ -263,8 +254,8 @@ def universe_from_braid(b: BraidWord) -> LinkUniverse:
     """
     _check_kind("braid", b, BraidWord)
     perm, crossings = _braid_walk(b.strands, b.letters)
-    cycles, _, rows = _closure_data(b.strands, perm, crossings)
-    return _closure_universe(cycles, rows, "A", "K")
+    cycles, comp = _cover_skeleton(perm, 1)[:2]
+    return _closure_universe(cycles, _crossing_rows(crossings, (comp,), len(cycles)), "A", "K")
 
 
 @functools.lru_cache(maxsize=64)
@@ -293,30 +284,29 @@ def _closure_universe(
     return LinkUniverse._trusted(labels, linking, 0, _principal_rows(rows))
 
 
-def _cover_closures(
-    b: BraidWord, n: int
-) -> tuple[LinkUniverse, LinkUniverse, tuple[int, ...], tuple[int, ...]]:
-    """The closures of ``b`` and of its n-th power, each with its axis, from one walk of ``b``.
+@functools.lru_cache(maxsize=512)
+def _cover_skeleton(sigma: tuple[int, ...], n: int) -> tuple[tuple, ...]:
+    """Everything of the n-fold cover of a closed braid that sigma and n alone fix.
 
-    Returns the base universe (axis "A", components "K1", ...), the
-    universe of the power (axis "A~", components "J1", ...), the fiber
-    map sending each component of the power to the base component below
-    it, and the deck rotation sending the lift through strand s to the
-    lift through sigma(s).  Both maps fix the axis, component 0.  n is a
-    plain int >= 1.
+    Returns sigma's cycles, the cycle through each strand, the cycles of
+    sigma^n, the power's word-repeat blocks over one period, the fiber
+    map and the deck rotation, all tuples, since every cover with this
+    (sigma, n) shares them.  The table holds 512 entries: the CLI
+    admits 33 permutations (1 to 4 strands) and 12 degrees, 396 keys.
 
     The n-th power repeats the word n times.  Block t, the components
     of the strands starting repeat t, is block 0 moved t steps along
     sigma, and block n is block 0 again, since sigma^n keeps each strand
     on its cycle of the power.  So the blocks are one orbit under that
     move, repeating with a period p that divides n: only blocks 0..p-1
-    are built, and their crossings are counted n/p times.
+    are built.  Closure component c + 1 is cycle c, and both maps fix
+    the axis, component 0: the fiber map sends each cycle of the power
+    to the base cycle of its first strand, and the deck sends it to the
+    cycle of the power through sigma of that strand.
     """
-    strands = b.strands
-    sigma, crossings = _braid_walk(strands, b.letters)
-    cycles, comp, rows = _closure_data(strands, sigma, crossings)
-    base = _closure_universe(cycles, rows, "A", "K")
-
+    strands = len(sigma)
+    cycles = _permutation_cycles(sigma)
+    comp = _strand_components(cycles, strands)
     # sigma^n moves each strand n steps along its cycle.
     power = [0] * strands
     for cycle in cycles:
@@ -332,15 +322,36 @@ def _cover_closures(
         block = [0] * strands
         for c, p in zip(blocks[-1], sigma):
             block[p] = c
+        block = tuple(block)
         if block == top_comp:
             break
         blocks.append(block)
-    top_rows = _crossing_rows(crossings, blocks, len(top_cycles), n // len(blocks))
-    total = _closure_universe(top_cycles, top_rows, "A~", "J")
-
-    # Closure component c + 1 is cycle c.
     fiber_map = (0,) + tuple([comp[cycle[0]] + 1 for cycle in top_cycles])
     deck = (0,) + tuple([top_comp[sigma[cycle[0]]] + 1 for cycle in top_cycles])
+    return cycles, comp, top_cycles, tuple(blocks), fiber_map, deck
+
+
+def _cover_closures(
+    b: BraidWord, n: int
+) -> tuple[LinkUniverse, LinkUniverse, tuple[int, ...], tuple[int, ...]]:
+    """The closures of ``b`` and of its n-th power, each with its axis, from one walk of ``b``.
+
+    Returns the base universe (axis "A", components "K1", ...), the
+    universe of the power (axis "A~", components "J1", ...), the fiber
+    map sending each component of the power to the base component below
+    it, and the deck rotation sending the lift through strand s to the
+    lift through sigma(s).  n is a plain int >= 1.
+
+    Only the linking rows need the word: the walk gives sigma and the
+    crossings, and the rest is ``_cover_skeleton(sigma, n)``, shared by
+    every word with that permutation.  The power's crossings are
+    counted over the skeleton's p word-repeat blocks, n/p times.
+    """
+    sigma, crossings = _braid_walk(b.strands, b.letters)
+    cycles, comp, top_cycles, blocks, fiber_map, deck = _cover_skeleton(sigma, n)
+    base = _closure_universe(cycles, _crossing_rows(crossings, (comp,), len(cycles)), "A", "K")
+    top_rows = _crossing_rows(crossings, blocks, len(top_cycles), n // len(blocks))
+    total = _closure_universe(top_cycles, top_rows, "A~", "J")
     return base, total, fiber_map, deck
 
 

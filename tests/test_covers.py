@@ -244,6 +244,75 @@ class TestPushedGenerators:
             assert any(t._pushed != c._pushed for t, c in zip(tampered[kind], originals)), kind
 
 
+def _tuples_all_the_way_down(value) -> bool:
+    """True iff ``value`` is a plain int, or a tuple whose every entry is one of these."""
+    if type(value) is tuple:
+        return all(_tuples_all_the_way_down(x) for x in value)
+    return type(value) is int
+
+
+class TestTrustedCovers:
+    """``lift_braid`` builds its covers unchecked from the (sigma, n) skeleton table.
+
+    Every word with <=3 strands and length <=4, and every wide4 word, at
+    every degree the CLI admits (1-12).
+    """
+
+    @staticmethod
+    def lifted_pairs():
+        words = list(iter_braid_words(3, 4)) + [b for b, _ in wide4_words()]
+        return [(b, n) for b in words for n in range(1, 13)]
+
+    def test_lift_equals_its_rebuild_through_the_public_constructors(self):
+        bad = []
+        for b, n in self.lifted_pairs():
+            c = lift_braid(b, n)
+            base, total = (
+                replaced(u, linking=IntMatrix(u.linking.entries, cols=u.size))
+                for u in (c.base, c.total)
+            )
+            rebuilt = replaced(c, base=base, total=total)
+            same = (
+                rebuilt == c
+                and rebuilt._pushed == c._pushed
+                and rebuilt.base._generators == c.base._generators
+                and rebuilt.total._generators == c.total._generators
+                and _tuples_all_the_way_down((c.fiber_map, c.pushforward, c.deck, c._pushed))
+                and type(c.splitting) is tuple
+            )
+            if not same:
+                bad.append((b, n))
+        assert bad == []
+
+    def test_cold_and_warm_skeleton_give_the_same_cover(self):
+        bad = []
+        try:
+            for b, n in self.lifted_pairs():
+                links._cover_skeleton.cache_clear()
+                cold = lift_braid(b, n)
+                warm = lift_braid(b, n)
+                if (cold, cold._pushed) != (warm, warm._pushed):
+                    bad.append((b, n))
+        finally:
+            links._cover_skeleton.cache_clear()
+        assert bad == []
+
+    def test_skeleton_values_are_tuples_all_the_way_down(self):
+        # Covers share the skeleton's values, so none may be mutable.
+        bad = [
+            (b, n)
+            for b, n in self.lifted_pairs()
+            if not _tuples_all_the_way_down(links._cover_skeleton(braid_permutation(b), n))
+        ]
+        assert bad == []
+        c, d = lift_braid(BraidWord(3, (1, 2)), 3), lift_braid(BraidWord(3, (-1, -2)), 3)
+        assert c.fiber_map is d.fiber_map and c.deck is d.deck
+
+    def test_skeleton_table_holds_every_key_the_cli_admits(self):
+        # 1 + 2 + 6 + 24 permutations of 1 to 4 strands, times 12 degrees.
+        assert links._cover_skeleton.cache_info().maxsize >= 33 * 12
+
+
 class TestLiftDerivation:
     """The lift reads sigma, the fiber map and the deck off both universes' cycles."""
 

@@ -119,6 +119,90 @@ def test_diagonal_commutes_witness_on_tampered_cover():
     assert witness["pushed_boundary"] != witness["boundary_of_image"]
 
 
+def _moved_pushforward(b, n, j, entry, delta):
+    """The degree-n lift of ``b`` with entry ``entry`` of lift j's pushforward moved by delta."""
+    c = lift_braid(b, n)
+    rows = [list(row) for row in c.pushforward[j]]
+    rows[entry[0]][entry[1]] += delta
+    moved = tuple(tuple(row) for row in rows)
+    return replaced(c, pushforward=c.pushforward[:j] + (moved,) + c.pushforward[j + 1 :])
+
+
+# Every check's (passed, witness) on two tampered covers, as report JSON.
+# Both covers fail norm_principle and cover_exact_sequence through their
+# lattice routes, so the pinned vectors fix the order in which
+# equality_witness scans the two sides and their generators.
+PINNED_WITNESSES = [
+    (
+        # The Hopf link's double cover, lift J1's longitude degree 2 -> 3.
+        (BraidWord(2, (1, 1)), 2, 1, (1, 1), 1),
+        {
+            "norm_principle": [False, {
+                "coordinates": ["mu_A", "lam_A", "mu_K1", "lam_K1", "mu_K2", "lam_K2"],
+                "in_intersection": True,
+                "in_pushforward": False,
+                "vector": [0, 1, 5, 6, -7, -6],
+            }],
+            "diagonal_commutes": [False, {
+                "boundary_of_image": [-2, 0, 0, 2, -2, 0],
+                "coordinates": ["mu_A", "lam_A", "mu_K1", "lam_K1", "mu_K2", "lam_K2"],
+                "pushed_boundary": [-2, 0, 0, 3, -2, 0],
+                "surface_coeffs": [1],
+                "surface_support": [1],
+            }],
+            "meridian_pushforward": [True, None],
+            "class_quotient_free": [True, None],
+            "projection_compatibility": [True, None],
+            "cover_exact_sequence": [False, {
+                "coordinates": ["mu_A~", "lam_A~", "mu_J1", "lam_J1", "mu_J2", "lam_J2"],
+                "in_deck_image_plus_relations": False,
+                "in_kernel_preimage": True,
+                "part": "middle_exactness",
+                "vector": [0, 0, 0, 2, 0, -3],
+            }],
+        },
+    ),
+    (
+        # The double cover of the closed sigma_1, lift J2's longitude degree 1 -> 2.
+        (BraidWord(2, (1,)), 2, 2, (1, 1), 1),
+        {
+            "norm_principle": [False, {
+                "coordinates": ["mu_A", "lam_A", "mu_K1", "lam_K1"],
+                "in_intersection": False,
+                "in_pushforward": True,
+                "vector": [2, 0, 0, 0],
+            }],
+            "diagonal_commutes": [False, {
+                "boundary_of_image": [-2, 0, 0, 1],
+                "coordinates": ["mu_A", "lam_A", "mu_K1", "lam_K1"],
+                "pushed_boundary": [-2, 0, 0, 2],
+                "surface_coeffs": [1],
+                "surface_support": [2],
+            }],
+            "meridian_pushforward": [True, None],
+            "class_quotient_free": [True, None],
+            "projection_compatibility": [True, None],
+            "cover_exact_sequence": [False, {
+                "coordinates": ["mu_A~", "lam_A~", "mu_J1", "lam_J1", "mu_J2", "lam_J2"],
+                "in_deck_image_plus_relations": False,
+                "in_kernel_preimage": True,
+                "part": "middle_exactness",
+                "vector": [1, 0, 0, 1, 0, -1],
+            }],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("tamper,expected", PINNED_WITNESSES)
+def test_tampered_cover_witnesses_are_pinned_byte_for_byte(tamper, expected):
+    c = _moved_pushforward(*tamper)
+    got = {name: list(check(c)) for name, check in CHECKS.items()}
+    assert list(got) == list(expected)
+    # Report JSON bytes, so True and 1 differ.
+    assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(expected, indent=2, sort_keys=True)
+
+
 def _count_col_hnf(monkeypatch):
     """Arguments of every ``kernel.col_hnf`` call from now on."""
     calls = []
@@ -694,24 +778,30 @@ def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):
 
 
 def test_passing_scenario_pushes_each_upstairs_generator_once(monkeypatch):
-    # The cover pushes its 5 generators when it is built; norm_principle's
-    # closed form and diagonal_commutes read them and push nothing.
-    calls = {"covers": 0, "hasse": 0}
+    # The lift pushes the cover's 5 generators in one pass; norm_principle's
+    # closed form and diagonal_commutes read them and push nothing.  Every
+    # push, through either module's binding, is one _pushed_rows pass.
+    passes = []
+    calls = {"hasse": 0}
+    real_pass = covers._pushed_rows
 
-    def counting(module, key):
-        real = module._pushforward_coeffs
+    def counted_pass(fiber_map, pushforward, base_size, rows):
+        passes.append(len(rows))
+        return real_pass(fiber_map, pushforward, base_size, rows)
 
-        def counted(*args):
-            calls[key] += 1
-            return real(*args)
+    monkeypatch.setattr(covers, "_pushed_rows", counted_pass)
+    # Counted through hasse's bindings too, so a check that imports a push is caught.
+    monkeypatch.setattr(hasse, "_pushed_rows", counted_pass, raising=False)
+    real_coeffs = hasse._pushforward_coeffs
 
-        monkeypatch.setattr(module, "_pushforward_coeffs", counted)
+    def counted_coeffs(*args):
+        calls["hasse"] += 1
+        return real_coeffs(*args)
 
-    counting(covers, "covers")
-    counting(hasse, "hasse")
+    monkeypatch.setattr(hasse, "_pushforward_coeffs", counted_coeffs)
     report = run_scenario(BraidWord(4, ()), 2)
     assert report.passed and len(report.checks) == len(CHECKS)
-    assert calls == {"covers": 5, "hasse": 0}
+    assert (passes, calls) == ([5], {"hasse": 0})
 
 
 def test_passing_scenario_reads_stored_generators_in_place(monkeypatch):
