@@ -118,26 +118,27 @@ class CoverData(Record):
         )
 
 
-@functools.lru_cache(maxsize=256)
-def _split_record(n: int, a: int, b: int) -> SplitRecord:
-    """The record of character values (a, b) in Z/n; small-int data, one per key."""
-    a %= n
-    b %= n
-    e = n // gcd(a, n)
-    d = n // gcd(gcd(a, b), n)
-    return SplitRecord(a=a, b=b, e=e, d=d, w=d // e, r=n // d)
+@functools.lru_cache(maxsize=512)
+def _splitting(degree: int, windings: tuple[int, ...]) -> tuple[tuple[SplitRecord, ...], tuple]:
+    """Splitting data of a braid universe's components, and the pairs of their single lifts.
 
-
-def _component_splitting(degree: int, base: LinkUniverse) -> tuple[SplitRecord, ...]:
-    """Splitting data of every base component under the degree-n axis character.
-
-    Unchecked: ``lift_braid`` checks the degree and builds ``base`` with
-    its axis; ``lift_braid(b, n).splitting`` is the public reader.
+    ``windings`` is the universe's axis row, axis slot 0: the degree-n
+    character takes the values (1, 0) on the axis and (0, w mod n) on a
+    component of winding w.  Returns each component's ``SplitRecord``
+    and, when it has a single lift (r = 1), that lift's pushforward
+    pair ((e, 0), (0, w)), else None.  Both depend on n and the windings
+    alone, so the lift reads them in one lookup; the CLI's 33
+    permutations of 1 to 4 strands have 15 winding rows, so its 12
+    degrees make 180 keys.  Unchecked: ``lift_braid`` checks the degree.
     """
-    return tuple([
-        _split_record(degree, 1, 0) if k == base.axis_index else _split_record(degree, 0, w)
-        for k, w in enumerate(base.windings)
-    ])
+    records = []
+    for k, winding in enumerate(windings):
+        a, b = (1 % degree, 0) if k == 0 else (0, winding % degree)
+        e = degree // gcd(a, degree)
+        d = degree // gcd(gcd(a, b), degree)
+        records.append(SplitRecord._trusted(a, b, e, d, d // e, degree // d))
+    singles = tuple([((rec.e, 0), (0, rec.w)) if rec.r == 1 else None for rec in records])
+    return tuple(records), singles
 
 
 def lift_braid(b: BraidWord, degree: int) -> CoverData:
@@ -146,12 +147,14 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     The upstairs universe is the closure of the n-th power of the word
     together with the lifted axis; fibers, splitting data, pushforward
     matrices, and the deck rotation all come along.  The word is walked
-    once, for its permutation sigma and its crossings; the cycles,
-    word-repeat blocks, fiber map and deck come from the (sigma, n)
-    skeleton table, and only the linking rows are counted from the
-    crossings (``links._cover_closures``).  The degree is checked once,
-    before anything is built; ``splitting`` then comes from
-    ``_component_splitting`` of the base built here, axis included.
+    once, for its permutation sigma and its crossings; the labels,
+    windings, word-repeat blocks, fiber map and deck come from the
+    (sigma, n) skeleton table, and only the linking rows are counted
+    from the crossings (``links._cover_closures``).  The degree is
+    checked once, before anything is built.  ``splitting`` and the
+    pushforward pair of every single lift are one lookup in the
+    (n, base windings) table (``_splitting``); only a lift with others
+    in its fiber (r > 1) sums its linking row over that fiber for c.
     Every field is valid by construction, so the cover is built through
     ``CoverData._trusted``, its generators pushed in one
     ``_pushed_rows`` pass as the constructor would.
@@ -159,14 +162,17 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     _check_kind("braid", b, BraidWord)
     _check_degree(degree)
     base, total, fiber_map, deck = _cover_closures(b, degree)
-    splitting = _component_splitting(degree, base)
+    splitting, singles = _splitting(degree, base.windings)
 
-    # The diagonal is zero, so lift j's own entry adds nothing to c.
+    # A single lift's c is the zero diagonal: its pair comes from the table.
     pushforward = []
     for row, k in zip(total.linking.entries, fiber_map):
-        rec = splitting[k]
-        c = rec.e * sum([x for x, k2 in zip(row, fiber_map) if k2 == k])
-        pushforward.append(((rec.e, c), (0, rec.w)))
+        pair = singles[k]
+        if pair is None:
+            rec = splitting[k]
+            c = rec.e * sum([x for x, k2 in zip(row, fiber_map) if k2 == k])
+            pair = ((rec.e, c), (0, rec.w))
+        pushforward.append(pair)
     pushforward = tuple(pushforward)
 
     pushed = _pushed_rows(fiber_map, pushforward, base.size, total._generators)

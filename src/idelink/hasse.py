@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -50,9 +51,23 @@ REPORT_SCHEMA = 1
 
 
 class CheckRecord(Record):
+    """One check's verdict on one scenario: its name, pass or fail, wall time, witness.
+
+    ``millis`` is the check's wall time in milliseconds, a finite int
+    or float >= 0; ``witness`` is a dict on failure, else None.  The
+    constructor checks each kind; ``run_scenario`` builds its records
+    through ``Record._trusted``.
+    """
+
     __slots__ = _fields = ("name", "passed", "millis", "witness")
 
     def __init__(self, name: str, passed: bool, millis: float, witness: dict | None = None):
+        _check_kind("check name", name, str)
+        _check_kind("verdict", passed, bool)
+        if type(millis) not in (int, float) or not 0 <= millis < math.inf:
+            raise ValueError(f"millis must be a finite number >= 0, got {millis!r}")
+        if witness is not None:
+            _check_kind("witness", witness, dict)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "millis", millis)
@@ -70,11 +85,26 @@ class CheckRecord(Record):
 
 
 class VerificationReport(Record):
+    """The check records of one (braid word, cover degree) scenario, in the order run.
+
+    The constructor checks that strands and degree are plain ints, the
+    word a tuple of plain ints and checks a tuple of ``CheckRecord``s;
+    ``run_scenario`` builds its reports through ``Record._trusted``.
+    """
+
     __slots__ = _fields = ("strands", "word", "degree", "checks")
 
     def __init__(
         self, strands: int, word: tuple[int, ...], degree: int, checks: tuple[CheckRecord, ...]
     ):
+        for what, n in (("strand count", strands), ("degree", degree)):
+            if type(n) is not int:
+                raise ValueError(f"{what} must be a plain int, got {type(n).__name__}")
+        if type(word) is not tuple or any([type(g) is not int for g in word]):
+            raise ValueError(f"word must be a tuple of plain ints, got {word!r}")
+        _check_kind("checks", checks, tuple)
+        for c in checks:
+            _check_kind("check record", c, CheckRecord)
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "degree", degree)
@@ -444,17 +474,25 @@ def run_scenario(
 
 
 def _run_scenario(b: BraidWord, degree: int, names: list[str]) -> VerificationReport:
-    """``run_scenario`` on names ``resolve_checks`` has already returned."""
+    """``run_scenario`` on names ``resolve_checks`` has already returned.
+
+    Each check is timed by ``time.perf_counter``, read through this
+    module's ``time`` when the scenario runs, and its ``millis`` is the
+    wall time in ms rounded half up to a whole microsecond in integer
+    arithmetic, a float equal to ``round(millis, 3)``.  The records
+    and the report hold values valid by construction, so they are built
+    through ``Record._trusted``; ``tests/test_hasse.py``
+    (``TestTrustedReports``) rebuilds them through the constructors.
+    """
     cover = lift_braid(b, degree)
+    clock = time.perf_counter
     records = []
     for name in names:
-        start = time.perf_counter()
+        start = clock()
         passed, witness = CHECKS[name](cover)
-        millis = round((time.perf_counter() - start) * 1000.0, 3)
-        records.append(CheckRecord(name, passed, millis, witness))
-    return VerificationReport(
-        strands=b.strands, word=b.letters, degree=degree, checks=tuple(records)
-    )
+        micros = int((clock() - start) * 1e6 + 0.5)
+        records.append(CheckRecord._trusted(name, passed, micros / 1000, witness))
+    return VerificationReport._trusted(b.strands, b.letters, degree, tuple(records))
 
 
 def _check_bounds(max_strands: int, max_length: int) -> None:

@@ -114,8 +114,9 @@ def braid_linking_matrix(b: BraidWord) -> IntMatrix:
     """
     _check_kind("braid", b, BraidWord)
     perm, crossings = _braid_walk(b.strands, b.letters)
-    cycles, comp = _cover_skeleton(perm, 1)[:2]
-    return IntMatrix(_crossing_rows(crossings, (comp,), len(cycles)), cols=len(cycles))
+    windings, comp = _cover_skeleton(perm, 1)[1:3]
+    size = len(windings) - 1
+    return IntMatrix(_crossing_rows(crossings, (comp,), size), cols=size)
 
 
 def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> tuple[int, ...]:
@@ -254,55 +255,56 @@ def universe_from_braid(b: BraidWord) -> LinkUniverse:
     """
     _check_kind("braid", b, BraidWord)
     perm, crossings = _braid_walk(b.strands, b.letters)
-    cycles, comp = _cover_skeleton(perm, 1)[:2]
-    return _closure_universe(cycles, _crossing_rows(crossings, (comp,), len(cycles)), "A", "K")
-
-
-@functools.lru_cache(maxsize=64)
-def _component_labels(axis_label: str, component_prefix: str, size: int) -> tuple[str, ...]:
-    """The axis label, then the prefix numbered 1..size; shared by every universe of that size."""
-    return (axis_label,) + tuple(f"{component_prefix}{c}" for c in range(1, size + 1))
+    labels, windings, comp = _cover_skeleton(perm, 1)[:3]
+    rows = _crossing_rows(crossings, (comp,), len(labels) - 1)
+    return _closure_universe(labels, windings, rows)
 
 
 def _closure_universe(
-    cycles: tuple[tuple[int, ...], ...],
+    labels: tuple[str, ...],
+    windings: tuple[int, ...],
     closure_rows: list[tuple[int, ...]],
-    axis_label: str,
-    component_prefix: str,
 ) -> LinkUniverse:
-    """The universe of a closed braid, axis first, from its strand cycles and linking rows.
+    """The universe of a closed braid, axis first, from its skeleton data and linking rows.
 
-    Closure component c + 1 is cycle c, and the axis links it with its
-    length.  The rows are ints, symmetric, with zero diagonal, and the
-    labels are distinct strings, so the universe, its linking matrix and
-    its principal generator rows are built unchecked.
+    ``windings`` is the axis row (axis slot 0, then each closure
+    component's cycle length) and becomes the universe's own.  The rows
+    are ints, symmetric, with zero diagonal, and the labels are distinct
+    strings, so the universe, its linking matrix and its principal
+    generator rows are built unchecked.
     """
-    windings = (0,) + tuple([len(cycle) for cycle in cycles])
     rows = (windings,) + tuple([(w,) + row for w, row in zip(windings[1:], closure_rows)])
-    labels = _component_labels(axis_label, component_prefix, len(cycles))
     linking = IntMatrix._trusted(len(rows), len(rows), rows)
     return LinkUniverse._trusted(labels, linking, 0, _principal_rows(rows))
+
+
+def _closure_labels(axis_label: str, component_prefix: str, size: int) -> tuple[str, ...]:
+    """The axis label, then the prefix numbered 1..size."""
+    return (axis_label,) + tuple([f"{component_prefix}{c}" for c in range(1, size + 1)])
 
 
 @functools.lru_cache(maxsize=512)
 def _cover_skeleton(sigma: tuple[int, ...], n: int) -> tuple[tuple, ...]:
     """Everything of the n-fold cover of a closed braid that sigma and n alone fix.
 
-    Returns sigma's cycles, the cycle through each strand, the cycles of
-    sigma^n, the power's word-repeat blocks over one period, the fiber
-    map and the deck rotation, all tuples, since every cover with this
-    (sigma, n) shares them.  The table holds 512 entries: the CLI
-    admits 33 permutations (1 to 4 strands) and 12 degrees, 396 keys.
+    Returns, all tuples, since every cover with this (sigma, n) shares
+    them: the base universe's labels, its windings (the axis row of its
+    linking matrix) and the cycle through each strand; the cover's
+    labels, its windings and the power's word-repeat blocks over one
+    period; then the fiber map and the deck rotation.  The table holds
+    512 entries: the CLI admits 33 permutations (1 to 4 strands) and 12
+    degrees, 396 keys.
 
-    The n-th power repeats the word n times.  Block t, the components
-    of the strands starting repeat t, is block 0 moved t steps along
-    sigma, and block n is block 0 again, since sigma^n keeps each strand
-    on its cycle of the power.  So the blocks are one orbit under that
-    move, repeating with a period p that divides n: only blocks 0..p-1
-    are built.  Closure component c + 1 is cycle c, and both maps fix
-    the axis, component 0: the fiber map sends each cycle of the power
-    to the base cycle of its first strand, and the deck sends it to the
-    cycle of the power through sigma of that strand.
+    Closure component c + 1 is cycle c of sigma (of sigma^n upstairs),
+    and the axis, component 0, links it with the cycle's length.  The
+    n-th power repeats the word n times.  Block t, the components of the
+    strands starting repeat t, is block 0 moved t steps along sigma, and
+    block n is block 0 again, since sigma^n keeps each strand on its
+    cycle of the power.  So the blocks are one orbit under that move,
+    repeating with a period p that divides n: only blocks 0..p-1 are
+    built.  Both maps fix the axis: the fiber map sends each cycle of
+    the power to the base cycle of its first strand, and the deck sends
+    it to the cycle of the power through sigma of that strand.
     """
     strands = len(sigma)
     cycles = _permutation_cycles(sigma)
@@ -328,7 +330,16 @@ def _cover_skeleton(sigma: tuple[int, ...], n: int) -> tuple[tuple, ...]:
         blocks.append(block)
     fiber_map = (0,) + tuple([comp[cycle[0]] + 1 for cycle in top_cycles])
     deck = (0,) + tuple([top_comp[sigma[cycle[0]]] + 1 for cycle in top_cycles])
-    return cycles, comp, top_cycles, tuple(blocks), fiber_map, deck
+    return (
+        _closure_labels("A", "K", len(cycles)),
+        (0,) + tuple([len(cycle) for cycle in cycles]),
+        comp,
+        _closure_labels("A~", "J", len(top_cycles)),
+        (0,) + tuple([len(cycle) for cycle in top_cycles]),
+        tuple(blocks),
+        fiber_map,
+        deck,
+    )
 
 
 def _cover_closures(
@@ -343,15 +354,19 @@ def _cover_closures(
     lift through sigma(s).  n is a plain int >= 1.
 
     Only the linking rows need the word: the walk gives sigma and the
-    crossings, and the rest is ``_cover_skeleton(sigma, n)``, shared by
-    every word with that permutation.  The power's crossings are
-    counted over the skeleton's p word-repeat blocks, n/p times.
+    crossings, and everything else, labels and windings included, is
+    ``_cover_skeleton(sigma, n)``, shared by every word with that
+    permutation.  The power's crossings are counted over the skeleton's
+    p word-repeat blocks, n/p times.
     """
     sigma, crossings = _braid_walk(b.strands, b.letters)
-    cycles, comp, top_cycles, blocks, fiber_map, deck = _cover_skeleton(sigma, n)
-    base = _closure_universe(cycles, _crossing_rows(crossings, (comp,), len(cycles)), "A", "K")
-    top_rows = _crossing_rows(crossings, blocks, len(top_cycles), n // len(blocks))
-    total = _closure_universe(top_cycles, top_rows, "A~", "J")
+    labels, windings, comp, top_labels, top_windings, blocks, fiber_map, deck = (
+        _cover_skeleton(sigma, n)
+    )
+    base_rows = _crossing_rows(crossings, (comp,), len(labels) - 1)
+    base = _closure_universe(labels, windings, base_rows)
+    top_rows = _crossing_rows(crossings, blocks, len(top_labels) - 1, n // len(blocks))
+    total = _closure_universe(top_labels, top_windings, top_rows)
     return base, total, fiber_map, deck
 
 

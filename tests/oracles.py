@@ -7,7 +7,9 @@ invariants by gcds of minors (small matrices) and by a Smith
 elimination on the smallest nonzero entry with row and column
 operations (any size, entries of hundreds of bits included), Alexander
 polynomials by interpolating permutation-expansion determinants, and
-resultants by the Euclidean remainder sequence over the rationals.
+resultants by the Euclidean remainder sequence over the rationals,
+and the splitting data of a cover's component by listing the subgroups
+its character values generate in Z/n.
 
 The routes at the end are the exception.  Four are the lattice
 routes ``idelink.zlattice`` replaced: absolute and relative quotient
@@ -680,6 +682,34 @@ def lift_maps_by_walking_both_words(b, n):
     fiber_map = (0,) + tuple(base_of[cycle[0]] for cycle in top)
     deck = (0,) + tuple(top_of[sigma[cycle[0]]] for cycle in top)
     return fiber_map, deck
+
+
+def splitting_oracle(n, a, b):
+    """(a, b, e, d, w, r) of character values (a, b) in Z/n, by listing subgroups.
+
+    e is the size of the subgroup a generates (the meridian covering
+    degree), d the size of the subgroup a and b generate (the torus
+    covering degree), w = d / e and r = n / d.
+    """
+    a, b = a % n, b % n
+    e = len({i * a % n for i in range(n)})
+    d = len({(i * a + j * b) % n for i in range(n) for j in range(n)})
+    return a, b, e, d, d // e, n // d
+
+
+def permutation_words():
+    """One braid word for each of the 33 permutations of 1 to 4 strands.
+
+    The first positive word found for each, by length, so every
+    (permutation, degree) the CLI admits is reached by one lift.
+    """
+    words = {}
+    for strands in range(1, 5):
+        for length in range(7):  # S_4 needs at most 6 adjacent transpositions
+            for letters in itertools.product(range(1, strands), repeat=length):
+                b = BraidWord(strands, letters)
+                words.setdefault((strands, braid_permutation(b)), b)
+    return list(words.values())
 
 
 def wide4_words():

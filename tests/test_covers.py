@@ -32,9 +32,11 @@ from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 from oracles import (
     alexander_oracle,
     lift_maps_by_walking_both_words,
+    permutation_words,
     poly_eval,
     replaced,
     resultant_oracle,
+    splitting_oracle,
     surface_boundary,
     surface_pushforward,
     wide4_words,
@@ -244,11 +246,11 @@ class TestPushedGenerators:
             assert any(t._pushed != c._pushed for t, c in zip(tampered[kind], originals)), kind
 
 
-def _tuples_all_the_way_down(value) -> bool:
-    """True iff ``value`` is a plain int, or a tuple whose every entry is one of these."""
+def _tuples_all_the_way_down(value, leaves=(int,)) -> bool:
+    """True iff ``value`` has a type in ``leaves``, or is a tuple of such values, nested."""
     if type(value) is tuple:
-        return all(_tuples_all_the_way_down(x) for x in value)
-    return type(value) is int
+        return all(_tuples_all_the_way_down(x, leaves) for x in value)
+    return type(value) in leaves
 
 
 class TestTrustedCovers:
@@ -289,20 +291,25 @@ class TestTrustedCovers:
         try:
             for b, n in self.lifted_pairs():
                 links._cover_skeleton.cache_clear()
+                covers._splitting.cache_clear()
                 cold = lift_braid(b, n)
                 warm = lift_braid(b, n)
                 if (cold, cold._pushed) != (warm, warm._pushed):
                     bad.append((b, n))
         finally:
             links._cover_skeleton.cache_clear()
+            covers._splitting.cache_clear()
         assert bad == []
 
     def test_skeleton_values_are_tuples_all_the_way_down(self):
-        # Covers share the skeleton's values, so none may be mutable.
+        # Covers share the skeleton's values, so none may be mutable:
+        # tuples of ints, and of label strings.
         bad = [
             (b, n)
             for b, n in self.lifted_pairs()
-            if not _tuples_all_the_way_down(links._cover_skeleton(braid_permutation(b), n))
+            if not _tuples_all_the_way_down(
+                links._cover_skeleton(braid_permutation(b), n), (int, str)
+            )
         ]
         assert bad == []
         c, d = lift_braid(BraidWord(3, (1, 2)), 3), lift_braid(BraidWord(3, (-1, -2)), 3)
@@ -311,6 +318,57 @@ class TestTrustedCovers:
     def test_skeleton_table_holds_every_key_the_cli_admits(self):
         # 1 + 2 + 6 + 24 permutations of 1 to 4 strands, times 12 degrees.
         assert links._cover_skeleton.cache_info().maxsize >= 33 * 12
+
+
+class TestSplittingTable:
+    """Splitting records and single-lift pairs come from the (n, base windings) table.
+
+    Every (sigma, n) the CLI admits: 33 permutations of 1 to 4 strands
+    times degrees 1-12.
+    """
+
+    @staticmethod
+    def cli_lifts():
+        words = permutation_words()
+        assert len(words) == 33
+        return [lift_braid(b, n) for b in words for n in range(1, 13)]
+
+    def test_splitting_matches_the_oracle(self):
+        bad = []
+        for c in self.cli_lifts():
+            n = c.degree
+            want = tuple(
+                splitting_oracle(n, 1, 0) if k == c.base.axis_index else splitting_oracle(n, 0, w)
+                for k, w in enumerate(c.base.windings)
+            )
+            got = tuple((rec.a, rec.b, rec.e, rec.d, rec.w, rec.r) for rec in c.splitting)
+            if got != want:
+                bad.append((c.base.windings, n, got, want))
+        assert bad == []
+
+    def test_table_holds_every_key_the_cli_admits(self):
+        # 15 rows of windings over the 33 permutations, times 12 degrees.
+        keys = {(c.degree, c.base.windings) for c in self.cli_lifts()}
+        assert len(keys) == 15 * 12
+        assert covers._splitting.cache_info().maxsize >= len(keys)
+
+    def test_pushforward_c_is_e_times_the_fiber_sum(self):
+        # c = e * (sum of the lift's linking numbers with its fiber), which
+        # is 0 for a single lift (r = 1), whose pair is the table's.
+        bad = []
+        single = linked = 0
+        for b, n in TestTrustedCovers.lifted_pairs():
+            c = lift_braid(b, n)
+            for j, (k, row) in enumerate(zip(c.fiber_map, c.total.linking.entries)):
+                rec = c.splitting[k]
+                fiber_sum = sum(x for x, k2 in zip(row, c.fiber_map) if k2 == k)
+                want = ((rec.e, rec.e * fiber_sum), (0, rec.w))
+                if c.pushforward[j] != want or (rec.r == 1 and want[0][1] != 0):
+                    bad.append((b, n, j))
+                single += rec.r == 1
+                linked += want[0][1] != 0
+        assert bad == []
+        assert single > 0 and linked > 0
 
 
 class TestLiftDerivation:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from oracles import (
     replaced,
     unfree_sublink,
     universe_of,
+    wide4_words,
     with_generators,
 )
 
@@ -852,6 +854,56 @@ def test_run_scenario_names_and_times_each_record_by_its_registry_key(monkeypatc
     assert rec.name == "renamed"
     assert type(rec.millis) is float and rec.millis >= 0
     assert (rec.passed, rec.witness) == (True, None)
+
+
+class TestTrustedReports:
+    """``run_scenario`` builds its check records and report through ``Record._trusted``.
+
+    Every scenario with <=3 strands, length <=3 and degrees 2-5, and
+    every wide4 word at its degree.
+    """
+
+    @staticmethod
+    def reports():
+        scenarios = [(b, n) for b in iter_braid_words(3, 3) for n in (2, 3, 4, 5)]
+        return [(b, n, run_scenario(b, n)) for b, n in scenarios + wide4_words()]
+
+    def test_reports_equal_their_rebuild_through_the_public_constructors(self):
+        bad = []
+        for b, n, rep in self.reports():
+            rebuilt = replaced(rep, checks=tuple(replaced(c) for c in rep.checks))
+            if rebuilt != rep or (rep.strands, rep.word, rep.degree) != (b.strands, b.letters, n):
+                bad.append((b, n))
+        assert bad == []
+
+    def test_millis_is_a_float_at_microsecond_resolution(self):
+        bad = [
+            (b, n, c.name, c.millis)
+            for b, n, rep in self.reports()
+            for c in rep.checks
+            if not (type(c.millis) is float and c.millis >= 0 and c.millis == round(c.millis, 3))
+        ]
+        assert bad == []
+
+    def test_millis_rounds_the_clock_to_whole_microseconds(self, monkeypatch):
+        # Each check reads the clock twice: 1234.6 us, then 0.4 us, then 250 ms.
+        ticks = iter([10.0, 10.0012346, 20.0, 20.0000004, 30.0, 30.25])
+        clock = types.SimpleNamespace(perf_counter=lambda: next(ticks))
+        monkeypatch.setattr(hasse, "time", clock)
+        names = ["norm_principle", "diagonal_commutes", "meridian_pushforward"]
+        rep = run_scenario(BraidWord(2, (1,)), 2, names)
+        assert [c.millis for c in rep.checks] == [1.235, 0.0, 250.0]
+        assert all(type(c.millis) is float for c in rep.checks)
+
+    def test_a_failing_check_keeps_its_witness(self, monkeypatch):
+        witness = {"vector": [1, -2], "why": "test"}
+        monkeypatch.setitem(CHECKS, "norm_principle", lambda cover: (False, witness))
+        for b, n in [(BraidWord(2, (1,)), 2)] + wide4_words()[:5]:
+            rep = run_scenario(b, n)
+            first = rep.checks[0]
+            assert (first.name, first.passed, first.witness) == ("norm_principle", False, witness)
+            assert not rep.passed and all(c.passed for c in rep.checks[1:])
+            assert replaced(rep, checks=tuple(replaced(c) for c in rep.checks)) == rep
 
 
 def test_resolve_checks():

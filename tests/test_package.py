@@ -53,11 +53,13 @@ def test_import_loads_no_heavy_stdlib_module():
 # Each public entry of links, ideles, covers and hasse given an argument
 # of the wrong kind: a tuple where a record belongs, a list where an
 # IntMatrix belongs, a non-string check name, or an int where check
-# names, degrees, a sublink or a component order belong.
+# names, degrees, a sublink or a component order belong; and each field
+# of the report records given a value of the wrong kind.
 BAD = (2, (1,))
 BRAID = links.BraidWord(2, (1,))
 COVER = covers.lift_braid(BRAID, 2)
 LATTICE = idelink.SubLattice.full(2)
+CHECK = hasse.CheckRecord("norm_principle", True, 0.1)
 WRONG_KIND = {
     "links.braid_permutation": lambda: links.braid_permutation(BAD),
     "links.braid_linking_matrix": lambda: links.braid_linking_matrix(BAD),
@@ -93,6 +95,21 @@ WRONG_KIND = {
     "hasse.run_suite.checks_int": lambda: hasse.run_suite(1, 1, (2,), 7),
     "hasse.count_scenarios.degrees_int": lambda: hasse.count_scenarios(1, 1, 5),
     "hasse.scenario_report_json": lambda: hasse.scenario_report_json(BAD),
+    "hasse.CheckRecord.name": lambda: hasse.CheckRecord(5, True, 0.1),
+    "hasse.CheckRecord.passed": lambda: hasse.CheckRecord("x", "no", 0.1),
+    "hasse.CheckRecord.passed_int": lambda: hasse.CheckRecord("x", 1, 0.1),
+    "hasse.CheckRecord.millis_negative": lambda: hasse.CheckRecord("x", True, -5),
+    "hasse.CheckRecord.millis_bool": lambda: hasse.CheckRecord("x", True, True),
+    "hasse.CheckRecord.millis_str": lambda: hasse.CheckRecord("x", True, "0.1"),
+    "hasse.CheckRecord.millis_nan": lambda: hasse.CheckRecord("x", True, float("nan")),
+    "hasse.CheckRecord.millis_inf": lambda: hasse.CheckRecord("x", True, float("inf")),
+    "hasse.CheckRecord.witness": lambda: hasse.CheckRecord("x", False, 0.1, [1, -2]),
+    "hasse.VerificationReport.strands": lambda: hasse.VerificationReport(2.0, (1,), 2, ()),
+    "hasse.VerificationReport.degree": lambda: hasse.VerificationReport(2, (1,), True, ()),
+    "hasse.VerificationReport.word": lambda: hasse.VerificationReport(2, [1], 2, ()),
+    "hasse.VerificationReport.word_entry": lambda: hasse.VerificationReport(2, (1.0,), 2, ()),
+    "hasse.VerificationReport.checks": lambda: hasse.VerificationReport(2, (1,), 2, [CHECK]),
+    "hasse.VerificationReport.checks_entry": lambda: hasse.VerificationReport(2, (1,), 2, (BAD,)),
     **{f"hasse.{fn.__name__}": (lambda fn=fn: fn(BAD)) for fn in hasse.CHECKS.values()},
 }
 
