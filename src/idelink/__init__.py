@@ -13,9 +13,6 @@ from .kernel import BACKEND as KERNEL_BACKEND
 from .links import (
     BraidWord,
     LinkUniverse,
-    braid_linking_matrix,
-    braid_permutation,
-    braid_power,
     relabeled_universe,
     universe_from_braid,
 )
@@ -76,9 +73,6 @@ __all__ = [
     # links
     "BraidWord",
     "LinkUniverse",
-    "braid_linking_matrix",
-    "braid_permutation",
-    "braid_power",
     "relabeled_universe",
     "universe_from_braid",
     # ideles

@@ -24,7 +24,7 @@ from .hasse import (
     scenario_report_json,
 )
 from .ideles import IdeleVector, _label_prefixes, principal_generators
-from .links import BraidWord, permutation_cycles, universe_from_braid
+from .links import BraidWord, _permutation_cycles, universe_from_braid
 
 SCENARIO_SCHEMA = 1
 
@@ -181,7 +181,7 @@ def _format_lift(cover: CoverData, ascii_flag: bool) -> str:
         w = m[1][1]
         lam_terms.append(f"{w}{lam}{kn}" if w != 1 else f"{lam}{kn}")
         lines.append(f"  {mu}{jn} -> {mu_img};  {lam}{jn} -> {' + '.join(lam_terms)}")
-    cycles = (" ".join(total.labels[x] for x in cyc) for cyc in permutation_cycles(cover.deck))
+    cycles = (" ".join(total.labels[x] for x in cyc) for cyc in _permutation_cycles(cover.deck))
     lines.append("deck rotation: " + " ".join(f"({cyc})" for cyc in cycles))
     return "\n".join(lines)
 

@@ -31,7 +31,9 @@ from collections.abc import Sequence
 from math import gcd
 
 from ._record import Record
-from .links import BraidWord, LinkUniverse, _cover_closures, relabeled_universe
+from .links import (
+    BraidWord, LinkUniverse, _check_permutation, _cover_closures, relabeled_universe
+)
 from .zlattice import IntMatrix, SubLattice, _check_kind, _span
 
 
@@ -43,24 +45,34 @@ def _check_degree(degree: int) -> None:
         raise ValueError("cover degree must be >= 1")
 
 
+def _is_int_pair(x) -> bool:
+    """True iff ``x`` is a tuple of two plain ints."""
+    return type(x) is tuple and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+
+
 class SplitRecord(Record):
     """Covering arithmetic of one base component.
 
     a, b are the character values on the meridian and longitude; e is
     the meridian covering degree (order of a in Z/n), d = e*w the torus
     covering degree, w the longitude covering degree, and r = n/d the
-    number of components lying over this one.
+    number of components lying over this one.  The constructor checks
+    that every field is a plain int, e, d, w and r are >= 1, and d = e*w.
     """
 
     __slots__ = _fields = ("a", "b", "e", "d", "w", "r")
 
     def __init__(self, a: int, b: int, e: int, d: int, w: int, r: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "r", r)
+        values = (a, b, e, d, w, r)
+        for name, x in zip(self._fields, values):
+            if type(x) is not int:
+                raise ValueError(f"split record {name} must be a plain int, got {type(x).__name__}")
+        if min(e, d, w, r) < 1:
+            raise ValueError(f"split record e={e}, d={d}, w={w}, r={r} must all be >= 1")
+        if d != e * w:
+            raise ValueError(f"split record d={d} is not e*w = {e * w}")
+        for name, x in zip(self._fields, values):
+            object.__setattr__(self, name, x)
 
 
 class CoverData(Record):
@@ -75,11 +87,15 @@ class CoverData(Record):
     (mu_J, lambda_J) coefficient pairs to base (mu, lambda) pairs; and
     ``deck[j]`` is the deck rotation on upstairs components.
 
-    Constructing a cover checks that ``base`` and ``total`` are
-    universes with a branch axis, which the checks read (the other
-    fields are trusted), then pushes the upstairs principal generators
-    down in one ``_pushed_rows`` pass (``_pushed``, entry j the image of
-    generator j), for the checks and ``principal_pushforward`` to read.
+    Constructing a cover checks every field: the degree is a plain int
+    >= 1, ``base`` and ``total`` are universes with a branch axis, which
+    the checks read, ``splitting`` holds one ``SplitRecord`` per base
+    component, and ``fiber_map``, ``pushforward`` and ``deck`` are tuples
+    with one entry per upstairs component: base components, pairs of
+    plain-int pairs, and a permutation.  It then pushes the upstairs
+    principal generators down in one ``_pushed_rows`` pass (``_pushed``,
+    entry j the image of generator j), for the checks and
+    ``principal_pushforward`` to read.
     ``lift_braid`` knows its covers are valid and builds them through
     ``Record._trusted`` with the same pass: ``tests/test_covers.py``
     rebuilds the lift of every word with <= 3 strands and length <= 4,
@@ -102,10 +118,31 @@ class CoverData(Record):
         pushforward: tuple[tuple[tuple[int, int], tuple[int, int]], ...],
         deck: tuple[int, ...],
     ):
+        _check_degree(degree)
         for what, u in (("base universe", base), ("upstairs universe", total)):
             _check_kind(what, u, LinkUniverse)
             if u.axis_index is None:
                 raise ValueError(f"{what} has no branch axis")
+        for what, entries, size in (
+            ("splitting", splitting, base.size),
+            ("fiber map", fiber_map, total.size),
+            ("pushforward", pushforward, total.size),
+            ("deck", deck, total.size),
+        ):
+            _check_kind(what, entries, tuple)
+            if len(entries) != size:
+                raise ValueError(f"{what} length {len(entries)} does not match {size} components")
+        for rec in splitting:
+            _check_kind("split record", rec, SplitRecord)
+        for k in fiber_map:
+            if type(k) is not int:
+                raise ValueError(f"fiber map entry must be a plain int, got {type(k).__name__}")
+            if not 0 <= k < base.size:
+                raise ValueError(f"fiber map entry {k} is not a base component 0..{base.size - 1}")
+        for pair in pushforward:
+            if not (type(pair) is tuple and len(pair) == 2 and all(map(_is_int_pair, pair))):
+                raise ValueError(f"pushforward entry must be a pair of int pairs, got {pair!r}")
+        _check_permutation("deck", deck)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "total", total)

@@ -45,12 +45,6 @@ class BraidWord(Record):
         return len(self.letters)
 
 
-def braid_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Permutation sending each starting position to its final position."""
-    _check_kind("braid", b, BraidWord)
-    return _braid_walk(b.strands, b.letters)[0]
-
-
 def _braid_walk(
     strands: int, letters: tuple[int, ...]
 ) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
@@ -73,12 +67,6 @@ def _braid_walk(
     return tuple(perm), crossings
 
 
-def permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Cycles of a permutation of 0..n-1, ordered by smallest element, each started there."""
-    _check_permutation("permutation", perm)
-    return _permutation_cycles(perm)
-
-
 def _check_permutation(what: str, perm, n: int | None = None) -> None:
     """Reject a ``what`` that is not a sequence ordering 0..n-1; n is its length by default."""
     _check_kind(what, perm, Sequence)
@@ -88,7 +76,7 @@ def _check_permutation(what: str, perm, n: int | None = None) -> None:
 
 
 def _permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """``permutation_cycles`` of a permutation already known to be one."""
+    """Cycles of a known permutation of 0..n-1, ordered by smallest element, each started there."""
     seen = [False] * len(perm)
     cycles = []
     for s in range(len(perm)):
@@ -102,21 +90,6 @@ def _permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             t = perm[t]
         cycles.append(tuple(cycle))
     return tuple(cycles)
-
-
-def braid_linking_matrix(b: BraidWord) -> IntMatrix:
-    """Pairwise linking numbers of the closure components.
-
-    Entry (C, C') is half the signed count of crossings between a strand
-    of C and a strand of C'; crossings within one component do not
-    contribute.  The diagonal is zero.  Two closed components cross an
-    even number of times, so the halving is exact.
-    """
-    _check_kind("braid", b, BraidWord)
-    perm, crossings = _braid_walk(b.strands, b.letters)
-    windings, comp = _cover_skeleton(perm, 1)[1:3]
-    size = len(windings) - 1
-    return IntMatrix(_crossing_rows(crossings, (comp,), size), cols=size)
 
 
 def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> tuple[int, ...]:
@@ -150,16 +123,6 @@ def _crossing_rows(
                 counts[c1][c2] += sign
                 counts[c2][c1] += sign
     return [tuple([x * repeats // 2 for x in row]) for row in counts]
-
-
-def braid_power(b: BraidWord, n: int) -> BraidWord:
-    """The word repeated n times on the same strands (n a plain int >= 1)."""
-    _check_kind("braid", b, BraidWord)
-    if type(n) is not int:
-        raise ValueError(f"braid power {n!r} is not a plain int")
-    if n < 1:
-        raise ValueError("braid power requires n >= 1")
-    return BraidWord(b.strands, b.letters * n)
 
 
 class LinkUniverse(Record):

@@ -8,8 +8,10 @@ elimination on the smallest nonzero entry with row and column
 operations (any size, entries of hundreds of bits included), Alexander
 polynomials by interpolating permutation-expansion determinants, and
 resultants by the Euclidean remainder sequence over the rationals,
-and the splitting data of a cover's component by listing the subgroups
-its character values generate in Z/n.
+the splitting data of a cover's component by listing the subgroups
+its character values generate in Z/n, and the permutation, closure
+components and linking numbers of a braid word by a walk of its own
+that calls nothing in ``idelink.links`` (``closure_walk``).
 
 The routes at the end are the exception.  Four are the lattice
 routes ``idelink.zlattice`` replaced: absolute and relative quotient
@@ -60,13 +62,7 @@ from math import gcd, lcm
 
 from idelink import hasse, ideles, kernel, zlattice
 from idelink.covers import pushforward_matrix
-from idelink.links import (
-    BraidWord,
-    LinkUniverse,
-    braid_permutation,
-    braid_power,
-    permutation_cycles,
-)
+from idelink.links import BraidWord, LinkUniverse
 from idelink.zlattice import AbelianInvariants, IntMatrix, SubLattice
 
 
@@ -668,16 +664,60 @@ def meridian_pushforward_typed(c):
     return True, None
 
 
+def closure_walk(b):
+    """(permutation, cycles, linking) of the closure of ``b``, by a walk of its own.
+
+    The permutation sends each strand, named by its starting position,
+    to its final position.  A strand ending at position p continues as
+    the strand starting there, so the closure components are the cycles
+    of the permutation, listed by smallest strand and started there.
+    ``linking[i][j]`` is half the signed count of crossings between a
+    strand of cycle i and a strand of cycle j, 0 on the diagonal.  Two
+    closed components cross an even number of times, which the walk
+    asserts.
+    """
+    where = list(range(b.strands))  # where[s] = the position strand s is at
+    crossings = []
+    for g in b.letters:
+        i = abs(g) - 1
+        left, right = where.index(i), where.index(i + 1)
+        where[left], where[right] = i + 1, i
+        crossings.append((left, right, 1 if g > 0 else -1))
+    cycles = []
+    for s in range(b.strands):
+        if any(s in cycle for cycle in cycles):
+            continue
+        cycle = [s]
+        while where[cycle[-1]] != s:
+            cycle.append(where[cycle[-1]])
+        cycles.append(tuple(cycle))
+    cycle_of = {s: c for c, cycle in enumerate(cycles) for s in cycle}
+    counts = [[0] * len(cycles) for _ in cycles]
+    for left, right, sign in crossings:
+        c1, c2 = cycle_of[left], cycle_of[right]
+        if c1 != c2:
+            counts[c1][c2] += sign
+            counts[c2][c1] += sign
+    assert all(x % 2 == 0 for row in counts for x in row), (b, counts)
+    linking = tuple(tuple(x // 2 for x in row) for row in counts)
+    return tuple(where), tuple(cycles), linking
+
+
+def power_word(b, n):
+    """The word of ``b`` repeated n times on the same strands."""
+    return BraidWord(b.strands, b.letters * n)
+
+
 def lift_maps_by_walking_both_words(b, n):
     """``lift_braid``'s (fiber_map, deck), reading the cycles of b and of b^n off each word.
 
     Axis first in both universes; closure components follow in
-    ``permutation_cycles`` order.  A lift over the strand s moves to
-    the lift over sigma(s).
+    ``closure_walk`` order.  A lift over the strand s moves to the lift
+    over sigma(s).
     """
-    sigma = braid_permutation(b)
-    base_of = {s: c + 1 for c, cycle in enumerate(permutation_cycles(sigma)) for s in cycle}
-    top = permutation_cycles(braid_permutation(braid_power(b, n)))
+    sigma, cycles, _ = closure_walk(b)
+    base_of = {s: c + 1 for c, cycle in enumerate(cycles) for s in cycle}
+    top = closure_walk(power_word(b, n))[1]
     top_of = {s: c + 1 for c, cycle in enumerate(top) for s in cycle}
     fiber_map = (0,) + tuple(base_of[cycle[0]] for cycle in top)
     deck = (0,) + tuple(top_of[sigma[cycle[0]]] for cycle in top)
@@ -708,7 +748,7 @@ def permutation_words():
         for length in range(7):  # S_4 needs at most 6 adjacent transpositions
             for letters in itertools.product(range(1, strands), repeat=length):
                 b = BraidWord(strands, letters)
-                words.setdefault((strands, braid_permutation(b)), b)
+                words.setdefault((strands, closure_walk(b)[0]), b)
     return list(words.values())
 
 

@@ -19,21 +19,16 @@ from idelink.covers import (
 )
 from idelink.hasse import iter_braid_words
 from idelink.ideles import principal_generators
-from idelink.links import (
-    BraidWord,
-    LinkUniverse,
-    braid_linking_matrix,
-    braid_permutation,
-    braid_power,
-    permutation_cycles,
-)
+from idelink.links import BraidWord, LinkUniverse
 from idelink.zlattice import IntMatrix, SubLattice, lattice_equal
 
 from oracles import (
     alexander_oracle,
+    closure_walk,
     lift_maps_by_walking_both_words,
     permutation_words,
     poly_eval,
+    power_word,
     replaced,
     resultant_oracle,
     splitting_oracle,
@@ -109,35 +104,6 @@ class TestLift:
             assert rec.e * rec.w == rec.d and rec.r * rec.d == n
 
 
-def _closure_crossings(b):
-    """Signed crossing counts between the closure components of ``b``.
-
-    Components are found by following each strand's end position to the
-    strand that starts there, and ordered by their smallest strand.
-    """
-    at = list(range(b.strands))
-    events = []
-    for g in b.letters:
-        i = abs(g) - 1
-        events.append((at[i], at[i + 1], 1 if g > 0 else -1))
-        at[i], at[i + 1] = at[i + 1], at[i]
-    continues_as = {s: p for p, s in enumerate(at)}
-    smallest = {}
-    for s in range(b.strands):
-        orbit = [s]
-        while continues_as[orbit[-1]] != s:
-            orbit.append(continues_as[orbit[-1]])
-        smallest[s] = min(orbit)
-    index = {r: i for i, r in enumerate(sorted(set(smallest.values())))}
-    counts = [[0] * len(index) for _ in index]
-    for s1, s2, sign in events:
-        c1, c2 = index[smallest[s1]], index[smallest[s2]]
-        if c1 != c2:
-            counts[c1][c2] += sign
-            counts[c2][c1] += sign
-    return counts
-
-
 def lift_invariant_failures(b, c):
     """Every lift invariant that ``c``, a cover of the closure of ``b``, breaks."""
     n = c.degree
@@ -159,12 +125,8 @@ def lift_invariant_failures(b, c):
             lifted = base.windings[k] // gcd(base.windings[k], n)
             if any(c.total.windings[j] != lifted for j in fiber):
                 bad.append(("lifted winding", k))
-    for u, word in ((base, b), (c.total, braid_power(b, n))):
-        counts = _closure_crossings(word)
-        if any(x % 2 for row in counts for x in row):
-            bad.append(("odd crossing count", u.labels))
-        halves = [[x // 2 for x in row] for row in counts]
-        if halves != [list(row[1:]) for row in u.linking.entries[1:]]:
+    for u, word in ((base, b), (c.total, power_word(b, n))):
+        if closure_walk(word)[2] != tuple(row[1:] for row in u.linking.entries[1:]):
             bad.append(("linking", u.labels))
     return bad
 
@@ -308,7 +270,7 @@ class TestTrustedCovers:
             (b, n)
             for b, n in self.lifted_pairs()
             if not _tuples_all_the_way_down(
-                links._cover_skeleton(braid_permutation(b), n), (int, str)
+                links._cover_skeleton(closure_walk(b)[0], n), (int, str)
             )
         ]
         assert bad == []
@@ -387,9 +349,9 @@ class TestLiftDerivation:
     def test_universe_closure_block_is_linking_matrix(self, sweep_covers, wide4_covers):
         bad = []
         for b, n, c in sweep_covers + wide4_covers:
-            for u, word in ((c.base, b), (c.total, braid_power(b, n))):
+            for u, word in ((c.base, b), (c.total, power_word(b, n))):
                 block = tuple(row[1:] for row in u.linking.entries[1:])
-                if block != braid_linking_matrix(word).entries:
+                if block != closure_walk(word)[2]:
                     bad.append((b, n, u.labels))
         assert bad == []
 
@@ -412,16 +374,15 @@ class TestLiftDerivation:
         bad = []
         periods = set()
         for b in words:
-            sigma_cycles = permutation_cycles(braid_permutation(b))
+            sigma_cycles = closure_walk(b)[1]
             for n in range(1, 13):
                 counted.clear()
                 c = lift_braid(b, n)
                 lifted = counted[:]
-                power = braid_power(b, n)
                 block = tuple(row[1:] for row in c.total.linking.entries[1:])
-                cycles = permutation_cycles(braid_permutation(power))
+                _, cycles, linking = closure_walk(power_word(b, n))
                 windings = (0,) + tuple(len(cycle) for cycle in cycles)
-                if (block, c.total.windings) != (braid_linking_matrix(power).entries, windings):
+                if (block, c.total.windings) != (linking, windings):
                     bad.append((b, n))
                 p = lcm(*(gcd(n, len(cycle)) for cycle in sigma_cycles))
                 # The base's one block, then the power's p blocks n/p times.
@@ -432,27 +393,18 @@ class TestLiftDerivation:
         assert periods == {True, False}
 
     def test_one_lift_walks_the_word_once(self, monkeypatch):
-        # One walk over the word's letters gives sigma and every crossing;
-        # braid_permutation is not walked again.
+        # One walk over the word's letters gives sigma and every crossing.
         walks = []
-        perms = []
         real_walk = links._braid_walk
-        real_perm = links.braid_permutation
 
         def counted_walk(strands, letters):
             walks.append(len(letters))
             return real_walk(strands, letters)
 
-        def counted_perm(b):
-            perms.append(b)
-            return real_perm(b)
-
         monkeypatch.setattr(links, "_braid_walk", counted_walk)
-        monkeypatch.setattr(links, "braid_permutation", counted_perm)
         b = BraidWord(4, (1, 2, -3, 1))
         c = lift_braid(b, 6)
         assert c.total.size > c.base.size
-        assert (len(walks), len(perms)) == (1, 0)
         # The walk covers the word's len(b) letters, not the n * len(b)
         # letters of its n-th power.
         assert walks == [len(b)]
@@ -482,6 +434,56 @@ class TestLiftDerivation:
         BraidWord(2, (1,))
         links.LinkUniverse(("K",), IntMatrix([[0]]))
         assert counts == {"IntMatrix": 1, "LinkUniverse": 1, "BraidWord": 1}
+
+
+class TestCoverTower:
+    """Cyclic covers compose through every intermediate degree.
+
+    For 1 < d < n with d | n, the degree-n cover of b is the degree-d
+    cover of b followed by the degree-n/d cover of b^d.  Every word
+    with <=3 strands and length <=4, and 150 seeded 4-strand words of
+    length <=5, at every n in 2-12 and every such d.
+    """
+
+    @staticmethod
+    def triples():
+        rng = random.Random(10)
+        alphabet = [-3, -2, -1, 1, 2, 3]
+        words = list(iter_braid_words(3, 4)) + [
+            BraidWord(4, tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 5))))
+            for _ in range(150)
+        ]
+        return [(b, n, d) for b in words for n in range(2, 13) for d in range(2, n) if n % d == 0]
+
+    def test_the_cover_through_b_to_the_d_is_the_top_of_the_tower(self):
+        triples = self.triples()
+        assert len(triples) == 523 * 12
+        bad = []
+        for b, n, d in triples:
+            c_n, c_d = lift_braid(b, n), lift_braid(b, d)
+            upper = lift_braid(power_word(b, d), n // d)
+            deck = tuple(range(c_n.total.size))
+            for _ in range(d):
+                deck = tuple(c_n.deck[j] for j in deck)
+            same = (
+                upper.base.linking == c_d.total.linking
+                and upper.total.linking == c_n.total.linking
+                and tuple(c_d.fiber_map[k] for k in upper.fiber_map) == c_n.fiber_map
+                and pushforward_matrix(c_d) @ pushforward_matrix(upper) == pushforward_matrix(c_n)
+                and upper.deck == deck
+            )
+            if not same:
+                bad.append((b, n, d))
+        assert bad == []
+
+    def test_a_broken_floor_breaks_the_tower(self):
+        # A pushforward c entry moved on the middle cover spoils the product.
+        b = BraidWord(2, (1, 1))
+        c_n, c_d, upper = lift_braid(b, 4), lift_braid(b, 2), lift_braid(power_word(b, 2), 2)
+        assert pushforward_matrix(c_d) @ pushforward_matrix(upper) == pushforward_matrix(c_n)
+        moved = tuple(((e, c + 1), row) for (e, c), row in c_d.pushforward)
+        broken = replaced(c_d, pushforward=moved)
+        assert pushforward_matrix(broken) @ pushforward_matrix(upper) != pushforward_matrix(c_n)
 
 
 def unit(m, i):

@@ -1,23 +1,21 @@
-"""Braid combinatorics: permutations, components, exact linking data."""
+"""Braid combinatorics: permutations, components, exact linking data.
+
+Pinned cases are read twice: off ``oracles.closure_walk``, the tests'
+own walk of a word, and off the package's universes and lifts
+(component counts, windings, the closure block of the linking matrix).
+"""
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 
-from idelink.links import (
-    BraidWord,
-    LinkUniverse,
-    braid_linking_matrix,
-    braid_permutation,
-    braid_power,
-    permutation_cycles,
-    relabeled_universe,
-    universe_from_braid,
-)
+from idelink.covers import lift_braid
+from idelink.links import BraidWord, LinkUniverse, relabeled_universe, universe_from_braid
 from idelink.zlattice import IntMatrix
 
-from oracles import replaced
+from oracles import closure_walk, replaced
 
 
 def all_words(strands, max_len):
@@ -46,81 +44,96 @@ class TestBraidWord:
                 BraidWord(strands, ())
 
 
+def closure_block(u):
+    """The linking numbers among a braid universe's closure components, axis left out."""
+    return tuple(row[1:] for row in u.linking.entries[1:])
+
+
+def windings(b):
+    """The windings of the universe of ``b``: axis slot 0, then each component's."""
+    return universe_from_braid(b).windings
+
+
 class TestPermutation:
     def test_single_generator_is_transposition(self):
-        assert braid_permutation(BraidWord(2, (1,))) == (1, 0)
+        b = BraidWord(2, (1,))
+        assert closure_walk(b)[0] == (1, 0)
+        assert windings(b) == (0, 2)
 
     def test_square_is_identity(self):
-        assert braid_permutation(BraidWord(2, (1, 1))) == (0, 1)
+        b = BraidWord(2, (1, 1))
+        assert closure_walk(b)[0] == (0, 1)
+        assert windings(b) == (0, 1, 1)
 
     def test_three_cycle(self):
-        perm = braid_permutation(BraidWord(3, (1, 2)))
-        assert perm == (2, 0, 1)
+        b = BraidWord(3, (1, 2))
+        assert closure_walk(b)[0] == (2, 0, 1)
+        assert windings(b) == (0, 3)
 
     def test_inverse_letters_cancel(self):
+        # The word times its inverse closes to the k-component unlink.
         rng = random.Random(0)
         for _ in range(50):
             k = rng.randint(2, 4)
             w = [rng.choice([g for g in range(-(k - 1), k) if g]) for _ in range(6)]
-            cancel = w + [-g for g in reversed(w)]
-            assert braid_permutation(BraidWord(k, tuple(cancel))) == tuple(range(k))
+            b = BraidWord(k, tuple(w + [-g for g in reversed(w)]))
+            assert closure_walk(b)[0] == tuple(range(k))
+            assert universe_from_braid(b).linking == universe_from_braid(BraidWord(k, ())).linking
 
 
 class TestComponents:
     def test_examples(self):
-        assert permutation_cycles(braid_permutation(BraidWord(2, (1, 1)))) == ((0,), (1,))
-        assert permutation_cycles(braid_permutation(BraidWord(2, (1,)))) == ((0, 1),)
-        assert permutation_cycles(braid_permutation(BraidWord(3, (1, 2)))) == ((0, 2, 1),)
+        for letters, strands, cycles, winding_row in (
+            ((1, 1), 2, ((0,), (1,)), (0, 1, 1)),
+            ((1,), 2, ((0, 1),), (0, 2)),
+            ((1, 2), 3, ((0, 2, 1),), (0, 3)),
+        ):
+            b = BraidWord(strands, letters)
+            assert closure_walk(b)[1] == cycles
+            assert windings(b) == winding_row
 
     def test_ordering_by_smallest_strand(self):
-        comps = permutation_cycles(braid_permutation(BraidWord(4, (3,))))
-        assert comps == ((0,), (1,), (2, 3))
-
-    def test_entry_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="not a permutation"):
-            permutation_cycles((2, (1,)))
-
-    def test_repeated_entry_rejected(self):
-        with pytest.raises(ValueError, match="not a permutation"):
-            permutation_cycles((0, 0))
+        b = BraidWord(4, (3,))
+        assert closure_walk(b)[1] == ((0,), (1,), (2, 3))
+        assert windings(b) == (0, 1, 1, 2)
 
 
 class TestLinkingMatrix:
     def test_hopf_link(self):
-        assert braid_linking_matrix(BraidWord(2, (1, 1))).entries == ((0, 1), (1, 0))
+        b = BraidWord(2, (1, 1))
+        assert closure_block(universe_from_braid(b)) == closure_walk(b)[2] == ((0, 1), (1, 0))
 
     def test_negative_hopf(self):
-        assert braid_linking_matrix(BraidWord(2, (-1, -1))).entries == (
-            (0, -1),
-            (-1, 0),
-        )
+        b = BraidWord(2, (-1, -1))
+        assert closure_block(universe_from_braid(b)) == closure_walk(b)[2] == ((0, -1), (-1, 0))
 
     def test_torus_two_four(self):
-        assert braid_linking_matrix(BraidWord(2, (1, 1, 1, 1))).entries == (
-            (0, 2),
-            (2, 0),
-        )
+        b = BraidWord(2, (1, 1, 1, 1))
+        assert closure_block(universe_from_braid(b)) == closure_walk(b)[2] == ((0, 2), (2, 0))
 
     def test_symmetric_zero_diagonal_exhaustive(self):
+        # The universe's block equals the oracle's, which is symmetric
+        # with zero diagonal.
         for strands in (1, 2, 3):
             for b in all_words(strands, 6):
-                m = braid_linking_matrix(b)
-                assert m.shape[0] == m.shape[1]
-                for i in range(m.rows):
-                    assert m.entries[i][i] == 0
-                    for j in range(m.rows):
-                        assert m.entries[i][j] == m.entries[j][i]
+                block = closure_walk(b)[2]
+                assert closure_block(universe_from_braid(b)) == block
+                for i in range(len(block)):
+                    assert block[i][i] == 0
+                    for j in range(len(block)):
+                        assert block[i][j] == block[j][i]
 
     def test_symmetric_zero_diagonal_sampled_four_strands(self):
         rng = random.Random(17)
         alphabet = [g for g in range(-3, 4) if g]
         for _ in range(4000):
             w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
-            m = braid_linking_matrix(BraidWord(4, w))
-            for i in range(m.rows):
-                assert m.entries[i][i] == 0
-                for j in range(m.rows):
-                    assert m.entries[i][j] == m.entries[j][i]
+            block = closure_walk(BraidWord(4, w))[2]
+            assert closure_block(universe_from_braid(BraidWord(4, w))) == block
+            for i in range(len(block)):
+                assert block[i][i] == 0
+                for j in range(len(block)):
+                    assert block[i][j] == block[j][i]
 
     def test_mirror_negates_linking(self):
         rng = random.Random(23)
@@ -130,11 +143,9 @@ class TestLinkingMatrix:
                 rng.choice([g for g in range(-(k - 1), k) if g])
                 for _ in range(rng.randint(0, 8))
             )
-            lk = braid_linking_matrix(BraidWord(k, w))
-            mirrored = braid_linking_matrix(BraidWord(k, tuple(-g for g in w)))
-            assert mirrored.entries == tuple(
-                tuple(-x for x in row) for row in lk.entries
-            )
+            lk = closure_block(universe_from_braid(BraidWord(k, w)))
+            mirrored = closure_block(universe_from_braid(BraidWord(k, tuple(-g for g in w))))
+            assert mirrored == tuple(tuple(-x for x in row) for row in lk)
 
     def test_markov_stabilization_keeps_linking(self):
         # A word on k strands, viewed on k+1 strands with its last strand
@@ -145,18 +156,17 @@ class TestLinkingMatrix:
             for b in all_words(strands, 4):
                 wide = BraidWord(strands + 1, b.letters)
                 stabilized = BraidWord(strands + 1, b.letters + (strands,))
-                base = braid_linking_matrix(b)
-                stab = braid_linking_matrix(stabilized)
+                base = closure_block(universe_from_braid(b))
+                stab = closure_block(universe_from_braid(stabilized))
                 # components of the stabilized braid: strand k joins the
                 # cycle containing the old strand holding position k at
                 # the end of the word, i.e. the cycle of sigma^-1(k).
-                old = permutation_cycles(braid_permutation(b))
-                new = permutation_cycles(braid_permutation(stabilized))
+                old = closure_walk(b)[1]
+                new = closure_walk(stabilized)[1]
                 assert len(new) == len(old)
                 for ci, cyc in enumerate(old):
                     assert set(cyc) <= set(new[ci])
-                assert stab.shape == base.shape
-                assert stab.entries == base.entries
+                assert stab == base
 
 
 class TestUniverse:
@@ -228,29 +238,34 @@ class TestUniverse:
 
 
 class TestBraidPower:
+    """The degree-n lift's upstairs universe is the closure of the n-th power of the word."""
+
     def test_examples(self):
-        assert braid_power(BraidWord(2, (1,)), 2).letters == (1, 1)
-        assert braid_power(BraidWord(2, (1, 1)), 3).letters == (1,) * 6
-        assert braid_power(BraidWord(3, ()), 5).letters == ()
+        for b, n, power, winding_row, block in (
+            (BraidWord(2, (1,)), 2, (1, 1), (0, 1, 1), ((0, 1), (1, 0))),
+            (BraidWord(2, (1, 1)), 3, (1,) * 6, (0, 1, 1), ((0, 3), (3, 0))),
+            (BraidWord(3, ()), 5, (), (0, 1, 1, 1), ((0, 0, 0),) * 3),
+        ):
+            total = lift_braid(b, n).total
+            assert total.linking == universe_from_braid(BraidWord(b.strands, power)).linking
+            assert (total.windings, closure_block(total)) == (winding_row, block)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            braid_power(BraidWord(2, (1,)), 0)
+            lift_braid(BraidWord(2, (1,)), 0)
 
     def test_bool_exponent_rejected(self):
         # True is an int subclass equal to 1; it must not pass as the first power.
         with pytest.raises(ValueError, match="not a plain int"):
-            braid_power(BraidWord(2, (1,)), True)
+            lift_braid(BraidWord(2, (1,)), True)
 
     def test_float_exponent_rejected(self):
         with pytest.raises(ValueError, match="not a plain int"):
-            braid_power(BraidWord(2, (1,)), 2.0)
+            lift_braid(BraidWord(2, (1,)), 2.0)
 
     def test_winding_of_powers(self):
         # cycle lengths of the n-th power split each cycle of length d
         # into gcd(d, n) cycles of length d/gcd(d, n)
-        from math import gcd
-
         rng = random.Random(5)
         for _ in range(100):
             k = rng.randint(1, 4)
@@ -260,12 +275,10 @@ class TestBraidPower:
             ) if alphabet else ()
             b = BraidWord(k, w)
             n = rng.randint(1, 6)
-            cycles = permutation_cycles(braid_permutation(b))
-            base = {min(c): len(c) for c in cycles}
-            power = permutation_cycles(braid_permutation(braid_power(b, n)))
-            for cyc in power:
-                d = base[min(min(c) for c in cycles if set(cyc) <= set(c))]
-                assert len(cyc) == d // gcd(d, n)
+            c = lift_braid(b, n)
+            for j in c.total.non_axis():
+                d = c.base.windings[c.fiber_map[j]]
+                assert c.total.windings[j] == d // gcd(d, n)
 
 
 def _plain_int_rows(m: IntMatrix) -> bool:

@@ -61,9 +61,6 @@ COVER = covers.lift_braid(BRAID, 2)
 LATTICE = idelink.SubLattice.full(2)
 CHECK = hasse.CheckRecord("norm_principle", True, 0.1)
 WRONG_KIND = {
-    "links.braid_permutation": lambda: links.braid_permutation(BAD),
-    "links.braid_linking_matrix": lambda: links.braid_linking_matrix(BAD),
-    "links.braid_power": lambda: links.braid_power(BAD, 2),
     "links.universe_from_braid": lambda: links.universe_from_braid(BAD),
     "links.relabeled_universe": lambda: links.relabeled_universe(BAD, (0, 1)),
     "ideles.IdeleVector.format": lambda: ideles.IdeleVector((0,), (1, 0)).format(BAD),
@@ -84,6 +81,21 @@ WRONG_KIND = {
     "covers.branched_cover_order": lambda: covers.branched_cover_order([[1]], 2),
     "covers.CoverData.base": lambda: replaced(COVER, base=BAD),
     "covers.CoverData.total": lambda: replaced(COVER, total=BAD),
+    "covers.CoverData.splitting": lambda: replaced(COVER, splitting=list(COVER.splitting)),
+    "covers.CoverData.splitting_entry": lambda: replaced(COVER, splitting=(BAD, BAD)),
+    "covers.CoverData.fiber_map": lambda: replaced(COVER, fiber_map=[0, 1, 1]),
+    "covers.CoverData.fiber_map_entry": lambda: replaced(COVER, fiber_map=(0, 1.0, 1)),
+    "covers.CoverData.fiber_map_bool": lambda: replaced(COVER, fiber_map=(0, True, 1)),
+    "covers.CoverData.pushforward": lambda: replaced(COVER, pushforward=list(COVER.pushforward)),
+    "covers.CoverData.pushforward_lists": lambda: replaced(
+        COVER, pushforward=([[2, 0], [0, 1]],) + COVER.pushforward[1:]
+    ),
+    "covers.CoverData.pushforward_float": lambda: replaced(
+        COVER, pushforward=(((2.0, 0), (0, 1)),) + COVER.pushforward[1:]
+    ),
+    "covers.CoverData.deck": lambda: replaced(COVER, deck=[0, 2, 1]),
+    "covers.SplitRecord.float": lambda: covers.SplitRecord(1.5, "x", None, 4, 5, 6),
+    "covers.SplitRecord.bool": lambda: covers.SplitRecord(0, 1, True, 1, 1, 2),
     "hasse.equality_witness.a": lambda: hasse.equality_witness(BAD, LATTICE),
     "hasse.equality_witness.b": lambda: hasse.equality_witness(LATTICE, BAD),
     "hasse.resolve_checks": lambda: hasse.resolve_checks([1]),
@@ -121,7 +133,8 @@ def test_wrong_kind_argument_raises_value_error(name):
 
 
 # Each shape check of the public constructors and operations, with its
-# message: (call, message).
+# message: (call, message).  The component orders of ``relabeled_universe``
+# and the deck of a ``CoverData`` go through the one permutation check.
 _HOPF = links.universe_from_braid(links.BraidWord(2, (1, 1)))
 _I2 = zlattice.IntMatrix.identity(2)
 BAD_SHAPE = {
@@ -161,6 +174,58 @@ BAD_SHAPE = {
     "quotient_invariants": (
         lambda: zlattice.quotient_invariants(3, zlattice.SubLattice.full(2)),
         "relations do not lie in the ambient group",
+    ),
+    "relabeled_universe.out_of_range": (
+        lambda: links.relabeled_universe(_HOPF, (0, 1, 3)),
+        "order (0, 1, 3) is not a permutation of 0..2",
+    ),
+    "relabeled_universe.not_an_int": (
+        lambda: links.relabeled_universe(_HOPF, (2, (1,), 0)),
+        "order (2, (1,), 0) is not a permutation of 0..2",
+    ),
+    "relabeled_universe.repeated": (
+        lambda: links.relabeled_universe(_HOPF, (0, 0, 1)),
+        "order (0, 0, 1) is not a permutation of 0..2",
+    ),
+    "relabeled_universe.bool": (
+        lambda: links.relabeled_universe(_HOPF, (True, False, 2)),
+        "order (True, False, 2) is not a permutation of 0..2",
+    ),
+    "CoverData.degree_float": (
+        lambda: replaced(COVER, degree=2.5), "cover degree 2.5 is not a plain int"
+    ),
+    "CoverData.degree_bool": (
+        lambda: replaced(COVER, degree=True), "cover degree True is not a plain int"
+    ),
+    "CoverData.splitting_short": (
+        lambda: replaced(COVER, splitting=COVER.splitting[:1]),
+        "splitting length 1 does not match 2 components",
+    ),
+    "CoverData.fiber_map_short": (
+        lambda: replaced(COVER, fiber_map=(0, 1)), "fiber map length 2 does not match 3 components"
+    ),
+    "CoverData.fiber_map_range": (
+        lambda: replaced(COVER, fiber_map=(0, 1, 2)),
+        "fiber map entry 2 is not a base component 0..1",
+    ),
+    "CoverData.pushforward_short": (
+        lambda: replaced(COVER, pushforward=COVER.pushforward[:2]),
+        "pushforward length 2 does not match 3 components",
+    ),
+    "CoverData.deck_short": (
+        # The deck of every sweep cover that moves its last component,
+        # short of that entry, passed every check before it was refused.
+        lambda: replaced(COVER, deck=(0, 2)), "deck length 2 does not match 3 components"
+    ),
+    "CoverData.deck_not_a_permutation": (
+        lambda: replaced(COVER, deck=(0, 1, 1)), "deck (0, 1, 1) is not a permutation of 0..2"
+    ),
+    "SplitRecord.below_one": (
+        lambda: covers.SplitRecord(0, 0, 1, 1, 1, 0),
+        "split record e=1, d=1, w=1, r=0 must all be >= 1",
+    ),
+    "SplitRecord.d_not_e_times_w": (
+        lambda: covers.SplitRecord(0, 1, 1, 2, 1, 1), "split record d=2 is not e*w = 1"
     ),
 }
 
