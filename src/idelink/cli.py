@@ -59,6 +59,13 @@ def _expect(mapping: dict, key: str, types, where: str):
     return value
 
 
+def _degree_in_limit(degree: int, what: str) -> int:
+    """``degree``, refused with one message on every entry point unless in 1..MAX_DEGREE."""
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ScenarioError(f"{what} must be in 1..{MAX_DEGREE}")
+    return degree
+
+
 def _resolve_checks(names: list[str], where: str) -> list[str]:
     """``resolve_checks`` with its error wrapped as a scenario error."""
     try:
@@ -94,9 +101,7 @@ def parse_scenario(data: object, where: str = "scenario") -> Scenario:
         braid = BraidWord(strands, tuple(word))
     except ValueError as exc:
         raise ScenarioError(f"{where}.braid: {exc}") from exc
-    degree = _expect(data, "cover_degree", int, where)
-    if not 1 <= degree <= MAX_DEGREE:
-        raise ScenarioError(f"{where}.cover_degree: must be in 1..{MAX_DEGREE}")
+    degree = _degree_in_limit(_expect(data, "cover_degree", int, where), f"{where}.cover_degree:")
     checks = None
     if "checks" in data:
         raw = _expect(data, "checks", list, where)
@@ -191,9 +196,7 @@ def _load(args) -> tuple[Scenario, int]:
     scenario = load_scenario(args.input)
     if args.degree is None:
         return scenario, scenario.cover_degree
-    if not 1 <= args.degree <= MAX_DEGREE:
-        raise ScenarioError(f"--degree must be in 1..{MAX_DEGREE}")
-    return scenario, args.degree
+    return scenario, _degree_in_limit(args.degree, "--degree")
 
 
 def cmd_lift(args) -> int:
@@ -259,9 +262,12 @@ def cmd_verify(args) -> int:
 
 
 def _parse_degrees(raw: str) -> tuple[int, ...]:
-    """The integers of ``--degrees``, under the suite's own degree rules."""
+    """The integers of ``--degrees``, each within the limit, under the suite's own degree rules."""
     try:
-        return _check_degrees([int(x) for x in raw.split(",") if x.strip()])
+        degrees = [_degree_in_limit(int(x), "--degrees entries") for x in raw.split(",") if x.strip()]
+        return _check_degrees(degrees)
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"--degrees: {exc}") from exc
 
@@ -272,8 +278,6 @@ def cmd_suite(args) -> int:
         raise ScenarioError(f"--max-strands must be in 1..{MAX_STRANDS}")
     if args.max_length < 0 or args.max_length > MAX_LENGTH:
         raise ScenarioError(f"--max-length must be in 0..{MAX_LENGTH}")
-    if max(degrees) > MAX_DEGREE:
-        raise ScenarioError(f"--degrees entries must be in 1..{MAX_DEGREE}")
     planned = count_scenarios(args.max_strands, args.max_length, degrees)
     if planned > MAX_SUITE_SCENARIOS:
         raise ScenarioError(

@@ -42,18 +42,25 @@ multiplying with the full ``pushforward_matrix`` where ``idelink.hasse``
 reads the per-component pairs; the diagonal one also compares the sum
 of all generators.
 
-The last three are test doubles, no oracles.  ``replaced`` rebuilds a
+Then come test doubles, no oracles.  ``replaced`` rebuilds a
 changed record (a tampered cover, say) through the record's public
 constructor.  ``with_generators`` gives a copy of a universe whose
 principal generators are tampered rows, read by every route that reads
 generators; tests fail the generator checks with it, as they fail the
 pushforward checks with ``replaced(c, pushforward=...)``.
+``with_rows`` replaces some generators and keeps the rest.
 ``universe_of`` wraps any m x 2m generator block in an axis-free
 universe of m components.
+
+Last come the cover families the route cross-checks run over, each a
+seeded builder that changes real covers only through ``replaced``,
+``with_generators`` and ``relabeled_cover``, and ``failure_corpus``,
+the families whose failing witnesses a test pins byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import random
@@ -61,7 +68,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from idelink import hasse, ideles, kernel, zlattice
-from idelink.covers import pushforward_matrix
+from idelink.covers import lift_braid, pushforward_matrix, relabeled_cover
 from idelink.links import BraidWord, LinkUniverse
 from idelink.zlattice import AbelianInvariants, IntMatrix, SubLattice
 
@@ -770,9 +777,15 @@ def replaced(obj, **changes):
     Every constructor parameter not in ``changes`` is read from the
     attribute of the same name, so the constructor's checks run again.
     """
-    kwargs = {name: getattr(obj, name) for name in inspect.signature(type(obj)).parameters}
+    kwargs = {name: getattr(obj, name) for name in _parameters(type(obj))}
     kwargs.update(changes)
     return type(obj)(**kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _parameters(cls):
+    """The parameter names of ``cls``'s constructor, read once per class."""
+    return tuple(inspect.signature(cls).parameters)
 
 
 def with_generators(u, gens):
@@ -788,8 +801,151 @@ def with_generators(u, gens):
     return double
 
 
+def with_rows(u, rows):
+    """``u`` with generator k replaced by ``rows[k]``, for each k in ``rows``."""
+    gens = ideles.principal_generators(u)
+    for k, row in rows.items():
+        gens[k] = row
+    return with_generators(u, gens)
+
+
 def universe_of(gens):
     """An axis-free universe of m unlinked components carrying the m x 2m block ``gens``."""
     m = len(gens)
     u = LinkUniverse(tuple(f"K{k}" for k in range(m)), IntMatrix([[0] * m] * m, cols=m))
     return with_generators(u, gens)
+
+
+def relabeled_covers(covers, seed):
+    """Each cover with both universes enumerated in a seeded order."""
+    rng = random.Random(seed)
+    out = []
+    for c in covers:
+        base_order = list(range(c.base.size))
+        top_order = list(range(c.total.size))
+        rng.shuffle(base_order)
+        rng.shuffle(top_order)
+        out.append(relabeled_cover(c, tuple(base_order), tuple(top_order)))
+    return out
+
+
+def moved_pushforward_entries(covers, seed):
+    """Each cover with one seeded entry of one pushforward pair moved by ±1 or ±2."""
+    rng = random.Random(seed)
+    out = []
+    for c in covers:
+        j = rng.randrange(c.total.size)
+        rows = [list(row) for row in c.pushforward[j]]
+        rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
+        pushforward = c.pushforward[:j] + (tuple(map(tuple, rows)),) + c.pushforward[j + 1 :]
+        out.append(replaced(c, pushforward=pushforward))
+    return out
+
+
+def swapped_deck_targets(covers, seed):
+    """Two seeded deck targets swapped, on each cover with three or more upstairs components."""
+    rng = random.Random(seed)
+    out = []
+    for c in covers:
+        if c.total.size < 3:
+            continue
+        i, j = rng.sample(range(c.total.size), 2)
+        deck = list(c.deck)
+        deck[i], deck[j] = deck[j], deck[i]
+        out.append(replaced(c, deck=tuple(deck)))
+    return out
+
+
+def _shifted(u, shifts):
+    """``u`` with ``shifts[k]`` added to generator k's axis meridian coordinate."""
+    a = 2 * u.axis_index
+    gens = zip(ideles.principal_generators(u), shifts)
+    return with_generators(u, [g[:a] + (g[a] + s,) + g[a + 1 :] for g, s in gens])
+
+
+def patched_generators(covers, kept):
+    """Each cover with multiples of the axis meridian added to its generators.
+
+    The longitudes stay units.  Kept: n·mu_A on every off-axis base
+    generator and w_K·mu_A~ on every off-axis lift of K, which keeps
+    both norm-principle identities, since the axis lift pushes mu_A~ to
+    n·mu_A.  Broken: mu_A on every base generator, which breaks both.
+    """
+    if not kept:
+        return [replaced(c, base=_shifted(c.base, [1] * c.base.size)) for c in covers]
+    return [
+        replaced(
+            c,
+            base=_shifted(c.base, [c.degree * (k != c.base.axis_index) for k in range(c.base.size)]),
+            total=_shifted(c.total, [
+                c.splitting[k].w * (j != c.total.axis_index) for j, k in enumerate(c.fiber_map)
+            ]),
+        )
+        for c in covers
+    ]
+
+
+def _doubled(u):
+    """``u`` with every longitude coordinate of every generator doubled."""
+    gens = ideles.principal_generators(u)
+    return with_generators(u, [tuple(x << (i % 2) for i, x in enumerate(g)) for g in gens])
+
+
+def doubled_longitudes(covers):
+    """Each cover with every longitude coordinate of both universes' generators doubled."""
+    return [replaced(c, base=_doubled(c.base), total=_doubled(c.total)) for c in covers]
+
+
+def zero_pushforwards(covers):
+    """Each cover with every pushforward pair zero."""
+    return [replaced(c, pushforward=(((0, 0), (0, 0)),) * c.total.size) for c in covers]
+
+
+def moved_generator_entries(covers, seed):
+    """Each cover with one seeded entry of one generator, of the base or the cover, moved by ±1 or ±2."""
+    rng = random.Random(seed)
+    out = []
+    for c in covers:
+        tag = rng.choice(("base", "total"))
+        u = getattr(c, tag)
+        k = rng.randrange(u.size)
+        row = list(ideles.principal_generators(u)[k])
+        row[rng.randrange(len(row))] += rng.choice((-2, -1, 1, 2))
+        out.append(replaced(c, **{tag: with_rows(u, {k: tuple(row)})}))
+    return out
+
+
+def all_degree_covers(seed, per_cell):
+    """Seeded lifts from the CLI's whole domain: every degree 1-12, every strand count 1-4.
+
+    At each degree: the one 1-strand word, and ``per_cell`` words of
+    2, 3 and 4 strands each, of seeded lengths 0-8 and letters.
+    """
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 13):
+        out.append(lift_braid(BraidWord(1, ()), n))
+        for strands in (2, 3, 4):
+            alphabet = [g for g in range(1 - strands, strands) if g]
+            for _ in range(per_cell):
+                letters = tuple(rng.choice(alphabet) for _ in range(rng.randrange(9)))
+                out.append(lift_braid(BraidWord(strands, letters), n))
+    return out
+
+
+def failure_corpus(covers):
+    """Families of tampered ``covers`` that between them fail every check, by name.
+
+    Moved pushforward entries (seed 31) and swapped deck targets (seed
+    37) fail the checks that read the pushforward and the deck; moved
+    generator entries (seed 26) and doubled longitudes fail the ones
+    that read generators.  Those two tamper every third cover only:
+    most of their failures go through the lattice routes, which cost
+    several times what the others do.
+    """
+    return {
+        "moved_pushforward": moved_pushforward_entries(covers, 31),
+        "swapped_deck": swapped_deck_targets(covers, 37),
+        "moved_generator": moved_generator_entries(covers[::3], 26),
+        "doubled_longitudes": doubled_longitudes(covers[::3]),
+    }

@@ -546,21 +546,27 @@ class TestLimits:
     # below closes up to a single knot.
     @pytest.mark.parametrize("command", [["lift"], ["delta", "1"], ["verify"]], ids=lambda c: c[0])
     def test_degree_limits_on_every_command(self, command, scenario_file, tmp_path, capsys):
-        for degree in (0, 13, 400):
+        # One message for a degree below the limit and above it.
+        errs = set()
+        for degree in (0, -3, 13, 400):
             path = write_scenario(tmp_path, cover_degree=degree)
-            assert_usage_error(command + ["--input", path], capsys)
+            errs.add(assert_usage_error(command + ["--input", path], capsys))
+        assert errs == {f"idelink: {path}.cover_degree: must be in 1..12\n"}
         out = str(tmp_path / "ok.txt")
         path = write_scenario(tmp_path, cover_degree=12)
         assert main(command + ["--input", path, "--out", out]) == 0
         if command[0] == "delta":
             return  # delta has no --degree: it prints in the base universe
-        for degree in ("0", "-3", "13", "400"):
+        errs = {
             assert_usage_error(command + ["--input", scenario_file, "--degree", degree], capsys)
+            for degree in ("0", "-3", "13", "400")
+        }
+        assert errs == {"idelink: --degree must be in 1..12\n"}
         assert main(command + ["--input", scenario_file, "--degree", "12", "--out", out]) == 0
 
     def test_degree_limit_on_suite(self, capsys):
         bounds = ["suite", "--max-strands", "1", "--max-length", "0", "--degrees"]
-        for degrees in ("13", "2,13"):
+        for degrees in ("13", "2,13", "0", "-1", "2,-3", "400"):
             err = assert_usage_error(bounds + [degrees], capsys)
             assert err == "idelink: --degrees entries must be in 1..12\n"
         assert main(bounds + ["12"]) == 0

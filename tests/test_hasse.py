@@ -1,8 +1,10 @@
 """Verifier records, witnesses, and the suite driver."""
 
+import functools
+import hashlib
 import json
-import random
 import types
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from idelink.covers import (
 )
 from idelink.hasse import (
     CHECKS,
+    CheckRecord,
     equality_witness,
     iter_braid_words,
     count_scenarios,
@@ -43,13 +46,14 @@ from idelink.zlattice import (
 from oracles import (
     class_quotient_all_sublinks,
     diagonal_commutes_typed,
+    failure_corpus,
     meridian_pushforward_typed,
     projection_all_sublinks,
     replaced,
     unfree_sublink,
     universe_of,
     wide4_words,
-    with_generators,
+    with_rows,
 )
 
 
@@ -95,9 +99,7 @@ def test_norm_principle_witness_on_tampered_cover():
     assert not passed
     assert witness is not None
     vec = tuple(witness["vector"])
-    left = lattice_intersect(
-        principal_lattice(tampered.base), pushforward_image(tampered)
-    )
+    left = lattice_intersect(principal_lattice(tampered.base), pushforward_image(tampered))
     right = principal_pushforward(tampered)
     assert lattice_member(vec, left) != lattice_member(vec, right)
     assert witness["in_intersection"] != witness["in_pushforward"]
@@ -205,16 +207,21 @@ def test_tampered_cover_witnesses_are_pinned_byte_for_byte(tamper, expected):
     assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(expected, indent=2, sort_keys=True)
 
 
-def _count_col_hnf(monkeypatch):
-    """Arguments of every ``kernel.col_hnf`` call from now on."""
+def _record_calls(monkeypatch, module, name, *bindings):
+    """Arguments of every call to ``module.name`` from now on.
+
+    The function is patched in ``module`` and, under the same name, in
+    each of ``bindings``, so a caller that imported it is counted too.
+    """
     calls = []
-    real = kernel.col_hnf
+    real = getattr(module, name)
 
-    def counted(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(kernel, "col_hnf", counted)
+    for owner in (module, *bindings):
+        monkeypatch.setattr(owner, name, recorded, raising=owner is module)
     return calls
 
 
@@ -223,12 +230,8 @@ def _tampered_longitudes(c, changes):
 
     def tampered(u):
         gens = ideles.principal_generators(u)
-        for k, slots in changes.items():
-            g = list(gens[k])
-            for slot, value in slots.items():
-                g[slot] = value
-            gens[k] = tuple(g)
-        return with_generators(u, gens)
+        rows = {k: tuple(slots.get(i, x) for i, x in enumerate(gens[k])) for k, slots in changes.items()}
+        return with_rows(u, rows)
 
     return replaced(c, base=tampered(c.base), total=tampered(c.total))
 
@@ -240,16 +243,10 @@ def test_class_quotient_witness_through_smith(monkeypatch):
     # alternating Hermite rounds past the check's own col_hnf.  The
     # quotient is Z/4, where the pivots alone would read Z/2 + Z/2.
     c = _tampered_longitudes(lift_braid(BraidWord(2, (1,)), 2), {0: {1: 2, 3: 1}, 1: {3: 2}})
-    hnf_calls = _count_col_hnf(monkeypatch)
+    hnf_calls = _record_calls(monkeypatch, kernel, "col_hnf")
     passed, witness = verify_class_quotient_free(c)
     assert not passed
-    assert witness == {
-        "universe": "base",
-        "sublink": [],
-        "free_rank": 0,
-        "torsion": [4],
-        "expected_free_rank": 0,
-    }
+    assert witness == {"universe": "base", "sublink": [], "free_rank": 0, "torsion": [4], "expected_free_rank": 0}
     # The base universe fails first: one call reduces it, the rest alternate.
     assert hnf_calls[0][1] == [(2, 1), (0, 2)]
     assert len(hnf_calls) > 1
@@ -261,16 +258,10 @@ def test_class_quotient_witness_from_the_divisibility_exit(monkeypatch):
     # [(2, 0), (0, 1)]: every pivot divides the entries below it, so the
     # pivots are the diagonal and Z/2 is read off with no call past the check's.
     c = _tampered_longitudes(lift_braid(BraidWord(2, (1,)), 2), {0: {1: 2}})
-    hnf_calls = _count_col_hnf(monkeypatch)
+    hnf_calls = _record_calls(monkeypatch, kernel, "col_hnf")
     passed, witness = verify_class_quotient_free(c)
     assert not passed
-    assert witness == {
-        "universe": "base",
-        "sublink": [],
-        "free_rank": 0,
-        "torsion": [2],
-        "expected_free_rank": 0,
-    }
+    assert witness == {"universe": "base", "sublink": [], "free_rank": 0, "torsion": [2], "expected_free_rank": 0}
     assert len(hnf_calls) == 1
     assert (passed, witness) == class_quotient_all_sublinks(c)
 
@@ -280,68 +271,11 @@ def test_unimodular_longitude_block_that_is_not_the_identity_passes(monkeypatch)
     # the block [(1, 1), (0, 1)]: unimodular, so its Hermite form is the
     # identity and every sublink's quotient is free.
     c = _tampered_longitudes(lift_braid(BraidWord(2, (1,)), 2), {0: {3: 1}})
-    hnf_calls = _count_col_hnf(monkeypatch)
+    hnf_calls = _record_calls(monkeypatch, kernel, "col_hnf")
     assert verify_class_quotient_free(c) == (True, None)
     assert hnf_calls[0][1] == [(1, 1), (0, 1)]
     assert len(hnf_calls) == 2
     assert class_quotient_all_sublinks(c) == (True, None)
-
-
-def _agrees_with_full_loops(c):
-    return (
-        verify_class_quotient_free(c) == class_quotient_all_sublinks(c)
-        and verify_projection_compatibility(c) == projection_all_sublinks(c)
-    )
-
-
-def test_reduced_checks_agree_with_full_loops_on_acceptance_sweep(sweep_covers):
-    # Every cover of the acceptance sweep: <=3 strands, length <=5, degrees 2-5.
-    assert len(sweep_covers) == 5716
-    assert [c for _, _, c in sweep_covers if not _agrees_with_full_loops(c)] == []
-
-
-def test_reduced_checks_agree_with_full_loops_on_wide4_words(wide4_covers):
-    covers = [c for _, _, c in wide4_covers]
-    assert sum(c.total.size == 5 for c in covers) > 100
-    assert [c for c in covers if not _agrees_with_full_loops(c)] == []
-
-
-def _with_rows(u, rows):
-    """``u`` with generator k replaced by ``rows[k]``, for each k in ``rows``."""
-    gens = ideles.principal_generators(u)
-    for k, row in rows.items():
-        gens[k] = row
-    return with_generators(u, gens)
-
-
-def _doubled_longitudes(u):
-    """``u`` with every longitude coordinate of every generator doubled."""
-    gens = ideles.principal_generators(u)
-    return with_generators(u, [tuple(x << (i % 2) for i, x in enumerate(g)) for g in gens])
-
-
-def _moved_generator_entry(c, rng):
-    """``c`` with one seeded entry of one generator, of the base or the cover, moved by ±1 or ±2."""
-    tag = rng.choice(("base", "total"))
-    u = getattr(c, tag)
-    k = rng.randrange(u.size)
-    row = list(ideles.principal_generators(u)[k])
-    row[rng.randrange(len(row))] += rng.choice((-2, -1, 1, 2))
-    return replaced(c, **{tag: _with_rows(u, {k: tuple(row)})})
-
-
-def test_projection_fails_on_every_moved_generator_entry(sweep_covers):
-    # Every row of a real universe equals the linking formula, so one moved
-    # entry of one generator, in either universe, must fail the check.
-    rng = random.Random(26)
-    tampered = [_moved_generator_entry(c, rng) for _, _, c in sweep_covers[::7]]
-    assert len(tampered) == 817
-    outcomes = [verify_projection_compatibility(c) for c in tampered]
-    assert [i for i, (passed, _) in enumerate(outcomes) if passed] == []
-    assert [i for i, c in enumerate(tampered) if outcomes[i] != projection_all_sublinks(c)] == []
-    # Both universes fail, on the generator's own slot and off it.
-    assert {w["universe"] for _, w in outcomes} == {"base", "cover"}
-    assert {len(w["sublink"]) for _, w in outcomes} == {1, 2}
 
 
 def _projection_failure(u, tag, sub, gen, projected, direct):
@@ -365,7 +299,7 @@ def test_projection_witness_on_dropped_linking_term():
     # slots, A's, names the pair, which lists A first.
     c = HOPF_COVER
     assert c.base.linking.entries == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
-    tampered = replaced(c, base=_with_rows(c.base, {2: (0, 0, 0, 0, 0, 1)}))
+    tampered = replaced(c, base=with_rows(c.base, {2: (0, 0, 0, 0, 0, 1)}))
     expected = _projection_failure(c.base, "base", ["A", "K2"], "K2", [0, 0, 0, 1], [-1, 0, 0, 1])
     assert verify_projection_compatibility(tampered) == expected
     assert projection_all_sublinks(tampered) == expected
@@ -375,7 +309,7 @@ def test_projection_witness_on_own_slot():
     # K2's own slot carries a meridian, and its slot on K1 moves as well:
     # the own slot comes first, so the sublink is K2 alone.
     c = HOPF_COVER
-    tampered = replaced(c, base=_with_rows(c.base, {2: (-1, 0, -3, 0, 1, 1)}))
+    tampered = replaced(c, base=with_rows(c.base, {2: (-1, 0, -3, 0, 1, 1)}))
     expected = _projection_failure(c.base, "base", ["K2"], "K2", [1, 1], [0, 1])
     assert verify_projection_compatibility(tampered) == expected
     assert projection_all_sublinks(tampered) == expected
@@ -388,7 +322,7 @@ def test_projection_witness_on_cover_only():
     c = lift_braid(BraidWord(4, (1, 2, 3)), 4)
     assert (c.base.size, c.total.size) == (2, 5)
     row = (-1, 0, -1, 0, -1, 0, 0, 1, 0, 0)
-    tampered = replaced(c, total=_with_rows(c.total, {3: row}))
+    tampered = replaced(c, total=with_rows(c.total, {3: row}))
     expected = _projection_failure(
         c.total, "cover", ["J3", "J4"], "J3", [0, 1, 0, 0], [0, 1, -1, 0]
     )
@@ -396,117 +330,141 @@ def test_projection_witness_on_cover_only():
     assert projection_all_sublinks(tampered) == expected
 
 
-def test_projection_fails_on_doubled_longitudes(sweep_covers):
-    covers = [
-        replaced(c, base=_doubled_longitudes(c.base), total=_doubled_longitudes(c.total))
-        for _, _, c in sweep_covers[::20]
-    ]
-    outcomes = [verify_projection_compatibility(c) for c in covers]
-    assert [i for i, (passed, _) in enumerate(outcomes) if passed] == []
-    assert outcomes == [projection_all_sublinks(c) for c in covers]
-
-
-def _outcomes(c):
-    """(passed, witness) of the tuple checks and of their typed oracles."""
-    return (
-        (verify_diagonal_commutes(c), verify_meridian_pushforward(c)),
-        (diagonal_commutes_typed(c), meridian_pushforward_typed(c)),
-    )
-
-
-def _disagree(c):
-    new, typed = _outcomes(c)
-    return new != typed
-
-
-def test_tuple_checks_agree_with_typed_routes_on_acceptance_sweep(sweep_covers):
-    assert len(sweep_covers) == 5716
-    assert [(b, n) for b, n, c in sweep_covers if _disagree(c)] == []
-
-
-def test_tuple_checks_agree_with_typed_routes_on_wide4_words(wide4_covers):
-    assert [(b, n) for b, n, c in wide4_covers if _disagree(c)] == []
-
-
-def _tampered_covers(seed):
-    # One entry of one pushforward matrix moved by +-1 or +-2, once per
-    # cover with <=3 strands, length <=3, degree 2-5.
-    rng = random.Random(seed)
-    for b in iter_braid_words(3, 3):
-        for n in (2, 3, 4, 5):
-            c = lift_braid(b, n)
-            j = rng.randrange(c.total.size)
-            rows = [list(row) for row in c.pushforward[j]]
-            rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
-            bad = tuple(tuple(row) for row in rows)
-            pushforward = c.pushforward[:j] + (bad,) + c.pushforward[j + 1 :]
-            yield replaced(c, pushforward=pushforward)
-
-
-def test_tuple_checks_agree_with_typed_routes_on_tampered_covers():
-    tampered = list(_tampered_covers(17))
-    assert len(tampered) >= 300
-    outcomes = [_outcomes(c) for c in tampered]
-    assert [o for o in outcomes if o[0] != o[1]] == []
-    # Both checks must see some of the damage, or the agreement is vacuous.
-    assert any(not new[0][0] for new, _ in outcomes)
-    assert any(not new[1][0] for new, _ in outcomes)
-
-
 def test_product_path_builds_no_typed_wrappers(monkeypatch):
     # The typed idele layer and IntMatrix-wrapped pushforwards stay out of
     # the checks and the lift; the lift's linking matrices come from the
     # trusted constructor, which runs no IntMatrix.__init__.
-    b = BraidWord(4, ())
-    counts = {"IntMatrix": 0, "IdeleVector": 0}
-
-    def counting(cls, key):
-        real = cls.__init__
-
-        def init(self, *args, **kwargs):
-            counts[key] += 1
-            real(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", init)
-
-    counting(zlattice.IntMatrix, "IntMatrix")
-    counting(ideles.IdeleVector, "IdeleVector")
-    c = lift_braid(b, 2)
+    matrices = _record_calls(monkeypatch, zlattice.IntMatrix, "__init__")
+    ideles_built = _record_calls(monkeypatch, ideles.IdeleVector, "__init__")
+    c = lift_braid(BraidWord(4, ()), 2)
     assert (c.base.size, c.total.size) == (5, 5)
-    assert counts["IntMatrix"] == 0
+    assert matrices == []
     for fn in CHECKS.values():
         assert fn(c)[0]
-    assert counts["IdeleVector"] == 0
+    assert ideles_built == []
 
 
 def test_scenario_builds_each_universes_generators_once(monkeypatch):
     # Each universe builds its principal generators when it is constructed;
     # the checks read copies of them.
-    b = BraidWord(4, ())
-    builds = []
-    real = links._principal_rows
-
-    def counted(rows):
-        builds.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(links, "_principal_rows", counted)
-    report = run_scenario(b, 2)
+    builds = _record_calls(monkeypatch, links, "_principal_rows")
+    report = run_scenario(BraidWord(4, ()), 2)
     assert report.passed and len(report.checks) == len(CHECKS)
-    assert builds == [5, 5]
+    assert [len(rows) for rows, in builds] == [5, 5]
 
 
-# The two checks with a closed-form accept, each with its lattice route as
-# the oracle.  The accept may only ever return True where that route passes.
+# Route cross-checks, as data.  Each identity is decided by two routes,
+# and their agreement on many covers is what shows the verdicts right.
+# (A) The closed forms against their lattice routes, the recorded
+# attributes: an accept may only ever return True where the route passes.
 CLOSED_FORM = {
-    "norm_principle": (verify_norm_principle, "_norm_principle_lattice"),
-    "cover_exact_sequence": (verify_cover_exact_sequence, "_cover_exact_sequence_lattice"),
+    "norm_principle": "_norm_principle_lattice",
+    "cover_exact_sequence": "_cover_exact_sequence_lattice",
+}
+# (B) The reduced checks against the loops over every sublink.
+FULL_LOOPS = {
+    "class_quotient_free": class_quotient_all_sublinks,
+    "projection_compatibility": projection_all_sublinks,
+}
+# (C) The tuple checks against the typed routes.  These build boundaries
+# from the linking matrix where the checks read the stored generators,
+# so only families with real generators meet this pair.
+TYPED_ROUTES = {
+    "diagonal_commutes": diagonal_commutes_typed,
+    "meridian_pushforward": meridian_pushforward_typed,
+}
+
+# How many of a family's n covers a check must fail.  "some" is the
+# floor of tampered families: the damage must reach the check, or the
+# agreement says little.
+FLOORS = {
+    "none": lambda failed, n: failed == 0,
+    "some": lambda failed, n: failed > 0,
+    "all": lambda failed, n: failed == n,
+    "some, not all": lambda failed, n: 0 < failed < n,
 }
 
 
-def _closed_form_outcomes(monkeypatch, covers, names=tuple(CLOSED_FORM)):
+class Family(NamedTuple):
+    """A row of the matrix: one family of the ``cover_families`` table (conftest.py)."""
+
+    size: int
+    # A floor per check, in CHECKS order, or None where its pair skips the family.
+    floors: tuple
+    # What else the family must hold for its rows to say something.
+    holds: Callable | None = None
+    # Whether passes may come from the lattice routes, the closed forms not applying.
+    lattice_passes: bool = False
+    # The universes and the sublink sizes that the projection witnesses name.
+    projection_witnesses: tuple | None = None
+
+
+PASS = ("none",) * len(CHECKS)
+# Floors in CHECKS order: norm_principle, diagonal_commutes,
+# meridian_pushforward, class_quotient_free, projection_compatibility,
+# cover_exact_sequence.
+MATRIX = {
+    "sweep": Family(5716, PASS),
+    "wide4": Family(240, PASS, lambda covers: sum(c.total.size == 5 for c in covers) > 100),
+    "relabeled": Family(58, PASS, lambda covers: any(c.base.axis_index or c.total.axis_index for c in covers)),
+    "moved_pushforward": Family(5716, ("some", None, None, None, None, "some")),
+    "moved_pushforward_short": Family(404, (None, "some", "some", None, None, None)),
+    # norm_principle does not read the deck rotation.
+    "swapped_deck": Family(5124, (None, None, None, None, None, "some")),
+    # Unit longitudes: the accepts apply and every class quotient is free,
+    # while each shifted generator row leaves the linking formula.
+    "patched_kept": Family(286, ("none", None, None, "none", "all", "none")),
+    "patched_broken": Family(286, ("all", None, None, "none", "all", "all")),
+    # Doubled longitudes are no units: the closed forms do not apply, and
+    # the lattice routes pass some covers and fail others.
+    "doubled_longitudes": Family(286, ("some, not all", None, None, "all", "all", "some, not all"),
+                                 lattice_passes=True),
+    # f = 0: both sides of norm_principle are 0, while the exact sequence
+    # fails, since the preimage of R_M is everything; every boundary goes
+    # to 0 and every meridian to no longitude.
+    "zero_pushforward": Family(286, ("none", "all", "none", None, None, "all")),
+    # Every row of a real universe equals the linking formula, so one moved
+    # entry of one generator, in either universe, must fail the check:
+    # both universes fail, on the generator's own slot and off it.
+    "moved_generator": Family(817, (None, None, None, None, "all", None),
+                              projection_witnesses=({"base", "cover"}, {1, 2})),
+    # Every (degree, strand count) the CLI admits; the base windings sum to the strands.
+    "all_degrees": Family(1452, PASS, lambda covers: {(c.degree, sum(c.base.windings)) for c in covers}
+                          == {(n, s) for n in range(1, 13) for s in range(1, 5)}),
+}
+
+
+def _floors(row, routes):
+    """The checks of ``routes`` that ``row`` runs, with their floors."""
+    return {name: floor for name, floor in zip(CHECKS, row.floors) if floor and name in routes}
+
+
+def _families(routes):
+    return [family for family, row in MATRIX.items() if _floors(row, routes)]
+
+
+def _agree(cover_families, family, routes, outcomes):
+    """Assert a family's size, shape, agreement and floors; its row and what else it found.
+
+    ``outcomes(covers, routes)`` gives, for the checks the row runs,
+    the disagreements between each check and its second route, the
+    failures per check, and one more value, which is returned.
+    """
+    row = MATRIX[family]
+    covers = cover_families[family]
+    assert len(covers) == row.size
+    assert row.holds is None or row.holds(covers)
+    floors = _floors(row, routes)
+    bad, failed, found = outcomes(covers, {name: routes[name] for name in floors})
+    assert bad == []
+    assert [name for name, f in floors.items() if not FLOORS[f](failed[name], len(covers))] == [], failed
+    return row, found
+
+
+def _closed_form_outcomes(monkeypatch, covers, attrs):
     """Disagreements with the lattice route, failures, and missed accepts.
 
+    ``attrs`` names each compared check's lattice route in ``hasse``.
     Returns the (cover index, check) pairs whose (passed, witness)
     differs from the lattice route's, and per check the number of covers
     that fail and the number of passing covers the closed form left to
@@ -516,7 +474,7 @@ def _closed_form_outcomes(monkeypatch, covers, names=tuple(CLOSED_FORM)):
     """
     routes = {}
     ran = {}
-    for name, (_, attr) in CLOSED_FORM.items():
+    for name, attr in attrs.items():
         route = routes[name] = getattr(hasse, attr)
 
         def recording(c, name=name, route=route):
@@ -525,12 +483,12 @@ def _closed_form_outcomes(monkeypatch, covers, names=tuple(CLOSED_FORM)):
 
         monkeypatch.setattr(hasse, attr, recording)
     bad = []
-    failed = dict.fromkeys(names, 0)
-    missed = dict.fromkeys(names, 0)
+    failed = dict.fromkeys(attrs, 0)
+    missed = dict.fromkeys(attrs, 0)
     for i, c in enumerate(covers):
-        for name in names:
+        for name in attrs:
             ran.pop(name, None)
-            rec = CLOSED_FORM[name][0](c)
+            rec = CHECKS[name](c)
             expected = ran[name] if name in ran else routes[name](c)
             if rec != expected:
                 bad.append((i, name))
@@ -539,122 +497,72 @@ def _closed_form_outcomes(monkeypatch, covers, names=tuple(CLOSED_FORM)):
     return bad, failed, missed
 
 
-def test_closed_forms_agree_with_lattice_routes_on_acceptance_sweep(monkeypatch, sweep_covers):
-    covers = [c for _, _, c in sweep_covers]
-    none = dict.fromkeys(CLOSED_FORM, 0)
-    assert _closed_form_outcomes(monkeypatch, covers) == ([], none, none)
+def _route_outcomes(covers, routes):
+    """Disagreements with the second route, failures and failing witnesses, per check."""
+    bad, failed, witnesses = [], {}, {}
+    for name, route in routes.items():
+        outcomes = [CHECKS[name](c) for c in covers]
+        bad += [(i, name) for i, c in enumerate(covers) if outcomes[i] != route(c)]
+        witnesses[name] = [w for passed, w in outcomes if not passed]
+        failed[name] = len(witnesses[name])
+    return bad, failed, witnesses
 
 
-def test_closed_forms_agree_with_lattice_routes_on_wide4_words(monkeypatch, wide4_covers):
-    covers = [c for _, _, c in wide4_covers]
-    none = dict.fromkeys(CLOSED_FORM, 0)
-    assert _closed_form_outcomes(monkeypatch, covers) == ([], none, none)
+@pytest.mark.parametrize("family", _families(CLOSED_FORM))
+def test_closed_forms_agree_with_lattice_routes(monkeypatch, cover_families, family):
+    outcomes = functools.partial(_closed_form_outcomes, monkeypatch)
+    row, missed = _agree(cover_families, family, CLOSED_FORM, outcomes)
+    if not row.lattice_passes:
+        assert missed == dict.fromkeys(missed, 0)
 
 
-def test_closed_forms_agree_with_lattice_routes_on_relabeled_covers(monkeypatch, sweep_covers):
-    # Every hundredth sweep cover, both universes enumerated in a seeded order.
-    rng = random.Random(29)
-    relabeled = []
-    for _, _, c in sweep_covers[::100]:
-        base_order = list(range(c.base.size))
-        top_order = list(range(c.total.size))
-        rng.shuffle(base_order)
-        rng.shuffle(top_order)
-        relabeled.append(relabeled_cover(c, tuple(base_order), tuple(top_order)))
-    assert len(relabeled) == 58
-    assert any(r.base.axis_index or r.total.axis_index for r in relabeled)
-    none = dict.fromkeys(CLOSED_FORM, 0)
-    assert _closed_form_outcomes(monkeypatch, relabeled) == ([], none, none)
+@pytest.mark.parametrize("family", _families(FULL_LOOPS))
+def test_reduced_checks_agree_with_full_loops(cover_families, family):
+    row, witnesses = _agree(cover_families, family, FULL_LOOPS, _route_outcomes)
+    if row.projection_witnesses:
+        found = witnesses["projection_compatibility"]
+        assert ({w["universe"] for w in found}, {len(w["sublink"]) for w in found}) == row.projection_witnesses
 
 
-def test_closed_forms_agree_with_lattice_routes_on_tampered_pushforwards(monkeypatch, sweep_covers):
-    # One entry of one pushforward pair moved by +-1 or +-2, once per sweep cover.
-    rng = random.Random(31)
-    tampered = []
-    for _, _, c in sweep_covers:
-        j = rng.randrange(c.total.size)
-        rows = [list(row) for row in c.pushforward[j]]
-        rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
-        pushforward = c.pushforward[:j] + (tuple(map(tuple, rows)),) + c.pushforward[j + 1 :]
-        tampered.append(replaced(c, pushforward=pushforward))
-    bad, failed, missed = _closed_form_outcomes(monkeypatch, tampered)
-    assert bad == []
-    # The damage must reach both checks, or the agreement says little.
-    assert all(failed.values()), failed
-    assert missed == dict.fromkeys(CLOSED_FORM, 0)
+@pytest.mark.parametrize("family", _families(TYPED_ROUTES))
+def test_tuple_checks_agree_with_typed_routes(cover_families, family):
+    _agree(cover_families, family, TYPED_ROUTES, _route_outcomes)
 
 
-def test_exact_sequence_agrees_with_lattice_route_on_swapped_deck_targets(monkeypatch, sweep_covers):
-    # Two deck targets swapped on every sweep cover with three or more upstairs
-    # components; norm_principle does not read the deck rotation.
-    rng = random.Random(37)
-    swapped = []
-    for _, _, c in sweep_covers:
-        if c.total.size < 3:
-            continue
-        i, j = rng.sample(range(c.total.size), 2)
-        deck = list(c.deck)
-        deck[i], deck[j] = deck[j], deck[i]
-        swapped.append(replaced(c, deck=tuple(deck)))
-    assert len(swapped) == 5124
-    bad, failed, missed = _closed_form_outcomes(monkeypatch, swapped, ("cover_exact_sequence",))
-    assert bad == []
-    assert failed["cover_exact_sequence"]
-    assert missed == {"cover_exact_sequence": 0}
+# Each ``oracles.failure_corpus`` family on the sweep3 covers: its size,
+# then its failures per check in CHECKS order; and the SHA-256 of every
+# outcome.  Between them the families fail every check.
+CORPUS_FAILURES = {
+    "moved_pushforward": (1492, 1492, 1492, 352, 0, 0, 760),
+    "swapped_deck": (964, 0, 0, 0, 0, 0, 584),
+    "moved_generator": (498, 498, 498, 0, 75, 498, 285),
+    "doubled_longitudes": (498, 188, 91, 0, 498, 498, 119),
+}
+CORPUS_SHA256 = "1d09540e417ba466ffcadad474ca15ca2c0ead7f0490d5389aa931aaefbf605b"
 
 
-def test_closed_forms_agree_under_patched_generators(monkeypatch, sweep_covers):
-    # Every check and its lattice route read the universes' tampered
-    # generators, which keep unit longitudes, so the accepts apply to them.
-    # Adding n·mu_A to every off-axis base generator and w_K·mu_A~ to every
-    # off-axis lift of K keeps both identities, because the axis lift pushes
-    # mu_A~ to n·mu_A; adding mu_A to the base generators alone breaks both.
-    covers = [c for _, _, c in sweep_covers[::20]]
-
-    def shifted(u, by):
-        a = 2 * u.axis_index
-        gens = enumerate(ideles.principal_generators(u))
-        return with_generators(u, [g[:a] + (g[a] + by(k),) + g[a + 1 :] for k, g in gens])
-
-    kept = []
-    for c in covers:
-        base, total = c.base, c.total
-        w = [c.splitting[k].w for k in c.fiber_map]
-        kept.append(replaced(
-            c,
-            base=shifted(base, lambda k: 0 if k == base.axis_index else c.degree),
-            total=shifted(total, lambda j: 0 if j == total.axis_index else w[j]),
-        ))
-    none = dict.fromkeys(CLOSED_FORM, 0)
-    assert _closed_form_outcomes(monkeypatch, kept) == ([], none, none)
-
-    broken = [replaced(c, base=shifted(c.base, lambda k: 1)) for c in covers]
-    bad, failed, _ = _closed_form_outcomes(monkeypatch, broken)
-    assert bad == []
-    assert failed == dict.fromkeys(CLOSED_FORM, len(covers))
-
-    # Doubled longitudes in both universes are no units: the closed forms
-    # do not apply, and the lattice routes pass some covers and fail others.
-    doubled_covers = [
-        replaced(c, base=_doubled_longitudes(c.base), total=_doubled_longitudes(c.total))
-        for c in covers
-    ]
-    bad, failed, _ = _closed_form_outcomes(monkeypatch, doubled_covers)
-    assert bad == []
-    assert all(0 < n < len(covers) for n in failed.values()), failed
-
-
-def test_closed_forms_agree_with_lattice_routes_on_zero_pushforwards(monkeypatch, sweep_covers):
-    # f = 0: both sides of norm_principle are 0, while the exact sequence
-    # fails, since the preimage of R_M is everything.
-    covers = [
-        replaced(c, pushforward=(((0, 0), (0, 0)),) * c.total.size)
-        for _, _, c in sweep_covers[::20]
-    ]
-    bad, failed, missed = _closed_form_outcomes(monkeypatch, covers)
-    assert bad == []
-    assert failed == {"norm_principle": 0, "cover_exact_sequence": len(covers)}
-    assert missed == dict.fromkeys(CLOSED_FORM, 0)
+def test_failure_corpus_outcomes_are_pinned(sweep_covers):
+    # Every check's record on every corpus cover, as the report writes
+    # it, with its timing field dropped: a changed witness, canonical
+    # form or scan order changes the digest even where no verdict moves.
+    sweep3 = [c for b, _, c in sweep_covers if len(b.letters) <= 4]
+    assert len(sweep3) == 1492
+    outcomes, failed = [], {}
+    for family, covers in failure_corpus(sweep3).items():
+        counts = [0] * len(CHECKS)
+        for c in covers:
+            records = []
+            for i, (name, check) in enumerate(CHECKS.items()):
+                passed, witness = check(c)
+                counts[i] += not passed
+                doc = CheckRecord(name, passed, 0.0, witness).to_json_dict()
+                del doc["millis"]
+                records.append(doc)
+            outcomes.append(records)
+        failed[family] = (len(covers), *counts)
+    assert failed == CORPUS_FAILURES
+    text = json.dumps(outcomes, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
 
 
 @st.composite
@@ -687,22 +595,10 @@ def test_accept_implies_lattice_pass_on_grafted_covers(sweep_covers):
 def test_closed_form_checks_make_no_kernel_calls(monkeypatch):
     c = lift_braid(BraidWord(4, ()), 2)
     assert (c.base.size, c.total.size) == (5, 5)
-    calls = []
-
-    def counting(name):
-        real = getattr(kernel, name)
-
-        def counted(*args):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(kernel, name, counted)
-
-    for name in ("col_hnf", "col_hnf_with_kernel", "smith"):
-        counting(name)
+    calls = {name: _record_calls(monkeypatch, kernel, name) for name in ("col_hnf", "col_hnf_with_kernel", "smith")}
     assert verify_norm_principle(c)[0]
     assert verify_cover_exact_sequence(c)[0]
-    assert calls == []
+    assert calls == dict.fromkeys(calls, [])
 
 
 @settings(max_examples=200, deadline=None)
@@ -725,7 +621,7 @@ def test_class_quotient_makes_one_hermite_call_per_universe(monkeypatch):
     # invariants record is built and the public quotient is not called.
     c = lift_braid(BraidWord(4, ()), 2)
     assert (c.base.size, c.total.size) == (5, 5)
-    calls = _count_col_hnf(monkeypatch)
+    calls = _record_calls(monkeypatch, kernel, "col_hnf")
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a passing class quotient built a wrapper")
@@ -743,16 +639,8 @@ def test_exact_sequence_lattice_route_builds_the_pushforward_once(monkeypatch):
     # longitudes are no longer units, so the closed form declines and the
     # lattice route decides both parts from one pushforward matrix.
     c = _tampered_longitudes(lift_braid(BraidWord(2, (1,)), 2), {0: {3: 1}})
-    calls = []
-    real = covers.pushforward_matrix
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
     # hasse's own binding, and the one ``covers.pushforward_image`` calls.
-    monkeypatch.setattr(covers, "pushforward_matrix", counted)
-    monkeypatch.setattr(hasse, "pushforward_matrix", counted)
+    calls = _record_calls(monkeypatch, covers, "pushforward_matrix", hasse)
     assert not hasse._cover_exact_sequence_accept(c)
     assert verify_cover_exact_sequence(c) == (True, None)
     assert len(calls) == 1
@@ -763,14 +651,7 @@ def test_meridian_pass_makes_no_pushforward_coeffs_call(monkeypatch):
     # failure pushes a unit meridian through for its witness.
     c = lift_braid(BraidWord(4, ()), 2)
     assert (c.base.size, c.total.size) == (5, 5)
-    calls = []
-    real = hasse._pushforward_coeffs
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(hasse, "_pushforward_coeffs", counted)
+    calls = _record_calls(monkeypatch, hasse, "_pushforward_coeffs")
     assert verify_meridian_pushforward(c)[0]
     assert calls == []
     # The counter sees the failure route.
@@ -783,48 +664,22 @@ def test_passing_scenario_pushes_each_upstairs_generator_once(monkeypatch):
     # The lift pushes the cover's 5 generators in one pass; norm_principle's
     # closed form and diagonal_commutes read them and push nothing.  Every
     # push, through either module's binding, is one _pushed_rows pass.
-    passes = []
-    calls = {"hasse": 0}
-    real_pass = covers._pushed_rows
-
-    def counted_pass(fiber_map, pushforward, base_size, rows):
-        passes.append(len(rows))
-        return real_pass(fiber_map, pushforward, base_size, rows)
-
-    monkeypatch.setattr(covers, "_pushed_rows", counted_pass)
     # Counted through hasse's bindings too, so a check that imports a push is caught.
-    monkeypatch.setattr(hasse, "_pushed_rows", counted_pass, raising=False)
-    real_coeffs = hasse._pushforward_coeffs
-
-    def counted_coeffs(*args):
-        calls["hasse"] += 1
-        return real_coeffs(*args)
-
-    monkeypatch.setattr(hasse, "_pushforward_coeffs", counted_coeffs)
+    passes = _record_calls(monkeypatch, covers, "_pushed_rows", hasse)
+    coeffs = _record_calls(monkeypatch, hasse, "_pushforward_coeffs")
     report = run_scenario(BraidWord(4, ()), 2)
     assert report.passed and len(report.checks) == len(CHECKS)
-    assert (passes, calls) == ([5], {"hasse": 0})
+    assert ([len(args[3]) for args in passes], coeffs) == ([5], [])
 
 
 def test_passing_scenario_reads_stored_generators_in_place(monkeypatch):
     # The checks read each universe's stored generator rows: the public
     # reader, with its copy and its checks, is not on a passing path.
-    calls = {"principal_generators": 0}
-
-    def counting(module, name, real, raising=True):
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted, raising=raising)
-
-    real_generators = ideles.principal_generators
-    counting(ideles, "principal_generators", real_generators)
     # Counted through hasse's binding too, so a check that imports the reader is caught.
-    counting(hasse, "principal_generators", real_generators, raising=False)
+    calls = _record_calls(monkeypatch, ideles, "principal_generators", hasse)
     report = run_scenario(BraidWord(4, ()), 2)
     assert report.passed and len(report.checks) == len(CHECKS)
-    assert calls == {"principal_generators": 0}
+    assert calls == []
 
 
 def test_monotone_truncation_extra_split_strand():
@@ -925,17 +780,10 @@ def test_an_iterator_of_check_names_is_read_once():
 
 
 def test_run_suite_resolves_its_check_names_once(monkeypatch):
-    calls = []
-    real = hasse.resolve_checks
-
-    def counted(names):
-        calls.append(names)
-        return real(names)
-
-    monkeypatch.setattr(hasse, "resolve_checks", counted)
+    calls = _record_calls(monkeypatch, hasse, "resolve_checks")
     result = run_suite(2, 2, (2, 3), checks=["norm_principle"])
     assert len(result.reports) == 16
-    assert calls == [["norm_principle"]]
+    assert calls == [(["norm_principle"],)]
 
 
 def test_empty_check_list_rejected():

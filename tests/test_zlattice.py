@@ -33,7 +33,6 @@ from oracles import (
     kernel_cut_preimage,
     member_oracle,
     relative_invariants_oracle,
-    replaced,
     smith_diagonal_oracle,
     smith_invariants_oracle,
     smith_quotient_invariants,
@@ -466,20 +465,13 @@ class TestQuotients:
         for a in lattices:
             quotient_invariants(a.ambient_rank, a)
 
-    def test_first_isomorphism_on_cover_pushforwards(self, sweep_covers, wide4_covers):
+    def test_first_isomorphism_on_cover_pushforwards(self, cover_families):
         # Z^(2m')/f^-1(R_M) and (f(Z^(2m')) + R_M)/R_M are isomorphic for every
         # integer map f: both quotient routes agree on each cover's pushforward
         # modulo the base's branch relations, on every sweep cover, on its twin
         # with one pushforward entry moved by +-1 or +-2, and on every wide4 cover.
-        rng = random.Random(31)
-        covers = []
-        for _, _, c in sweep_covers:
-            j = rng.randrange(c.total.size)
-            rows = [list(row) for row in c.pushforward[j]]
-            rows[rng.randrange(2)][rng.randrange(2)] += rng.choice((-2, -1, 1, 2))
-            pushforward = c.pushforward[:j] + (tuple(map(tuple, rows)),) + c.pushforward[j + 1 :]
-            covers += [c, replaced(c, pushforward=pushforward)]
-        covers += [c for _, _, c in wide4_covers]
+        families = ("sweep", "moved_pushforward", "wide4")
+        covers = [c for name in families for c in cover_families[name]]
         assert len(covers) == 11672
         bad = []
         for i, c in enumerate(covers):
