@@ -261,11 +261,30 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _is_int_literal(text: str) -> bool:
+    """Whether ``text`` is ASCII digits after at most one ``-``.
+
+    ``int`` also reads underscores, a ``+``, surrounding space and other
+    scripts' digits; the CLI reads none of them.
+    """
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
+def _int_argument(text: str) -> int:
+    """An integer option or argument; argparse turns a refusal into a usage error."""
+    if not _is_int_literal(text):
+        raise argparse.ArgumentTypeError(f"not an integer of ASCII digits: {text!r}")
+    return int(text)
+
+
 def _parse_degrees(raw: str) -> tuple[int, ...]:
     """The integers of ``--degrees``, each within the limit, under the suite's own degree rules."""
+    entries = [x.strip() for x in raw.split(",") if x.strip()]
+    for x in entries:
+        if not _is_int_literal(x):
+            raise ScenarioError(f"--degrees: invalid literal {x!r}: not an integer of ASCII digits")
     try:
-        degrees = [_degree_in_limit(int(x), "--degrees entries") for x in raw.split(",") if x.strip()]
-        return _check_degrees(degrees)
+        return _check_degrees([_degree_in_limit(int(x), "--degrees entries") for x in entries])
     except ScenarioError:
         raise
     except ValueError as exc:
@@ -311,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Each command declares only the flags it reads.
     flags = {
         "--input": dict(required=True, metavar="FILE", help="scenario JSON file"),
-        "--degree": dict(type=int, default=None, metavar="N",
+        "--degree": dict(type=_int_argument, default=None, metavar="N",
                          help="override the scenario's cover degree"),
         "--format": dict(choices=("json", "text"), default="text"),
         "--out": dict(default=None, metavar="FILE", help="write output to FILE"),
@@ -330,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_delta = sub.add_parser("delta", help="print the boundary of a surface class")
     add_flags(p_delta, "--input", "--out", "--ascii")
-    p_delta.add_argument("coefficients", type=int, nargs="*", metavar="C",
+    p_delta.add_argument("coefficients", type=_int_argument, nargs="*", metavar="C",
                          help="surface coefficients, one per non-axis component")
     p_delta.add_argument("--full", action="store_true",
                          help="coefficients cover every component, axis included")
@@ -342,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run checks over all braid words within bounds")
     add_flags(p_suite, "--format", "--out")
-    p_suite.add_argument("--max-strands", type=int, required=True)
-    p_suite.add_argument("--max-length", type=int, required=True)
+    p_suite.add_argument("--max-strands", type=_int_argument, required=True)
+    p_suite.add_argument("--max-length", type=_int_argument, required=True)
     p_suite.add_argument("--degrees", required=True, metavar="LIST",
                          help="comma-separated cover degrees")
     add_flags(p_suite, "--checks")

@@ -97,7 +97,7 @@ class CoverData(Record):
     entry j the image of generator j), for the checks and
     ``principal_pushforward`` to read.
     ``lift_braid`` knows its covers are valid and builds them through
-    ``Record._trusted`` with the same pass: ``tests/test_covers.py``
+    ``CoverData._trusted`` with the same pass: ``tests/test_covers.py``
     rebuilds the lift of every word with <= 3 strands and length <= 4,
     and of every ``wide4`` word, at every degree 1-12 through
     ``CoverData(...)`` and compares, ``_pushed`` included.

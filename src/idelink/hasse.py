@@ -56,7 +56,7 @@ class CheckRecord(Record):
     ``millis`` is the check's wall time in milliseconds, a finite int
     or float >= 0; ``witness`` is a dict on failure, else None.  The
     constructor checks each kind; ``run_scenario`` builds its records
-    through ``Record._trusted``.
+    through ``CheckRecord._trusted``.
     """
 
     __slots__ = _fields = ("name", "passed", "millis", "witness")
@@ -89,7 +89,7 @@ class VerificationReport(Record):
 
     The constructor checks that strands and degree are plain ints, the
     word a tuple of plain ints and checks a tuple of ``CheckRecord``s;
-    ``run_scenario`` builds its reports through ``Record._trusted``.
+    ``run_scenario`` builds its reports through ``VerificationReport._trusted``.
     """
 
     __slots__ = _fields = ("strands", "word", "degree", "checks")
@@ -481,7 +481,7 @@ def _run_scenario(b: BraidWord, degree: int, names: list[str]) -> VerificationRe
     wall time in ms rounded half up to a whole microsecond in integer
     arithmetic, a float equal to ``round(millis, 3)``.  The records
     and the report hold values valid by construction, so they are built
-    through ``Record._trusted``; ``tests/test_hasse.py``
+    through their classes' ``_trusted``; ``tests/test_hasse.py``
     (``TestTrustedReports``) rebuilds them through the constructors.
     """
     cover = lift_braid(b, degree)

@@ -140,7 +140,7 @@ class LinkUniverse(Record):
     ``ideles.principal_generators``; a sublink's boundary is a row read
     on the sublink's slots).  Universes the package builds from a braid
     word are well formed by construction and come from
-    ``Record._trusted``, which checks nothing: ``tests/test_links.py``
+    ``LinkUniverse._trusted``, which checks nothing: ``tests/test_links.py``
     rebuilds every lifted universe of the acceptance sweep and ``wide4``
     through ``LinkUniverse(...)`` and compares.
     """

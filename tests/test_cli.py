@@ -591,6 +591,47 @@ class TestLimits:
         assert main(command + ["--input", path, "--out", str(tmp_path / "ok.txt")]) == 0
 
 
+class TestIntegerLiterals:
+    """Integer arguments are ASCII digits after at most one ``-``, though ``int`` reads more."""
+
+    # Each of these is an int() literal for 12, 3 or 1.
+    NOT_DIGITS = ["1_2", "\u0663", "\u0661\u0662", "+3", "\uff11"]
+
+    @pytest.mark.parametrize("literal", NOT_DIGITS + [" 3", "3\n"], ids=ascii)
+    def test_integer_arguments_refuse(self, literal, scenario_file, capsys):
+        suite = ["suite", "--degrees", "2"]
+        for argv in (
+            ["lift", "--input", scenario_file, "--degree", literal],
+            ["verify", "--input", scenario_file, "--degree", literal],
+            ["delta", "--input", scenario_file, literal],
+            suite + ["--max-strands", literal, "--max-length", "0"],
+            suite + ["--max-strands", "1", "--max-length", literal],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: idelink")
+            assert f"not an integer of ASCII digits: {literal!r}" in err
+
+    @pytest.mark.parametrize("literal", NOT_DIGITS, ids=ascii)
+    def test_degrees_entries_refuse(self, literal, capsys):
+        bounds = ["suite", "--max-strands", "1", "--max-length", "0", "--degrees"]
+        for degrees in (literal, f"2,{literal}", f"{literal},2"):
+            err = assert_usage_error(bounds + [degrees], capsys)
+            assert err == (
+                f"idelink: --degrees: invalid literal {literal!r}: not an integer of ASCII digits\n"
+            )
+
+    def test_plain_literals_still_read(self, scenario_file, capsys):
+        assert main(["delta", "--input", scenario_file, "-3"]) == 0
+        assert main(["lift", "--input", scenario_file, "--degree", "03"]) == 0
+        assert capsys.readouterr().out.count("cover degree: 3\n") == 1
+        # Space around a --degrees entry is not part of its literal.
+        assert main(["suite", "--max-strands", "1", "--max-length", "0", "--degrees", " 2, 3 "]) == 0
+        assert capsys.readouterr().out.startswith("scenarios: 2 ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

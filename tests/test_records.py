@@ -19,6 +19,7 @@ from idelink import (
     VerificationReport,
     lift_braid,
 )
+from idelink._record import Record
 from idelink.cli import Scenario
 
 from oracles import replaced
@@ -131,11 +132,34 @@ class TestEveryRecord:
         assert repr(clone) == repr(record)
         assert [getattr(clone, name) for name in cls.__slots__] == values
 
+    def test_trusted_refuses_a_wrong_value_count(self, i):
+        record = _records()[i][0]
+        cls = type(record)
+        values = [getattr(record, name) for name in cls.__slots__]
+        with pytest.raises(TypeError):
+            cls._trusted(*values[:-1])
+        with pytest.raises(TypeError):
+            cls._trusted(*values, None)
+
     def test_copies_and_pickles_by_value(self, i):
         record = _records()[i][0]
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert clone == record and type(clone) is type(record)
             assert repr(clone) == repr(record)
+
+
+def _record_classes(cls=Record):
+    """Every subclass of ``cls`` defined in the package, at any depth."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("idelink."):
+            found.add(sub)
+        found |= _record_classes(sub)
+    return found
+
+
+def test_every_record_class_is_covered():
+    assert {type(record) for record, _ in _records()} == _record_classes()
 
 
 class TestConstruction:
@@ -169,6 +193,12 @@ class TestConstruction:
             LinkUniverse(("A", "K1"), HOPF, 0, ((0, 1, -2, 0), (-2, 0, 0, 1)))
         with pytest.raises(TypeError):
             LinkUniverse(("A", "K1"), HOPF, 0, _generators=())
+
+    def test_a_slot_count_without_a_builder_is_refused(self):
+        with pytest.raises(TypeError, match="no record builder for 7 slots"):
+
+            class Seven(Record):
+                __slots__ = _fields = tuple("abcdefg")
 
     def test_missing_and_unknown_arguments_are_type_errors(self):
         with pytest.raises(TypeError):
