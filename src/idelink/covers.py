@@ -186,10 +186,10 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
     matrices, and the deck rotation all come along.  The word is walked
     once, for its permutation sigma and its crossings; the labels,
     windings, word-repeat blocks, fiber map and deck come from the
-    (sigma, n) skeleton table, and only the linking rows are counted
-    from the crossings (``links._cover_closures``).  The degree is
-    checked once, before anything is built.  ``splitting`` and the
-    pushforward pair of every single lift are one lookup in the
+    (sigma, n) skeleton table, and each universe is one pass counting
+    the crossings into its linking rows (``links._cover_closures``).
+    The degree is checked once, before anything is built.  ``splitting``
+    and the pushforward pair of every single lift are one lookup in the
     (n, base windings) table (``_splitting``); only a lift with others
     in its fiber (r > 1) sums its linking row over that fiber for c.
     Every field is valid by construction, so the cover is built through
@@ -245,8 +245,11 @@ def _pushed_rows(
     out = []
     for coeffs in rows:
         image = [0] * (2 * base_size)
-        pairs = iter(coeffs)  # zipped twice: each slot takes its (mu, lambda) in turn
-        for (i, a, b, c_j, d), mu, lam in zip(slots, pairs, pairs):
+        j = 0
+        for i, a, b, c_j, d in slots:
+            mu = coeffs[j]
+            lam = coeffs[j + 1]
+            j += 2
             image[i] += a * mu + b * lam
             image[i + 1] += c_j * mu + d * lam
         out.append(tuple(image))

@@ -6,7 +6,8 @@ Every check runs on a single branched-cover scenario and returns
 verdicts rather than errors: the tool exists to probe where truncated
 identities hold, so a principled failure is data and always carries an
 explicit witness (for lattice equalities, a vector lying in exactly one
-side; for invariant claims, the mismatched invariants).
+side; for invariant claims, the mismatched invariants).  Each check
+tests its cover's class inline, so a lifted cover costs no check call.
 
 ``run_suite`` enumerates every braid word within given bounds, every
 listed cover degree, runs all checks, and aggregates deterministic,
@@ -226,7 +227,8 @@ def verify_norm_principle(c: CoverData) -> tuple[bool, dict | None]:
     A closed form accepts the covers it can prove; everything else, and
     every failure, goes through the lattice route.
     """
-    _check_kind("cover", c, CoverData)
+    if type(c) is not CoverData:
+        _check_kind("cover", c, CoverData)
     return (True, None) if _norm_principle_accept(c) else _norm_principle_lattice(c)
 
 
@@ -239,7 +241,8 @@ def verify_diagonal_commutes(c: CoverData) -> tuple[bool, dict | None]:
     pushed boundaries are the cover's own, pushed once when it was built,
     and ``norm_principle``'s closed form makes the same comparison.
     """
-    _check_kind("cover", c, CoverData)
+    if type(c) is not CoverData:
+        _check_kind("cover", c, CoverData)
     j = _first_unscaled_lift(c, [rec.w for rec in c.splitting])
     if j is None:
         return True, None
@@ -263,7 +266,8 @@ def verify_meridian_pushforward(c: CoverData) -> tuple[bool, dict | None]:
     is that matrix's lower-left entry.  A failure pushes the unit
     through ``_pushforward_coeffs`` for its witness.
     """
-    _check_kind("cover", c, CoverData)
+    if type(c) is not CoverData:
+        _check_kind("cover", c, CoverData)
     size = c.total.size
     for j in range(size):
         if c.pushforward[j][1][0]:
@@ -291,7 +295,8 @@ def verify_class_quotient_free(c: CoverData) -> tuple[bool, dict | None]:
     sublink's invariants; it is also the first sublink the full loop
     visits, so a failure carries the same witness.
     """
-    _check_kind("cover", c, CoverData)
+    if type(c) is not CoverData:
+        _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
         gens = u._generators
         m = len(gens)
@@ -321,7 +326,8 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     first sublink, by size and then lexicographically, on which the
     first wrong row differs from the formula.
     """
-    _check_kind("cover", c, CoverData)
+    if type(c) is not CoverData:
+        _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
         units = _identity_rows(u.size)
         for k, (g, row) in enumerate(zip(u._generators, u.linking.entries)):
@@ -425,7 +431,8 @@ def verify_cover_exact_sequence(c: CoverData) -> tuple[bool, dict | None]:
     closed form accepts the covers it can prove; everything else, and
     every failure, goes through the lattice route.
     """
-    _check_kind("cover", c, CoverData)
+    if type(c) is not CoverData:
+        _check_kind("cover", c, CoverData)
     return (True, None) if _cover_exact_sequence_accept(c) else _cover_exact_sequence_lattice(c)
 
 
@@ -545,6 +552,14 @@ def count_scenarios(max_strands: int, max_length: int, degrees: Iterable[int]) -
 
 
 class SuiteResult(Record):
+    """The reports of a suite run, with the bounds and degrees that enumerated them.
+
+    The constructor checks the bounds and degrees as ``run_suite`` does,
+    storing the degrees as a tuple, and that ``reports`` is a tuple of
+    ``VerificationReport``s and ``complete`` a bool; ``run_suite``
+    builds its result through ``SuiteResult._trusted``.
+    """
+
     __slots__ = _fields = ("max_strands", "max_length", "degrees", "reports", "complete")
 
     def __init__(
@@ -555,6 +570,13 @@ class SuiteResult(Record):
         reports: tuple[VerificationReport, ...],
         complete: bool,
     ):
+        _check_bounds(max_strands, max_length)
+        degrees = _check_degrees(degrees)
+        _check_kind("reports", reports, tuple)
+        wrong = [r for r in reports if not isinstance(r, VerificationReport)]
+        if wrong:
+            _check_kind("report", wrong[0], VerificationReport)
+        _check_kind("complete flag", complete, bool)
         object.__setattr__(self, "max_strands", max_strands)
         object.__setattr__(self, "max_length", max_length)
         object.__setattr__(self, "degrees", degrees)
@@ -612,13 +634,7 @@ def run_suite(
         for b in iter_braid_words(max_strands, max_length)
         for n in degrees
     )
-    return SuiteResult(
-        max_strands=max_strands,
-        max_length=max_length,
-        degrees=degrees,
-        reports=reports,
-        complete=True,
-    )
+    return SuiteResult._trusted(max_strands, max_length, degrees, reports, True)
 
 
 def scenario_report_json(report: VerificationReport) -> dict:

@@ -93,36 +93,12 @@ def _permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> tuple[int, ...]:
-    """Entry s is the index of the cycle through strand s."""
+    """Entry s is the closure component through strand s: its cycle's index plus 1 (axis 0)."""
     comp = [0] * strands
-    for c, cycle in enumerate(cycles):
+    for c, cycle in enumerate(cycles, 1):
         for s in cycle:
             comp[s] = c
     return tuple(comp)
-
-
-def _crossing_rows(
-    crossings: list[tuple[int, int, int]],
-    blocks: Sequence[Sequence[int]],
-    size: int,
-    repeats: int = 1,
-) -> list[tuple[int, ...]]:
-    """Linking rows of ``size`` closure components, from a word's crossings.
-
-    The closed braid repeats the word once per block, and the blocks
-    given are repeated ``repeats`` times.  Entry s of a block is the
-    component of the strand that starts that repeat at position s.  Each
-    crossing between two components adds its sign to both their
-    entries; the totals, times ``repeats``, are halved.
-    """
-    counts = [[0] * size for _ in range(size)]
-    for comp in blocks:
-        for s, t, sign in crossings:
-            c1, c2 = comp[s], comp[t]
-            if c1 != c2:
-                counts[c1][c2] += sign
-                counts[c2][c1] += sign
-    return [tuple([x * repeats // 2 for x in row]) for row in counts]
 
 
 class LinkUniverse(Record):
@@ -197,13 +173,17 @@ def _principal_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     Entry k has lambda_K = 1 on its own slot and -lk(K, K') on the
     meridian of every other slot, flattened meridian-first as in
     ``ideles``; the zero diagonal leaves mu_K at 0.  Rows are built only
-    here; ``hasse.verify_projection_compatibility`` compares each stored
-    row with the same sign convention, read off the linking matrix.
+    here, each in one pass over its linking row (on rows this small,
+    faster than slice assignment); ``hasse.verify_projection_compatibility``
+    compares each stored row with the same sign convention, read off
+    the linking matrix.
     """
     gens = []
     for k, row in enumerate(rows):
-        coeffs = [0] * (2 * len(row))
-        coeffs[0::2] = [-x for x in row]
+        coeffs = []
+        for x in row:
+            coeffs.append(-x)
+            coeffs.append(0)
         coeffs[2 * k + 1] = 1
         gens.append(tuple(coeffs))
     return tuple(gens)
@@ -219,25 +199,47 @@ def universe_from_braid(b: BraidWord) -> LinkUniverse:
     _check_kind("braid", b, BraidWord)
     perm, crossings = _braid_walk(b.strands, b.letters)
     labels, windings, comp = _cover_skeleton(perm, 1)[:3]
-    rows = _crossing_rows(crossings, (comp,), len(labels) - 1)
-    return _closure_universe(labels, windings, rows)
+    return _closure_universe(labels, windings, crossings, (comp,))
 
 
 def _closure_universe(
     labels: tuple[str, ...],
     windings: tuple[int, ...],
-    closure_rows: list[tuple[int, ...]],
+    crossings: list[tuple[int, int, int]],
+    blocks: Sequence[Sequence[int]],
+    repeats: int = 1,
 ) -> LinkUniverse:
-    """The universe of a closed braid, axis first, from its skeleton data and linking rows.
+    """The universe of a closed braid, axis first, counted from a word's crossings.
 
     ``windings`` is the axis row (axis slot 0, then each closure
-    component's cycle length) and becomes the universe's own.  The rows
-    are ints, symmetric, with zero diagonal, and the labels are distinct
-    strings, so the universe, its linking matrix and its principal
-    generator rows are built unchecked.
+    component's cycle length) and becomes the universe's own.  The
+    closed braid repeats the word once per block, and the blocks given
+    are repeated ``repeats`` times; entry s of a block is the closure
+    component (1, 2, ...) of the strand starting that repeat at s.
+    Each crossing between two components adds its sign to both their
+    entries, straight into the matrix's rows; the nonzero totals, times
+    ``repeats``, are halved in place, and each row becomes a tuple once.
+    The rows are ints, symmetric, with zero diagonal, and the labels are
+    distinct strings, so the universe, its linking matrix and its
+    principal generator rows are built unchecked.
     """
-    rows = (windings,) + tuple([(w,) + row for w, row in zip(windings[1:], closure_rows)])
-    linking = IntMatrix._trusted(len(rows), len(rows), rows)
+    size = len(windings)
+    counts = [[0] * size for _ in windings]
+    for comp in blocks:
+        for s, t, sign in crossings:
+            c1, c2 = comp[s], comp[t]
+            if c1 != c2:
+                counts[c1][c2] += sign
+                counts[c2][c1] += sign
+    counts[0] = windings
+    for k in range(1, size):
+        row = counts[k]
+        for i, x in enumerate(row):
+            if x:
+                row[i] = x * repeats // 2
+        row[0] = windings[k]
+    rows = tuple(map(tuple, counts))
+    linking = IntMatrix._trusted(size, size, rows)
     return LinkUniverse._trusted(labels, linking, 0, _principal_rows(rows))
 
 
@@ -252,7 +254,7 @@ def _cover_skeleton(sigma: tuple[int, ...], n: int) -> tuple[tuple, ...]:
 
     Returns, all tuples, since every cover with this (sigma, n) shares
     them: the base universe's labels, its windings (the axis row of its
-    linking matrix) and the cycle through each strand; the cover's
+    linking matrix) and the component through each strand; the cover's
     labels, its windings and the power's word-repeat blocks over one
     period; then the fiber map and the deck rotation.  The table holds
     512 entries: the CLI admits 33 permutations (1 to 4 strands) and 12
@@ -291,8 +293,8 @@ def _cover_skeleton(sigma: tuple[int, ...], n: int) -> tuple[tuple, ...]:
         if block == top_comp:
             break
         blocks.append(block)
-    fiber_map = (0,) + tuple([comp[cycle[0]] + 1 for cycle in top_cycles])
-    deck = (0,) + tuple([top_comp[sigma[cycle[0]]] + 1 for cycle in top_cycles])
+    fiber_map = (0,) + tuple([comp[cycle[0]] for cycle in top_cycles])
+    deck = (0,) + tuple([top_comp[sigma[cycle[0]]] for cycle in top_cycles])
     return (
         _closure_labels("A", "K", len(cycles)),
         (0,) + tuple([len(cycle) for cycle in cycles]),
@@ -319,17 +321,16 @@ def _cover_closures(
     Only the linking rows need the word: the walk gives sigma and the
     crossings, and everything else, labels and windings included, is
     ``_cover_skeleton(sigma, n)``, shared by every word with that
-    permutation.  The power's crossings are counted over the skeleton's
-    p word-repeat blocks, n/p times.
+    permutation.  Each universe is one counting pass of
+    ``_closure_universe``: the base over its one block, the power over
+    the skeleton's p word-repeat blocks, n/p times.
     """
     sigma, crossings = _braid_walk(b.strands, b.letters)
     labels, windings, comp, top_labels, top_windings, blocks, fiber_map, deck = (
         _cover_skeleton(sigma, n)
     )
-    base_rows = _crossing_rows(crossings, (comp,), len(labels) - 1)
-    base = _closure_universe(labels, windings, base_rows)
-    top_rows = _crossing_rows(crossings, blocks, len(top_labels) - 1, n // len(blocks))
-    total = _closure_universe(top_labels, top_windings, top_rows)
+    base = _closure_universe(labels, windings, crossings, (comp,))
+    total = _closure_universe(top_labels, top_windings, crossings, blocks, n // len(blocks))
     return base, total, fiber_map, deck
 
 

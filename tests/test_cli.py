@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, formats, exit codes."""
 
+import hashlib
 import json
 import random
 import types
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from idelink import __version__, cli, hasse
 from idelink.cli import main
+from idelink.covers import lift_braid
 from idelink.ideles import IdeleVector
 from idelink.links import universe_from_braid
 
@@ -101,7 +103,28 @@ deck rotation: (A~) (J1 J2) (J3)
 """
 
 
+# Every ``lift`` text of the words with <=4 strands and <=4 letters, at
+# degrees 1-12, in both alphabets, each followed by a newline, in suite
+# order: 1,928 words, 46,272 texts.
+LIFT_SHA256 = "e7c31c6e832ee9c1b0e595f9167ce6bd1090e65599142a0715b7f59a0e93ee81"
+
+
 class TestLift:
+    def test_every_small_lift_is_pinned(self):
+        # The bytes of every lift the CLI prints for these words: a
+        # changed linking row, label order, splitting record, pushforward
+        # pair or deck cycle changes the digest.
+        digest = hashlib.sha256()
+        count = 0
+        for b in hasse.iter_braid_words(4, 4):
+            for n in range(1, 13):
+                c = lift_braid(b, n)
+                for ascii_flag in (False, True):
+                    digest.update(cli._format_lift(c, ascii_flag).encode() + b"\n")
+                    count += 1
+        assert count == 46272
+        assert digest.hexdigest() == LIFT_SHA256
+
     def test_prints_splitting_table(self, scenario_file, capsys):
         assert main(["lift", "--input", scenario_file]) == 0
         out = capsys.readouterr().out

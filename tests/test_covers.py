@@ -332,13 +332,13 @@ class TestLiftDerivation:
         # cycle of length L splits into gcd(n, L) cycles of the power, so
         # the repeats have period p = lcm of those gcds.
         counted = []
-        real = links._crossing_rows
+        real = links._closure_universe
 
-        def recording(crossings, blocks, size, repeats=1):
+        def recording(labels, windings, crossings, blocks, repeats=1):
             counted.append((len(blocks), repeats))
-            return real(crossings, blocks, size, repeats)
+            return real(labels, windings, crossings, blocks, repeats)
 
-        monkeypatch.setattr(links, "_crossing_rows", recording)
+        monkeypatch.setattr(links, "_closure_universe", recording)
         words = list(iter_braid_words(3, 4)) + [b for b, _ in wide4_words()]
         bad = []
         periods = set()

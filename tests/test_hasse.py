@@ -712,10 +712,12 @@ def test_run_scenario_names_and_times_each_record_by_its_registry_key(monkeypatc
 
 
 class TestTrustedReports:
-    """``run_scenario`` builds its check records and report through ``Record._trusted``.
+    """The run loop builds its records unchecked, through their classes' ``_trusted``.
 
-    Every scenario with <=3 strands, length <=3 and degrees 2-5, and
-    every wide4 word at its degree.
+    ``run_scenario`` builds its ``CheckRecord``s and ``VerificationReport``
+    that way, on every scenario with <=3 strands, length <=3 and degrees
+    2-5, and every wide4 word at its degree; ``run_suite`` builds its
+    ``SuiteResult`` that way.
     """
 
     @staticmethod
@@ -730,6 +732,11 @@ class TestTrustedReports:
             if rebuilt != rep or (rep.strands, rep.word, rep.degree) != (b.strands, b.letters, n):
                 bad.append((b, n))
         assert bad == []
+
+    def test_suite_result_equals_its_rebuild_through_the_public_constructor(self):
+        result = run_suite(2, 2, iter([3, 2]))
+        assert replaced(result) == result
+        assert (result.degrees, result.complete, len(result.reports)) == ((3, 2), True, 16)
 
     def test_millis_is_a_float_at_microsecond_resolution(self):
         bad = [

@@ -60,6 +60,7 @@ BRAID = links.BraidWord(2, (1,))
 COVER = covers.lift_braid(BRAID, 2)
 LATTICE = idelink.SubLattice.full(2)
 CHECK = hasse.CheckRecord("norm_principle", True, 0.1)
+REPORT = hasse.VerificationReport(2, (1,), 2, (CHECK,))
 WRONG_KIND = {
     "links.universe_from_braid": lambda: links.universe_from_braid(BAD),
     "links.relabeled_universe": lambda: links.relabeled_universe(BAD, (0, 1)),
@@ -122,6 +123,10 @@ WRONG_KIND = {
     "hasse.VerificationReport.word_entry": lambda: hasse.VerificationReport(2, (1.0,), 2, ()),
     "hasse.VerificationReport.checks": lambda: hasse.VerificationReport(2, (1,), 2, [CHECK]),
     "hasse.VerificationReport.checks_entry": lambda: hasse.VerificationReport(2, (1,), 2, (BAD,)),
+    "hasse.SuiteResult.degrees": lambda: hasse.SuiteResult(1, 0, 2, (), True),
+    "hasse.SuiteResult.reports": lambda: hasse.SuiteResult(1, 0, (2,), [REPORT], True),
+    "hasse.SuiteResult.reports_entry": lambda: hasse.SuiteResult(1, 0, (2,), (REPORT, "x"), True),
+    "hasse.SuiteResult.complete": lambda: hasse.SuiteResult(1, 0, (2,), (REPORT,), 1),
     **{f"hasse.{fn.__name__}": (lambda fn=fn: fn(BAD)) for fn in hasse.CHECKS.values()},
 }
 
@@ -223,6 +228,12 @@ BAD_SHAPE = {
     "SplitRecord.below_one": (
         lambda: covers.SplitRecord(0, 0, 1, 1, 1, 0),
         "split record e=1, d=1, w=1, r=0 must all be >= 1",
+    ),
+    "SuiteResult.bounds": (
+        lambda: hasse.SuiteResult(1.0, 0, (2,), (), True), "bounds must be plain ints"
+    ),
+    "SuiteResult.degrees_repeated": (
+        lambda: hasse.SuiteResult(1, 0, (2, 2), (), True), "names a degree more than once"
     ),
     "SplitRecord.d_not_e_times_w": (
         lambda: covers.SplitRecord(0, 1, 1, 2, 1, 1), "split record d=2 is not e*w = 1"
