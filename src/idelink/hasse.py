@@ -322,47 +322,58 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     the generator's stored row read on the sublink's slots, so it is
     enough that each stored row equals the linking formula,
     (-lk(K, K'), [K' = K]) on the slot of every K': projections compose,
-    so then proj_L(b_L') = proj_L(b_full) = b_L.  A failure names the
-    first sublink, by size and then lexicographically, on which the
-    first wrong row differs from the formula.
+    so then proj_L(b_L') = proj_L(b_full) = b_L.  Each universe's rows
+    are rebuilt from its linking matrix in one append pass (-lk on each
+    meridian, 0 on each longitude, then 1 on the row's own longitude)
+    and compared with the stored rows in one tuple comparison; only a
+    failure scans row by row.  It names the first sublink, by size and
+    then lexicographically, on which the first wrong row differs from
+    the formula.
     """
     if type(c) is not CoverData:
         _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
-        units = _identity_rows(u.size)
-        for k, (g, row) in enumerate(zip(u._generators, u.linking.entries)):
-            if g[1::2] == units[k] and g[0::2] == tuple([-x for x in row]):
-                continue
-            want = [(-x, unit) for x, unit in zip(row, units[k])]
-            t = next(t for t in (k, *range(u.size)) if g[2 * t : 2 * t + 2] != want[t])
-            sub = sorted({k, t})
-            return False, {
-                "universe": tag,
-                "sublink": [u.labels[t] for t in sub],
-                "larger": list(u.labels),
-                "generator": u.labels[k],
-                "projected": [x for t in sub for x in g[2 * t : 2 * t + 2]],
-                "direct": [x for t in sub for x in want[t]],
-            }
+        gens = u._generators
+        want = []
+        for k, row in enumerate(u.linking.entries):
+            w = []
+            for x in row:
+                w.append(-x)
+                w.append(0)
+            w[2 * k + 1] = 1
+            want.append(tuple(w))
+        if tuple(want) == gens:
+            continue
+        k, g, w = next((k, g, w) for k, (g, w) in enumerate(zip(gens, want)) if g != w)
+        t = next(t for t in (k, *range(u.size)) if g[2 * t : 2 * t + 2] != w[2 * t : 2 * t + 2])
+        sub = sorted({k, t})
+        return False, {
+            "universe": tag,
+            "sublink": [u.labels[t] for t in sub],
+            "larger": list(u.labels),
+            "generator": u.labels[k],
+            "projected": [x for t in sub for x in g[2 * t : 2 * t + 2]],
+            "direct": [x for t in sub for x in w[2 * t : 2 * t + 2]],
+        }
     return True, None
 
 
-def _axis_functional(u: LinkUniverse) -> list[int] | None:
+def _axis_functional(u: LinkUniverse) -> list[tuple[int, int]] | None:
     """psi with ker psi = principal + meridians away from the axis, or None.
 
-    With unit longitudes the m generators and the m unit meridians form
-    a unimodular basis, so that lattice is every basis vector but
-    mu_axis, the kernel of mu_axis's dual: psi[2a] = 1 and
-    psi[2k+1] = -g_k[2a].  None when the longitudes are not units.
+    psi is one (mu, lambda) pair per component, psi[k] the values on
+    mu_k and lambda_k.  With unit longitudes the m generators and the m
+    unit meridians form a unimodular basis, so that lattice is every
+    basis vector but mu_axis, the kernel of mu_axis's dual:
+    psi[a] = (1, -g_a[2a]) and psi[k] = (0, -g_k[2a]) for k != a.
+    None when the longitudes are not units.
     """
     gens = u._generators
     if not _unit_longitudes(gens):
         return None
     a = u.axis_index
-    psi = [0] * (2 * u.size)
-    psi[2 * a] = 1
-    for k, g in enumerate(gens):
-        psi[2 * k + 1] = -g[2 * a]
+    psi = [(0, -g[2 * a]) for g in gens]
+    psi[a] = (1, psi[a][1])
     return psi
 
 
@@ -372,24 +383,25 @@ def _cover_exact_sequence_accept(c: CoverData) -> bool:
     With R_M = ker psi_M and R_N = ker psi_N, the preimage of R_M under
     f is ker(psi_M∘f).  When psi_N∘tau = psi_N the deck image lies in
     R_N, so the exact side is R_N; when psi_M∘f = s·psi_N with s != 0
-    the preimage is R_N too.  False means the closed form does not
-    apply or the check fails; the lattice route then decides and finds
-    the witness.
+    the preimage is R_N too.  Both functionals are lists of (mu, lambda)
+    pairs, one per component (``_axis_functional``): tau sends slot j to
+    slot deck[j], so psi_N∘tau is psi_N read through the deck, and
+    psi_M∘f on slot J is psi_M's pair on K = fiber_map[J] through J's
+    pushforward pair ((a, b), (c, d)), mu_J -> a·mu_K + c·lambda_K and
+    lambda_J -> b·mu_K + d·lambda_K.  False means the closed form does
+    not apply or the check fails; the lattice route then decides and
+    finds the witness.
     """
     psi_m = _axis_functional(c.base)
     psi_n = _axis_functional(c.total)
-    if psi_m is None or psi_n is None:
+    if psi_m is None or psi_n is None or [psi_n[t] for t in c.deck] != psi_n:
         return False
-    for j, t in enumerate(c.deck):
-        if psi_n[2 * t] != psi_n[2 * j] or psi_n[2 * t + 1] != psi_n[2 * j + 1]:
-            return False
     r = []
-    for j, ((a, b), (c_j, d)) in enumerate(c.pushforward):
-        k = c.fiber_map[j]
-        to_mu, to_lam = psi_m[2 * k], psi_m[2 * k + 1]
-        r.extend((a * to_mu + c_j * to_lam, b * to_mu + d * to_lam))
-    s = r[2 * c.total.axis_index]
-    return s != 0 and r == [s * x for x in psi_n]
+    for k, ((a, b), (c_j, d)) in zip(c.fiber_map, c.pushforward):
+        to_mu, to_lam = psi_m[k]
+        r.append((a * to_mu + c_j * to_lam, b * to_mu + d * to_lam))
+    s = r[c.total.axis_index][0]
+    return s != 0 and r == [(s * x, s * y) for x, y in psi_n]
 
 
 def _cover_exact_sequence_lattice(c: CoverData) -> tuple[bool, dict | None]:

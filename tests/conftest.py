@@ -25,6 +25,15 @@ def wide4_covers():
 
 
 @pytest.fixture(scope="session")
+def small_lifts():
+    """(word, degree, cover) for every word with <=4 strands and <=4 letters at degrees 1-12, in suite order.
+
+    1,928 words, 23,136 lifts: the domain of the lift and report pins.
+    """
+    return [(b, n, lift_braid(b, n)) for b in iter_braid_words(4, 4) for n in range(1, 13)]
+
+
+@pytest.fixture(scope="session")
 def cover_families(sweep_covers, wide4_covers):
     """The cover families the route cross-checks run over, by name, each built once.
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from idelink import __version__, cli, hasse
 from idelink.cli import main
-from idelink.covers import lift_braid
 from idelink.ideles import IdeleVector
 from idelink.links import universe_from_braid
 
@@ -110,18 +109,16 @@ LIFT_SHA256 = "e7c31c6e832ee9c1b0e595f9167ce6bd1090e65599142a0715b7f59a0e93ee81"
 
 
 class TestLift:
-    def test_every_small_lift_is_pinned(self):
+    def test_every_small_lift_is_pinned(self, small_lifts):
         # The bytes of every lift the CLI prints for these words: a
         # changed linking row, label order, splitting record, pushforward
         # pair or deck cycle changes the digest.
         digest = hashlib.sha256()
         count = 0
-        for b in hasse.iter_braid_words(4, 4):
-            for n in range(1, 13):
-                c = lift_braid(b, n)
-                for ascii_flag in (False, True):
-                    digest.update(cli._format_lift(c, ascii_flag).encode() + b"\n")
-                    count += 1
+        for _, _, c in small_lifts:
+            for ascii_flag in (False, True):
+                digest.update(cli._format_lift(c, ascii_flag).encode() + b"\n")
+                count += 1
         assert count == 46272
         assert digest.hexdigest() == LIFT_SHA256
 
@@ -167,6 +164,10 @@ class TestLift:
         assert main(["lift", "--input", str(path)]) == 2
 
 
+# Every ``delta`` output of TestDelta.test_seeded_classes_are_pinned, in order.
+DELTA_SHA256 = "abdc3a7b5b3f2f189f351aecbdb5b81d6140c0b85242351dda2d45dcecb6d10d"
+
+
 class TestDelta:
     def test_hopf_generator(self, hopf_scenario, capsys):
         assert main(["delta", "--input", hopf_scenario, "1", "0"]) == 0
@@ -189,6 +190,26 @@ class TestDelta:
     def test_wrong_count_rejected(self, hopf_scenario):
         assert main(["delta", "--input", hopf_scenario, "1"]) == 2
         assert main(["delta", "--input", hopf_scenario, "--full", "1"]) == 2
+
+    def test_seeded_classes_are_pinned(self, tmp_path, capsys):
+        # 300 words drawn from those with <=4 strands and <=4 letters, one
+        # class each, coefficients in -3..3 on every component or on the
+        # non-axis ones, printed in both alphabets: a changed generator
+        # row, label, sign or term order changes the digest.
+        rng = random.Random(13)
+        path = tmp_path / "delta.json"
+        digest = hashlib.sha256()
+        for b in rng.sample(list(hasse.iter_braid_words(4, 4)), 300):
+            doc = {"schema": 1, "braid": {"strands": b.strands, "word": list(b.letters)}, "cover_degree": 2}
+            path.write_text(json.dumps(doc))
+            full = rng.random() < 0.5
+            size = universe_from_braid(b).size
+            coeffs = [str(rng.randint(-3, 3)) for _ in range(size if full else size - 1)]
+            for ascii_flag in (False, True):
+                argv = ["delta", "--input", str(path)] + ["--ascii"] * ascii_flag
+                assert main(argv + ["--full"] * full + ["--"] + coeffs) == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == DELTA_SHA256
 
 
 @pytest.mark.parametrize("full", [False, True])

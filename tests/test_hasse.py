@@ -565,6 +565,30 @@ def test_failure_corpus_outcomes_are_pinned(sweep_covers):
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
 
 
+# Every scenario report of the words with <=4 strands and <=4 letters at
+# degrees 1-12, in suite order, each as the report writer writes it
+# (indented, keys sorted) with its timing fields dropped, and a newline.
+REPORT_SHA256 = "912d563ce24b41052e0ae30cf8f3732776fcb649f2f8fa2e6a50985914912480"
+
+
+def test_every_small_report_is_pinned(small_lifts):
+    # The sweep3 digest reaches <=3 strands at degrees 2-5 only; this
+    # covers 4-strand words and degrees 1 and 6-12, every check in
+    # CHECKS order, as run_scenario records it on the lift.
+    digest = hashlib.sha256()
+    for b, n, c in small_lifts:
+        records = []
+        for name, check in CHECKS.items():
+            passed, witness = check(c)
+            records.append(CheckRecord(name, passed, 0.0, witness))
+        doc = hasse.VerificationReport(b.strands, b.letters, n, tuple(records)).to_json_dict()
+        for rec in doc["checks"]:
+            del rec["millis"]
+        digest.update(json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n")
+    assert len(small_lifts) == 23136
+    assert digest.hexdigest() == REPORT_SHA256
+
+
 @st.composite
 def _grafted_covers(draw, covers):
     """A real cover with some pushforward pairs and possibly the deck replaced."""
