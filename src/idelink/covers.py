@@ -226,7 +226,7 @@ def pushforward_matrix(c: CoverData) -> IntMatrix:
         k = c.fiber_map[j]
         rows[2 * k][2 * j : 2 * j + 2] = c.pushforward[j][0]
         rows[2 * k + 1][2 * j : 2 * j + 2] = c.pushforward[j][1]
-    return IntMatrix(rows, cols=2 * mp)
+    return IntMatrix._trusted(2 * m, 2 * mp, tuple(map(tuple, rows)))
 
 
 def _pushed_rows(
@@ -275,7 +275,7 @@ def deck_matrix(c: CoverData) -> IntMatrix:
         t = c.deck[j]
         rows[2 * t][2 * j] = 1
         rows[2 * t + 1][2 * j + 1] = 1
-    return IntMatrix(rows, cols=2 * mp)
+    return IntMatrix._trusted(2 * mp, 2 * mp, tuple(map(tuple, rows)))
 
 
 def principal_pushforward(c: CoverData) -> SubLattice:

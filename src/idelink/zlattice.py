@@ -24,10 +24,18 @@ from . import kernel
 from ._record import Record
 
 
-def _check_int(x):
-    if type(x) is not int:
-        raise TypeError(f"matrix entries must be plain ints, got {type(x).__name__}")
-    return x
+def _check_ints(c) -> tuple:
+    """``c`` as a tuple, accepted by one type scan of its entries.
+
+    Only when the scan fails are the entries checked one at a time, so
+    the TypeError names the first entry that is not a plain int.
+    """
+    t = tuple(c)
+    if not {int}.issuperset(map(type, t)):
+        for x in t:
+            if type(x) is not int:
+                raise TypeError(f"matrix entries must be plain ints, got {type(x).__name__}")
+    return t
 
 
 def _check_kind(what: str, x, cls) -> None:
@@ -36,6 +44,12 @@ def _check_kind(what: str, x, cls) -> None:
         name = cls.__name__
         article = "an" if name[0] in "AEIOU" else "a"
         raise ValueError(f"{what} must be {article} {name}, got {type(x).__name__}")
+
+
+def _check_sequence(what: str, v) -> None:
+    """Reject a column or vector that is not a sequence; a tuple or list needs no ABC test."""
+    if type(v) is not tuple and type(v) is not list:
+        _check_kind(what, v, Sequence)
 
 
 def _check_size(what: str, n) -> None:
@@ -54,10 +68,10 @@ class IntMatrix(Record):
     def __init__(self, entries: Iterable[Iterable[int]], *, cols: int | None = None):
         if cols is not None:
             _check_size("column count", cols)
-        rows = tuple(tuple(_check_int(x) for x in row) for row in entries)
+        rows = tuple(map(_check_ints, entries))
         if rows:
             width = len(rows[0])
-            if any(len(r) != width for r in rows):
+            if not {width}.issuperset(map(len, rows)):
                 raise ValueError("ragged rows")
             if cols is not None and cols != width:
                 raise ValueError("cols does not match row width")
@@ -70,15 +84,19 @@ class IntMatrix(Record):
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         _check_size("size", n)
-        return cls(
-            (tuple(1 if c == r else 0 for c in range(n)) for r in range(n)), cols=n
+        return cls._trusted(
+            n, n, tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n))
         )
 
     def column(self, j: int) -> tuple[int, ...]:
+        if type(j) is not int or not 0 <= j < self.cols:
+            raise ValueError(f"column index {j!r} is not a plain int in [0, {self.cols})")
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         _check_kind("right operand", other, IntMatrix)
@@ -92,12 +110,11 @@ class IntMatrix(Record):
                     for j in range(other.cols)
                 )
             )
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix._trusted(self.rows, other.cols, tuple(out))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        _check_kind("vector", vec, Sequence)
-        for x in vec:
-            _check_int(x)
+        _check_sequence("vector", vec)
+        vec = _check_ints(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(row[t] * vec[t] for t in range(self.cols)) for row in self.entries)
@@ -177,9 +194,9 @@ class SubLattice(Record):
         _check_kind("columns", columns, Iterable)
         cols = []
         for c in columns:
-            _check_kind("column", c, Sequence)
-            cols.append(tuple(_check_int(x) for x in c))
-        if any(len(c) != ambient_rank for c in cols):
+            _check_sequence("column", c)
+            cols.append(_check_ints(c))
+        if not {ambient_rank}.issuperset(map(len, cols)):
             raise ValueError("column length does not match ambient rank")
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "columns", tuple(map(tuple, kernel.col_hnf(ambient_rank, cols))))
@@ -317,12 +334,10 @@ def _solve_in_hnf(cols, v: Sequence[int]) -> list[int] | None:
 def lattice_member(v: Sequence[int], a: SubLattice) -> bool:
     """True iff v is an integer combination of the generators."""
     _check_kind("lattice", a, SubLattice)
-    _check_kind("vector", v, Sequence)
+    _check_sequence("vector", v)
     if len(v) != a.ambient_rank:
         raise ValueError(f"vector length {len(v)} != ambient rank {a.ambient_rank}")
-    for x in v:
-        _check_int(x)
-    return _solve_in_hnf(a.columns, v) is not None
+    return _solve_in_hnf(a.columns, _check_ints(v)) is not None
 
 
 def lattice_equal(a: SubLattice, b: SubLattice) -> bool:
@@ -339,9 +354,10 @@ def _dividing_pivots(cols) -> list[int] | None:
         while not col[i]:
             i += 1
         p = col[i]
-        for x in col[i + 1:]:
-            if x % p:
-                return None
+        if p != 1:
+            for x in col[i + 1:]:
+                if x % p:
+                    return None
         pivots.append(p)
     return pivots
 

@@ -1,6 +1,7 @@
 """Lifting braid universes through branched covers of the axis."""
 
 import itertools
+import operator
 import random
 from math import gcd, lcm
 
@@ -532,6 +533,37 @@ class TestDeck:
             # pushforward absorbs the deck rotation
             f = pushforward_matrix(c)
             assert f @ deck_matrix(c) == f
+
+
+def test_unchecked_matrices_equal_their_rebuild_through_the_constructor(cover_families):
+    """``pushforward_matrix``, ``deck_matrix``, ``@`` and ``identity`` build through ``_trusted``.
+
+    Each matrix they build equals ``IntMatrix(...)`` of its own entries,
+    over every family of the route cross-checks, tampered ones included.
+    The products are a row through both cover matrices, kept to one row
+    so the sweep stays fast, and each also equals its row-by-column sums.
+    """
+
+    def row_times(row, m):
+        return tuple(sum(map(operator.mul, row, col)) for col in zip(*m.entries))
+
+    bad = []
+    identities = {}
+    for family, covers_of_family in cover_families.items():
+        for i, c in enumerate(covers_of_family):
+            f, d = pushforward_matrix(c), deck_matrix(c)
+            one = identities.get(d.rows) or identities.setdefault(d.rows, IntMatrix.identity(d.rows))
+            r = IntMatrix([range(1, f.rows + 1)])
+            rf = r @ f
+            rfd = rf @ d
+            if (
+                any(m != IntMatrix(m.entries, cols=m.cols) for m in (f, d, one, rf, rfd))
+                or rf.entries != (row_times(r.entries[0], f),)
+                or rfd.entries != (row_times(rf.entries[0], d),)
+            ):
+                bad.append((family, i))
+    assert bad == []
+    assert sorted(identities) == [4, 6, 8, 10]
 
 
 class TestCoverIdentities:

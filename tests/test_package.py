@@ -165,6 +165,19 @@ BAD_SHAPE = {
     "IntMatrix.apply": (
         lambda: _I2.apply((1,)), "vector length does not match column count"
     ),
+    "IntMatrix.column.negative": (
+        lambda: _I2.column(-1), "column index -1 is not a plain int in [0, 2)"
+    ),
+    "IntMatrix.column.bool": (
+        lambda: _I2.column(True), "column index True is not a plain int in [0, 2)"
+    ),
+    "IntMatrix.column.cols": (
+        lambda: _I2.column(2), "column index 2 is not a plain int in [0, 2)"
+    ),
+    "IntMatrix.column.no_rows": (
+        lambda: zlattice.IntMatrix([], cols=2).column(2),
+        "column index 2 is not a plain int in [0, 2)",
+    ),
     "IntMatrix.det": (
         lambda: zlattice.IntMatrix([[1, 2]]).det(), "determinant of a non-square matrix"
     ),

@@ -68,6 +68,13 @@ class TestIntMatrix:
         assert IntMatrix([(), (), ()]).shape == (3, 0)
         assert IntMatrix([]).shape == (0, 0)
 
+    def test_columns_of_empty_shapes(self):
+        # A matrix with no rows still has its columns, each empty, so the
+        # kernel of the map Z^3 -> Z^0 is all of Z^3.
+        assert IntMatrix([], cols=3).columns() == [(), (), ()]
+        assert IntMatrix([(), ()]).columns() == []
+        assert preimage_lattice(IntMatrix([], cols=3), SubLattice.zero(0)) == SubLattice.full(3)
+
     def test_matmul_and_apply(self):
         a = IntMatrix([[1, 2], [3, 4]])
         b = IntMatrix([[0, 1], [1, 0]])
@@ -549,6 +556,51 @@ WRONG_KIND = {
 def test_wrong_kind_argument_raises_value_error(name):
     with pytest.raises(ValueError, match="must be (a [^AEIOU]|an [AEIOU])"):
         WRONG_KIND[name]()
+
+
+class _Int(int):
+    pass
+
+
+# Each public entry that takes caller integers, given six entries ``v``:
+# two columns or rows of three where it takes a collection, the vector
+# itself where it takes one.
+ENTRIES = {
+    "IntMatrix": lambda v: IntMatrix([v[:3], v[3:]]),
+    "IntMatrix.apply": lambda v: IntMatrix.identity(6).apply(v),
+    "SubLattice": lambda v: SubLattice(3, [v[:3], v[3:]]),
+    "SubLattice.from_columns": lambda v: SubLattice.from_columns(3, [v[:3], v[3:]]),
+    "lattice_member": lambda v: lattice_member(v, SubLattice.full(6)),
+}
+BAD_ENTRIES = {"bool": True, "float": 1.0, "_Int": _Int(1), "str": "1", "NoneType": None}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("at", [0, 3, 5], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", BAD_ENTRIES)
+def test_bad_entry_raises_type_error_naming_its_type(entry, at, kind):
+    v = [1, 2, 3, 4, 5, 6]
+    v[at] = BAD_ENTRIES[kind]
+    with pytest.raises(TypeError) as info:
+        ENTRIES[entry](tuple(v))
+    assert str(info.value) == f"matrix entries must be plain ints, got {kind}"
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("first, second", [(1.0, None), (None, True), ("1", _Int(2))])
+def test_of_two_bad_entries_the_first_is_named(entry, first, second):
+    with pytest.raises(TypeError) as info:
+        ENTRIES[entry]((0, first, 0, 0, second, 0))
+    assert str(info.value) == f"matrix entries must be plain ints, got {type(first).__name__}"
+
+
+def test_range_columns_and_vectors_are_accepted():
+    r = range(3)
+    assert IntMatrix([r, r]).entries == ((0, 1, 2),) * 2
+    assert IntMatrix.identity(3).apply(r) == (0, 1, 2)
+    assert SubLattice(3, [r]) == SubLattice.from_columns(3, [r]) == lat(3, (0, 1, 2))
+    assert lattice_member(r, lat(3, (0, 1, 2)))
+    assert not lattice_member(range(1, 4), lat(3, (0, 1, 2)))
 
 
 class TestKernelAndPreimage:
