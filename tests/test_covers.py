@@ -552,7 +552,9 @@ def test_unchecked_matrices_equal_their_rebuild_through_the_constructor(cover_fa
     for family, covers_of_family in cover_families.items():
         for i, c in enumerate(covers_of_family):
             f, d = pushforward_matrix(c), deck_matrix(c)
-            one = identities.get(d.rows) or identities.setdefault(d.rows, IntMatrix.identity(d.rows))
+            one = identities.get(d.rows)
+            if one is None:
+                one = identities[d.rows] = IntMatrix.identity(d.rows)
             r = IntMatrix([range(1, f.rows + 1)])
             rf = r @ f
             rfd = rf @ d
