@@ -3,7 +3,8 @@
 The n-fold cyclic cover of S^3 branched over an unknotted axis is S^3
 again, and the preimage of a closed braid is the closure of the n-th
 power of the word.  That makes every piece of covering data exactly
-computable:
+computable, and all of it but the linking numbers is fixed by the braid
+permutation sigma and n, so it is read from one (sigma, n) table:
 
 * the character sends mu_axis to 1 in Z/n, so a component with winding
   w has character values (a, b) = (0, w mod n) and the axis has (1, 0);
@@ -32,7 +33,13 @@ from math import gcd
 
 from ._record import Record
 from .links import (
-    BraidWord, LinkUniverse, _check_permutation, _cover_closures, relabeled_universe
+    BraidWord,
+    LinkUniverse,
+    _braid_walk,
+    _check_permutation,
+    _closure_parts,
+    _closure_universe,
+    relabeled_universe,
 )
 from .zlattice import IntMatrix, SubLattice, _check_kind, _span
 
@@ -156,26 +163,64 @@ class CoverData(Record):
 
 
 @functools.lru_cache(maxsize=512)
-def _splitting(degree: int, windings: tuple[int, ...]) -> tuple[tuple[SplitRecord, ...], tuple]:
-    """Splitting data of a braid universe's components, and the pairs of their single lifts.
+def _cover_skeleton(sigma: tuple[int, ...], n: int) -> tuple[tuple, ...]:
+    """Everything of the n-fold cover of a closed braid that sigma and n alone fix.
 
-    ``windings`` is the universe's axis row, axis slot 0: the degree-n
-    character takes the values (1, 0) on the axis and (0, w mod n) on a
-    component of winding w.  Returns each component's ``SplitRecord``
-    and, when it has a single lift (r = 1), that lift's pushforward
-    pair ((e, 0), (0, w)), else None.  Both depend on n and the windings
-    alone, so the lift reads them in one lookup; the CLI's 33
-    permutations of 1 to 4 strands have 15 winding rows, so its 12
-    degrees make 180 keys.  Unchecked: ``lift_braid`` checks the degree.
+    Returns, all tuples of immutable values, since every cover with
+    this (sigma, n) shares them: the base universe's labels, its windings (the axis row of its
+    linking matrix) and the component through each strand; the cover's
+    labels, its windings and the power's word-repeat blocks over one
+    period; the fiber map and the deck rotation; and each base
+    component's ``SplitRecord`` and, when it has a single lift (r = 1),
+    that lift's pushforward pair ((e, 0), (0, w)), else None.  The
+    table holds 512 entries: the CLI admits 33 permutations (1 to 4
+    strands) and 12 degrees, 396 keys.  Unchecked: ``lift_braid``
+    checks the degree.
+
+    ``links._closure_parts`` reads both closures off sigma and off
+    sigma^n, which moves each strand n steps along its cycle.  The
+    n-th power repeats the word n times.  Block t, the components of
+    the strands starting repeat t, is block 0 moved t steps along
+    sigma, and block n is block 0 again, since sigma^n keeps each strand
+    on its cycle of the power.  So the blocks are one orbit under that
+    move, repeating with a period p that divides n: only blocks 0..p-1
+    are built.  Both maps fix the axis: the fiber map sends each cycle
+    of the power to the base cycle of its first strand, and the deck
+    sends it to the cycle of the power through sigma of that strand.
+    The degree-n character takes the values (1, 0) on the axis and
+    (0, w mod n) on a component of winding w.
     """
-    records = []
+    labels, windings, comp, cycles = _closure_parts(sigma, "A", "K")
+    power = [0] * len(sigma)
+    for cycle in cycles:
+        for i, s in enumerate(cycle):
+            power[s] = cycle[(i + n) % len(cycle)]
+    top_labels, top_windings, top_comp, top_cycles = _closure_parts(power, "A~", "J")
+    # Repeat t of the word starts with strand sigma^-t(s) at position s,
+    # so its block is the previous one moved along sigma, until the
+    # blocks come back to block 0.
+    blocks = [top_comp]
+    while len(blocks) < n:
+        block = [0] * len(sigma)
+        for c, p in zip(blocks[-1], sigma):
+            block[p] = c
+        block = tuple(block)
+        if block == top_comp:
+            break
+        blocks.append(block)
+    fiber_map = (0,) + tuple([comp[cycle[0]] for cycle in top_cycles])
+    deck = (0,) + tuple([top_comp[sigma[cycle[0]]] for cycle in top_cycles])
+    splitting = []
     for k, winding in enumerate(windings):
-        a, b = (1 % degree, 0) if k == 0 else (0, winding % degree)
-        e = degree // gcd(a, degree)
-        d = degree // gcd(gcd(a, b), degree)
-        records.append(SplitRecord._trusted(a, b, e, d, d // e, degree // d))
-    singles = tuple([((rec.e, 0), (0, rec.w)) if rec.r == 1 else None for rec in records])
-    return tuple(records), singles
+        a, b = (1 % n, 0) if k == 0 else (0, winding % n)
+        e = n // gcd(a, n)
+        d = n // gcd(gcd(a, b), n)
+        splitting.append(SplitRecord._trusted(a, b, e, d, d // e, n // d))
+    singles = tuple([((rec.e, 0), (0, rec.w)) if rec.r == 1 else None for rec in splitting])
+    return (
+        labels, windings, comp, top_labels, top_windings, tuple(blocks), fiber_map, deck,
+        tuple(splitting), singles,
+    )
 
 
 def lift_braid(b: BraidWord, degree: int) -> CoverData:
@@ -183,23 +228,29 @@ def lift_braid(b: BraidWord, degree: int) -> CoverData:
 
     The upstairs universe is the closure of the n-th power of the word
     together with the lifted axis; fibers, splitting data, pushforward
-    matrices, and the deck rotation all come along.  The word is walked
-    once, for its permutation sigma and its crossings; the labels,
-    windings, word-repeat blocks, fiber map and deck come from the
-    (sigma, n) skeleton table, and each universe is one pass counting
-    the crossings into its linking rows (``links._cover_closures``).
-    The degree is checked once, before anything is built.  ``splitting``
-    and the pushforward pair of every single lift are one lookup in the
-    (n, base windings) table (``_splitting``); only a lift with others
-    in its fiber (r > 1) sums its linking row over that fiber for c.
-    Every field is valid by construction, so the cover is built through
-    ``CoverData._trusted``, its generators pushed in one
+    matrices, and the deck rotation all come along.  The degree is
+    checked once, before anything is built.  The word is walked once,
+    for its permutation sigma and its crossings; everything else that
+    sigma and n fix (labels, windings, word-repeat blocks, fiber map,
+    deck, splitting records and the pushforward pair of every single
+    lift) is one lookup in the (sigma, n) table, ``_cover_skeleton``.
+    Each universe is one ``links._closure_universe`` pass counting the
+    crossings into its linking rows: the base over its one block, the
+    power over the table's p word-repeat blocks, n/p times.  Only a lift
+    with others in its fiber (r > 1) sums its linking row over that
+    fiber for c.  Every field is valid by construction, so the cover is
+    built through ``CoverData._trusted``, its generators pushed in one
     ``_pushed_rows`` pass as the constructor would.
     """
     _check_kind("braid", b, BraidWord)
     _check_degree(degree)
-    base, total, fiber_map, deck = _cover_closures(b, degree)
-    splitting, singles = _splitting(degree, base.windings)
+    sigma, crossings = _braid_walk(b.strands, b.letters)
+    (
+        labels, windings, comp, top_labels, top_windings, blocks, fiber_map, deck,
+        splitting, singles,
+    ) = _cover_skeleton(sigma, degree)
+    base = _closure_universe(labels, windings, crossings, (comp,))
+    total = _closure_universe(top_labels, top_windings, crossings, blocks, degree // len(blocks))
 
     # A single lift's c is the zero diagonal: its pair comes from the table.
     pushforward = []

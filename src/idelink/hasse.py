@@ -35,7 +35,7 @@ from .covers import (
     pushforward_matrix,
 )
 from .ideles import _label_prefixes, meridian_subgroup, principal_lattice
-from .links import BraidWord, LinkUniverse
+from .links import BraidWord, LinkUniverse, _principal_rows
 from .zlattice import (
     SubLattice,
     _check_kind,
@@ -323,26 +323,18 @@ def verify_projection_compatibility(c: CoverData) -> tuple[bool, dict | None]:
     enough that each stored row equals the linking formula,
     (-lk(K, K'), [K' = K]) on the slot of every K': projections compose,
     so then proj_L(b_L') = proj_L(b_full) = b_L.  Each universe's rows
-    are rebuilt from its linking matrix in one append pass (-lk on each
-    meridian, 0 on each longitude, then 1 on the row's own longitude)
-    and compared with the stored rows in one tuple comparison; only a
-    failure scans row by row.  It names the first sublink, by size and
-    then lexicographically, on which the first wrong row differs from
-    the formula.
+    are rebuilt from its linking matrix by the one formula,
+    ``links._principal_rows``, and compared with the stored rows in one
+    tuple comparison; only a failure scans row by row.  It names the
+    first sublink, by size and then lexicographically, on which the
+    first wrong row differs from the formula.
     """
     if type(c) is not CoverData:
         _check_kind("cover", c, CoverData)
     for tag, u in (("base", c.base), ("cover", c.total)):
         gens = u._generators
-        want = []
-        for k, row in enumerate(u.linking.entries):
-            w = []
-            for x in row:
-                w.append(-x)
-                w.append(0)
-            w[2 * k + 1] = 1
-            want.append(tuple(w))
-        if tuple(want) == gens:
+        want = _principal_rows(u.linking.entries)
+        if want == gens:
             continue
         k, g, w = next((k, g, w) for k, (g, w) in enumerate(zip(gens, want)) if g != w)
         t = next(t for t in (k, *range(u.size)) if g[2 * t : 2 * t + 2] != w[2 * t : 2 * t + 2])

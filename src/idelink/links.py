@@ -11,11 +11,13 @@ braid direction and the axis is oriented so that lk(axis, C) equals the
 Strand positions are 0-based throughout; braid letters keep the usual
 1-based convention where letter ``i`` is the positive half-twist of the
 strands at positions ``i-1`` and ``i`` and ``-i`` is its inverse.
+
+Lifting a universe through a branched cover, and everything the braid
+permutation and the degree fix about that cover, lives in ``covers``.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 
 from ._record import Record
@@ -92,19 +94,32 @@ def _permutation_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def _strand_components(cycles: tuple[tuple[int, ...], ...], strands: int) -> tuple[int, ...]:
-    """Entry s is the closure component through strand s: its cycle's index plus 1 (axis 0)."""
-    comp = [0] * strands
+def _closure_parts(
+    perm: Sequence[int], axis_label: str, prefix: str
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Labels, windings, strand components and cycles of a closed braid with permutation ``perm``.
+
+    Closure component c + 1 is cycle c of ``perm`` (ordered by smallest
+    strand), labelled ``prefix`` and c + 1 after the axis, component 0,
+    labelled ``axis_label``.  The windings are the axis row: 0, then each
+    cycle's length.  Entry s of the component map is the component
+    through strand s.
+    """
+    cycles = _permutation_cycles(perm)
+    comp = [0] * len(perm)
     for c, cycle in enumerate(cycles, 1):
         for s in cycle:
             comp[s] = c
-    return tuple(comp)
+    labels = (axis_label,) + tuple([f"{prefix}{c}" for c in range(1, len(cycles) + 1)])
+    windings = (0,) + tuple([len(cycle) for cycle in cycles])
+    return labels, windings, tuple(comp), cycles
 
 
 class LinkUniverse(Record):
     """A finite ordered family of oriented knots with exact linking data.
 
-    ``labels`` are distinct strings and ``linking`` is an ``IntMatrix``,
+    ``labels`` are distinct strings (a bare string is refused, not read
+    as its letters) and ``linking`` is an ``IntMatrix``,
     symmetric with zero diagonal.  When ``axis_index`` (a plain int) is
     set, component ``axis_index`` is the braid axis and ``windings``,
     the axis row of the linking matrix, gives each component's winding
@@ -127,6 +142,8 @@ class LinkUniverse(Record):
     def __init__(
         self, labels: tuple[str, ...], linking: IntMatrix, axis_index: int | None = None
     ):
+        if isinstance(labels, str):
+            raise ValueError(f"labels must be a sequence of strings, not the string {labels!r}")
         labels = tuple(labels)
         m = len(labels)
         for name in labels:
@@ -175,8 +192,8 @@ def _principal_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...],
     ``ideles``; the zero diagonal leaves mu_K at 0.  Rows are built only
     here, each in one pass over its linking row (on rows this small,
     faster than slice assignment); ``hasse.verify_projection_compatibility``
-    compares each stored row with the same sign convention, read off
-    the linking matrix.
+    rebuilds them from the linking matrix here too, to compare with the
+    stored rows.
     """
     gens = []
     for k, row in enumerate(rows):
@@ -198,7 +215,7 @@ def universe_from_braid(b: BraidWord) -> LinkUniverse:
     """
     _check_kind("braid", b, BraidWord)
     perm, crossings = _braid_walk(b.strands, b.letters)
-    labels, windings, comp = _cover_skeleton(perm, 1)[:3]
+    labels, windings, comp, _ = _closure_parts(perm, "A", "K")
     return _closure_universe(labels, windings, crossings, (comp,))
 
 
@@ -241,97 +258,6 @@ def _closure_universe(
     rows = tuple(map(tuple, counts))
     linking = IntMatrix._trusted(size, size, rows)
     return LinkUniverse._trusted(labels, linking, 0, _principal_rows(rows))
-
-
-def _closure_labels(axis_label: str, component_prefix: str, size: int) -> tuple[str, ...]:
-    """The axis label, then the prefix numbered 1..size."""
-    return (axis_label,) + tuple([f"{component_prefix}{c}" for c in range(1, size + 1)])
-
-
-@functools.lru_cache(maxsize=512)
-def _cover_skeleton(sigma: tuple[int, ...], n: int) -> tuple[tuple, ...]:
-    """Everything of the n-fold cover of a closed braid that sigma and n alone fix.
-
-    Returns, all tuples, since every cover with this (sigma, n) shares
-    them: the base universe's labels, its windings (the axis row of its
-    linking matrix) and the component through each strand; the cover's
-    labels, its windings and the power's word-repeat blocks over one
-    period; then the fiber map and the deck rotation.  The table holds
-    512 entries: the CLI admits 33 permutations (1 to 4 strands) and 12
-    degrees, 396 keys.
-
-    Closure component c + 1 is cycle c of sigma (of sigma^n upstairs),
-    and the axis, component 0, links it with the cycle's length.  The
-    n-th power repeats the word n times.  Block t, the components of the
-    strands starting repeat t, is block 0 moved t steps along sigma, and
-    block n is block 0 again, since sigma^n keeps each strand on its
-    cycle of the power.  So the blocks are one orbit under that move,
-    repeating with a period p that divides n: only blocks 0..p-1 are
-    built.  Both maps fix the axis: the fiber map sends each cycle of
-    the power to the base cycle of its first strand, and the deck sends
-    it to the cycle of the power through sigma of that strand.
-    """
-    strands = len(sigma)
-    cycles = _permutation_cycles(sigma)
-    comp = _strand_components(cycles, strands)
-    # sigma^n moves each strand n steps along its cycle.
-    power = [0] * strands
-    for cycle in cycles:
-        for i, s in enumerate(cycle):
-            power[s] = cycle[(i + n) % len(cycle)]
-    top_cycles = _permutation_cycles(power)
-    top_comp = _strand_components(top_cycles, strands)
-    # Repeat t of the word starts with strand sigma^-t(s) at position s,
-    # so its block is the previous one moved along sigma, until the
-    # blocks come back to block 0.
-    blocks = [top_comp]
-    while len(blocks) < n:
-        block = [0] * strands
-        for c, p in zip(blocks[-1], sigma):
-            block[p] = c
-        block = tuple(block)
-        if block == top_comp:
-            break
-        blocks.append(block)
-    fiber_map = (0,) + tuple([comp[cycle[0]] for cycle in top_cycles])
-    deck = (0,) + tuple([top_comp[sigma[cycle[0]]] for cycle in top_cycles])
-    return (
-        _closure_labels("A", "K", len(cycles)),
-        (0,) + tuple([len(cycle) for cycle in cycles]),
-        comp,
-        _closure_labels("A~", "J", len(top_cycles)),
-        (0,) + tuple([len(cycle) for cycle in top_cycles]),
-        tuple(blocks),
-        fiber_map,
-        deck,
-    )
-
-
-def _cover_closures(
-    b: BraidWord, n: int
-) -> tuple[LinkUniverse, LinkUniverse, tuple[int, ...], tuple[int, ...]]:
-    """The closures of ``b`` and of its n-th power, each with its axis, from one walk of ``b``.
-
-    Returns the base universe (axis "A", components "K1", ...), the
-    universe of the power (axis "A~", components "J1", ...), the fiber
-    map sending each component of the power to the base component below
-    it, and the deck rotation sending the lift through strand s to the
-    lift through sigma(s).  n is a plain int >= 1.
-
-    Only the linking rows need the word: the walk gives sigma and the
-    crossings, and everything else, labels and windings included, is
-    ``_cover_skeleton(sigma, n)``, shared by every word with that
-    permutation.  Each universe is one counting pass of
-    ``_closure_universe``: the base over its one block, the power over
-    the skeleton's p word-repeat blocks, n/p times.
-    """
-    sigma, crossings = _braid_walk(b.strands, b.letters)
-    labels, windings, comp, top_labels, top_windings, blocks, fiber_map, deck = (
-        _cover_skeleton(sigma, n)
-    )
-    base = _closure_universe(labels, windings, crossings, (comp,))
-    total = _closure_universe(top_labels, top_windings, crossings, blocks, n // len(blocks))
-    return base, total, fiber_map, deck
 
 
 def relabeled_universe(u: LinkUniverse, order: tuple[int, ...]) -> LinkUniverse:

@@ -231,26 +231,24 @@ class TestTrustedCovers:
         bad = []
         try:
             for b, n in self.lifted_pairs():
-                links._cover_skeleton.cache_clear()
-                covers._splitting.cache_clear()
+                covers._cover_skeleton.cache_clear()
                 cold = lift_braid(b, n)
                 warm = lift_braid(b, n)
                 if (cold, cold._pushed) != (warm, warm._pushed):
                     bad.append((b, n))
         finally:
-            links._cover_skeleton.cache_clear()
-            covers._splitting.cache_clear()
+            covers._cover_skeleton.cache_clear()
         assert bad == []
 
     def test_skeleton_values_are_tuples_all_the_way_down(self):
         # Covers share the skeleton's values, so none may be mutable:
-        # tuples of ints, and of label strings.
+        # tuples of ints, of label strings, of (immutable) split records,
+        # and of None for a component with more than one lift.
+        leaves = (int, str, covers.SplitRecord, type(None))
         bad = [
             (b, n)
             for b, n in self.lifted_pairs()
-            if not _tuples_all_the_way_down(
-                links._cover_skeleton(closure_walk(b)[0], n), (int, str)
-            )
+            if not _tuples_all_the_way_down(covers._cover_skeleton(closure_walk(b)[0], n), leaves)
         ]
         assert bad == []
         c, d = lift_braid(BraidWord(3, (1, 2)), 3), lift_braid(BraidWord(3, (-1, -2)), 3)
@@ -258,11 +256,11 @@ class TestTrustedCovers:
 
     def test_skeleton_table_holds_every_key_the_cli_admits(self):
         # 1 + 2 + 6 + 24 permutations of 1 to 4 strands, times 12 degrees.
-        assert links._cover_skeleton.cache_info().maxsize >= 33 * 12
+        assert covers._cover_skeleton.cache_info().maxsize >= 33 * 12
 
 
 class TestSplittingTable:
-    """Splitting records and single-lift pairs come from the (n, base windings) table.
+    """Splitting records and single-lift pairs come from the one (sigma, n) table.
 
     Every (sigma, n) the CLI admits: 33 permutations of 1 to 4 strands
     times degrees 1-12.
@@ -288,10 +286,11 @@ class TestSplittingTable:
         assert bad == []
 
     def test_table_holds_every_key_the_cli_admits(self):
-        # 15 rows of windings over the 33 permutations, times 12 degrees.
+        # 15 rows of windings over the 33 permutations, times 12 degrees;
+        # the (sigma, n) table holds the 396 keys these come from.
         keys = {(c.degree, c.base.windings) for c in self.cli_lifts()}
         assert len(keys) == 15 * 12
-        assert covers._splitting.cache_info().maxsize >= len(keys)
+        assert covers._cover_skeleton.cache_info().maxsize >= len(keys)
 
     def test_pushforward_c_is_e_times_the_fiber_sum(self):
         # c = e * (sum of the lift's linking numbers with its fiber), which
@@ -339,7 +338,8 @@ class TestLiftDerivation:
             counted.append((len(blocks), repeats))
             return real(labels, windings, crossings, blocks, repeats)
 
-        monkeypatch.setattr(links, "_closure_universe", recording)
+        for module in (links, covers):
+            monkeypatch.setattr(module, "_closure_universe", recording)
         words = list(iter_braid_words(3, 4)) + [b for b, _ in wide4_words()]
         bad = []
         periods = set()
@@ -371,7 +371,8 @@ class TestLiftDerivation:
             walks.append(len(letters))
             return real_walk(strands, letters)
 
-        monkeypatch.setattr(links, "_braid_walk", counted_walk)
+        for module in (links, covers):
+            monkeypatch.setattr(module, "_braid_walk", counted_walk)
         b = BraidWord(4, (1, 2, -3, 1))
         c = lift_braid(b, 6)
         assert c.total.size > c.base.size
@@ -404,6 +405,27 @@ class TestLiftDerivation:
         BraidWord(2, (1,))
         links.LinkUniverse(("K",), IntMatrix([[0]]))
         assert counts == {"IntMatrix": 1, "LinkUniverse": 1, "BraidWord": 1}
+
+    def test_a_warm_lift_makes_one_table_lookup(self):
+        # Everything sigma and n fix is one lookup in the one (sigma, n) table.
+        b = BraidWord(4, (1, 2, -3, 1))
+        lift_braid(b, 6)
+        before = covers._cover_skeleton.cache_info()
+        lift_braid(b, 6)
+        after = covers._cover_skeleton.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+        assert after.hits == before.hits + 1
+
+    def test_lift_base_is_the_braids_universe(self, small_lifts):
+        # The lift's base comes from the (sigma, n) table, universe_from_braid
+        # from links alone: both must build the same universe.
+        assert len(small_lifts) == 23136
+        bad = []
+        for b, n, c in small_lifts:
+            u = links.universe_from_braid(b)
+            if (c.base, c.base._generators) != (u, u._generators):
+                bad.append((b, n))
+        assert bad == []
 
 
 class TestCoverTower:

@@ -346,11 +346,19 @@ def test_product_path_builds_no_typed_wrappers(monkeypatch):
 
 def test_scenario_builds_each_universes_generators_once(monkeypatch):
     # Each universe builds its principal generators when it is constructed;
-    # the checks read copies of them.
-    builds = _record_calls(monkeypatch, links, "_principal_rows")
+    # the checks read copies of them, and only projection_compatibility
+    # rebuilds them, from the linking matrix, to compare.  Both bindings
+    # of the one formula are patched, so the by-name import is counted too.
+    builds = _record_calls(monkeypatch, links, "_principal_rows", hasse)
     report = run_scenario(BraidWord(4, ()), 2)
     assert report.passed and len(report.checks) == len(CHECKS)
-    assert [len(rows) for rows, in builds] == [5, 5]
+    # The lift's 2 builds, then the check's 2.
+    assert [len(rows) for rows, in builds] == [5, 5, 5, 5]
+    c = lift_braid(BraidWord(4, ()), 2)
+    for name, fn in CHECKS.items():
+        builds.clear()
+        assert fn(c)[0]
+        assert len(builds) == (2 if name == "projection_compatibility" else 0), name
 
 
 # Route cross-checks, as data.  Each identity is decided by two routes,

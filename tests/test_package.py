@@ -64,6 +64,9 @@ REPORT = hasse.VerificationReport(2, (1,), 2, (CHECK,))
 WRONG_KIND = {
     "links.universe_from_braid": lambda: links.universe_from_braid(BAD),
     "links.relabeled_universe": lambda: links.relabeled_universe(BAD, (0, 1)),
+    "links.LinkUniverse.labels_str": lambda: links.LinkUniverse(
+        "AK", zlattice.IntMatrix([[0, 1], [1, 0]]), 0
+    ),
     "ideles.IdeleVector.format": lambda: ideles.IdeleVector((0,), (1, 0)).format(BAD),
     "ideles.principal_generators": lambda: ideles.principal_generators(BAD),
     "ideles.principal_lattice": lambda: ideles.principal_lattice(BAD),
